@@ -1,37 +1,23 @@
-"""Pipelined proposal engine: in-flight windows + adaptive batch sizing.
+"""Batch-sizing policies for the pipelined proposal engine.
 
-Shared by :class:`~repro.consensus.minbft.MinBFTReplica` and
-:class:`~repro.consensus.pbft.PBFTReplica` — both drive their primary-side
-proposal path through :class:`PipelinedProposer`, which layers two
-orthogonal throughput mechanisms over the per-request legacy behaviour:
+The engine itself — bounded in-flight window, size/deadline batch flush,
+re-queue at the window edge — lives in
+:class:`~repro.consensus.replica.ReplicaCore`, shared by
+:class:`~repro.consensus.minbft.MinBFTReplica` and
+:class:`~repro.consensus.pbft.PBFTReplica`; this module holds the policies
+it consults.
 
-**Bounded in-flight window.** ``window_size > 0`` caps how many slots may
-be outstanding between the window base — ``max(stable_seq, exec_next-1)``,
-i.e. the newer of the stable checkpoint and the execution frontier — and
-``next_seq``. A primary at the window edge *stalls* its proposals (the
-requests simply stay pending) and resumes when execution progress or
-checkpoint stabilization moves the base. Anchoring the base on the
-execution frontier as well as the stable checkpoint means a window
-smaller than the checkpoint interval cannot deadlock (classic
-PBFT watermarks, which anchor on the checkpoint alone, require
-``window > interval``); the checkpoint anchor still matters after a
-state-transfer fast-forward, where ``stable_seq`` leads ``exec_next``.
-
-**Policy-driven batching.** A batch flushes on *size* (pending reaches the
-policy's cap) or on *deadline* (a timer armed when the first request of a
-batch arrives), whichever comes first. :class:`FixedBatchPolicy`
-reproduces the legacy fixed-delay timer bit-exactly (no cap, flush only
-on the timer, the whole queue into one slot). :class:`AdaptiveBatchPolicy`
-sizes the cap from EWMA estimates of the observed arrival rate and commit
-latency — ``cap ≈ arrival_rate × max(commit_latency, target_delay)``, the
-classic "one commit round-trip's worth of arrivals" pipeline-matching
-rule — so light load flushes immediately (cap collapses to 1, the size
-trigger fires on arrival, no timer latency is ever paid) and heavy load
-amortizes the per-slot USIG/signature cost over large batches.
-
-A batch flush that meets a full window **re-queues**: the unproposed
-requests stay pending, a stall is counted, and the flush re-runs as soon
-as the window reopens. Nothing is ever dropped at the window edge.
+A batch flushes on *size* (pending reaches the policy's cap) or on
+*deadline* (a timer armed when the first request of a batch arrives),
+whichever comes first. :class:`FixedBatchPolicy` reproduces the legacy
+fixed-delay timer bit-exactly (no cap, flush only on the timer, the whole
+queue into one slot). :class:`AdaptiveBatchPolicy` sizes the cap from EWMA
+estimates of the observed arrival rate and commit latency — ``cap ≈
+arrival_rate × max(commit_latency, target_delay)``, the classic "one
+commit round-trip's worth of arrivals" pipeline-matching rule — so light
+load flushes immediately (cap collapses to 1, the size trigger fires on
+arrival, no timer latency is ever paid) and heavy load amortizes the
+per-slot USIG/signature cost over large batches.
 """
 
 from __future__ import annotations
@@ -39,7 +25,6 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..errors import ConfigurationError
-from ..types import SeqNum
 
 
 class FixedBatchPolicy:
@@ -159,179 +144,11 @@ def make_batch_policy(spec: Any, batch_delay: float = 0.2) -> Any:
     return spec
 
 
-class PipelinedProposer:
-    """Mixin: the primary-side windowed/batched proposal engine.
+def __getattr__(name: str) -> Any:
+    # the proposal engine grew into the replica core; the old name still
+    # imports from here (lazily: replica.py imports this module's policies)
+    if name == "PipelinedProposer":
+        from .replica import ReplicaCore
 
-    The host class provides the protocol state the engine reads
-    (``is_primary``, ``next_seq``, ``exec_next``, ``stable_seq``,
-    ``_pending``, ``_proposed_keys``, ``_is_executed``, ``ctx``) and
-    implements :meth:`_emit_slot`, which assigns one slot's proposal to
-    the wire (USIG-signed PREPARE for MinBFT, signed PRE-PREPARE for
-    PBFT). Hosts call:
-
-    - :meth:`_init_pipeline` from ``__init__``;
-    - :meth:`_propose_pending` whenever fresh requests may be proposable
-      (request arrival, view adoption);
-    - :meth:`_on_batch_timer` from ``on_timer`` for :attr:`BATCH_TAG`;
-    - :meth:`_pipeline_resume` whenever the window base may have moved
-      (execution progress, checkpoint stabilization, state transfer).
-    """
-
-    BATCH_TAG = "batch"
-
-    def _init_pipeline(
-        self,
-        batching: Any,
-        batch_policy: Any,
-        batch_delay: float,
-        window_size: int,
-    ) -> None:
-        if window_size < 0:
-            raise ConfigurationError(
-                f"window_size must be >= 0, got {window_size}"
-            )
-        self.batching = bool(batching)
-        self.batch_delay = batch_delay
-        self.batch_policy = make_batch_policy(
-            batch_policy if batching else None, batch_delay
-        )
-        self.window_size = window_size
-        self._batch_timer: Optional[int] = None
-        self._batch_stalled = False
-        # pipeline counters (all deterministic for a fixed seed)
-        self.proposal_stalls = 0
-        self.batches_flushed = 0
-        self.noop_slots = 0
-        self.batch_size_hist: dict[int, int] = {}
-        self._window_peak = 0
-        self._window_sum = 0
-        self._window_samples = 0
-
-    # -- window ------------------------------------------------------------
-
-    def _window_base(self) -> SeqNum:
-        return max(self.stable_seq, self.exec_next - 1)
-
-    def _window_full(self) -> bool:
-        return bool(self.window_size) and (
-            self.next_seq - self._window_base() > self.window_size
-        )
-
-    def _note_window_slot(self) -> None:
-        occupancy = self.next_seq - 1 - self._window_base()
-        if occupancy > self._window_peak:
-            self._window_peak = occupancy
-        self._window_sum += occupancy
-        self._window_samples += 1
-
-    # -- proposal path -----------------------------------------------------
-
-    def _fresh_pending(self) -> list[tuple[tuple, Any]]:
-        return [
-            (key, request)
-            for key, request in sorted(self._pending.items())
-            if key not in self._proposed_keys and not self._is_executed(key)
-        ]
-
-    def _propose_pending(self) -> None:
-        if not self.is_primary:
-            return
-        fresh = self._fresh_pending()
-        if not fresh:
-            return
-        if self.batching:
-            cap = self.batch_policy.cap()
-            size_ready = cap is not None and len(fresh) >= cap
-            if (size_ready or self._batch_stalled) and not self._window_full():
-                self._flush_batch_now(fresh)
-            elif self._batch_timer is None:
-                # open the batch window; the deadline timer flushes it
-                self._batch_timer = self.ctx.set_timer(
-                    self.batch_policy.deadline(), self.BATCH_TAG
-                )
-            return
-        stalled = False
-        for key, request in fresh:
-            if self._window_full():
-                stalled = True
-                break
-            seq = self.next_seq
-            self.next_seq += 1
-            self._proposed_keys.add(key)
-            self._emit_slot(seq, request)
-            self._note_window_slot()
-        if stalled:
-            self.proposal_stalls += 1
-
-    def _on_batch_timer(self) -> None:
-        self._batch_timer = None
-        if not self.is_primary:
-            return
-        self._flush_batch_now(self._fresh_pending())
-
-    def _flush_batch_now(self, fresh: list[tuple[tuple, Any]]) -> None:
-        """Flush pending requests into slots, capped per slot by the policy.
-
-        A full window mid-flush re-queues the remainder (the requests stay
-        pending, :attr:`_batch_stalled` re-triggers the flush the moment
-        the window reopens) — a deadline firing at the window edge must
-        never drop requests.
-        """
-        self._batch_stalled = False
-        while fresh:
-            if self._window_full():
-                self.proposal_stalls += 1
-                self._batch_stalled = True
-                return
-            cap = self.batch_policy.cap()
-            if cap is None:
-                take, fresh = fresh, []
-            else:
-                take, fresh = fresh[:cap], fresh[cap:]
-            seq = self.next_seq
-            self.next_seq += 1
-            for key, _request in take:
-                self._proposed_keys.add(key)
-            batch = ("BATCH", *(request for _key, request in take))
-            self.batches_flushed += 1
-            self.batch_size_hist[len(take)] = (
-                self.batch_size_hist.get(len(take), 0) + 1
-            )
-            self._emit_slot(seq, batch)
-            self._note_window_slot()
-
-    def _pipeline_resume(self) -> None:
-        """Re-run stalled proposals after the window base moved."""
-        if not self.window_size or not self.is_primary:
-            return
-        if self._batch_stalled:
-            self._flush_batch_now(self._fresh_pending())
-        else:
-            self._propose_pending()
-
-    def _emit_slot(self, seq: SeqNum, proposal: Any) -> None:
-        raise NotImplementedError
-
-    # -- counters ----------------------------------------------------------
-
-    def consensus_stats(self) -> dict[str, Any]:
-        """Pipeline counters for :class:`~repro.sim.scheduler.RunStats` /
-        ``ChaosResult.stats["consensus"]`` aggregation (numeric values are
-        summed key-wise across replicas; the histogram merges key-wise)."""
-        return {
-            "commits_executed": self.commits_executed,
-            "batches_flushed": self.batches_flushed,
-            "proposal_stalls": self.proposal_stalls,
-            "noop_slots": self.noop_slots,
-            "window_peak": self._window_peak,
-            "window_occupancy_sum": self._window_sum,
-            "window_samples": self._window_samples,
-            # PBFT's proactive checkpoint fetch; MinBFT catches up via
-            # VIEW-CHANGE blobs instead and reports 0
-            "state_transfers": getattr(self, "state_transfers", 0),
-            # typed rejects of malformed/Byzantine input (babble hardening)
-            # and of convicted-replica input (forensic quarantine)
-            "malformed_rejects": getattr(self, "malformed_rejects", 0),
-            "convicted_rejects": getattr(self, "convicted_rejects", 0),
-            "batch_size_hist": dict(self.batch_size_hist),
-        }
+        return ReplicaCore
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -91,70 +91,13 @@ def build_minbft_system(
     liveness under the lossy/chaos adversaries in :mod:`repro.faults`. The
     returned lists always hold the inner replica/client objects.
     """
-    if f < 1:
-        raise ConfigurationError(f"f must be >= 1, got {f}")
-    n = 2 * f + 1
-    total = n + n_clients
-    scheme = SignatureScheme(total, seed=seed)
-    authority = TrincAuthority(n, seed=seed)
-    verifier = USIGVerifier(authority)
-
-    replicas: list[MinBFTReplica] = []
-    for pid in range(n):
-        kwargs = dict(
-            n=n,
-            usig=USIG(authority.trinket(pid)),
-            verifier=verifier,
-            scheme=scheme,
-            signer=scheme.signer(pid),
-            app=make_app(app),
-            req_timeout=req_timeout,
-            timeout_policy=timeout_policy,
-            **(replica_options or {}),
-        )
-        if replica_factory is not None:
-            replicas.append(replica_factory(pid, **kwargs))
-        else:
-            replicas.append(MinBFTReplica(**kwargs))
-
-    clients: list[BFTClient] = []
-    for c in range(n_clients):
-        if client_arrivals is not None:
-            ops: Sequence[tuple] = ()
-        elif workloads is not None:
-            ops = list(workloads[c])
-        else:
-            ops = default_workload(c, ops_per_client, app)
-        client = BFTClient(
-            replicas=range(n),
-            reply_quorum=f + 1,
-            ops=ops,
-            retry_timeout=retry_timeout,
-            timeout_policy=timeout_policy,
-            arrivals=(
-                client_arrivals[c] if client_arrivals is not None else None
-            ),
-            **(client_options or {}),
-        )
-        client.scheme = scheme
-        client.signer = scheme.signer(n + c)
-        clients.append(client)
-
-    hosted_replicas: list[Process] = list(replicas)
-    if replica_wrapper is not None:
-        hosted_replicas = [
-            replica_wrapper(pid, r) for pid, r in enumerate(replicas)
-        ]
-    hosted: list[Process] = [*hosted_replicas, *clients]
-    if reliable:
-        from ..faults.channel import wrap_reliable  # lazy: faults builds on sim
-
-        kwargs = reliable if isinstance(reliable, dict) else {}
-        hosted = wrap_reliable(hosted, **kwargs)
-    adversary = adversary if adversary is not None else ReliableAsynchronous(0.01, 0.5)
-    sim = Simulation(hosted, adversary, seed=seed,
-                     trace_retention=trace_retention, observers=observers)
-    return sim, replicas, clients
+    return _build_system(
+        MinBFTReplica, f, 2 * f + 1, usig_hardware,
+        n_clients, ops_per_client, app, seed, adversary, req_timeout,
+        retry_timeout, replica_factory, replica_wrapper, workloads, reliable,
+        trace_retention, observers, timeout_policy, replica_options,
+        client_options, client_arrivals,
+    )
 
 
 def build_pbft_system(
@@ -184,16 +127,47 @@ def build_pbft_system(
     ``reliable`` forward pipeline, open-loop, attack-wrapping, and
     retransmission settings; see :func:`build_minbft_system`.
     """
+    return _build_system(
+        PBFTReplica, f, 3 * f + 1, lambda n, seed: [{}] * n,
+        n_clients, ops_per_client, app, seed, adversary, req_timeout,
+        retry_timeout, replica_factory, replica_wrapper, workloads, reliable,
+        trace_retention, observers, timeout_policy, replica_options,
+        client_options, client_arrivals,
+    )
+
+
+def usig_hardware(n: int, seed: int) -> list[dict]:
+    """What MinBFT adds to a deployment: one USIG per replica over a shared
+    TrInc authority, and the verifier everyone checks UIs against."""
+    authority = TrincAuthority(n, seed=seed)
+    verifier = USIGVerifier(authority)
+    return [
+        {"usig": USIG(authority.trinket(pid)), "verifier": verifier}
+        for pid in range(n)
+    ]
+
+
+def _build_system(
+    replica_cls, f, n, hardware, n_clients, ops_per_client, app, seed,
+    adversary, req_timeout, retry_timeout, replica_factory, replica_wrapper,
+    workloads, reliable, trace_retention, observers, timeout_policy,
+    replica_options, client_options, client_arrivals,
+):
+    """The one builder body behind both entry points (whose parameters these
+    are): ``n`` replicas of ``replica_cls`` — ``hardware(n, seed)`` supplies
+    each one's trusted component as constructor keywords, if the protocol
+    has one — the client fleet, the optional attack wrapper and reliable
+    hosting, and the simulation."""
     if f < 1:
         raise ConfigurationError(f"f must be >= 1, got {f}")
-    n = 3 * f + 1
-    total = n + n_clients
-    scheme = SignatureScheme(total, seed=seed)
+    scheme = SignatureScheme(n + n_clients, seed=seed)
+    trusted = hardware(n, seed)
 
-    replicas: list[PBFTReplica] = []
+    replicas: list = []
     for pid in range(n):
         kwargs = dict(
             n=n,
+            **trusted[pid],
             scheme=scheme,
             signer=scheme.signer(pid),
             app=make_app(app),
@@ -204,7 +178,7 @@ def build_pbft_system(
         if replica_factory is not None:
             replicas.append(replica_factory(pid, **kwargs))
         else:
-            replicas.append(PBFTReplica(**kwargs))
+            replicas.append(replica_cls(**kwargs))
 
     clients: list[BFTClient] = []
     for c in range(n_clients):

@@ -42,11 +42,16 @@ from ..crypto.serialize import (
 )
 from ..crypto.signatures import Signature, SignatureScheme, Signer
 from ..errors import ConfigurationError, SignatureError
-from ..sim.process import Process
 from ..types import ProcessId, SeqNum
 from .apps import StateMachine
-from .batching import PipelinedProposer
-from .dedup import MISSING, ClientDedup
+from .replica import (  # noqa: F401  (the request vocabulary is re-exported)
+    REPLY,
+    REQUEST,
+    ReplicaCore,
+    proposal_requests,
+    request_domain,
+    request_key,
+)
 from .usig import UI, UIOrderEnforcer, USIG, USIGVerifier, ui_like
 from .viewchange import (
     LogEntry,
@@ -56,28 +61,14 @@ from .viewchange import (
 )
 
 USIG_WRAP = "USIG"
-REQUEST = "REQUEST"
 PREPARE = "PREPARE"
 COMMIT = "COMMIT"
-REPLY = "REPLY"
 CHECKPOINT = "CHECKPOINT"
 REQ_VIEW_CHANGE = "REQ-VIEW-CHANGE"
 VIEW_CHANGE = "VIEW-CHANGE"
 NEW_VIEW = "NEW-VIEW"
 RESYNC = "RESYNC"
 RESYNC_INFO = "RESYNC-INFO"
-
-
-def request_key(request: Any) -> tuple:
-    """Stable identity of a client request: (client, req_id)."""
-    return (request[1], request[2])
-
-
-def proposal_requests(proposal: Any) -> list:
-    """The client requests a slot proposal carries (a batch or a single one)."""
-    if isinstance(proposal, tuple) and proposal and proposal[0] == "BATCH":
-        return list(proposal[1:])
-    return [proposal]
 
 
 def rvc_domain(replica: ProcessId, new_view: int) -> tuple:
@@ -92,11 +83,7 @@ def resync_info_domain(replica: ProcessId, nonce: int, digest: bytes) -> tuple:
     return ("MINBFT-RESYNC-INFO", replica, nonce, digest)
 
 
-def request_domain(client: ProcessId, req_id: int, op: Any) -> tuple:
-    return ("MINBFT-REQ", client, req_id, op)
-
-
-class MinBFTReplica(PipelinedProposer, Process):
+class MinBFTReplica(ReplicaCore):
     """One MinBFT replica.
 
     Parameters: ``n`` replicas tolerate ``f = (n-1)//2`` Byzantine; the
@@ -108,7 +95,9 @@ class MinBFTReplica(PipelinedProposer, Process):
     the legacy behaviour); ``batch_policy`` selects the batch-sizing
     policy (``None``/"fixed" = the legacy fixed ``batch_delay`` timer,
     "adaptive" = EWMA pipeline-matching). See
-    :mod:`repro.consensus.batching`.
+    :mod:`repro.consensus.batching`. Everything not specific to the USIG
+    (request intake, ordered execution, the proposal pipeline) is
+    inherited from :class:`~repro.consensus.replica.ReplicaCore`.
     """
 
     VC_TIMER = "minbft-vc"
@@ -133,79 +122,40 @@ class MinBFTReplica(PipelinedProposer, Process):
         reply_window: int = 8,
         gap_limit: int = 64,
     ) -> None:
-        super().__init__()
         if n < 3 or n % 2 == 0:
             raise ConfigurationError(
                 f"MinBFT runs with n = 2f+1 >= 3 replicas, got n={n}"
             )
-        self.n = n
-        self.f = (n - 1) // 2
+        super().__init__(
+            n, (n - 1) // 2, scheme, signer, app,
+            req_timeout if req_timeout is not None else self.REQ_TIMEOUT,
+            checkpoint_interval, batching, batch_delay, batch_policy,
+            window_size, timeout_policy, reply_window, gap_limit,
+        )
         self.usig = usig
         self.verifier = verifier
-        self.scheme = scheme
-        self.signer = signer
-        self.app = app
-        self.req_timeout = req_timeout if req_timeout is not None else self.REQ_TIMEOUT
-        if timeout_policy is None:
-            from ..faults.timeouts import FixedTimeout  # lazy: faults builds on consensus
-
-            timeout_policy = FixedTimeout(self.req_timeout)
-        elif callable(timeout_policy) and not hasattr(timeout_policy, "current"):
-            timeout_policy = timeout_policy()
-        self.timeout_policy = timeout_policy
-
-        self.view = 0
-        self.in_view_change: Optional[int] = None
-        self.next_seq: SeqNum = 1  # primary's next slot to assign
-        self.exec_next: SeqNum = 1
         self.sent_log: list[tuple[Any, UI]] = []
         self._enforcer = UIOrderEnforcer(self._on_usig_released)
         # slot -> (view, prepare_counter, request) first-accepted prepare
         self._accepted: dict[SeqNum, tuple[int, SeqNum, Any]] = {}
         # vote key -> set of replicas
         self._votes: dict[tuple, set[ProcessId]] = {}
-        self._certified: dict[SeqNum, Any] = {}
-        self._proposed_keys: set[tuple] = set()
-        # bounded executed-request memory + reply cache (replaces the old
-        # unbounded _executed_keys set and latest-only _client_cache, which
-        # a multi-outstanding client would race past)
-        self._dedup = ClientDedup(reply_window=reply_window, gap_limit=gap_limit)
-        self._pending: dict[tuple, Any] = {}  # request_key -> request
         self._expected_reproposals: dict[SeqNum, Any] = {}
-        self._init_pipeline(batching, batch_policy, batch_delay, window_size)
-        # checkpointing / garbage collection
-        self.checkpoint_interval = checkpoint_interval
-        self._ckpt_votes: dict[tuple, dict[ProcessId, tuple]] = {}
-        self._ckpt_states: dict[SeqNum, Any] = {}  # my own state blobs by seq
-        self.stable_seq: SeqNum = 0
-        self._stable_cert: tuple = ()
+        # checkpointing: my own state blobs by seq, and the stable one
+        self._ckpt_states: dict[SeqNum, Any] = {}
         self._stable_state: Any = None
         self._log_base: SeqNum = 0  # my counter at the stable checkpoint
-        # view-change machinery; each record: (entries, stable_seq, state_blob)
+        # view-change machinery; each _vcs record: (entries, stable_seq, state_blob)
         self._rvc_votes: dict[int, set[ProcessId]] = {}
         self._rvc_sent: set[int] = set()
-        self._vcs: dict[int, dict[ProcessId, tuple]] = {}
-        self._new_view_sent: set[int] = set()
-        self._vc_timer: Optional[int] = None
-        # request arrival times feed the adaptive timeout's RTT estimator
-        self._pending_since: dict[tuple, float] = {}
         # last verified NEW-VIEW (message, ui) — served to recovering peers
         self._latest_new_view: Optional[tuple] = None
         self._resynced: set[ProcessId] = set()
         self._started_incarnation: Optional[int] = None
-        # forensics: replicas proven Byzantine (see consensus/forensics);
-        # their messages and votes are refused from conviction on
-        self._convicted: set[ProcessId] = set()
         # pre-execution state: the rollback anchor when no checkpoint has
         # stabilized yet (conviction may void every unattested slot)
         self._genesis_state = self._state_blob()
-        # stats for benches
-        self.commits_executed = 0
-        self.view_changes_completed = 0
-        self.log_entries_gced = 0
         self.resyncs_answered = 0
-        self.malformed_rejects = 0
-        self.convicted_rejects = 0
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -221,15 +171,6 @@ class MinBFTReplica(PipelinedProposer, Process):
         self._started_incarnation = self.ctx.incarnation
         if self.ctx.incarnation > 0:
             self._request_resync()
-
-    # -- identity helpers ------------------------------------------------------
-
-    def primary_of(self, view: int) -> ProcessId:
-        return view % self.n
-
-    @property
-    def is_primary(self) -> bool:
-        return self.in_view_change is None and self.primary_of(self.view) == self.pid
 
     # -- USIG send path ----------------------------------------------------------
 
@@ -287,37 +228,8 @@ class MinBFTReplica(PipelinedProposer, Process):
             # reject (Byzantine babble must never throw a replica)
             self.malformed_rejects += 1
 
-    # -- client requests ---------------------------------------------------------------
-
-    def _on_request(self, request: tuple) -> None:
-        _, client, req_id, op, sig = request
-        if not isinstance(req_id, int) or not isinstance(client, int):
-            return
-        if not (
-            isinstance(sig, Signature)
-            and sig.signer == client
-            and self.scheme.verify(request_domain(client, req_id, op), sig)
-        ):
-            return
-        if self._dedup.executed(client, req_id):
-            result = self._dedup.reply(client, req_id)
-            if result is not MISSING:  # retransmission of an answered request
-                self.ctx.send(client, (REPLY, self.pid, req_id, result, self.view))
-            return
-        key = request_key(request)
-        if key not in self._pending:
-            self._pending[key] = request
-            self._pending_since[key] = self.ctx.now
-            self.batch_policy.note_arrival(self.ctx.now)
-        if self.is_primary:
-            self._propose_pending()
-        if self._vc_timer is None and self._pending:
-            self._vc_timer = self.ctx.set_timer(
-                self.timeout_policy.current(), self.VC_TIMER
-            )
-
     def _emit_slot(self, seq: SeqNum, proposal: Any) -> None:
-        """PipelinedProposer hook: one assigned slot onto the wire."""
+        """Core hook: one assigned slot onto the wire, USIG-ordered."""
         self._usig_broadcast((PREPARE, self.view, seq, proposal))
 
     # -- USIG-ordered processing -----------------------------------------------------------
@@ -341,24 +253,8 @@ class MinBFTReplica(PipelinedProposer, Process):
             # USIG-signed babble: sequenced, authentic, still garbage
             self.malformed_rejects += 1
 
-    def _valid_request(self, request: Any) -> bool:
-        if not (isinstance(request, tuple) and len(request) == 5
-                and request[0] == REQUEST):
-            return False
-        _, client, req_id, op, sig = request
-        return (
-            isinstance(client, int)
-            and isinstance(req_id, int)
-            and isinstance(sig, Signature)
-            and sig.signer == client
-            and self.scheme.verify(request_domain(client, req_id, op), sig)
-        )
-
     def _valid_proposal(self, proposal: Any) -> bool:
-        """A slot proposal: one valid request, or a non-empty BATCH of them
-        with no duplicate request keys.
-
-        Memoized in the scheme's protocol memo on the serialized proposal
+        """The core's proposal check, memoized in the scheme's protocol memo on the serialized proposal
         plus its exact-type fingerprint: the same proposal object is
         re-validated once per PREPARE and once per COMMIT at every replica,
         and validity is a deterministic pure function of (content, types).
@@ -380,19 +276,10 @@ class MinBFTReplica(PipelinedProposer, Process):
                 verdict = self.scheme.memo.get(key)
                 if verdict is not None:
                     return verdict
-        verdict = self._valid_proposal_uncached(proposal)
+        verdict = super()._valid_proposal(proposal)
         if key is not None:
             self.scheme.memo.put(key, verdict)
         return verdict
-
-    def _valid_proposal_uncached(self, proposal: Any) -> bool:
-        requests = proposal_requests(proposal)
-        if not requests:
-            return False
-        if not all(self._valid_request(r) for r in requests):
-            return False
-        keys = [request_key(r) for r in requests]
-        return len(keys) == len(set(keys))
 
     def _on_prepare(self, replica: ProcessId, ui: UI, message: tuple) -> None:
         _, view, seq, request = message
@@ -455,81 +342,7 @@ class MinBFTReplica(PipelinedProposer, Process):
             self._certified[seq] = request
             self._execute_ready()
 
-    # -- execution --------------------------------------------------------------------------
-
-    def _is_executed(self, key: tuple) -> bool:
-        """Whether (client, req_id) was executed — directly or via a
-        checkpoint fast-forward (the dedup structure survives transfer)."""
-        return self._dedup.executed(key[0], key[1])
-
-    def _execute_ready(self) -> None:
-        executed_any = False
-        exec_start = self.exec_next
-        while self.exec_next in self._certified:
-            seq = self.exec_next
-            proposal = self._certified[seq]
-            requests = proposal_requests(proposal)
-            slot_applied = False
-            for request in requests:
-                _, client, req_id, op, _sig = request
-                key = request_key(request)
-                if self._is_executed(key):
-                    continue
-                result = self.app.apply(op)
-                self._dedup.record(client, req_id, result)
-                self._pending.pop(key, None)
-                since = self._pending_since.pop(key, None)
-                if since is not None:
-                    # arrival-to-execution latency is the "round trip" the
-                    # view-change timer actually waits on — and the horizon
-                    # the adaptive batch policy sizes its cap against
-                    latency = self.ctx.now - since
-                    self.timeout_policy.observe(latency)
-                    self.batch_policy.note_commit(latency, len(requests))
-                executed_any = True
-                self.commits_executed += 1
-                self.ctx.record(
-                    "custom", event="execute", seq=seq, client=client,
-                    req_id=req_id, op=op, result=result,
-                )
-                self.ctx.send(client, (REPLY, self.pid, req_id, result, self.view))
-                self.on_execute(seq, request, result)
-                slot_applied = True
-            if not slot_applied:
-                # every request in this slot was a duplicate already applied
-                # from an earlier slot (retry storms get stale resubmits
-                # batched before the dedup caches catch up); the slot is
-                # ordered but a no-op — record it so stream auditors can
-                # tell a benign hole from a lost slot
-                self.noop_slots += 1
-                self.ctx.record("custom", event="execute_noop", seq=seq)
-            self.exec_next = seq + 1
-            del self._certified[seq]
-            if (
-                self.checkpoint_interval
-                and seq % self.checkpoint_interval == 0
-            ):
-                self._emit_checkpoint(seq)
-        if executed_any:
-            self.timeout_policy.note_progress()
-        if not self._pending and self._vc_timer is not None:
-            self.ctx.cancel_timer(self._vc_timer)
-            self._vc_timer = None
-        if self.exec_next != exec_start:
-            # execution progress moved the window base: stalled proposals
-            # (and stalled batch flushes) may proceed now
-            self._pipeline_resume()
-
     # -- checkpointing / log garbage collection ------------------------------------------
-
-    def _state_blob(self) -> tuple:
-        """Transferable state at the current execution point."""
-        return (
-            "CKPT-STATE",
-            self.app.snapshot(),
-            self._dedup.snapshot(),
-            self.exec_next,
-        )
 
     def _emit_checkpoint(self, seq: SeqNum) -> None:
         blob = self._state_blob()
@@ -571,33 +384,20 @@ class MinBFTReplica(PipelinedProposer, Process):
         self._ckpt_states = {s: b for s, b in self._ckpt_states.items() if s >= seq}
         # per-slot protocol state at or below the stable checkpoint is
         # settled: f+1 replicas attest to the executed prefix, so the
-        # accepted-prepare / vote / certificate maps for those slots can
-        # never be consulted again. Pruning here (plus _certified draining
-        # at execution) is what bounds replica memory by
-        # checkpoint_interval + window instead of O(total requests).
+        # accepted-prepare / vote maps for those slots can never be
+        # consulted again (the core prunes the maps both protocols share)
         self._accepted = {s: v for s, v in self._accepted.items() if s > seq}
         self._votes = {k: v for k, v in self._votes.items() if k[1] > seq}
-        self._certified = {
-            s: r for s, r in self._certified.items() if s >= self.exec_next
-        }
-        self._ckpt_votes = {
-            k: v for k, v in self._ckpt_votes.items() if k[0] > seq
-        }
         self._expected_reproposals = {
             s: r for s, r in self._expected_reproposals.items() if s > seq
         }
-        self._proposed_keys = {
-            k for k in self._proposed_keys if not self._is_executed(k)
-        }
+        self._prune_settled(seq)
         self.ctx.record(
             "custom", event="checkpoint_stable", seq=seq,
             log_base=my_counter,
         )
         # a stabilized checkpoint moves the window's low watermark
         self._pipeline_resume()
-
-    def on_execute(self, seq: SeqNum, request: Any, result: Any) -> None:
-        """Hook: called once per locally executed slot (adapters override)."""
 
     def slot_state_size(self) -> int:
         """Total per-slot/per-request entries this replica holds.
@@ -739,24 +539,11 @@ class MinBFTReplica(PipelinedProposer, Process):
             and self.ctx.incarnation != self._started_incarnation
         ):
             return  # a previous incarnation armed this timer
-        if tag == self.BATCH_TAG:
-            self._on_batch_timer()
-            return
-        if tag != self.VC_TIMER:
-            return
-        self._vc_timer = None
-        if not self._pending and self.in_view_change is None:
-            return
-        # unproductive expiry: back the timeout off before re-arming
-        self.timeout_policy.escalate()
-        target = (self.in_view_change or self.view) + 1
-        self._send_req_view_change(target)
-        # keep escalating while stuck
-        self._vc_timer = self.ctx.set_timer(
-            self.timeout_policy.current(), self.VC_TIMER
-        )
+        super().on_timer(tag)
 
-    def _send_req_view_change(self, new_view: int) -> None:
+    def _send_view_change(self, new_view: int) -> None:
+        """Core hook: the demand is a signed REQ-VIEW-CHANGE; the USIG-signed
+        VIEW-CHANGE itself follows once f+1 replicas demand the view."""
         if new_view in self._rvc_sent:
             return
         self._rvc_sent.add(new_view)
@@ -789,16 +576,14 @@ class MinBFTReplica(PipelinedProposer, Process):
             return
         self.in_view_change = new_view
         self.ctx.record("custom", event="view_change_start", new_view=new_view)
-        self._send_req_view_change(new_view)  # join the chorus
+        self._send_view_change(new_view)  # join the chorus
         self._usig_broadcast((
             VIEW_CHANGE, new_view, self._log_base, self._stable_cert,
             self._stable_state, tuple(self.sent_log),
         ))
         if self._vc_timer is not None:
             self.ctx.cancel_timer(self._vc_timer)
-        self._vc_timer = self.ctx.set_timer(
-            self.timeout_policy.current(), self.VC_TIMER
-        )
+        self._arm_vc_timer()
         self._maybe_send_new_view(new_view)
 
     def _validate_vc(self, replica: ProcessId, base: Any, cert: Any,
@@ -927,23 +712,7 @@ class MinBFTReplica(PipelinedProposer, Process):
         """Install a certified checkpoint state we fell behind of."""
         if blob is None or stable_seq < self.exec_next:
             return
-        _tag, snapshot, dedup_image, exec_next = blob
-        self.app.restore(snapshot)
-        self._dedup.restore(dedup_image)
-        self.exec_next = exec_next
-        self._certified = {
-            s: r for s, r in self._certified.items() if s >= exec_next
-        }
-        self._pending = {
-            k: r for k, r in self._pending.items() if not self._is_executed(k)
-        }
-        self._pending_since = {
-            k: t for k, t in self._pending_since.items() if k in self._pending
-        }
-        self.ctx.record(
-            "custom", event="state_transfer", stable_seq=stable_seq,
-            exec_next=exec_next,
-        )
+        self._install_state(stable_seq, blob)
         self._execute_ready()
         self._pipeline_resume()  # the transfer itself moved the window base
 
@@ -970,15 +739,10 @@ class MinBFTReplica(PipelinedProposer, Process):
         self._enforcer.purge(culprit)
         self._rollback_to_attested()
         self.ctx.record("custom", event="convict", culprit=culprit)
-        target = (self.in_view_change or self.view) + 1
-        while self.primary_of(target) in self._convicted:
-            target += 1
-        self._send_req_view_change(target)
+        self._view_change_past_convicted((self.in_view_change or self.view) + 1)
         if self._vc_timer is not None:
             self.ctx.cancel_timer(self._vc_timer)
-        self._vc_timer = self.ctx.set_timer(
-            self.timeout_policy.current(), self.VC_TIMER
-        )
+        self._arm_vc_timer()
 
     def _rollback_to_attested(self) -> None:
         """Rewind execution to the newest state a quorum attested to."""
@@ -1031,9 +795,7 @@ class MinBFTReplica(PipelinedProposer, Process):
             self._batch_timer = None
         self._batch_stalled = False
         if self._pending:
-            self._vc_timer = self.ctx.set_timer(
-                self.timeout_policy.current(), self.VC_TIMER
-            )
+            self._arm_vc_timer()
         if self.primary_of(new_view) == self.pid:
             # re-propose ALL of S in order — even slots we already executed,
             # because a lagging correct replica may still need a certificate

@@ -27,23 +27,14 @@ its view-change timer re-arms forever against a non-empty pending set.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..crypto.serialize import content_hash
 from ..crypto.signatures import Signature, SignatureScheme, Signer
 from ..errors import ConfigurationError
-from ..sim.process import Process
 from ..types import ProcessId, SeqNum
 from .apps import StateMachine
-from .batching import PipelinedProposer
-from .dedup import MISSING, ClientDedup
-from .minbft import (
-    REPLY,
-    REQUEST,
-    proposal_requests,
-    request_domain,
-    request_key,
-)
+from .replica import REQUEST, ReplicaCore, proposal_requests, request_key
 
 PRE_PREPARE = "PBFT-PRE-PREPARE"
 PREPARE = "PBFT-PREPARE"
@@ -61,11 +52,6 @@ STATE = "PBFT-STATE"
 #: VIEW-CHANGEs shows it), so the new primary re-proposes a null request
 #: there and in-order execution steps over the hole as a no-op.
 NULL_REQUEST = ("PBFT-NULL",)
-
-
-def _proposal_reqs(proposal: Any) -> list:
-    """Client requests inside a slot proposal; the null filler has none."""
-    return [] if proposal == NULL_REQUEST else proposal_requests(proposal)
 
 
 def pp_domain(view: int, seq: SeqNum, digest: bytes) -> tuple:
@@ -92,17 +78,19 @@ def gs_domain(seq: SeqNum, digest: bytes, replica: ProcessId) -> tuple:
     return ("PBFT-GS", seq, digest, replica)
 
 
-class PBFTReplica(PipelinedProposer, Process):
+class PBFTReplica(ReplicaCore):
     """One PBFT replica (n = 3f+1, f = (n-1)//3).
 
-    ``window_size``/``batching``/``batch_policy`` drive the shared
-    pipelined proposal engine (:mod:`repro.consensus.batching`): slots may
-    carry ``("BATCH", *requests)`` proposals exactly as in MinBFT, with
-    the PRE-PREPARE signed over the whole batch digest.
+    ``window_size``/``batching``/``batch_policy`` drive the pipelined
+    proposal engine of the shared
+    :class:`~repro.consensus.replica.ReplicaCore`: slots may carry
+    ``("BATCH", *requests)`` proposals exactly as in MinBFT, with the
+    PRE-PREPARE signed over the whole batch digest.
     """
 
     VC_TIMER = "pbft-vc"
     BATCH_TAG = "pbft-batch"
+    STATE_TAG = "PBFT-CKPT-STATE"
 
     def __init__(
         self,
@@ -120,108 +108,42 @@ class PBFTReplica(PipelinedProposer, Process):
         reply_window: int = 8,
         gap_limit: int = 64,
     ) -> None:
-        super().__init__()
         if n < 4 or (n - 1) % 3 != 0:
             raise ConfigurationError(
                 f"PBFT runs with n = 3f+1 >= 4 replicas, got n={n}"
             )
-        self.n = n
-        self.f = (n - 1) // 3
-        self.scheme = scheme
-        self.signer = signer
-        self.app = app
-        self.req_timeout = req_timeout
-        if timeout_policy is None:
-            from ..faults.timeouts import FixedTimeout  # lazy: faults builds on consensus
-
-            timeout_policy = FixedTimeout(self.req_timeout)
-        elif callable(timeout_policy) and not hasattr(timeout_policy, "current"):
-            timeout_policy = timeout_policy()
-        self.timeout_policy = timeout_policy
-
-        self.view = 0
-        self.in_view_change: Optional[int] = None
-        self.next_seq: SeqNum = 1
-        self.exec_next: SeqNum = 1
+        super().__init__(
+            n, (n - 1) // 3, scheme, signer, app, req_timeout,
+            checkpoint_interval, batching, batch_delay, batch_policy,
+            window_size, timeout_policy, reply_window, gap_limit,
+        )
         # seq -> (view, digest, request)
         self._accepted_pp: dict[SeqNum, tuple[int, bytes, Any]] = {}
         self._prepares: dict[tuple, set[ProcessId]] = {}
         self._commits: dict[tuple, set[ProcessId]] = {}
         self._prepared_certs: dict[SeqNum, tuple] = {}  # best cert per slot
         self._commit_sent: set[tuple] = set()
-        self._certified: dict[SeqNum, Any] = {}
         self._requests: dict[bytes, Any] = {}  # digest -> slot proposal
-        self._proposed_keys: set[tuple] = set()
-        # bounded executed-request memory + reply cache (replaces the old
-        # unbounded _executed_keys set and latest-only _client_cache)
-        self._dedup = ClientDedup(reply_window=reply_window, gap_limit=gap_limit)
-        self._pending: dict[tuple, Any] = {}
-        self._init_pipeline(batching, batch_policy, batch_delay, window_size)
-        # request arrival times feed the adaptive timeout's RTT estimator
-        self._pending_since: dict[tuple, float] = {}
-        self._vcs: dict[int, dict[ProcessId, Any]] = {}
         self._vc_sent: set[int] = set()
-        self._new_view_sent: set[int] = set()
-        self._vc_timer: Optional[int] = None
-        # checkpointing / garbage collection (classic PBFT: 2f+1 certs)
-        self.checkpoint_interval = checkpoint_interval
-        self._ckpt_votes: dict[tuple, dict[ProcessId, Signature]] = {}
+        # checkpointing (classic PBFT: 2f+1 certs): my own state blobs by
+        # seq, and the stable one
         self._ckpt_blobs: dict[SeqNum, Any] = {}
-        self.stable_seq: SeqNum = 0
-        self._stable_cert: tuple = ()
         self._stable_blob: Any = None
         # proactive state transfer: highest seq we already asked for, so a
         # growing vote set doesn't re-send per vote (retries go through the
         # view-change timer, which forces past this guard)
         self._state_requested: SeqNum = 0
-        self.log_entries_gced = 0
-        self.commits_executed = 0
-        self.view_changes_completed = 0
-        self.state_transfers = 0
-        # babble hardening / forensic quarantine (reported via
-        # consensus_stats); convictions come from the accountability layer
-        self.malformed_rejects = 0
-        self.convicted_rejects = 0
-        self._convicted: set[ProcessId] = set()
 
     # -- helpers -----------------------------------------------------------------
 
-    def primary_of(self, view: int) -> ProcessId:
-        return view % self.n
-
-    @property
-    def is_primary(self) -> bool:
-        return self.in_view_change is None and self.primary_of(self.view) == self.pid
-
-    def _valid_request(self, request: Any) -> bool:
-        if not (isinstance(request, tuple) and len(request) == 5
-                and request[0] == REQUEST):
-            return False
-        _, client, req_id, op, sig = request
-        return (
-            isinstance(client, int)
-            and isinstance(req_id, int)
-            and isinstance(sig, Signature)
-            and sig.signer == client
-            and self.scheme.verify(request_domain(client, req_id, op), sig)
-        )
-
     def _valid_proposal(self, proposal: Any) -> bool:
-        """One valid request, a non-empty BATCH of them with no duplicate
-        request keys (same slot-proposal shape as MinBFT), or the
+        """The core's slot-proposal shape (same as MinBFT's), or the
         NEW-VIEW null filler."""
-        if proposal == NULL_REQUEST:
-            return True
-        requests = proposal_requests(proposal)
-        if not requests:
-            return False
-        if not all(self._valid_request(r) for r in requests):
-            return False
-        keys = [request_key(r) for r in requests]
-        return len(keys) == len(set(keys))
+        return proposal == NULL_REQUEST or super()._valid_proposal(proposal)
 
-    def _is_executed(self, key: tuple) -> bool:
-        return self._dedup.executed(key[0], key[1])
+    def _slot_requests(self, proposal: Any) -> list:
+        """Core hook: the NEW-VIEW null filler carries no client requests."""
+        return [] if proposal == NULL_REQUEST else proposal_requests(proposal)
 
     # -- dispatch -------------------------------------------------------------------
 
@@ -255,31 +177,8 @@ class PBFTReplica(PipelinedProposer, Process):
             # unknown kind or wrong arity: signed-or-not babble
             self.malformed_rejects += 1
 
-    # -- client requests -----------------------------------------------------------
-
-    def _on_request(self, request: tuple) -> None:
-        if not self._valid_request(request):
-            return
-        _, client, req_id, op, _sig = request
-        if self._dedup.executed(client, req_id):
-            result = self._dedup.reply(client, req_id)
-            if result is not MISSING:
-                self.ctx.send(client, (REPLY, self.pid, req_id, result, self.view))
-            return
-        key = (client, req_id)
-        if key not in self._pending:
-            self._pending[key] = request
-            self._pending_since[key] = self.ctx.now
-            self.batch_policy.note_arrival(self.ctx.now)
-        if self.is_primary:
-            self._propose_pending()
-        if self._vc_timer is None and self._pending:
-            self._vc_timer = self.ctx.set_timer(
-                self.timeout_policy.current(), self.VC_TIMER
-            )
-
     def _emit_slot(self, seq: SeqNum, proposal: Any) -> None:
-        """PipelinedProposer hook: one assigned slot onto the wire."""
+        """Core hook: one assigned slot onto the wire, signed."""
         digest = content_hash(proposal)
         sig = self.signer.sign(pp_domain(self.view, seq, digest))
         self.ctx.broadcast(
@@ -312,7 +211,7 @@ class PBFTReplica(PipelinedProposer, Process):
             return  # equivocating primary: first pre-prepare wins locally
         self._accepted_pp[seq] = (view, digest, request)
         self._requests[digest] = request
-        for req in _proposal_reqs(request):
+        for req in self._slot_requests(request):
             self._proposed_keys.add(request_key(req))
         my_sig = self.signer.sign(prep_domain(view, seq, digest, self.pid))
         self.ctx.broadcast(
@@ -384,61 +283,7 @@ class PBFTReplica(PipelinedProposer, Process):
             self._certified[seq] = request
             self._execute_ready()
 
-    def _execute_ready(self) -> None:
-        exec_start = self.exec_next
-        while self.exec_next in self._certified:
-            seq = self.exec_next
-            proposal = self._certified[seq]
-            requests = _proposal_reqs(proposal)
-            slot_applied = False
-            for request in requests:
-                _, client, req_id, op, _sig = request
-                key = (client, req_id)
-                if self._is_executed(key):
-                    continue
-                result = self.app.apply(op)
-                self._dedup.record(client, req_id, result)
-                self._pending.pop(key, None)
-                since = self._pending_since.pop(key, None)
-                if since is not None:
-                    latency = self.ctx.now - since
-                    self.timeout_policy.observe(latency)
-                    self.batch_policy.note_commit(latency, len(requests))
-                self.timeout_policy.note_progress()
-                self.commits_executed += 1
-                self.ctx.record(
-                    "custom", event="execute", seq=seq, client=client,
-                    req_id=req_id, op=op, result=result,
-                )
-                self.ctx.send(client, (REPLY, self.pid, req_id, result, self.view))
-                slot_applied = True
-            if not slot_applied:
-                # duplicates of already-applied requests ordered into their
-                # own slot: a no-op, recorded so stream auditors can tell a
-                # benign hole from a lost slot
-                self.noop_slots += 1
-                self.ctx.record("custom", event="execute_noop", seq=seq)
-            self.exec_next = seq + 1
-            del self._certified[seq]
-            if self.checkpoint_interval and seq % self.checkpoint_interval == 0:
-                self._emit_checkpoint(seq)
-        if not self._pending and self._vc_timer is not None:
-            self.ctx.cancel_timer(self._vc_timer)
-            self._vc_timer = None
-        if self.exec_next != exec_start:
-            # execution progress moved the window base: stalled proposals
-            # (and stalled batch flushes) may proceed now
-            self._pipeline_resume()
-
     # -- checkpointing / garbage collection ------------------------------------------------
-
-    def _state_blob(self) -> tuple:
-        return (
-            "PBFT-CKPT-STATE",
-            self.app.snapshot(),
-            self._dedup.snapshot(),
-            self.exec_next,
-        )
 
     def _emit_checkpoint(self, seq: SeqNum) -> None:
         blob = self._state_blob()
@@ -496,32 +341,23 @@ class PBFTReplica(PipelinedProposer, Process):
         self._commits = {
             k: v for k, v in self._commits.items() if k[1] > seq
         }
-        self._certified = {
-            s: r for s, r in self._certified.items() if s >= self.exec_next
-        }
         self.log_entries_gced += before - (
             len(self._prepared_certs) + len(self._accepted_pp)
         )
         self._ckpt_blobs = {s: b for s, b in self._ckpt_blobs.items() if s >= seq}
         # drop everything below the low watermark that the prunes above
-        # didn't already reach: commit-sent markers, checkpoint votes, the
-        # digest->proposal store (keep only digests still referenced by a
-        # live accepted pre-prepare or prepared certificate), and request
-        # keys settled by the checkpoint. This is what bounds replica
-        # memory by checkpoint_interval + window, not O(total requests).
+        # didn't already reach: commit-sent markers, the digest->proposal
+        # store (keep only digests still referenced by a live accepted
+        # pre-prepare or prepared certificate), and the maps both protocols
+        # share (the core prunes those)
         self._commit_sent = {k for k in self._commit_sent if k[1] > seq}
-        self._ckpt_votes = {
-            k: v for k, v in self._ckpt_votes.items() if k[0] > seq
-        }
         live = {a[1] for a in self._accepted_pp.values()} | {
             c[1] for c in self._prepared_certs.values()
         }
         self._requests = {
             d: r for d, r in self._requests.items() if d in live
         }
-        self._proposed_keys = {
-            k for k in self._proposed_keys if not self._is_executed(k)
-        }
+        self._prune_settled(seq)
         self.ctx.record("custom", event="checkpoint_stable", seq=seq)
         # a stabilized checkpoint moves the window's low watermark
         self._pipeline_resume()
@@ -574,32 +410,15 @@ class PBFTReplica(PipelinedProposer, Process):
             return  # no local certificate pins this blob
         if not (
             isinstance(blob, tuple) and len(blob) == 4
-            and blob[0] == "PBFT-CKPT-STATE" and isinstance(blob[3], int)
+            and blob[0] == self.STATE_TAG and isinstance(blob[3], int)
         ):
             return
-        _tag, snapshot, dedup_image, exec_next = blob
+        exec_next = blob[3]
         if exec_next <= self.exec_next:
             return
-        self.app.restore(snapshot)
-        self._dedup.restore(dedup_image)
-        self.exec_next = exec_next
         self.next_seq = max(self.next_seq, exec_next)
-        self._certified = {
-            s: r for s, r in self._certified.items() if s >= exec_next
-        }
-        self._pending = {
-            k: r for k, r in self._pending.items()
-            if not self._is_executed(k)
-        }
-        self._pending_since = {
-            k: t for k, t in self._pending_since.items()
-            if k in self._pending
-        }
         self.state_transfers += 1
-        self.ctx.record(
-            "custom", event="state_transfer", stable_seq=seq,
-            exec_next=exec_next,
-        )
+        self._install_state(seq, blob)
         # adopt the checkpoint as our own: after the restore our state blob
         # reproduces the certified digest bit-for-bit, so re-announcing it
         # adds our vote to the certificate and stabilization (log GC, the
@@ -658,25 +477,17 @@ class PBFTReplica(PipelinedProposer, Process):
     # -- view change ----------------------------------------------------------------------
 
     def on_timer(self, tag: Any) -> None:
-        if tag == self.BATCH_TAG:
-            self._on_batch_timer()
-            return
-        if tag != self.VC_TIMER:
-            return
-        self._vc_timer = None
-        if not self._pending and self.in_view_change is None:
-            return
-        # a pending set stuck behind a certified-but-unfetched checkpoint
-        # is a catch-up problem, not a primary problem: re-send the fetch
-        # alongside the view change in case the first exchange was lost
+        # the core's handler, unchanged — but defined in this class body:
+        # the end-to-end benchmark attributes handler time to the class
+        # whose body defines the handler
+        super().on_timer(tag)
+
+    def _before_vc_retry(self) -> None:
+        """Core hook: a pending set stuck behind a certified-but-unfetched
+        checkpoint is a catch-up problem, not a primary problem — re-send
+        the fetch alongside the view change in case the first exchange was
+        lost."""
         self._retry_state_fetch()
-        # unproductive expiry: back the timeout off before re-arming
-        self.timeout_policy.escalate()
-        target = (self.in_view_change or self.view) + 1
-        self._send_view_change(target)
-        self._vc_timer = self.ctx.set_timer(
-            self.timeout_policy.current(), self.VC_TIMER
-        )
 
     def _prepared_evidence(self) -> tuple:
         """(seq, view, digest, request) for every slot this replica prepared."""
@@ -688,6 +499,8 @@ class PBFTReplica(PipelinedProposer, Process):
         return tuple(out)
 
     def _send_view_change(self, new_view: int) -> None:
+        """Core hook: the demand is the signed VIEW-CHANGE itself, carrying
+        this replica's stable checkpoint and prepared certificates."""
         if new_view in self._vc_sent:
             return
         self._vc_sent.add(new_view)
@@ -852,25 +665,7 @@ class PBFTReplica(PipelinedProposer, Process):
         self.in_view_change = None
         self.view_changes_completed += 1
         if best_stable >= self.exec_next and best_blob is not None:
-            _tag, snapshot, dedup_image, exec_next = best_blob
-            self.app.restore(snapshot)
-            self._dedup.restore(dedup_image)
-            self.exec_next = exec_next
-            self._certified = {
-                s: r for s, r in self._certified.items() if s >= exec_next
-            }
-            self._pending = {
-                k: r for k, r in self._pending.items()
-                if not self._is_executed(k)
-            }
-            self._pending_since = {
-                k: t for k, t in self._pending_since.items()
-                if k in self._pending
-            }
-            self.ctx.record(
-                "custom", event="state_transfer", stable_seq=best_stable,
-                exec_next=exec_next,
-            )
+            self._install_state(best_stable, best_blob)
             self._execute_ready()
         self._accepted_pp = {
             s: a for s, a in self._accepted_pp.items() if s > best_stable
@@ -891,15 +686,13 @@ class PBFTReplica(PipelinedProposer, Process):
             self.ctx.cancel_timer(self._vc_timer)
             self._vc_timer = None
         if self._pending:
-            self._vc_timer = self.ctx.set_timer(
-                self.timeout_policy.current(), self.VC_TIMER
-            )
+            self._arm_vc_timer()
         if self.primary_of(new_view) == self.pid:
             for seq, _view, digest, request in reproposals:
                 if self._valid_proposal(request):
                     d = content_hash(request)
                     s = self.signer.sign(pp_domain(new_view, seq, d))
-                    for req in _proposal_reqs(request):
+                    for req in self._slot_requests(request):
                         self._proposed_keys.add(request_key(req))
                     self.ctx.broadcast(
                         (PRE_PREPARE, new_view, seq, request, s), include_self=True
@@ -922,10 +715,7 @@ class PBFTReplica(PipelinedProposer, Process):
         self._convicted.add(culprit)
         self.ctx.record("custom", event="convict", culprit=culprit)
         if self.primary_of(self.view) == culprit and self.in_view_change is None:
-            target = self.view + 1
-            while self.primary_of(target) in self._convicted:
-                target += 1
-            self._send_view_change(target)
+            self._view_change_past_convicted(self.view + 1)
 
     def slot_state_size(self) -> int:
         """Total per-slot/per-request entries this replica holds (the soak

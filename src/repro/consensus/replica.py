@@ -1,0 +1,515 @@
+"""The replica core: everything MinBFT and PBFT do identically.
+
+The paper's point is that trusted hardware changes *one thing* —
+non-equivocation, hence n = 2f+1 with f+1 quorums instead of n = 3f+1
+with 2f+1 quorums. :class:`ReplicaCore` holds, once, everything that is
+**not** that difference: client-request intake (validation, dedup and
+cached replies, pending set, view-change timer), the primary-side
+windowed/batched proposal engine, in-order execution of certified slots
+(apply, dedup record, latency feedback, REPLY, no-op slots, checkpoint
+trigger), the checkpoint state blob and its installation, and the
+escalation tail of the view-change timer and of a conviction.
+:class:`~repro.consensus.minbft.MinBFTReplica` and
+:class:`~repro.consensus.pbft.PBFTReplica` add how a slot gets
+*certified*, and plug in through a handful of hooks, none of them on the
+per-request path: :meth:`~ReplicaCore._emit_slot`,
+:meth:`~ReplicaCore._slot_requests`, :meth:`~ReplicaCore._emit_checkpoint`,
+:meth:`~ReplicaCore._send_view_change`,
+:meth:`~ReplicaCore._before_vc_retry` and :attr:`ReplicaCore.STATE_TAG`
+(DESIGN.md §5.2 says which paper-level difference each one carries).
+
+**Bounded in-flight window.** ``window_size > 0`` caps how many slots may
+be outstanding between the window base — ``max(stable_seq, exec_next-1)``,
+i.e. the newer of the stable checkpoint and the execution frontier — and
+``next_seq``. A primary at the window edge *stalls* its proposals (the
+requests simply stay pending) and resumes when execution progress or
+checkpoint stabilization moves the base. Anchoring the base on the
+execution frontier as well as the stable checkpoint means a window
+smaller than the checkpoint interval cannot deadlock (classic
+PBFT watermarks, which anchor on the checkpoint alone, require
+``window > interval``); the checkpoint anchor still matters after a
+state-transfer fast-forward, where ``stable_seq`` leads ``exec_next``.
+
+**Batching** follows a :mod:`~repro.consensus.batching` policy. A batch
+flush that meets a full window **re-queues**: the unproposed requests
+stay pending, a stall is counted, and the flush re-runs as soon as the
+window reopens. Nothing is ever dropped at the window edge.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Optional
+
+from ..crypto.signatures import Signature, SignatureScheme, Signer
+from ..errors import ConfigurationError
+from ..sim.process import Process
+from ..types import ProcessId, SeqNum
+from .apps import StateMachine
+from .batching import make_batch_policy
+from .dedup import MISSING, ClientDedup
+
+REQUEST = "REQUEST"
+REPLY = "REPLY"
+
+
+def request_key(request: Any) -> tuple:
+    """Stable identity of a client request: (client, req_id)."""
+    return (request[1], request[2])
+
+
+def proposal_requests(proposal: Any) -> list:
+    """The client requests a slot proposal carries (a batch or a single one)."""
+    if isinstance(proposal, tuple) and proposal and proposal[0] == "BATCH":
+        return list(proposal[1:])
+    return [proposal]
+
+
+def request_domain(client: ProcessId, req_id: int, op: Any) -> tuple:
+    return ("MINBFT-REQ", client, req_id, op)
+
+
+class ReplicaCore(Process):
+    """Protocol-independent replica state and behaviour (see module doc).
+
+    Subclasses dispatch ``REQUEST`` messages to :meth:`_on_request`, put a
+    slot in :attr:`_certified` and call :meth:`_execute_ready` once their
+    quorum vouches for it, and call :meth:`_pipeline_resume` whenever the
+    window base may have moved (checkpoint stabilization, state transfer).
+    """
+
+    VC_TIMER = "vc"
+    BATCH_TAG = "batch"
+    STATE_TAG = "CKPT-STATE"
+
+    def __init__(
+        self,
+        n: int,
+        f: int,
+        scheme: SignatureScheme,
+        signer: Signer,
+        app: StateMachine,
+        req_timeout: float,
+        checkpoint_interval: int,
+        batching: bool,
+        batch_delay: float,
+        batch_policy: Any,
+        window_size: int,
+        timeout_policy: Any,
+        reply_window: int,
+        gap_limit: int,
+    ) -> None:
+        super().__init__()
+        if window_size < 0:
+            raise ConfigurationError(
+                f"window_size must be >= 0, got {window_size}"
+            )
+        self.n = n
+        self.f = f
+        self.scheme = scheme
+        self.signer = signer
+        self.app = app
+        self.req_timeout = req_timeout
+        if timeout_policy is None:
+            from ..faults.timeouts import FixedTimeout  # lazy: faults builds on consensus
+
+            timeout_policy = FixedTimeout(self.req_timeout)
+        elif callable(timeout_policy) and not hasattr(timeout_policy, "current"):
+            timeout_policy = timeout_policy()
+        self.timeout_policy = timeout_policy
+
+        self.view = 0
+        self.in_view_change: Optional[int] = None
+        self.next_seq: SeqNum = 1  # primary's next slot to assign
+        self.exec_next: SeqNum = 1
+        self._certified: dict[SeqNum, Any] = {}
+        self._proposed_keys: set[tuple] = set()
+        # bounded executed-request memory + reply cache (replaces the old
+        # unbounded _executed_keys set and latest-only _client_cache, which
+        # a multi-outstanding client would race past)
+        self._dedup = ClientDedup(reply_window=reply_window, gap_limit=gap_limit)
+        self._pending: dict[tuple, Any] = {}  # request_key -> request
+        # request arrival times feed the adaptive timeout's RTT estimator
+        self._pending_since: dict[tuple, float] = {}
+        self._vc_timer: Optional[int] = None
+        self._vcs: dict[int, dict[ProcessId, Any]] = {}
+        self._new_view_sent: set[int] = set()
+        # checkpointing / garbage collection
+        self.checkpoint_interval = checkpoint_interval
+        self._ckpt_votes: dict[tuple, dict[ProcessId, Any]] = {}
+        self.stable_seq: SeqNum = 0
+        self._stable_cert: tuple = ()
+        # forensics: replicas proven Byzantine (see consensus/forensics);
+        # their messages and votes are refused from conviction on
+        self._convicted: set[ProcessId] = set()
+        # pipeline
+        self.batching = bool(batching)
+        self.batch_delay = batch_delay
+        self.batch_policy = make_batch_policy(
+            batch_policy if batching else None, batch_delay
+        )
+        self.window_size = window_size
+        self._batch_timer: Optional[int] = None
+        self._batch_stalled = False
+        # counters (all deterministic for a fixed seed)
+        self.commits_executed = 0
+        self.view_changes_completed = 0
+        self.log_entries_gced = 0
+        self.state_transfers = 0
+        self.malformed_rejects = 0
+        self.convicted_rejects = 0
+        self.proposal_stalls = 0
+        self.batches_flushed = 0
+        self.noop_slots = 0
+        self.batch_size_hist: dict[int, int] = {}
+        self._window_peak = 0
+        self._window_sum = 0
+        self._window_samples = 0
+
+    # -- identity helpers --------------------------------------------------
+
+    def primary_of(self, view: int) -> ProcessId:
+        return view % self.n
+
+    @property
+    def is_primary(self) -> bool:
+        return self.in_view_change is None and self.primary_of(self.view) == self.pid
+
+    # -- client requests ---------------------------------------------------
+
+    def _valid_request(self, request: Any) -> bool:
+        if not (isinstance(request, tuple) and len(request) == 5
+                and request[0] == REQUEST):
+            return False
+        _, client, req_id, op, sig = request
+        return (
+            isinstance(client, int)
+            and isinstance(req_id, int)
+            and isinstance(sig, Signature)
+            and sig.signer == client
+            and self.scheme.verify(request_domain(client, req_id, op), sig)
+        )
+
+    def _is_executed(self, key: tuple) -> bool:
+        """Whether (client, req_id) was executed — directly or via a
+        checkpoint fast-forward (the dedup structure survives transfer)."""
+        return self._dedup.executed(key[0], key[1])
+
+    def _on_request(self, request: tuple) -> None:
+        if not self._valid_request(request):
+            return
+        _, client, req_id, _op, _sig = request
+        if self._dedup.executed(client, req_id):
+            result = self._dedup.reply(client, req_id)
+            if result is not MISSING:  # retransmission of an answered request
+                self.ctx.send(client, (REPLY, self.pid, req_id, result, self.view))
+            return
+        key = (client, req_id)
+        if key not in self._pending:
+            self._pending[key] = request
+            self._pending_since[key] = self.ctx.now
+            self.batch_policy.note_arrival(self.ctx.now)
+        if self.is_primary:
+            self._propose_pending()
+        if self._vc_timer is None and self._pending:
+            self._arm_vc_timer()
+
+    def _valid_proposal(self, proposal: Any) -> bool:
+        """A slot proposal: one valid request, or a non-empty BATCH of them
+        with no duplicate request keys."""
+        requests = proposal_requests(proposal)
+        if not requests:
+            return False
+        if not all(self._valid_request(r) for r in requests):
+            return False
+        keys = [request_key(r) for r in requests]
+        return len(keys) == len(set(keys))
+
+    # -- window --------------------------------------------------------------
+
+    def _window_base(self) -> SeqNum:
+        return max(self.stable_seq, self.exec_next - 1)
+
+    def _window_full(self) -> bool:
+        return bool(self.window_size) and (
+            self.next_seq - self._window_base() > self.window_size
+        )
+
+    def _note_window_slot(self) -> None:
+        occupancy = self.next_seq - 1 - self._window_base()
+        if occupancy > self._window_peak:
+            self._window_peak = occupancy
+        self._window_sum += occupancy
+        self._window_samples += 1
+
+    # -- proposal path -------------------------------------------------------
+
+    def _fresh_pending(self) -> list[tuple[tuple, Any]]:
+        return [
+            (key, request)
+            for key, request in sorted(self._pending.items())
+            if key not in self._proposed_keys and not self._is_executed(key)
+        ]
+
+    def _propose_pending(self) -> None:
+        if not self.is_primary:
+            return
+        fresh = self._fresh_pending()
+        if not fresh:
+            return
+        if self.batching:
+            cap = self.batch_policy.cap()
+            size_ready = cap is not None and len(fresh) >= cap
+            if (size_ready or self._batch_stalled) and not self._window_full():
+                self._flush_batch_now(fresh)
+            elif self._batch_timer is None:
+                # open the batch window; the deadline timer flushes it
+                self._batch_timer = self.ctx.set_timer(
+                    self.batch_policy.deadline(), self.BATCH_TAG
+                )
+            return
+        stalled = False
+        for key, request in fresh:
+            if self._window_full():
+                stalled = True
+                break
+            seq = self.next_seq
+            self.next_seq += 1
+            self._proposed_keys.add(key)
+            self._emit_slot(seq, request)
+            self._note_window_slot()
+        if stalled:
+            self.proposal_stalls += 1
+
+    def _on_batch_timer(self) -> None:
+        self._batch_timer = None
+        if not self.is_primary:
+            return
+        self._flush_batch_now(self._fresh_pending())
+
+    def _flush_batch_now(self, fresh: list[tuple[tuple, Any]]) -> None:
+        """Flush pending requests into slots, capped per slot by the policy.
+
+        A full window mid-flush re-queues the remainder (the requests stay
+        pending, :attr:`_batch_stalled` re-triggers the flush the moment
+        the window reopens) — a deadline firing at the window edge must
+        never drop requests.
+        """
+        self._batch_stalled = False
+        while fresh:
+            if self._window_full():
+                self.proposal_stalls += 1
+                self._batch_stalled = True
+                return
+            cap = self.batch_policy.cap()
+            if cap is None:
+                take, fresh = fresh, []
+            else:
+                take, fresh = fresh[:cap], fresh[cap:]
+            seq = self.next_seq
+            self.next_seq += 1
+            for key, _request in take:
+                self._proposed_keys.add(key)
+            batch = ("BATCH", *(request for _key, request in take))
+            self.batches_flushed += 1
+            self.batch_size_hist[len(take)] = (
+                self.batch_size_hist.get(len(take), 0) + 1
+            )
+            self._emit_slot(seq, batch)
+            self._note_window_slot()
+
+    def _pipeline_resume(self) -> None:
+        """Re-run stalled proposals after the window base moved."""
+        if not self.window_size or not self.is_primary:
+            return
+        if self._batch_stalled:
+            self._flush_batch_now(self._fresh_pending())
+        else:
+            self._propose_pending()
+
+    # -- hooks: where the two protocols differ -------------------------------
+
+    def _emit_slot(self, seq: SeqNum, proposal: Any) -> None:
+        """One assigned slot onto the wire."""
+        raise NotImplementedError
+
+    def _slot_requests(self, proposal: Any) -> list:
+        """The client requests inside a certified slot proposal."""
+        return proposal_requests(proposal)
+
+    def _emit_checkpoint(self, seq: SeqNum) -> None:
+        """Attest to the state after executing ``seq``."""
+        raise NotImplementedError
+
+    def _send_view_change(self, new_view: int) -> None:
+        """Demand (once per view) that the group move to ``new_view``."""
+        raise NotImplementedError
+
+    def _before_vc_retry(self) -> None:
+        """A view-change timer expired unproductively; runs before it
+        escalates."""
+
+    def on_execute(self, seq: SeqNum, request: Any, result: Any) -> None:
+        """Hook: called once per locally executed request (adapters override)."""
+
+    # -- execution -----------------------------------------------------------
+
+    def _execute_ready(self) -> None:
+        executed_any = False
+        exec_start = self.exec_next
+        while self.exec_next in self._certified:
+            seq = self.exec_next
+            requests = self._slot_requests(self._certified[seq])
+            slot_applied = False
+            for request in requests:
+                _, client, req_id, op, _sig = request
+                key = (client, req_id)
+                if self._is_executed(key):
+                    continue
+                result = self.app.apply(op)
+                self._dedup.record(client, req_id, result)
+                self._pending.pop(key, None)
+                since = self._pending_since.pop(key, None)
+                if since is not None:
+                    # arrival-to-execution latency is the "round trip" the
+                    # view-change timer actually waits on — and the horizon
+                    # the adaptive batch policy sizes its cap against
+                    latency = self.ctx.now - since
+                    self.timeout_policy.observe(latency)
+                    self.batch_policy.note_commit(latency, len(requests))
+                executed_any = True
+                self.commits_executed += 1
+                self.ctx.record(
+                    "custom", event="execute", seq=seq, client=client,
+                    req_id=req_id, op=op, result=result,
+                )
+                self.ctx.send(client, (REPLY, self.pid, req_id, result, self.view))
+                self.on_execute(seq, request, result)
+                slot_applied = True
+            if not slot_applied:
+                # every request in this slot was a duplicate already applied
+                # from an earlier slot (retry storms get stale resubmits
+                # batched before the dedup caches catch up); the slot is
+                # ordered but a no-op — record it so stream auditors can
+                # tell a benign hole from a lost slot
+                self.noop_slots += 1
+                self.ctx.record("custom", event="execute_noop", seq=seq)
+            self.exec_next = seq + 1
+            del self._certified[seq]
+            if (
+                self.checkpoint_interval
+                and seq % self.checkpoint_interval == 0
+            ):
+                self._emit_checkpoint(seq)
+        if executed_any:
+            self.timeout_policy.note_progress()
+        if not self._pending and self._vc_timer is not None:
+            self.ctx.cancel_timer(self._vc_timer)
+            self._vc_timer = None
+        if self.exec_next != exec_start:
+            # execution progress moved the window base: stalled proposals
+            # (and stalled batch flushes) may proceed now
+            self._pipeline_resume()
+
+    # -- checkpointing -------------------------------------------------------
+
+    def _state_blob(self) -> tuple:
+        """Transferable state at the current execution point."""
+        return (
+            self.STATE_TAG,
+            self.app.snapshot(),
+            self._dedup.snapshot(),
+            self.exec_next,
+        )
+
+    def _install_state(self, stable_seq: SeqNum, blob: tuple) -> None:
+        """Fast-forward to a checkpoint blob the caller has verified against
+        a quorum-certified digest: restore app and dedup state, move the
+        execution frontier, drop what the blob settles, and record the
+        transfer (stream auditors treat the skipped slots as legitimate)."""
+        _tag, snapshot, dedup_image, exec_next = blob
+        self.app.restore(snapshot)
+        self._dedup.restore(dedup_image)
+        self.exec_next = exec_next
+        self._certified = {
+            s: r for s, r in self._certified.items() if s >= exec_next
+        }
+        self._pending = {
+            k: r for k, r in self._pending.items() if not self._is_executed(k)
+        }
+        self._pending_since = {
+            k: t for k, t in self._pending_since.items() if k in self._pending
+        }
+        self.ctx.record(
+            "custom", event="state_transfer", stable_seq=stable_seq,
+            exec_next=exec_next,
+        )
+
+    def _prune_settled(self, seq: SeqNum) -> None:
+        """Drop the slot state both protocols hold that a stable checkpoint
+        at ``seq`` settles: a quorum attests to the executed prefix, so
+        certificates, checkpoint votes and proposed-request keys at or below
+        it can never be consulted again. Together with each protocol's own
+        vote/accept maps this is what bounds replica memory by
+        checkpoint_interval + window instead of O(total requests)."""
+        self._certified = {
+            s: r for s, r in self._certified.items() if s >= self.exec_next
+        }
+        self._ckpt_votes = {
+            k: v for k, v in self._ckpt_votes.items() if k[0] > seq
+        }
+        self._proposed_keys = {
+            k for k in self._proposed_keys if not self._is_executed(k)
+        }
+
+    # -- view-change timer / conviction tails --------------------------------
+
+    def _arm_vc_timer(self) -> None:
+        self._vc_timer = self.ctx.set_timer(
+            self.timeout_policy.current(), self.VC_TIMER
+        )
+
+    def on_timer(self, tag: Any) -> None:
+        if tag == self.BATCH_TAG:
+            self._on_batch_timer()
+            return
+        if tag != self.VC_TIMER:
+            return
+        self._vc_timer = None
+        if not self._pending and self.in_view_change is None:
+            return
+        self._before_vc_retry()
+        # unproductive expiry: back the timeout off before re-arming
+        self.timeout_policy.escalate()
+        self._send_view_change((self.in_view_change or self.view) + 1)
+        self._arm_vc_timer()  # keep escalating while stuck
+
+    def _view_change_past_convicted(self, target: int) -> None:
+        """Demand the first view at or after ``target`` that a convicted
+        replica does not lead."""
+        while self.primary_of(target) in self._convicted:
+            target += 1
+        self._send_view_change(target)
+
+    # -- counters ------------------------------------------------------------
+
+    def consensus_stats(self) -> dict[str, Any]:
+        """Pipeline counters for :class:`~repro.sim.scheduler.RunStats` /
+        ``ChaosResult.stats["consensus"]`` aggregation (numeric values are
+        summed key-wise across replicas; the histogram merges key-wise)."""
+        return {
+            "commits_executed": self.commits_executed,
+            "batches_flushed": self.batches_flushed,
+            "proposal_stalls": self.proposal_stalls,
+            "noop_slots": self.noop_slots,
+            "window_peak": self._window_peak,
+            "window_occupancy_sum": self._window_sum,
+            "window_samples": self._window_samples,
+            # PBFT's proactive checkpoint fetch; MinBFT catches up via
+            # VIEW-CHANGE blobs instead and reports 0
+            "state_transfers": self.state_transfers,
+            # typed rejects of malformed/Byzantine input (babble hardening)
+            # and of convicted-replica input (forensic quarantine)
+            "malformed_rejects": self.malformed_rejects,
+            "convicted_rejects": self.convicted_rejects,
+            "batch_size_hist": dict(self.batch_size_hist),
+        }

@@ -64,10 +64,14 @@ class ReplicationReport:
     def ok(self) -> bool:
         return not self.violations and not self.liveness_violations
 
+    def all_violations(self) -> list[str]:
+        return self.violations + self.liveness_violations
+
     def assert_ok(self) -> None:
         if not self.ok:
-            problems = self.violations + self.liveness_violations
-            raise PropertyViolation("replication", "; ".join(problems[:3]))
+            raise PropertyViolation(
+                "replication", "; ".join(self.all_violations()[:3])
+            )
 
     def log_of(self, replica: ProcessId) -> list[Execution]:
         return sorted(

@@ -35,7 +35,6 @@ from ..crypto.serialize import caching_enabled, crypto_stats, reset_crypto_cache
 from ..consensus.forensics import AccountabilityChecker, install_accountability, verify_proof
 from ..consensus.harness import build_minbft_system, build_pbft_system
 from ..consensus.minbft import MinBFTReplica
-from ..consensus.pbft import PBFTReplica
 from ..consensus.safety import (
     ReplicationLivenessChecker,
     ReplicationStreamChecker,
@@ -299,6 +298,190 @@ class ChaosResult:
         )
 
 
+class ChaosCell:
+    """One chaos cell: everything a protocol runner does *around* its system.
+
+    Construction resolves the optional attack (an
+    :data:`~repro.faults.attacks.ATTACKS` entry that must target
+    ``target``; runners hand :meth:`wrap` to their system builder) and
+    resets the process-global crypto caches. :meth:`run` owns the rest:
+    Byzantine declaration, the crash/restart script, observers, the run to
+    the horizon or to the fail-fast abort, the common stats keys, and the
+    :class:`ChaosResult`. A runner is left with "build this system, use
+    these checkers, add these stat keys".
+    """
+
+    def __init__(
+        self,
+        schedule: FaultSchedule,
+        target: Optional[str] = None,
+        attack: Optional[str] = None,
+    ) -> None:
+        self.schedule = schedule
+        self.attack = attack
+        self.spec = self.attack_obj = None
+        self.attacker: Optional[ProcessId] = None
+        if attack is not None:
+            self.spec = get_attack(attack)
+            if self.spec.protocol != target:
+                raise ConfigurationError(
+                    f"attack {attack!r} targets {self.spec.protocol}, "
+                    f"not {target}"
+                )
+            self.attack_obj = self.spec.make()
+            self.attacker = self.spec.attacker
+        reset_crypto_caches()
+
+    def wrap(self, pid: ProcessId, proc: Any) -> Any:
+        """Builder hook: host the attacker pid behind the attack."""
+        if pid == self.attacker:
+            return AttackerProcess(proc, self.attack_obj)
+        return proc
+
+    def correct(self, n: int) -> tuple[ProcessId, ...]:
+        """Pids below ``n`` that never crash and are not the attacker —
+        crashes are scripted, so streaming checkers know this up front."""
+        return tuple(
+            p for p in self.schedule.fault_free_pids(n) if p != self.attacker
+        )
+
+    def run(
+        self,
+        protocol: str,
+        sim: Any,
+        adversary: Any,
+        procs: list,
+        reboot: Callable[[Any], Any],
+        channel: Optional[dict],
+        checker: Any,
+        live: Any,
+        audit: Callable[[], Any],
+        extra_stats: Callable[[], dict[str, Any]],
+        count_key: Optional[str] = None,
+        forensics: Any = None,
+        preamble: str = "",
+    ) -> ChaosResult:
+        """Run the built system under the schedule and report.
+
+        ``procs`` is the pid-indexed list of inner processes: a restart
+        replaces ``procs[pid]`` with ``reboot(old)`` and re-hosts it as the
+        builder did (attack wrapper, then the reliable ``channel``).
+        ``checker`` is the fail-fast streaming safety checker (None for a
+        batch audit), ``live`` the liveness auditor (None when nothing is
+        owed), ``forensics`` an audit-only accountability checker.
+        ``audit()`` returns the safety report once the horizon is reached;
+        ``count_key`` names the checker / report list to count.
+        """
+        schedule = self.schedule
+        if self.attacker is not None:
+            sim.declare_byzantine(self.attacker)
+
+        def restart(pid: ProcessId) -> Any:
+            fresh = procs[pid] = reboot(procs[pid])
+            # an attacked replica reboots *still attacked*: the wrapper
+            # carries the attack object (strike state and all) onto the
+            # fresh incarnation
+            hosted = self.wrap(pid, fresh)
+            if channel is None:
+                return hosted
+            return ReliableProcess(hosted, **channel)
+
+        for c in schedule.crashes:
+            sim.crash_at(c.pid, c.at)
+            if c.restart_at is not None:
+                sim.restart_at(
+                    c.pid, c.restart_at, factory=lambda pid=c.pid: restart(pid)
+                )
+        # forensics first: a fail-fast abort must not hide the violating
+        # event from it. The liveness auditor streams alongside but never
+        # aborts the run — a missed deadline is permanent, so collecting
+        # every miss costs nothing.
+        for observer in (forensics, checker, live):
+            if observer is not None:
+                sim.attach_observer(observer)
+
+        def stats(counted: Any) -> dict[str, Any]:
+            d = {
+                "messages_sent": sim.network.messages_sent,
+                "dropped": adversary.messages_dropped,
+                "restarts": len(sim.restarted_pids),
+                # caches were reset at cell start, so this is the run's own
+                # crypto work — comparable across serial and parallel sweeps
+                "crypto": crypto_stats().as_dict(),
+                "simcore": _simcore_stats(sim),
+                **extra_stats(),
+            }
+            if count_key is not None:
+                d[count_key] = len(getattr(counted, count_key))
+            if self.attack_obj is not None:
+                d["byzantine"] = {
+                    "attack": self.attack,
+                    "attacker": self.attacker,
+                    **self.attack_obj.stats(),
+                }
+                if forensics is not None:
+                    d["byzantine"]["forensics"] = forensics.stats()
+            return d
+
+        described = preamble + schedule.describe() + "\n" + adversary.describe()
+        abort_index = live_report = None
+        try:
+            sim.run(until=schedule.horizon)
+        except PropertyViolation:
+            counted = checker
+            abort_index = checker.online_violations[0][0]
+            violations = [f"event #{i}: {m}"
+                          for i, m in checker.online_violations]
+        else:
+            counted = audit()
+            violations = counted.all_violations()
+            if forensics is not None and forensics.convicted:
+                # intact hardware produced no double-bound counter; a
+                # conviction here is either a checker bug or a genuinely
+                # unsafe attack
+                violations += [
+                    f"accountability convicted replica {r} under intact "
+                    f"hardware: {forensics.convicted[r]!r}"
+                    for r in sorted(forensics.convicted)
+                ]
+            if live is not None:
+                live_report = live.finish(end_time=schedule.horizon)
+        return ChaosResult(
+            protocol=protocol,
+            seed=schedule.seed,
+            ok=not violations and (live_report is None or live_report.ok),
+            violations=violations,
+            schedule=described,
+            stats=stats(counted),
+            abort_index=abort_index,
+            liveness_violations=live_report.violations if live_report else [],
+        )
+
+
+def reboot_replica(
+    old: Any, app: str, timeout_policy: Any, replica_options: Optional[dict]
+) -> Any:
+    """The one crash-recovery constructor: a fresh replica of ``old``'s
+    class around its durable parts — identity, keys, configuration, and
+    the USIG where there is one (the trusted hardware survives the reboot;
+    see :func:`run_minbft_chaos`). The application and all protocol state
+    were volatile; PBFT has no trusted part, so everything restarts."""
+    hardware = (
+        {"usig": old.usig, "verifier": old.verifier}
+        if hasattr(old, "usig") else {}
+    )
+    return type(old)(
+        n=old.n,
+        **hardware,
+        scheme=old.scheme,
+        signer=old.signer,
+        app=make_app(app),
+        req_timeout=old.req_timeout,
+        timeout_policy=timeout_policy,
+        **(replica_options or {}),
+    )
+
+
 def run_srb_chaos(
     schedule: FaultSchedule,
     n: int = 4,
@@ -336,143 +519,72 @@ def run_srb_chaos(
     the spec expects it (an equivocating *sender* legitimately stalls
     everyone — safely).
     """
-    spec = attack_obj = None
-    attacker: Optional[ProcessId] = None
-    expect_complete = True
-    if attack is not None:
-        spec = get_attack(attack)
-        if spec.protocol != "srb":
-            raise ConfigurationError(
-                f"attack {attack!r} targets {spec.protocol}, not srb"
-            )
-        attack_obj = spec.make()
-        attacker = spec.attacker
-        expect_complete = spec.expect_complete
-    reset_crypto_caches()
+    cell = ChaosCell(schedule, "srb", attack)
+    expect_complete = cell.spec.expect_complete if cell.spec else True
     adversary = schedule.make_adversary(n)
-    channel_kwargs = dict(DEFAULT_CHANNEL)
-
-    def factory(pid, transport, scheme, signer):
-        cls = EagerBrokenSRB if broken else SRBFromUnidirectional
-        proc = cls(transport, 0, t, scheme, signer)
-        if attack_obj is not None and pid == attacker:
-            proc = AttackerProcess(proc, attack_obj)
-        return proc
-
-    sim, procs, scheme = build_mp_srb_system(
+    channel = dict(DEFAULT_CHANNEL) if reliable else None
+    cls = EagerBrokenSRB if broken else SRBFromUnidirectional
+    sim, procs, _scheme = build_mp_srb_system(
         n=n,
         t=t,
         sender=0,
         seed=schedule.seed,
         adversary=adversary,
-        reliable=channel_kwargs if reliable else False,
-        process_factory=factory,
+        reliable=channel or False,
+        process_factory=lambda pid, transport, scheme, signer: cell.wrap(
+            pid, cls(transport, 0, t, scheme, signer)
+        ),
     )
-    if attacker is not None:
-        sim.declare_byzantine(attacker)
     pad = "x" * value_bytes
     for i in range(n_messages):
         sim.at(1.0 + 0.8 * i,
                lambda i=i: procs[0].broadcast(f"chaos-{i}-{pad}"),
                label=f"bcast-{i}")
-    _apply_crashes(
-        sim, schedule,
-        restart_factory=lambda pid: _srb_restart_factory(
-            procs, pid, t, broken, channel_kwargs if reliable else None
-        ),
-    )
 
-    correct = tuple(
-        p for p in schedule.fault_free_pids(n) if p != attacker
-    )
-    checker: Optional[SRBStreamChecker] = None
-    if streaming:
-        # Crashes are scripted, so the whole-run correct set is known now.
-        checker = SRBStreamChecker(
+    correct = cell.correct(n)
+    checker = (
+        SRBStreamChecker(
             0, correct, expect_complete=expect_complete, fail_fast=True
         )
-        sim.attach_observer(checker)
-    # the liveness auditor streams alongside but never aborts the run: a
-    # missed deadline is permanent, so collecting every miss costs nothing.
+        if streaming else None
+    )
     # An attack cell that legitimately never completes (equivocating
     # sender: everyone conflict-poisons and safely delivers nothing) is
-    # exempt — no delivery is owed, so no obligation can be armed.
-    live: Optional[SRBLivenessChecker] = None
-    if expect_complete:
-        live = SRBLivenessChecker(
-            gst=schedule.gst,
-            bound=liveness_bound,
-            fault_free=correct,
+    # exempt from the liveness audit — no delivery is owed, so no
+    # obligation can be armed.
+    live = (
+        SRBLivenessChecker(
+            gst=schedule.gst, bound=liveness_bound, fault_free=correct
         )
-        sim.attach_observer(live)
+        if expect_complete else None
+    )
 
-    def stats(deliveries: int) -> dict[str, Any]:
-        d = {
-            "deliveries": deliveries,
-            "messages_sent": sim.network.messages_sent,
-            "dropped": adversary.messages_dropped,
-            "duplicates": adversary.duplicates_injected,
-            "restarts": len(sim.restarted_pids),
-            # caches were reset at run start, so this is the run's own
-            # crypto work — comparable across serial and parallel sweeps
-            "crypto": crypto_stats().as_dict(),
-            "simcore": _simcore_stats(sim),
-        }
-        d["consensus"] = sim.collect_consensus_stats()
-        if attack_obj is not None:
-            d["byzantine"] = {
-                "attack": attack,
-                "attacker": attacker,
-                **attack_obj.stats(),
-            }
-        return d
+    def audit() -> Any:
+        if streaming:
+            return checker.finish()
+        fault_free = tuple(p for p in sim.fault_free_pids if p != cell.attacker)
+        return check_srb(sim.trace, 0, fault_free,
+                         expect_complete=expect_complete)
 
     protocol = "srb-uni-broken" if broken else "srb-uni"
     if attack is not None:
         protocol = f"srb-uni+{attack}"
-    described = schedule.describe() + "\n" + adversary.describe()
-    try:
-        sim.run(until=schedule.horizon)
-    except PropertyViolation:
-        abort_index, _ = checker.online_violations[0]
-        return ChaosResult(
-            protocol=protocol,
-            seed=schedule.seed,
-            ok=False,
-            violations=[f"event #{i}: {m}"
-                        for i, m in checker.online_violations],
-            schedule=described,
-            stats=stats(len(checker.deliveries)),
-            abort_index=abort_index,
-        )
-    if streaming:
-        report = checker.finish()
-    else:
-        fault_free = tuple(p for p in sim.fault_free_pids if p != attacker)
-        report = check_srb(sim.trace, 0, fault_free,
-                           expect_complete=expect_complete)
-    violations = report.all_violations()
-    live_report = live.finish(end_time=schedule.horizon) if live else None
-    return ChaosResult(
-        protocol=protocol,
-        seed=schedule.seed,
-        ok=not violations and (live_report is None or live_report.ok),
-        violations=violations,
-        schedule=described,
-        stats=stats(len(report.deliveries)),
-        liveness_violations=live_report.violations if live_report else [],
+    return cell.run(
+        protocol, sim, adversary, procs,
+        reboot=lambda old: cls(
+            MessagePassingRoundTransport(f=t), old.sender, t, old.scheme,
+            old.signer,
+        ),
+        channel=channel,
+        checker=checker,
+        live=live,
+        audit=audit,
+        extra_stats=lambda: {
+            "duplicates": adversary.duplicates_injected,
+            "consensus": sim.collect_consensus_stats(),
+        },
+        count_key="deliveries",
     )
-
-
-def _srb_restart_factory(procs, pid, t, broken, channel_kwargs):
-    old = procs[pid]
-    transport = MessagePassingRoundTransport(f=t)
-    cls = EagerBrokenSRB if broken else SRBFromUnidirectional
-    fresh = cls(transport, old.sender, t, old.scheme, old.signer)
-    procs[pid] = fresh
-    if channel_kwargs is None:
-        return fresh
-    return ReliableProcess(fresh, **channel_kwargs)
 
 
 def run_minbft_chaos(
@@ -528,20 +640,6 @@ def run_minbft_chaos(
         raise ConfigurationError(
             f"timeouts must be 'fixed' or 'adaptive', got {timeouts!r}"
         )
-    spec = attack_obj = None
-    attacker: Optional[ProcessId] = None
-    if attack is not None:
-        spec = get_attack(attack)
-        if spec.protocol != "minbft":
-            raise ConfigurationError(
-                f"attack {attack!r} targets {spec.protocol}, not minbft"
-            )
-        attack_obj = spec.make()
-        attacker = spec.attacker
-    reset_crypto_caches()
-    n = 2 * f + 1
-    adversary = schedule.make_adversary(n + n_clients)
-    channel_kwargs = dict(DEFAULT_CHANNEL)
     # "fixed" = None keeps the builders' legacy constant timers bit-exact;
     # "adaptive" hands every replica and client a fresh Jacobson/Karels
     # policy seeded at the legacy view-change timeout
@@ -552,177 +650,28 @@ def run_minbft_chaos(
         if timeouts == "adaptive"
         else None
     )
-    replica_cls = StallingPrimary if stalling else MinBFTReplica
-    replica_options = (
-        dict(
+    return _run_replication_chaos(
+        ChaosCell(schedule, "minbft", attack),
+        "minbft-stalling"
+        if stalling
+        else ("minbft-pipelined" if pipelined else "minbft"),
+        build_minbft_system, 2 * f + 1, f, n_clients, ops_per_client, app,
+        streaming, liveness_bound,
+        policy_factory=policy_factory,
+        replica_factory=(lambda pid, **kw: StallingPrimary(**kw))
+        if stalling
+        else None,
+        replica_options=dict(
             checkpoint_interval=8,
             window_size=16,
             batching=True,
             batch_policy="adaptive",
         )
         if pipelined
-        else None
-    )
-    if spec is not None and spec.protocol_kwargs:
-        replica_options = {**(replica_options or {}), **spec.protocol_kwargs}
-    wrapper = None
-    if attack_obj is not None:
-        def wrapper(pid, replica):
-            if pid == attacker:
-                return AttackerProcess(replica, attack_obj)
-            return replica
-    client_options = dict(max_outstanding=4) if pipelined else None
-    sim, replicas, clients = build_minbft_system(
-        f=f,
-        n_clients=n_clients,
-        ops_per_client=ops_per_client,
-        app=app,
-        seed=schedule.seed,
-        adversary=adversary,
-        req_timeout=25.0,
-        retry_timeout=40.0,
-        reliable=channel_kwargs,
-        replica_factory=(lambda pid, **kw: StallingPrimary(**kw))
-        if stalling
         else None,
-        replica_wrapper=wrapper,
-        timeout_policy=policy_factory,
-        replica_options=replica_options,
-        client_options=client_options,
+        client_options=dict(max_outstanding=4) if pipelined else None,
+        extra_stats={"timeouts": timeouts},
     )
-    if attacker is not None:
-        sim.declare_byzantine(attacker)
-    _apply_crashes(
-        sim, schedule,
-        restart_factory=lambda pid: _minbft_restart_factory(
-            replicas, pid, app, channel_kwargs,
-            cls=replica_cls, timeout_policy=policy_factory,
-            replica_options=replica_options, wrapper=wrapper,
-        ),
-    )
-
-    forensics: Optional[AccountabilityChecker] = None
-    if attack is not None:
-        # audit-only: intact hardware must leave nothing to convict
-        forensics = AccountabilityChecker(replicas[0].verifier)
-        sim.attach_observer(forensics)
-    checker: Optional[ReplicationStreamChecker] = None
-    correct_replicas = [p for p in schedule.fault_free_pids(n + n_clients)
-                        if p < n and p != attacker]
-    if streaming:
-        checker = ReplicationStreamChecker(correct_replicas, fail_fast=True)
-        sim.attach_observer(checker)
-    # clients are never crashable, so every client is fault-free; the
-    # auditor streams alongside without aborting (deadline misses are
-    # permanent and all of them are worth reporting)
-    live = ReplicationLivenessChecker(
-        gst=schedule.gst,
-        request_bound=liveness_bound,
-        fault_free_replicas=correct_replicas,
-        fault_free_clients=range(n, n + n_clients),
-        f=f,
-    )
-    sim.attach_observer(live)
-
-    def stats(executions: int) -> dict[str, Any]:
-        d = {
-            "executions": executions,
-            "messages_sent": sim.network.messages_sent,
-            "dropped": adversary.messages_dropped,
-            "duplicates": adversary.duplicates_injected,
-            "restarts": len(sim.restarted_pids),
-            "timeouts": timeouts,
-            "view_changes": max(
-                (r.view_changes_completed for r in replicas), default=0
-            ),
-            "consensus": sim.collect_consensus_stats(),
-            "crypto": crypto_stats().as_dict(),
-            "simcore": _simcore_stats(sim),
-        }
-        if attack_obj is not None:
-            d["byzantine"] = {
-                "attack": attack,
-                "attacker": attacker,
-                **attack_obj.stats(),
-                "forensics": forensics.stats() if forensics else {},
-            }
-        return d
-
-    protocol = (
-        "minbft-stalling"
-        if stalling
-        else ("minbft-pipelined" if pipelined else "minbft")
-    )
-    if attack is not None:
-        protocol = f"minbft+{attack}"
-    described = schedule.describe() + "\n" + adversary.describe()
-    try:
-        sim.run(until=schedule.horizon)
-    except PropertyViolation:
-        abort_index, _ = checker.online_violations[0]
-        return ChaosResult(
-            protocol=protocol,
-            seed=schedule.seed,
-            ok=False,
-            violations=[f"event #{i}: {m}"
-                        for i, m in checker.online_violations],
-            schedule=described,
-            stats=stats(len(checker.executions)),
-            abort_index=abort_index,
-        )
-    expected_ops = {n + c: len(clients[c].ops) for c in range(n_clients)}
-    if streaming:
-        report = checker.finish(expected_ops=expected_ops)
-    else:
-        report = check_replication(
-            sim.trace,
-            correct_replicas,
-            clients=range(n, n + n_clients),
-            expected_ops=expected_ops,
-        )
-    violations = report.violations + report.liveness_violations
-    if forensics is not None and forensics.convicted:
-        # intact hardware produced no double-bound counter; a conviction
-        # here is either a checker bug or a genuinely unsafe attack
-        violations = violations + [
-            f"accountability convicted replica {r} under intact hardware: "
-            f"{forensics.convicted[r]!r}"
-            for r in sorted(forensics.convicted)
-        ]
-    live_report = live.finish(end_time=schedule.horizon)
-    return ChaosResult(
-        protocol=protocol,
-        seed=schedule.seed,
-        ok=not violations and live_report.ok,
-        violations=violations,
-        schedule=described,
-        stats=stats(len(report.executions)),
-        liveness_violations=live_report.violations,
-    )
-
-
-def _minbft_restart_factory(
-    replicas, pid, app_name, channel_kwargs,
-    cls=MinBFTReplica, timeout_policy=None, replica_options=None,
-    wrapper=None,
-):
-    old = replicas[pid]
-    fresh = cls(
-        n=old.n,
-        usig=old.usig,  # the trusted hardware survives the reboot
-        verifier=old.verifier,
-        scheme=old.scheme,
-        signer=old.signer,
-        app=make_app(app_name),  # the application state was volatile
-        req_timeout=old.req_timeout,
-        timeout_policy=timeout_policy,
-        **(replica_options or {}),
-    )
-    replicas[pid] = fresh
-    # an attacked replica reboots *still attacked*: the wrapper carries the
-    # attack object (strike state and all) onto the fresh incarnation
-    hosted = fresh if wrapper is None else wrapper(pid, fresh)
-    return ReliableProcess(hosted, **channel_kwargs)
 
 
 def run_pbft_chaos(
@@ -745,30 +694,40 @@ def run_pbft_chaos(
     n = 3f+1 one Byzantine replica is inside the fault budget, so any
     violation is a protocol bug, not an expected outcome.
     """
-    spec = attack_obj = None
-    attacker: Optional[ProcessId] = None
-    replica_options = None
-    if attack is not None:
-        spec = get_attack(attack)
-        if spec.protocol != "pbft":
-            raise ConfigurationError(
-                f"attack {attack!r} targets {spec.protocol}, not pbft"
-            )
-        attack_obj = spec.make()
-        attacker = spec.attacker
-        if spec.protocol_kwargs:
-            replica_options = dict(spec.protocol_kwargs)
-    reset_crypto_caches()
-    n = 3 * f + 1
+    return _run_replication_chaos(
+        ChaosCell(schedule, "pbft", attack), "pbft", build_pbft_system,
+        3 * f + 1, f, n_clients, ops_per_client, app, streaming,
+        liveness_bound,
+    )
+
+
+def _run_replication_chaos(
+    cell: ChaosCell,
+    protocol: str,
+    build: Callable[..., tuple],
+    n: int,
+    f: int,
+    n_clients: int,
+    ops_per_client: int,
+    app: str,
+    streaming: bool,
+    liveness_bound: float,
+    policy_factory: Optional[Callable[[], Any]] = None,
+    replica_factory: Optional[Callable[..., Any]] = None,
+    replica_options: Optional[dict] = None,
+    client_options: Optional[dict] = None,
+    extra_stats: Optional[dict] = None,
+) -> ChaosResult:
+    """The cell behind :func:`run_minbft_chaos` and :func:`run_pbft_chaos`:
+    ``n`` replicas from ``build`` plus a protected client fleet, the
+    replication safety/liveness checkers, and — where replicas carry trusted
+    hardware and an attack is mounted — the audit-only accountability checker."""
+    schedule = cell.schedule
     adversary = schedule.make_adversary(n + n_clients)
-    channel_kwargs = dict(DEFAULT_CHANNEL)
-    wrapper = None
-    if attack_obj is not None:
-        def wrapper(pid, replica):
-            if pid == attacker:
-                return AttackerProcess(replica, attack_obj)
-            return replica
-    sim, replicas, clients = build_pbft_system(
+    channel = dict(DEFAULT_CHANNEL)
+    if cell.spec is not None and cell.spec.protocol_kwargs:
+        replica_options = {**(replica_options or {}), **cell.spec.protocol_kwargs}
+    sim, replicas, clients = build(
         f=f,
         n_clients=n_clients,
         ops_per_client=ops_per_client,
@@ -777,121 +736,63 @@ def run_pbft_chaos(
         adversary=adversary,
         req_timeout=25.0,
         retry_timeout=40.0,
-        reliable=channel_kwargs,
-        replica_wrapper=wrapper,
+        reliable=channel,
+        replica_factory=replica_factory,
+        replica_wrapper=cell.wrap,
+        timeout_policy=policy_factory,
         replica_options=replica_options,
+        client_options=client_options,
     )
-    if attacker is not None:
-        sim.declare_byzantine(attacker)
-    _apply_crashes(
-        sim, schedule,
-        restart_factory=lambda pid: _pbft_restart_factory(
-            replicas, pid, app, channel_kwargs,
-            replica_options=replica_options, wrapper=wrapper,
-        ),
+    correct = cell.correct(n)
+    client_pids = range(n, n + n_clients)
+    verifier = getattr(replicas[0], "verifier", None)
+    # audit-only: intact hardware must leave nothing to convict
+    forensics = (
+        AccountabilityChecker(verifier)
+        if cell.attack is not None and verifier is not None else None
     )
-
-    checker: Optional[ReplicationStreamChecker] = None
-    correct_replicas = [p for p in schedule.fault_free_pids(n + n_clients)
-                        if p < n and p != attacker]
-    if streaming:
-        checker = ReplicationStreamChecker(correct_replicas, fail_fast=True)
-        sim.attach_observer(checker)
+    checker = (
+        ReplicationStreamChecker(correct, fail_fast=True)
+        if streaming else None
+    )
+    # clients are never crashable, so every client is fault-free
     live = ReplicationLivenessChecker(
         gst=schedule.gst,
         request_bound=liveness_bound,
-        fault_free_replicas=correct_replicas,
-        fault_free_clients=range(n, n + n_clients),
+        fault_free_replicas=correct,
+        fault_free_clients=client_pids,
         f=f,
     )
-    sim.attach_observer(live)
 
-    def stats(executions: int) -> dict[str, Any]:
-        d = {
-            "executions": executions,
-            "messages_sent": sim.network.messages_sent,
-            "dropped": adversary.messages_dropped,
+    def audit() -> Any:
+        expected_ops = {n + c: len(clients[c].ops) for c in range(n_clients)}
+        if streaming:
+            return checker.finish(expected_ops=expected_ops)
+        return check_replication(
+            sim.trace, correct, clients=client_pids, expected_ops=expected_ops
+        )
+
+    return cell.run(
+        protocol if cell.attack is None else f"{cell.spec.protocol}+{cell.attack}",
+        sim, adversary, replicas,
+        reboot=lambda old: reboot_replica(
+            old, app, policy_factory, replica_options
+        ),
+        channel=channel,
+        checker=checker,
+        live=live,
+        audit=audit,
+        extra_stats=lambda: {
             "duplicates": adversary.duplicates_injected,
-            "restarts": len(sim.restarted_pids),
+            **(extra_stats or {}),
             "view_changes": max(
                 (r.view_changes_completed for r in replicas), default=0
             ),
             "consensus": sim.collect_consensus_stats(),
-            "crypto": crypto_stats().as_dict(),
-            "simcore": _simcore_stats(sim),
-        }
-        if attack_obj is not None:
-            d["byzantine"] = {
-                "attack": attack,
-                "attacker": attacker,
-                **attack_obj.stats(),
-            }
-        return d
-
-    protocol = "pbft" if attack is None else f"pbft+{attack}"
-    described = schedule.describe() + "\n" + adversary.describe()
-    try:
-        sim.run(until=schedule.horizon)
-    except PropertyViolation:
-        abort_index, _ = checker.online_violations[0]
-        return ChaosResult(
-            protocol=protocol,
-            seed=schedule.seed,
-            ok=False,
-            violations=[f"event #{i}: {m}"
-                        for i, m in checker.online_violations],
-            schedule=described,
-            stats=stats(len(checker.executions)),
-            abort_index=abort_index,
-        )
-    expected_ops = {n + c: len(clients[c].ops) for c in range(n_clients)}
-    if streaming:
-        report = checker.finish(expected_ops=expected_ops)
-    else:
-        report = check_replication(
-            sim.trace,
-            correct_replicas,
-            clients=range(n, n + n_clients),
-            expected_ops=expected_ops,
-        )
-    violations = report.violations + report.liveness_violations
-    live_report = live.finish(end_time=schedule.horizon)
-    return ChaosResult(
-        protocol=protocol,
-        seed=schedule.seed,
-        ok=not violations and live_report.ok,
-        violations=violations,
-        schedule=described,
-        stats=stats(len(report.executions)),
-        liveness_violations=live_report.violations,
+        },
+        count_key="executions",
+        forensics=forensics,
     )
-
-
-def _pbft_restart_factory(
-    replicas, pid, app_name, channel_kwargs,
-    replica_options=None, wrapper=None,
-):
-    old = replicas[pid]
-    fresh = PBFTReplica(
-        n=old.n,
-        scheme=old.scheme,
-        signer=old.signer,
-        app=make_app(app_name),  # everything was volatile: no trusted part
-        req_timeout=old.req_timeout,
-        **(replica_options or {}),
-    )
-    replicas[pid] = fresh
-    hosted = fresh if wrapper is None else wrapper(pid, fresh)
-    return ReliableProcess(hosted, **channel_kwargs)
-
-
-def _apply_crashes(sim, schedule: FaultSchedule, restart_factory) -> None:
-    for c in schedule.crashes:
-        sim.crash_at(c.pid, c.at)
-        if c.restart_at is not None:
-            sim.restart_at(
-                c.pid, c.restart_at, factory=lambda pid=c.pid: restart_factory(pid)
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -956,12 +857,26 @@ def run_chaos(protocol: str, seed: int, horizon: Time = 600.0, **kwargs) -> Chao
 
 
 def replay(protocol: str, seed: int, horizon: Time = 600.0, **kwargs) -> ChaosResult:
-    """Re-run a reported failure; bit-identical to the original run."""
-    return run_chaos(protocol, seed, horizon=horizon, **kwargs)
+    """Re-run a reported failure; bit-identical to the original run.
+
+    ``protocol`` is a :attr:`ChaosResult.protocol` string: a
+    :data:`PROTOCOLS` name, or ``"<protocol>+<attack>"`` as attack cells
+    report it — the attack names its own target runner, so that form
+    replays through :func:`run_attack`.
+    """
+    base, plus, attack = protocol.partition("+")
+    if not plus:
+        return run_chaos(protocol, seed, horizon=horizon, **kwargs)
+    target = get_attack(attack).protocol
+    if not base.startswith(target):
+        raise ConfigurationError(
+            f"attack {attack!r} targets {target}, not {base}"
+        )
+    return run_attack(attack, seed, horizon=horizon, **kwargs)
 
 
 _REPLAY_HINT_RE = re.compile(
-    r"repro\.faults\.chaos\.replay\((['\"])(?P<protocol>[\w-]+)\1,\s*"
+    r"repro\.faults\.chaos\.replay\((['\"])(?P<protocol>[\w+-]+)\1,\s*"
     r"(?P<seed>\d+)\)"
 )
 
@@ -984,18 +899,41 @@ def replay_from_hint(hint: str, **kwargs) -> ChaosResult:
     return replay(m.group("protocol"), int(m.group("seed")), **kwargs)
 
 
-def _run_chaos_task(task: tuple[str, int, Time, bool, dict]) -> ChaosResult:
-    """Picklable worker-side entry point for parallel sweeps.
-
-    The parent's crypto-caching flag rides along in the task: pool workers
-    are fresh interpreters where caching defaults to on, so a sweep issued
-    under ``caching_disabled()`` would otherwise silently run cached in the
-    workers and break the serial/parallel bit-identity guarantee (cached
-    and uncached runs report different ``CryptoStats``).
-    """
-    protocol, seed, horizon, caching, kwargs = task
+def _pool_task(fn: Callable[..., Any], caching: bool, args: tuple, kwargs: dict) -> Any:
     set_caching(caching)
-    return run_chaos(protocol, seed, horizon=horizon, **kwargs)
+    return fn(*args, **kwargs)
+
+
+def _pooled(workers: Optional[int], n_tasks: int) -> bool:
+    return workers is not None and workers > 1 and n_tasks > 1
+
+
+def _map_tasks(
+    fn: Callable[..., Any],
+    tasks: Sequence[tuple[tuple, dict]],
+    workers: Optional[int],
+) -> list:
+    """``fn(*args, **kwargs)`` for every ``(args, kwargs)`` task, in
+    submission order: serially, or over a process pool when ``workers > 1``
+    and there is more than one task. ``fn`` must be a module-level function.
+
+    The parent's crypto-caching flag ships with every pooled task: pool
+    workers are fresh interpreters where caching defaults to on, so a sweep
+    issued under ``caching_disabled()`` would otherwise silently run cached
+    in the workers and break the serial/parallel bit-identity guarantee
+    (cached and uncached runs report different ``CryptoStats``).
+    """
+    if not _pooled(workers, len(tasks)):
+        return [fn(*args, **kwargs) for args, kwargs in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    caching = caching_enabled()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(_pool_task, fn, caching, args, kwargs)
+            for args, kwargs in tasks
+        ]
+        return [f.result() for f in futures]
 
 
 _SEEDED_DEFAULT_PROTOCOLS = ("srb-uni", "minbft")
@@ -1046,17 +984,11 @@ def chaos_sweep(
             f"mode must be 'seeded', 'exhaustive', or 'big-run', got {mode!r}"
         )
     tasks = [
-        (protocol, seed, horizon, caching_enabled(), kwargs)
+        ((protocol, seed, horizon), kwargs)
         for protocol in protocols
         for seed in seeds
     ]
-    if workers is None or workers <= 1 or len(tasks) <= 1:
-        return [_run_chaos_task(task) for task in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_chaos_task, task) for task in tasks]
-        return [f.result() for f in futures]
+    return _map_tasks(run_chaos, tasks, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -1102,13 +1034,6 @@ def run_attack(
     )
 
 
-def _run_attack_task(task: tuple[str, int, Time, bool, dict]) -> ChaosResult:
-    """Picklable worker-side entry point (see :func:`_run_chaos_task`)."""
-    name, seed, horizon, caching, kwargs = task
-    set_caching(caching)
-    return run_attack(name, seed, horizon=horizon, **kwargs)
-
-
 def attack_sweep(
     attacks: Optional[Iterable[str]] = None,
     seeds: Iterable[int] = range(5),
@@ -1124,17 +1049,9 @@ def attack_sweep(
     """
     names = list(attacks) if attacks is not None else sorted(ATTACKS)
     tasks = [
-        (name, seed, horizon, caching_enabled(), kwargs)
-        for name in names
-        for seed in seeds
+        ((name, seed, horizon), kwargs) for name in names for seed in seeds
     ]
-    if workers is None or workers <= 1 or len(tasks) <= 1:
-        return [_run_attack_task(task) for task in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_attack_task, task) for task in tasks]
-        return [f.result() for f in futures]
+    return _map_tasks(run_attack, tasks, workers)
 
 
 def run_compromised_minbft_soak(
@@ -1271,7 +1188,7 @@ class BigRunResult:
 
 
 def _run_big_shard(
-    task: tuple[int, int, tuple, float, bool, str],
+    seed: int, index: int, arrivals: tuple, drain: float, scheduler: str
 ) -> dict[str, Any]:
     """Picklable worker: simulate one contiguous shard of the big workload.
 
@@ -1283,8 +1200,6 @@ def _run_big_shard(
     the big-run harness measures throughput and order-determinism, the
     seeded chaos grid above owns fault coverage.
     """
-    seed, index, arrivals, drain, caching, scheduler = task
-    set_caching(caching)
     reset_crypto_caches()
     scheduler_factory = None
     if scheduler == "reference":
@@ -1375,19 +1290,10 @@ def one_big_run(
     arrivals = open_loop_arrivals(n_ops, seed=seed, rate=rate, kind=kind)
     shard_list = shard_arrivals(arrivals, shards)
     tasks = [
-        (seed, s.index, s.arrivals, drain, caching_enabled(), scheduler)
+        ((seed, s.index, s.arrivals, drain, scheduler), {})
         for s in shard_list
     ]
-    if workers is None or workers <= 1 or len(tasks) <= 1:
-        effective_workers = 1
-        records = [_run_big_shard(t) for t in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        effective_workers = workers
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_big_shard, t) for t in tasks]
-            records = [f.result() for f in futures]  # submission order
+    records = _map_tasks(_run_big_shard, tasks, workers)
     records.sort(key=lambda r: r["index"])  # merge key: shard order
     shard_hashes = tuple(r["order_hash"] for r in records)
     combined = hashlib.sha256("|".join(shard_hashes).encode()).hexdigest()
@@ -1399,7 +1305,7 @@ def one_big_run(
         seed=seed,
         n_ops=n_ops,
         shards=shards,
-        workers=effective_workers,
+        workers=workers if _pooled(workers, len(tasks)) else 1,
         ok=not violations,
         violations=violations,
         order_hash=combined,
@@ -1416,16 +1322,13 @@ def one_big_run(
     )
 
 
-def _run_mc_task(task: tuple[str, Optional[int], tuple[int, ...], bool]):
+def _run_mc_task(name: str, root_choice: Optional[int], root_sleep: tuple[int, ...]):
     """Picklable worker entry: explore one root shard of a named system.
 
     Workers resolve the system by *name* — factories close over live
     simulator objects and cannot pickle — and re-derive everything else
-    locally. The crypto-caching flag rides along for the same reason it
-    does in :func:`_run_chaos_task`.
+    locally.
     """
-    name, root_choice, root_sleep, caching = task
-    set_caching(caching)
     from ..mc.explorer import Explorer
     from ..mc.fixtures import get_system
 
@@ -1452,24 +1355,14 @@ def exhaustive_sweep(
     from ..mc.fixtures import SYSTEMS, get_system
 
     names = sorted(SYSTEMS) if systems is None else list(systems)
-    tasks: list[tuple[str, Optional[int], tuple[int, ...], bool]] = []
+    tasks: list[tuple[tuple, dict]] = []
     for name in names:
         s = get_system(name)
         n_roots = root_choice_count(s.factory, **s.options)
-        tasks.extend(
-            (name, i, tuple(range(i)), caching_enabled())
-            for i in range(n_roots)
-        )
-    if workers is None or workers <= 1 or len(tasks) <= 1:
-        results = [_run_mc_task(t) for t in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_mc_task, t) for t in tasks]
-            results = [f.result() for f in futures]
+        tasks.extend(((name, i, tuple(range(i))), {}) for i in range(n_roots))
+    results = _map_tasks(_run_mc_task, tasks, workers)
     grouped: dict[str, list] = {name: [] for name in names}
-    for (name, _i, _sleep, _c), r in zip(tasks, results):
+    for ((name, _i, _sleep), _kw), r in zip(tasks, results):
         grouped[name].append(r)
     return {name: merge_results(grouped[name]) for name in names}
 

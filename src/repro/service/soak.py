@@ -50,11 +50,9 @@ from typing import Any, Iterable, Optional, Sequence
 
 from ..consensus.minbft import MinBFTReplica
 from ..consensus.safety import ReplicationStreamChecker
-from ..crypto.serialize import crypto_stats, reset_crypto_caches
 from ..crypto.signatures import SignatureScheme
 from ..errors import ConfigurationError, PropertyViolation
 from ..faults.adversaries import BurstWindow, GSTAdversary
-from ..hardware.trinc import TrincAuthority
 from ..sim.adversary import Adversary, ReliableAsynchronous
 from ..sim.runner import Simulation
 from ..sim.liveness import DeadlineMonitor, LivenessReport
@@ -419,22 +417,20 @@ def build_service_system(
     if n_tenants < 1:
         raise ConfigurationError(f"n_tenants must be >= 1, got {n_tenants}")
     from ..consensus.apps import make_app
-    from ..consensus.usig import USIG, USIGVerifier
+    from ..consensus.harness import usig_hardware
     from ..workloads.generator import tenant_workloads
 
     profile = profile if profile is not None else protected_profile()
     n = 2 * f + 1
     total = n + 1 + n_tenants
     scheme = SignatureScheme(total, seed=seed)
-    authority = TrincAuthority(n, seed=seed)
-    verifier = USIGVerifier(authority)
+    trusted = usig_hardware(n, seed)
 
     replicas: list[MinBFTReplica] = []
     for pid in range(n):
         replicas.append(MinBFTReplica(
             n=n,
-            usig=USIG(authority.trinket(pid)),
-            verifier=verifier,
+            **trusted[pid],
             scheme=scheme,
             signer=scheme.signer(pid),
             app=make_app(app),
@@ -516,15 +512,9 @@ def run_service_chaos(
     arms — overload collapse is a *liveness* failure; consensus safety
     must hold even mid-storm.
     """
-    from ..faults.chaos import (
-        DEFAULT_CHANNEL,
-        ChaosResult,
-        _apply_crashes,
-        _simcore_stats,
-    )
-    from ..faults.channel import ReliableProcess
+    from ..faults.chaos import DEFAULT_CHANNEL, ChaosCell, reboot_replica
 
-    reset_crypto_caches()
+    cell = ChaosCell(schedule)
     if n_tenants is None:
         n_tenants = 32 if storm else 6
     if ops_per_tenant is None:
@@ -544,7 +534,7 @@ def run_service_chaos(
     else:
         adversary = schedule.make_adversary(total)
     channel_kwargs = dict(DEFAULT_CHANNEL)
-    sim, replicas, ingress, tenants = build_service_system(
+    sim, replicas, _ingress, _tenants = build_service_system(
         profile=prof,
         n_tenants=n_tenants,
         ops_per_tenant=ops_per_tenant,
@@ -557,81 +547,30 @@ def run_service_chaos(
         # events would dominate memory without ever being read back
         trace_retention=50_000,
     )
-
-    def restart_replica(pid: ProcessId) -> ReliableProcess:
-        from ..consensus.apps import make_app
-
-        old = replicas[pid]
-        fresh = MinBFTReplica(
-            n=old.n,
-            usig=old.usig,  # trusted hardware survives the reboot
-            verifier=old.verifier,
-            scheme=old.scheme,
-            signer=old.signer,
-            app=make_app(app),  # application state was volatile
-            req_timeout=old.req_timeout,
-            checkpoint_interval=old.checkpoint_interval,
-            batching=True,
-            timeout_policy=_replica_vc_policy(old.req_timeout),
-        )
-        replicas[pid] = fresh
-        return ReliableProcess(fresh, **channel_kwargs)
-
-    _apply_crashes(sim, schedule, restart_factory=restart_replica)
-
-    correct_replicas = [
-        p for p in schedule.fault_free_pids(total) if p < n
-    ]
-    checker = ReplicationStreamChecker(correct_replicas, fail_fast=True)
-    sim.attach_observer(checker)
-    tenant_pids = range(n + 1, n + 1 + n_tenants)
+    checker = ReplicationStreamChecker(cell.correct(n), fail_fast=True)
     live = ServiceLivenessAuditor(
         gst=schedule.gst,
         bound=liveness_bound,
-        tenants=tenant_pids,
+        tenants=range(n + 1, n + 1 + n_tenants),
         ingress=n,
     )
-    sim.attach_observer(live)
 
-    def stats() -> dict[str, Any]:
-        return {
-            "messages_sent": sim.network.messages_sent,
-            "dropped": adversary.messages_dropped,
-            "restarts": len(sim.restarted_pids),
-            "service": sim.collect_service_stats(),
-            "crypto": crypto_stats().as_dict(),
-            "simcore": _simcore_stats(sim),
-        }
-
-    protocol = "service-storm" if storm else "service"
-    arm = prof.name
-    described = (
-        f"arm={arm} tenants={n_tenants} pump={1.0 / prof.proc_time:.2f}/s\n"
-        + schedule.describe() + "\n" + adversary.describe()
-    )
-    try:
-        sim.run(until=schedule.horizon)
-    except PropertyViolation:
-        abort_index, _ = checker.online_violations[0]
-        return ChaosResult(
-            protocol=protocol,
-            seed=schedule.seed,
-            ok=False,
-            violations=[f"event #{i}: {m}"
-                        for i, m in checker.online_violations],
-            schedule=described,
-            stats=stats(),
-            abort_index=abort_index,
-        )
-    report = checker.finish()
-    violations = report.violations + report.liveness_violations
-    live_report = live.finish(end_time=schedule.horizon)
-    return ChaosResult(
-        protocol=protocol,
-        seed=schedule.seed,
-        ok=not violations and live_report.ok,
-        violations=violations,
-        schedule=described,
-        stats=stats(),
-        liveness_violations=live_report.violations,
+    return cell.run(
+        "service-storm" if storm else "service",
+        sim, adversary, replicas,
+        # a served replica reboots with the serving configuration
+        # build_service_system gave it
+        reboot=lambda old: reboot_replica(
+            old, app, _replica_vc_policy(old.req_timeout),
+            dict(checkpoint_interval=old.checkpoint_interval, batching=True),
+        ),
+        channel=channel_kwargs,
+        checker=checker,
+        live=live,
+        audit=checker.finish,
+        extra_stats=lambda: {"service": sim.collect_service_stats()},
+        preamble=(
+            f"arm={prof.name} tenants={n_tenants} "
+            f"pump={1.0 / prof.proc_time:.2f}/s\n"
+        ),
     )

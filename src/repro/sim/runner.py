@@ -457,10 +457,22 @@ class Simulation:
         process exports pipeline counters, so non-consensus runs pay
         nothing and their :class:`RunStats` are unchanged.
         """
+        return self._merge_stats("consensus_stats")
+
+    def collect_service_stats(self) -> Optional[dict]:
+        """Sum serving-layer counters over hosted processes (duck-typed).
+
+        Same merge as :meth:`collect_consensus_stats`, over processes
+        exposing ``service_stats() -> dict[str, number]``; ``None`` when no
+        hosted process exports service counters.
+        """
+        return self._merge_stats("service_stats")
+
+    def _merge_stats(self, exporter: str) -> Optional[dict]:
         total: Optional[dict] = None
         for proc in self._processes:
             inner = getattr(proc, "inner", proc)
-            stats_fn = getattr(inner, "consensus_stats", None)
+            stats_fn = getattr(inner, exporter, None)
             if stats_fn is None:
                 continue
             if total is None:
@@ -471,28 +483,6 @@ class Simulation:
                     for k, v in value.items():
                         bucket[k] = bucket.get(k, 0) + v
                 elif isinstance(value, (int, float)):
-                    total[key] = total.get(key, 0) + value
-        return total
-
-    def collect_service_stats(self) -> Optional[dict]:
-        """Sum serving-layer counters over hosted processes (duck-typed).
-
-        Any process (or :class:`~repro.faults.channel.ReliableProcess`
-        inner) exposing a ``service_stats() -> dict[str, number]`` method
-        contributes; numeric values are summed key-wise. Returns ``None``
-        when no hosted process exports service counters, so non-service
-        runs pay nothing and their :class:`RunStats` are unchanged.
-        """
-        total: Optional[dict] = None
-        for proc in self._processes:
-            inner = getattr(proc, "inner", proc)
-            stats_fn = getattr(inner, "service_stats", None)
-            if stats_fn is None:
-                continue
-            if total is None:
-                total = {}
-            for key, value in stats_fn().items():
-                if isinstance(value, (int, float)):
                     total[key] = total.get(key, 0) + value
         return total
 

@@ -19,6 +19,7 @@ from repro.faults.chaos import (
     chaos_sweep,
     format_failures,
     replay_from_hint,
+    run_attack,
     run_chaos,
 )
 
@@ -84,6 +85,22 @@ class TestReplayHint:
         for r in results:
             replayed = replay_from_hint(r.replay_hint(), horizon=250.0)
             assert as_tuple(replayed) == as_tuple(r)
+
+    @pytest.mark.parametrize(
+        "attack", ["equivocate-prepare", "pbft-equivocate", "srb-forge-l1"]
+    )
+    def test_round_trip_attack_cell(self, attack):
+        # an attack cell reports "<protocol>+<attack>"; its hint must replay
+        original = run_attack(attack, 3)
+        assert "+" + attack in original.protocol
+        replayed = replay_from_hint(original.replay_hint())
+        assert as_tuple(replayed) == as_tuple(original)
+
+    def test_attack_hint_with_wrong_protocol_rejected(self):
+        with pytest.raises(ConfigurationError, match="targets minbft"):
+            replay_from_hint(
+                "repro.faults.chaos.replay('pbft+equivocate-prepare', 3)"
+            )
 
     def test_hint_embedded_in_surrounding_text(self):
         r = replay_from_hint(
