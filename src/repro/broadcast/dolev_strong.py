@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..crypto.signatures import Signature, SignatureScheme, Signer
+from ..crypto.signatures import SignatureScheme, Signer
 from ..errors import ConfigurationError
 from ..types import ProcessId
 from ..core.rounds import Label, LockStepRoundTransport, RoundProcess
@@ -55,11 +55,11 @@ def validate_chain(
         if not (isinstance(link, tuple) and len(link) == 2):
             return None
         pid, sig = link
-        if not isinstance(sig, Signature) or sig.signer != pid:
-            return None
         if pid in signers:
             return None
-        if not scheme.verify(ds_domain(sender, value, tuple(signers)), sig):
+        if not scheme.verify_from(
+            pid, ds_domain(sender, value, tuple(signers)), sig
+        ):
             return None
         signers.append(pid)
     if signers[0] != sender:

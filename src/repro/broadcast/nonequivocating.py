@@ -84,9 +84,9 @@ class NonEquivocatingBroadcast(RoundProcess):
         ):
             return
         _, value, sig = payload
-        if not isinstance(sig, Signature) or sig.signer != self.sender:
-            return
-        if not self.scheme.verify(_neb_domain(self.sender, value), sig):
+        if not self.scheme.verify_from(
+            self.sender, _neb_domain(self.sender, value), sig
+        ):
             return
         if self._adopted is None:
             self._adopted = (value, sig)

@@ -25,6 +25,13 @@ can keep in flight. Two extensions lift the bound:
   ``max_outstanding`` queue in a backlog — offered load above the
   cluster's capacity shows up as backlog growth and rising latency, which
   is exactly the saturation signal the pipeline benchmarks measure.
+
+:class:`BFTClient` owns the whole request life-cycle — release, sign,
+send, retry/budget/jitter, reply-quorum matching, abandon, latency — for
+every client in the repo; a client that reaches the replicas some other
+way (:class:`repro.service.ingress.TenantClient`, through an ingress)
+subclasses it and overrides only the first hop, what a completion owes
+that hop, its trace-event names and its jitter-stream label.
 """
 
 from __future__ import annotations
@@ -65,6 +72,11 @@ class BFTClient(Process):
     RETRY_TAG = "client-retry"
     THINK_TAG = "think"
     ARRIVAL_TAG = "client-arrival"
+    JITTER_LABEL = "client"
+    # trace-event names: launched, reply quorum reached, abandoned, all done
+    SENT, DONE, FAILED, FINISHED = (
+        "request_sent", "request_done", "request_failed", "client_done"
+    )
 
     def __init__(
         self,
@@ -118,6 +130,7 @@ class BFTClient(Process):
         self.think_time = think_time
         self.signer: Optional[Signer] = None  # injected by the harness
         self.scheme: Optional[SignatureScheme] = None
+        self._rng: Any = None  # jitter stream, derived on first use
         self._next_op = 0  # closed-loop release cursor
         self._arrival_idx = 0  # open-loop release cursor
         self._backlog: deque[int] = deque()  # released, waiting for a slot
@@ -143,19 +156,31 @@ class BFTClient(Process):
         return len(self._inflight)
 
     def on_start(self) -> None:
-        if self.backoff_jitter > 0:
-            from ..faults.timeouts import JitteredPolicy, derive_jitter_rng
-
-            self.timeout_policy = JitteredPolicy(
-                self.timeout_policy,
-                derive_jitter_rng(self.ctx.seed, "client", self.pid),
-                jitter=self.backoff_jitter,
-            )
+        self._install_jitter()
         if self.arrivals is not None:
             self._schedule_next_arrival()
             self._maybe_done()
         else:
             self._fill()
+
+    def _jitter_rng(self) -> Any:
+        """This client's private jitter stream (independent of ``ctx.rng``)."""
+        if self._rng is None:
+            from ..faults.timeouts import derive_jitter_rng
+
+            self._rng = derive_jitter_rng(
+                self.ctx.seed, self.JITTER_LABEL, self.pid
+            )
+        return self._rng
+
+    def _install_jitter(self) -> None:
+        if self.backoff_jitter > 0:
+            from ..faults.timeouts import JitteredPolicy
+
+            self.timeout_policy = JitteredPolicy(
+                self.timeout_policy, self._jitter_rng(),
+                jitter=self.backoff_jitter,
+            )
 
     # -- release ----------------------------------------------------------
 
@@ -180,49 +205,60 @@ class BFTClient(Process):
         self._maybe_done()
 
     def _launch(self, req_id: int) -> None:
-        rec: dict[str, Any] = {
-            "sent_at": self.ctx.now, "attempts": 1, "replies": {},
+        self._inflight[req_id] = {
+            "sent_at": self.ctx.now, "attempts": 1, "replies": {}, "timer": None,
         }
-        self._inflight[req_id] = rec
         if self.retry_budget is not None:
             self.retry_budget.note_send()
         self._send_request(req_id)
-        self.ctx.record("custom", event="request_sent", req_id=req_id)
-        rec["timer"] = self.ctx.set_timer(
-            self.timeout_policy.current(), (self.RETRY_TAG, req_id)
-        )
+        self.ctx.record("custom", event=self.SENT, req_id=req_id)
+        self._arm_retry(req_id)
 
     def _send_request(self, req_id: int) -> None:
         assert self.signer is not None
         op = self.ops[req_id - 1]
         sig = self.signer.sign(request_domain(self.pid, req_id, op))
+        self._first_hop(req_id, op, sig)
+
+    def _first_hop(self, req_id: int, op: tuple, sig: Any) -> None:
+        """Hook: put one signed request on the wire."""
         for r in self.replicas:
             self.ctx.send(r, (REQUEST, self.pid, req_id, op, sig))
+
+    def _arm_retry(self, req_id: int) -> None:
+        self._inflight[req_id]["timer"] = self.ctx.set_timer(
+            self.timeout_policy.current(), (self.RETRY_TAG, req_id)
+        )
 
     def _maybe_done(self) -> None:
         if self.done and not self._done_recorded:
             self._done_recorded = True
-            self.ctx.record("custom", event="client_done", ops=len(self.results))
+            self.ctx.record("custom", event=self.FINISHED, ops=len(self.results))
+
+    def _after_terminal(self) -> None:
+        """One request reached a terminal outcome: think, then release more."""
+        if self.think_time > 0:
+            self.ctx.set_timer(self.think_time, self.THINK_TAG)
+        else:
+            self._fill()
 
     # -- timers -----------------------------------------------------------
 
     def on_timer(self, tag: Any) -> None:
         if tag == self.THINK_TAG:
             self._fill()
-            return
-        if tag == self.ARRIVAL_TAG:
+        elif tag == self.ARRIVAL_TAG:
             self._arrival_idx += 1
             self._backlog.append(self._arrival_idx)
             if len(self._backlog) > self.peak_backlog:
                 self.peak_backlog = len(self._backlog)
             self._schedule_next_arrival()
             self._fill()
-            return
-        if not (
-            isinstance(tag, tuple) and len(tag) == 2 and tag[0] == self.RETRY_TAG
-        ):
-            return
-        req_id = tag[1]
+        elif isinstance(tag, tuple) and len(tag) == 2 and tag[0] == self.RETRY_TAG:
+            self._retry(tag[1])
+
+    def _retry(self, req_id: int) -> None:
+        """A retry timer expired: retransmit, or abandon on an empty budget."""
         rec = self._inflight.get(req_id)
         if rec is None:
             return
@@ -234,7 +270,7 @@ class BFTClient(Process):
         # unproductive expiry: back off before retransmitting
         self.timeout_policy.escalate()
         self._send_request(req_id)
-        rec["timer"] = self.ctx.set_timer(self.timeout_policy.current(), tag)
+        self._arm_retry(req_id)
 
     def _abandon(self, req_id: int) -> None:
         """Give up on one in-flight request: typed failure, move on."""
@@ -242,13 +278,10 @@ class BFTClient(Process):
         failure = RetriesExhausted(req_id, rec["attempts"])
         self.failures.append(failure)
         self.ctx.record(
-            "custom", event="request_failed", req_id=req_id,
+            "custom", event=self.FAILED, req_id=req_id,
             reason="retries_exhausted", attempts=rec["attempts"],
         )
-        if self.think_time > 0:
-            self.ctx.set_timer(self.think_time, self.THINK_TAG)
-        else:
-            self._fill()
+        self._after_terminal()
 
     # -- replies ----------------------------------------------------------
 
@@ -262,20 +295,22 @@ class BFTClient(Process):
         replies = rec["replies"]
         replies[src] = result
         matching = sum(1 for v in replies.values() if v == result)
-        if matching >= self.reply_quorum:
-            latency = self.ctx.now - rec["sent_at"]
-            self.latencies.append(latency)
-            self.results.append(result)
-            self.timeout_policy.observe(latency)
-            self.timeout_policy.note_progress()
-            self.ctx.record(
-                "custom", event="request_done", req_id=req_id,
-                result=result, latency=latency,
-            )
-            del self._inflight[req_id]
-            if rec["timer"] is not None:
-                self.ctx.cancel_timer(rec["timer"])
-            if self.think_time > 0:
-                self.ctx.set_timer(self.think_time, self.THINK_TAG)
-            else:
-                self._fill()
+        if matching < self.reply_quorum:
+            return
+        latency = self.ctx.now - rec["sent_at"]
+        self.latencies.append(latency)
+        self.results.append(result)
+        self.timeout_policy.observe(latency)
+        self.timeout_policy.note_progress()
+        self.ctx.record(
+            "custom", event=self.DONE, req_id=req_id,
+            result=result, latency=latency,
+        )
+        self._completed(req_id, latency)
+        del self._inflight[req_id]
+        if rec["timer"] is not None:
+            self.ctx.cancel_timer(rec["timer"])
+        self._after_terminal()
+
+    def _completed(self, req_id: int, latency: float) -> None:
+        """Hook: a request just reached its reply quorum."""

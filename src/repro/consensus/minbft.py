@@ -40,7 +40,7 @@ from ..crypto.serialize import (
     content_hash,
     type_fingerprint,
 )
-from ..crypto.signatures import Signature, SignatureScheme, Signer
+from ..crypto.signatures import SignatureScheme, Signer
 from ..errors import ConfigurationError, SignatureError
 from ..types import ProcessId, SeqNum
 from .apps import StateMachine
@@ -53,12 +53,7 @@ from .replica import (  # noqa: F401  (the request vocabulary is re-exported)
     request_key,
 )
 from .usig import UI, UIOrderEnforcer, USIG, USIGVerifier, ui_like
-from .viewchange import (
-    LogEntry,
-    compute_reproposals,
-    validate_checkpoint_cert,
-    verify_log_from,
-)
+from .viewchange import LogEntry, compute_reproposals, verify_log_from
 
 USIG_WRAP = "USIG"
 PREPARE = "PREPARE"
@@ -132,6 +127,7 @@ class MinBFTReplica(ReplicaCore):
             checkpoint_interval, batching, batch_delay, batch_policy,
             window_size, timeout_policy, reply_window, gap_limit,
         )
+        self.quorum = self.f + 1
         self.usig = usig
         self.verifier = verifier
         self.sent_log: list[tuple[Any, UI]] = []
@@ -141,9 +137,6 @@ class MinBFTReplica(ReplicaCore):
         # vote key -> set of replicas
         self._votes: dict[tuple, set[ProcessId]] = {}
         self._expected_reproposals: dict[SeqNum, Any] = {}
-        # checkpointing: my own state blobs by seq, and the stable one
-        self._ckpt_states: dict[SeqNum, Any] = {}
-        self._stable_state: Any = None
         self._log_base: SeqNum = 0  # my counter at the stable checkpoint
         # view-change machinery; each _vcs record: (entries, stable_seq, state_blob)
         self._rvc_votes: dict[int, set[ProcessId]] = {}
@@ -344,60 +337,47 @@ class MinBFTReplica(ReplicaCore):
 
     # -- checkpointing / log garbage collection ------------------------------------------
 
-    def _emit_checkpoint(self, seq: SeqNum) -> None:
-        blob = self._state_blob()
-        self._ckpt_states[seq] = blob
-        digest = content_hash(blob)
+    def _send_checkpoint(self, seq: SeqNum, digest: bytes) -> None:
         self._usig_broadcast((CHECKPOINT, seq, digest))
 
     def _on_checkpoint(self, replica: ProcessId, ui: UI, message: tuple) -> None:
         _, seq, digest = message
         if not isinstance(seq, int) or not isinstance(digest, bytes):
             return
-        key = (seq, digest)
-        votes = self._ckpt_votes.setdefault(key, {})
-        votes.setdefault(replica, (message, ui))
-        # stabilize only once our own vote is in (log truncation needs the
-        # counter of OUR checkpoint message)
-        if (
-            len(votes) >= self.f + 1
-            and seq > self.stable_seq
-            and self.pid in votes
-        ):
-            self._stabilize(seq, votes)
+        self._on_ckpt_vote(replica, seq, digest, (replica, message, ui))
 
-    def _stabilize(self, seq: SeqNum, votes: dict[ProcessId, tuple]) -> None:
-        self.stable_seq = seq
-        chosen = sorted(votes)[: self.f + 1]
-        if self.pid not in chosen:
-            chosen = [self.pid, *chosen[: self.f]]
-        self._stable_cert = tuple(
-            (r, votes[r][0], votes[r][1]) for r in sorted(chosen)
-        )
-        self._stable_state = self._ckpt_states.get(seq)
-        my_counter = votes[self.pid][1].counter
+    def _check_ckpt_entry(self, entry: Any) -> Optional[tuple]:
+        """Core hook: a certificate entry is ``(replica, ("CHECKPOINT", seq,
+        digest), ui)``; the UI's counter is what lets a verifier pin that
+        replica's log base."""
+        if not (isinstance(entry, tuple) and len(entry) == 3):
+            return None
+        replica, message, ui = entry
+        if not (isinstance(message, tuple) and len(message) == 3
+                and message[0] == CHECKPOINT):
+            return None
+        _, seq, digest = message
+        if not isinstance(seq, int) or not isinstance(digest, bytes):
+            return None
+        if not ui_like(ui) or ui.replica != replica:
+            return None
+        if not self.verifier.verify_ui(ui, message, replica):
+            return None
+        return replica, seq, digest
+
+    def _prune_slots(self, seq: SeqNum, my_entry: tuple) -> None:
+        """Core hook: truncate the sent log at the counter of OUR checkpoint
+        message, and drop the accepted-prepare / vote maps of settled slots."""
+        my_counter = my_entry[2].counter
         keep = [(m, u) for (m, u) in self.sent_log if u.counter > my_counter]
         self.log_entries_gced += len(self.sent_log) - len(keep)
         self.sent_log = keep
         self._log_base = my_counter
-        # older checkpoint bookkeeping can go too
-        self._ckpt_states = {s: b for s, b in self._ckpt_states.items() if s >= seq}
-        # per-slot protocol state at or below the stable checkpoint is
-        # settled: f+1 replicas attest to the executed prefix, so the
-        # accepted-prepare / vote maps for those slots can never be
-        # consulted again (the core prunes the maps both protocols share)
         self._accepted = {s: v for s, v in self._accepted.items() if s > seq}
         self._votes = {k: v for k, v in self._votes.items() if k[1] > seq}
         self._expected_reproposals = {
             s: r for s, r in self._expected_reproposals.items() if s > seq
         }
-        self._prune_settled(seq)
-        self.ctx.record(
-            "custom", event="checkpoint_stable", seq=seq,
-            log_base=my_counter,
-        )
-        # a stabilized checkpoint moves the window's low watermark
-        self._pipeline_resume()
 
     def slot_state_size(self) -> int:
         """Total per-slot/per-request entries this replica holds.
@@ -411,7 +391,7 @@ class MinBFTReplica(ReplicaCore):
             + sum(len(v) for v in self._votes.values())
             + len(self._certified)
             + len(self._proposed_keys)
-            + len(self._ckpt_states)
+            + len(self._ckpt_blobs)
             + len(self._ckpt_votes)
             + len(self._pending)
             + len(self.sent_log)
@@ -451,16 +431,12 @@ class MinBFTReplica(ReplicaCore):
             and isinstance(nonce, int)
         ):
             return
-        if not (
-            isinstance(sig, Signature)
-            and sig.signer == claimed
-            and self.scheme.verify(resync_domain(claimed, nonce), sig)
-        ):
+        if not self.scheme.verify_from(claimed, resync_domain(claimed, nonce), sig):
             return
         counter = self.usig.counter
         nv = self._latest_new_view
         stable = (
-            (self.stable_seq, self._stable_cert, self._stable_state)
+            (self.stable_seq, self._stable_cert, self._stable_blob)
             if self.stable_seq > 0
             else None
         )
@@ -488,10 +464,8 @@ class MinBFTReplica(ReplicaCore):
         except Exception:
             self.malformed_rejects += 1
             return
-        if not (
-            isinstance(sig, Signature)
-            and sig.signer == peer
-            and self.scheme.verify(resync_info_domain(peer, nonce, digest), sig)
+        if not self.scheme.verify_from(
+            peer, resync_info_domain(peer, nonce, digest), sig
         ):
             return
         self._resynced.add(peer)
@@ -517,19 +491,14 @@ class MinBFTReplica(ReplicaCore):
         # then certified checkpoint state, which may be newer still
         if isinstance(stable, tuple) and len(stable) == 3:
             s_seq, cert, blob = stable
-            checked = validate_checkpoint_cert(self.verifier, cert, self.f)
+            claim = self._stable_claim(False, cert, blob)
             if (
-                checked is not None
-                and checked[0] == s_seq
+                claim is not None
+                and claim[0] == s_seq
                 and isinstance(blob, tuple)
                 and len(blob) == 4
             ):
-                try:
-                    blob_ok = content_hash(blob) == checked[1]
-                except Exception:
-                    blob_ok = False
-                if blob_ok:
-                    self._fast_forward(s_seq, blob)
+                self._fast_forward(s_seq, blob)
 
     # -- view change -------------------------------------------------------------------------
 
@@ -558,10 +527,8 @@ class MinBFTReplica(ReplicaCore):
         if new_view <= self.view:
             return
         if not (
-            isinstance(sig, Signature)
-            and sig.signer == src
-            and 0 <= src < self.n
-            and self.scheme.verify(rvc_domain(src, new_view), sig)
+            0 <= src < self.n
+            and self.scheme.verify_from(src, rvc_domain(src, new_view), sig)
         ):
             return
         votes = self._rvc_votes.setdefault(new_view, set())
@@ -579,7 +546,7 @@ class MinBFTReplica(ReplicaCore):
         self._send_view_change(new_view)  # join the chorus
         self._usig_broadcast((
             VIEW_CHANGE, new_view, self._log_base, self._stable_cert,
-            self._stable_state, tuple(self.sent_log),
+            self._stable_blob, tuple(self.sent_log),
         ))
         if self._vc_timer is not None:
             self.ctx.cancel_timer(self._vc_timer)
@@ -600,23 +567,13 @@ class MinBFTReplica(ReplicaCore):
         """
         if not isinstance(base, int) or base < 0:
             return None
-        if base == 0:
-            if cert != () or state_blob is not None:
-                return None
-            entries = verify_log_from(self.verifier, replica, log, 1, end_counter)
-            if entries is None:
-                return None
-            return entries, 0, None
-        checked = validate_checkpoint_cert(self.verifier, cert, self.f)
-        if checked is None:
+        claim = self._stable_claim(base == 0, cert, state_blob)
+        if claim is None:
             return None
-        stable_seq, digest, counters = checked
-        if counters.get(replica) != base:
-            return None
-        try:
-            if content_hash(state_blob) != digest:
-                return None
-        except Exception:
+        stable_seq, attested = claim
+        if base and (
+            replica not in attested or attested[replica][2].counter != base
+        ):
             return None
         entries = verify_log_from(
             self.verifier, replica, log, base + 1, end_counter
@@ -746,8 +703,8 @@ class MinBFTReplica(ReplicaCore):
 
     def _rollback_to_attested(self) -> None:
         """Rewind execution to the newest state a quorum attested to."""
-        if self.stable_seq > 0 and self._stable_state is not None:
-            blob = self._stable_state
+        if self.stable_seq > 0 and self._stable_blob is not None:
+            blob = self._stable_blob
             base_seq = self.stable_seq
         else:
             blob = self._genesis_state

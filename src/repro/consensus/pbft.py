@@ -27,10 +27,10 @@ its view-change timer re-arms forever against a non-empty pending set.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from ..crypto.serialize import content_hash
-from ..crypto.signatures import Signature, SignatureScheme, Signer
+from ..crypto.signatures import SignatureScheme, Signer
 from ..errors import ConfigurationError
 from ..types import ProcessId, SeqNum
 from .apps import StateMachine
@@ -117,6 +117,7 @@ class PBFTReplica(ReplicaCore):
             checkpoint_interval, batching, batch_delay, batch_policy,
             window_size, timeout_policy, reply_window, gap_limit,
         )
+        self.quorum = 2 * self.f + 1
         # seq -> (view, digest, request)
         self._accepted_pp: dict[SeqNum, tuple[int, bytes, Any]] = {}
         self._prepares: dict[tuple, set[ProcessId]] = {}
@@ -125,10 +126,6 @@ class PBFTReplica(ReplicaCore):
         self._commit_sent: set[tuple] = set()
         self._requests: dict[bytes, Any] = {}  # digest -> slot proposal
         self._vc_sent: set[int] = set()
-        # checkpointing (classic PBFT: 2f+1 certs): my own state blobs by
-        # seq, and the stable one
-        self._ckpt_blobs: dict[SeqNum, Any] = {}
-        self._stable_blob: Any = None
         # proactive state transfer: highest seq we already asked for, so a
         # growing vote set doesn't re-send per vote (retries go through the
         # view-change timer, which forces past this guard)
@@ -200,11 +197,7 @@ class PBFTReplica(ReplicaCore):
         if not self._valid_proposal(request):
             return
         digest = content_hash(request)
-        if not (
-            isinstance(sig, Signature)
-            and sig.signer == src
-            and self.scheme.verify(pp_domain(view, seq, digest), sig)
-        ):
+        if not self.scheme.verify_from(src, pp_domain(view, seq, digest), sig):
             return
         existing = self._accepted_pp.get(seq)
         if existing is not None and existing[0] == view and existing[1] != digest:
@@ -229,10 +222,8 @@ class PBFTReplica(ReplicaCore):
             return
         if src == self.primary_of(view):
             return  # the primary's pre-prepare is its prepare
-        if not (
-            isinstance(sig, Signature)
-            and sig.signer == src
-            and self.scheme.verify(prep_domain(view, seq, digest, src), sig)
+        if not self.scheme.verify_from(
+            src, prep_domain(view, seq, digest, src), sig
         ):
             return
         key = (view, seq, digest)
@@ -262,10 +253,8 @@ class PBFTReplica(ReplicaCore):
             return
         if replica != src or view != self.view or self.in_view_change is not None:
             return
-        if not (
-            isinstance(sig, Signature)
-            and sig.signer == src
-            and self.scheme.verify(commit_domain(view, seq, digest, src), sig)
+        if not self.scheme.verify_from(
+            src, commit_domain(view, seq, digest, src), sig
         ):
             return
         key = (view, seq, digest)
@@ -285,10 +274,7 @@ class PBFTReplica(ReplicaCore):
 
     # -- checkpointing / garbage collection ------------------------------------------------
 
-    def _emit_checkpoint(self, seq: SeqNum) -> None:
-        blob = self._state_blob()
-        self._ckpt_blobs[seq] = blob
-        digest = content_hash(blob)
+    def _send_checkpoint(self, seq: SeqNum, digest: bytes) -> None:
         sig = self.signer.sign(ckpt_domain(seq, digest, self.pid))
         self.ctx.broadcast(
             (CHECKPOINT, seq, digest, self.pid, sig), include_self=True
@@ -296,38 +282,33 @@ class PBFTReplica(ReplicaCore):
 
     def _on_checkpoint(self, src: ProcessId, msg: tuple) -> None:
         _, seq, digest, replica, sig = msg
-        if replica != src or not isinstance(seq, int):
+        if replica != src or not isinstance(digest, bytes):
             return
-        if not isinstance(digest, bytes):
-            return
-        if not (
-            isinstance(sig, Signature)
-            and sig.signer == src
-            and self.scheme.verify(ckpt_domain(seq, digest, src), sig)
+        entry = (src, seq, digest, sig)
+        if self._check_ckpt_entry(entry) is not None:
+            self._on_ckpt_vote(src, seq, digest, entry)
+
+    def _check_ckpt_entry(self, entry: Any) -> Optional[tuple]:
+        """Core hook: a certificate entry is ``(replica, seq, digest, sig)``."""
+        if not (isinstance(entry, tuple) and len(entry) == 4):
+            return None
+        r, seq, digest, sig = entry
+        if not isinstance(seq, int) or not self.scheme.verify_from(
+            r, ckpt_domain(seq, digest, r), sig
         ):
-            return
-        votes = self._ckpt_votes.setdefault((seq, digest), {})
-        votes.setdefault(src, sig)
-        if len(votes) < 2 * self.f + 1 or seq <= self.stable_seq:
-            return
-        if self.pid in votes:  # our own vote pins the blob we ship
-            self._stabilize(seq, digest, votes)
-        elif seq >= self.exec_next:
-            # a quorum certified a checkpoint we have not even executed:
-            # we are provably behind, fetch the certified state directly
+            return None
+        return r, seq, digest
+
+    def _on_checkpoint_ahead(self, seq: SeqNum, digest: bytes,
+                             votes: dict[ProcessId, Any]) -> None:
+        """Core hook: a quorum certified a checkpoint we have not even
+        executed — we are provably behind, fetch the certified state."""
+        if seq >= self.exec_next:
             self._request_state(seq, digest, votes)
 
-    def _stabilize(self, seq: SeqNum, digest: bytes,
-                   votes: dict[ProcessId, Signature]) -> None:
-        self.stable_seq = seq
-        chosen = sorted(votes)[: 2 * self.f + 1]
-        if self.pid not in chosen:
-            chosen = [self.pid, *chosen[: 2 * self.f]]
-        self._stable_cert = tuple(
-            (r, seq, digest, votes[r]) for r in sorted(chosen)
-        )
-        self._stable_blob = self._ckpt_blobs.get(seq)
-        # garbage-collect per-slot protocol state at or below the watermark
+    def _prune_slots(self, seq: SeqNum, my_entry: tuple) -> None:
+        """Core hook: garbage-collect per-slot protocol state at or below
+        the low watermark."""
         before = len(self._prepared_certs) + len(self._accepted_pp)
         self._prepared_certs = {
             s: c for s, c in self._prepared_certs.items() if s > seq
@@ -344,12 +325,9 @@ class PBFTReplica(ReplicaCore):
         self.log_entries_gced += before - (
             len(self._prepared_certs) + len(self._accepted_pp)
         )
-        self._ckpt_blobs = {s: b for s, b in self._ckpt_blobs.items() if s >= seq}
-        # drop everything below the low watermark that the prunes above
-        # didn't already reach: commit-sent markers, the digest->proposal
-        # store (keep only digests still referenced by a live accepted
-        # pre-prepare or prepared certificate), and the maps both protocols
-        # share (the core prunes those)
+        # commit-sent markers, and the digest->proposal store (keep only
+        # digests still referenced by a live accepted pre-prepare or
+        # prepared certificate)
         self._commit_sent = {k for k in self._commit_sent if k[1] > seq}
         live = {a[1] for a in self._accepted_pp.values()} | {
             c[1] for c in self._prepared_certs.values()
@@ -357,15 +335,11 @@ class PBFTReplica(ReplicaCore):
         self._requests = {
             d: r for d, r in self._requests.items() if d in live
         }
-        self._prune_settled(seq)
-        self.ctx.record("custom", event="checkpoint_stable", seq=seq)
-        # a stabilized checkpoint moves the window's low watermark
-        self._pipeline_resume()
 
     # -- proactive state transfer ----------------------------------------------------------
 
     def _request_state(self, seq: SeqNum, digest: bytes,
-                       votes: dict[ProcessId, Signature],
+                       votes: dict[ProcessId, Any],
                        force: bool = False) -> None:
         """Ask the checkpoint's voters for the blob behind a 2f+1-certified
         digest at or above our execution frontier. Asked of every voter,
@@ -383,11 +357,7 @@ class PBFTReplica(ReplicaCore):
         _, seq, digest, replica, sig = msg
         if replica != src or not isinstance(seq, int) or not isinstance(digest, bytes):
             return
-        if not (
-            isinstance(sig, Signature)
-            and sig.signer == src
-            and self.scheme.verify(gs_domain(seq, digest, src), sig)
-        ):
+        if not self.scheme.verify_from(src, gs_domain(seq, digest, src), sig):
             return
         blob = self._ckpt_blobs.get(seq)
         if blob is not None and content_hash(blob) == digest:
@@ -406,7 +376,7 @@ class PBFTReplica(ReplicaCore):
         except Exception:
             return
         votes = self._ckpt_votes.get((seq, digest))
-        if votes is None or len(votes) < 2 * self.f + 1:
+        if votes is None or len(votes) < self.quorum:
             return  # no local certificate pins this blob
         if not (
             isinstance(blob, tuple) and len(blob) == 4
@@ -435,7 +405,7 @@ class PBFTReplica(ReplicaCore):
         best = None
         for (seq, digest), votes in self._ckpt_votes.items():
             if (
-                len(votes) >= 2 * self.f + 1
+                len(votes) >= self.quorum
                 and seq >= self.exec_next
                 and self.pid not in votes
                 and (best is None or seq > best[0])
@@ -445,34 +415,6 @@ class PBFTReplica(ReplicaCore):
             return False
         self._request_state(*best, force=True)
         return True
-
-    @staticmethod
-    def _validate_ckpt_cert(scheme, cert: Any, f: int):
-        """Returns (seq, digest) when cert holds 2f+1 matching signatures."""
-        if not isinstance(cert, tuple) or len(cert) < 2 * f + 1:
-            return None
-        seq = digest = None
-        seen = set()
-        for item in cert:
-            if not (isinstance(item, tuple) and len(item) == 4):
-                return None
-            r, c_seq, c_digest, sig = item
-            if seq is None:
-                seq, digest = c_seq, c_digest
-            elif (c_seq, c_digest) != (seq, digest):
-                return None
-            if r in seen or not isinstance(c_seq, int):
-                return None
-            if not (
-                isinstance(sig, Signature)
-                and sig.signer == r
-                and scheme.verify(ckpt_domain(c_seq, c_digest, r), sig)
-            ):
-                return None
-            seen.add(r)
-        if seq is None or len(seen) < 2 * f + 1:
-            return None
-        return seq, digest
 
     # -- view change ----------------------------------------------------------------------
 
@@ -527,15 +469,8 @@ class PBFTReplica(ReplicaCore):
             return False
         if not isinstance(prepared, tuple):
             return False
-        if stable_seq == 0:
-            return cert == () and blob is None
-        checked = self._validate_ckpt_cert(self.scheme, cert, self.f)
-        if checked is None or checked[0] != stable_seq:
-            return False
-        try:
-            return content_hash(blob) == checked[1]
-        except Exception:
-            return False
+        claim = self._stable_claim(stable_seq == 0, cert, blob)
+        return claim is not None and claim[0] == stable_seq
 
     def _on_view_change(self, src: ProcessId, msg: tuple) -> None:
         _, new_view, stable_seq, cert, blob, prepared, replica, sig = msg
@@ -548,11 +483,7 @@ class PBFTReplica(ReplicaCore):
             # unserializable body: nothing could have been signed over it
             self.malformed_rejects += 1
             return
-        if not (
-            isinstance(sig, Signature)
-            and sig.signer == src
-            and self.scheme.verify(domain, sig)
-        ):
+        if not self.scheme.verify_from(src, domain, sig):
             return
         if not self._validate_vc_body(stable_seq, cert, blob, prepared):
             return
@@ -626,12 +557,8 @@ class PBFTReplica(ReplicaCore):
         except Exception:
             self.malformed_rejects += 1
             return
-        if not (
-            isinstance(sig, Signature)
-            and sig.signer == src
-            and self.scheme.verify(
-                ("PBFT-NV", new_view, vcs_digest, src), sig
-            )
+        if not self.scheme.verify_from(
+            src, ("PBFT-NV", new_view, vcs_digest, src), sig
         ):
             return
         if not isinstance(vcs, tuple) or len(vcs) < 2 * self.f + 1:
@@ -646,11 +573,7 @@ class PBFTReplica(ReplicaCore):
             if r in seen or not isinstance(r, int) or not (0 <= r < self.n):
                 return
             body = (stable_seq, cert, blob, prepared)
-            if not (
-                isinstance(vsig, Signature)
-                and vsig.signer == r
-                and self.scheme.verify(vc_domain(new_view, body, r), vsig)
-            ):
+            if not self.scheme.verify_from(r, vc_domain(new_view, body, r), vsig):
                 return
             if not self._validate_vc_body(stable_seq, cert, blob, prepared):
                 return

@@ -11,12 +11,18 @@ trigger), the checkpoint state blob and its installation, and the
 escalation tail of the view-change timer and of a conviction.
 :class:`~repro.consensus.minbft.MinBFTReplica` and
 :class:`~repro.consensus.pbft.PBFTReplica` add how a slot gets
-*certified*, and plug in through a handful of hooks, none of them on the
-per-request path: :meth:`~ReplicaCore._emit_slot`,
-:meth:`~ReplicaCore._slot_requests`, :meth:`~ReplicaCore._emit_checkpoint`,
+*certified* — a replica class defines **evidence and quorum**, the core
+defines everything else — and plug in through a handful of hooks, none of
+them on the per-request path: :meth:`~ReplicaCore._emit_slot`,
+:meth:`~ReplicaCore._slot_requests`,
 :meth:`~ReplicaCore._send_view_change`,
-:meth:`~ReplicaCore._before_vc_retry` and :attr:`ReplicaCore.STATE_TAG`
-(DESIGN.md §5.2 says which paper-level difference each one carries).
+:meth:`~ReplicaCore._before_vc_retry`, :attr:`ReplicaCore.STATE_TAG`, and
+for checkpoints :attr:`ReplicaCore.quorum`,
+:meth:`~ReplicaCore._send_checkpoint` / :meth:`~ReplicaCore._check_ckpt_entry`
+(one replica's evidence out, one certificate entry in),
+:meth:`~ReplicaCore._prune_slots` and
+:meth:`~ReplicaCore._on_checkpoint_ahead` (DESIGN.md §5.2 says which
+paper-level difference each one carries).
 
 **Bounded in-flight window.** ``window_size > 0`` caps how many slots may
 be outstanding between the window base — ``max(stable_seq, exec_next-1)``,
@@ -38,9 +44,10 @@ window reopens. Nothing is ever dropped at the window edge.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
-from ..crypto.signatures import Signature, SignatureScheme, Signer
+from ..crypto.serialize import content_hash
+from ..crypto.signatures import SignatureScheme, Signer
 from ..errors import ConfigurationError
 from ..sim.process import Process
 from ..types import ProcessId, SeqNum
@@ -68,6 +75,38 @@ def request_domain(client: ProcessId, req_id: int, op: Any) -> tuple:
     return ("MINBFT-REQ", client, req_id, op)
 
 
+def validate_checkpoint_cert(
+    cert: Any,
+    quorum: int,
+    check_entry: Callable[[Any], Optional[tuple[ProcessId, SeqNum, bytes]]],
+) -> Optional[tuple[SeqNum, bytes, dict[ProcessId, Any]]]:
+    """Validate a stable-checkpoint certificate.
+
+    ``cert`` is a tuple of protocol-specific entries; ``check_entry`` maps
+    one entry to ``(replica, seq, digest)`` when it is that replica's
+    verified attestation of the state after ``seq``, else to None. Valid
+    when at least ``quorum`` *distinct* replicas attested the same
+    ``(seq, digest)`` and nothing else rides along (every entry must
+    check out, match the first and name a new replica). Returns
+    ``(seq, digest, {replica: entry})``.
+    """
+    if not isinstance(cert, tuple) or not cert or len(cert) < quorum:
+        return None
+    claim: Optional[tuple] = None
+    entries: dict[ProcessId, Any] = {}
+    for entry in cert:
+        checked = check_entry(entry)
+        if checked is None:
+            return None
+        replica, *this = checked
+        if claim is None:
+            claim = this
+        if this != claim or replica in entries:
+            return None
+        entries[replica] = entry
+    return claim[0], claim[1], entries
+
+
 class ReplicaCore(Process):
     """Protocol-independent replica state and behaviour (see module doc).
 
@@ -80,6 +119,9 @@ class ReplicaCore(Process):
     VC_TIMER = "vc"
     BATCH_TAG = "batch"
     STATE_TAG = "CKPT-STATE"
+    quorum: int
+    """Hook: how many matching votes certify (f+1 behind trusted hardware,
+    2f+1 without); set by the subclass constructor."""
 
     def __init__(
         self,
@@ -135,9 +177,12 @@ class ReplicaCore(Process):
         self._new_view_sent: set[int] = set()
         # checkpointing / garbage collection
         self.checkpoint_interval = checkpoint_interval
+        # (seq, digest) -> {replica: its certificate entry}
         self._ckpt_votes: dict[tuple, dict[ProcessId, Any]] = {}
+        self._ckpt_blobs: dict[SeqNum, Any] = {}  # my own state blobs by seq
         self.stable_seq: SeqNum = 0
         self._stable_cert: tuple = ()
+        self._stable_blob: Any = None
         # forensics: replicas proven Byzantine (see consensus/forensics);
         # their messages and votes are refused from conviction on
         self._convicted: set[ProcessId] = set()
@@ -184,9 +229,9 @@ class ReplicaCore(Process):
         return (
             isinstance(client, int)
             and isinstance(req_id, int)
-            and isinstance(sig, Signature)
-            and sig.signer == client
-            and self.scheme.verify(request_domain(client, req_id, op), sig)
+            and self.scheme.verify_from(
+                client, request_domain(client, req_id, op), sig
+            )
         )
 
     def _is_executed(self, key: tuple) -> bool:
@@ -336,9 +381,26 @@ class ReplicaCore(Process):
         """The client requests inside a certified slot proposal."""
         return proposal_requests(proposal)
 
-    def _emit_checkpoint(self, seq: SeqNum) -> None:
-        """Attest to the state after executing ``seq``."""
+    def _send_checkpoint(self, seq: SeqNum, digest: bytes) -> None:
+        """Attest, with this protocol's evidence, that the state after
+        executing ``seq`` hashes to ``digest``."""
         raise NotImplementedError
+
+    def _check_ckpt_entry(self, entry: Any) -> Optional[tuple]:
+        """``(replica, seq, digest)`` when ``entry`` is one replica's
+        verified checkpoint attestation in this protocol's certificate
+        format, else None."""
+        raise NotImplementedError
+
+    def _prune_slots(self, seq: SeqNum, my_entry: Any) -> None:
+        """Drop the protocol's own per-slot state that a stable checkpoint
+        at ``seq`` settles; ``my_entry`` is this replica's own entry in the
+        certificate."""
+        raise NotImplementedError
+
+    def _on_checkpoint_ahead(self, seq: SeqNum, digest: bytes,
+                             votes: dict[ProcessId, Any]) -> None:
+        """A quorum certified a checkpoint this replica has not attested."""
 
     def _send_view_change(self, new_view: int) -> None:
         """Demand (once per view) that the group move to ``new_view``."""
@@ -444,13 +506,38 @@ class ReplicaCore(Process):
             exec_next=exec_next,
         )
 
-    def _prune_settled(self, seq: SeqNum) -> None:
-        """Drop the slot state both protocols hold that a stable checkpoint
-        at ``seq`` settles: a quorum attests to the executed prefix, so
-        certificates, checkpoint votes and proposed-request keys at or below
-        it can never be consulted again. Together with each protocol's own
-        vote/accept maps this is what bounds replica memory by
-        checkpoint_interval + window instead of O(total requests)."""
+    def _emit_checkpoint(self, seq: SeqNum) -> None:
+        """Keep the state blob after executing ``seq`` and attest to it."""
+        blob = self._state_blob()
+        self._ckpt_blobs[seq] = blob
+        self._send_checkpoint(seq, content_hash(blob))
+
+    def _on_ckpt_vote(self, replica: ProcessId, seq: SeqNum, digest: bytes,
+                      entry: Any) -> None:
+        """Count one replica's verified attestation (``entry``: its
+        certificate entry). Stabilizes only once our own vote is in — it
+        pins the blob we ship and, under MinBFT, the log truncation point."""
+        votes = self._ckpt_votes.setdefault((seq, digest), {})
+        votes.setdefault(replica, entry)
+        if len(votes) < self.quorum or seq <= self.stable_seq:
+            return
+        if self.pid in votes:
+            self._stabilize(seq, votes)
+        else:
+            self._on_checkpoint_ahead(seq, digest, votes)
+
+    def _stabilize(self, seq: SeqNum, votes: dict[ProcessId, Any]) -> None:
+        self.stable_seq = seq
+        chosen = sorted(votes)[: self.quorum]
+        if self.pid not in chosen:
+            chosen = [self.pid, *chosen[: self.quorum - 1]]
+        self._stable_cert = tuple(votes[r] for r in sorted(chosen))
+        self._stable_blob = self._ckpt_blobs.get(seq)
+        # a quorum attests to the executed prefix, so per-slot state at or
+        # below it can never be consulted again: this is what bounds replica
+        # memory by checkpoint_interval + window instead of O(total requests)
+        self._prune_slots(seq, votes[self.pid])
+        self._ckpt_blobs = {s: b for s, b in self._ckpt_blobs.items() if s >= seq}
         self._certified = {
             s: r for s, r in self._certified.items() if s >= self.exec_next
         }
@@ -460,6 +547,34 @@ class ReplicaCore(Process):
         self._proposed_keys = {
             k for k in self._proposed_keys if not self._is_executed(k)
         }
+        self.ctx.record("custom", event="checkpoint_stable", seq=seq)
+        # a stabilized checkpoint moves the window's low watermark
+        self._pipeline_resume()
+
+    def _stable_claim(self, none_yet: bool, cert: Any,
+                      blob: Any) -> Optional[tuple[SeqNum, dict]]:
+        """Check a peer's claim "my stable checkpoint is ``cert`` and its
+        state is ``blob``"; returns ``(stable_seq, {replica: entry})``.
+
+        ``none_yet`` (the peer says it has no stable checkpoint) must come
+        with an empty certificate and no blob; otherwise the certificate
+        must hold a quorum and the blob must hash to the certified digest —
+        that is what makes the blob safe to install.
+        """
+        if none_yet:
+            return (0, {}) if cert == () and blob is None else None
+        checked = validate_checkpoint_cert(
+            cert, self.quorum, self._check_ckpt_entry
+        )
+        if checked is None:
+            return None
+        seq, digest, entries = checked
+        try:
+            if content_hash(blob) != digest:
+                return None
+        except Exception:  # attacker-controlled blob may not serialize
+            return None
+        return seq, entries
 
     # -- view-change timer / conviction tails --------------------------------
 

@@ -78,49 +78,6 @@ def verify_log(
     return verify_log_from(verifier, replica, log, 1, end_counter)
 
 
-def validate_checkpoint_cert(
-    verifier: USIGVerifier,
-    cert: Any,
-    f: int,
-) -> Optional[tuple[SeqNum, bytes, dict[ProcessId, SeqNum]]]:
-    """Validate a stable-checkpoint certificate.
-
-    ``cert`` is a tuple of ``(replica, ("CHECKPOINT", seq, digest), ui)``
-    triples. Valid when at least ``f+1`` *distinct* replicas attested the
-    same ``(seq, digest)``. Returns ``(seq, digest, {replica: ui_counter})``
-    — the counters are what lets a verifier pin each replica's log base.
-    """
-    if not isinstance(cert, tuple) or len(cert) < f + 1:
-        return None
-    seq: Optional[SeqNum] = None
-    digest: Optional[bytes] = None
-    counters: dict[ProcessId, SeqNum] = {}
-    for item in cert:
-        if not (isinstance(item, tuple) and len(item) == 3):
-            return None
-        replica, message, ui = item
-        if not (isinstance(message, tuple) and len(message) == 3
-                and message[0] == "CHECKPOINT"):
-            return None
-        _, m_seq, m_digest = message
-        if not isinstance(m_seq, int) or not isinstance(m_digest, bytes):
-            return None
-        if seq is None:
-            seq, digest = m_seq, m_digest
-        elif m_seq != seq or m_digest != digest:
-            return None
-        if replica in counters:
-            return None
-        if not ui_like(ui) or ui.replica != replica:
-            return None
-        if not verifier.verify_ui(ui, message, replica):
-            return None
-        counters[replica] = ui.counter
-    if seq is None or len(counters) < f + 1:
-        return None
-    return seq, digest, counters
-
-
 @dataclass(frozen=True, slots=True)
 class SlotCandidate:
     """A (view, request) claim for one sequence slot, with its PREPARE UI."""

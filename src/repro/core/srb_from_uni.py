@@ -126,9 +126,11 @@ def validate_copies(
         if not (isinstance(item, tuple) and len(item) == 2):
             continue
         j, sig = item
-        if not isinstance(sig, Signature) or sig.signer != j or j in seen:
-            continue
-        if scheme.verify(domain, sig):
+        if (
+            isinstance(j, int)  # attacker-chosen: must be hashable for `seen`
+            and j not in seen
+            and scheme.verify_from(j, domain, sig)
+        ):
             seen.add(j)
     return len(seen) >= t + 1
 
@@ -144,9 +146,7 @@ def _validate_l1_item_uncached(
     if not (isinstance(item, tuple) and len(item) == 3):
         return None
     builder, copies, sig = item
-    if not isinstance(sig, Signature) or sig.signer != builder:
-        return None
-    if not scheme.verify(l1_domain(sender, k, m), sig):
+    if not scheme.verify_from(builder, l1_domain(sender, k, m), sig):
         return None
     if not validate_copies(scheme, sender, k, m, copies, t):
         return None
@@ -187,9 +187,7 @@ def _validate_l2_uncached(
     _, k, m, sig_s, l1items = payload
     if not isinstance(k, int) or k < 1:
         return None
-    if not isinstance(sig_s, Signature) or sig_s.signer != sender:
-        return None
-    if not scheme.verify(val_domain(sender, k, m), sig_s):
+    if not scheme.verify_from(sender, val_domain(sender, k, m), sig_s):
         return None
     if not isinstance(l1items, tuple):
         return None
@@ -354,9 +352,9 @@ class SRBFromUnidirectional(RoundProcess):
         """
         if not isinstance(k, int) or k < 1:
             return False
-        if not isinstance(sig_s, Signature) or sig_s.signer != self.sender:
-            return False
-        if not self.scheme.verify(val_domain(self.sender, k, m), sig_s):
+        if not self.scheme.verify_from(
+            self.sender, val_domain(self.sender, k, m), sig_s
+        ):
             return False
         adopted = self._vals.get(k)
         if adopted is None:

@@ -122,11 +122,7 @@ class CornerCaseRoundTransport(RoundTransport):
                 self._check_progress(label)
 
     def _valid_p1(self, src: ProcessId, label: Label, payload: Any, sig: Any) -> bool:
-        return (
-            isinstance(sig, Signature)
-            and sig.signer == src
-            and self.scheme.verify(_p1_domain(label, payload), sig)
-        )
+        return self.scheme.verify_from(src, _p1_domain(label, payload), sig)
 
     def _ingest_p1(self, p1_src: ProcessId, label: Label, payload: Any,
                    sig: Any, direct_src: ProcessId) -> None:

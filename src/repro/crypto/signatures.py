@@ -185,17 +185,30 @@ class SignatureScheme:
             self._verify_cache.put(cache_key, verdict)
         return verdict
 
+    def verify_from(self, signer: ProcessId, value: Any, signature: Any) -> bool:
+        """Whether ``signature`` is ``signer``'s signature of ``value``.
+
+        The signed-envelope check every protocol handler applies to an
+        untrusted field: it is a :class:`Signature`, it names the expected
+        signer, and it verifies — short-circuiting in that order, so a
+        mislabelled envelope costs no serialization or HMAC work.
+        """
+        return (
+            isinstance(signature, Signature)
+            and signature.signer == signer
+            and self.verify(value, signature)
+        )
+
     def verify_signed(self, pair: Any, expected_signer: ProcessId | None = None) -> bool:
         """Verify a ``(value, Signature)`` pair as carried in protocol messages.
 
-        Convenience used by protocol code: checks the pair shape, optionally
-        that the claimed signer matches ``expected_signer``, then verifies.
+        Convenience used by protocol code: checks the pair shape, then
+        :meth:`verify_from` against ``expected_signer`` (default: whoever
+        the signature itself names).
         """
         if not (isinstance(pair, tuple) and len(pair) == 2):
             return False
         value, signature = pair
-        if not isinstance(signature, Signature):
-            return False
-        if expected_signer is not None and signature.signer != expected_signer:
-            return False
-        return self.verify(value, signature)
+        if expected_signer is None:
+            expected_signer = getattr(signature, "signer", None)
+        return self.verify_from(expected_signer, value, signature)

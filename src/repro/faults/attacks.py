@@ -462,6 +462,9 @@ class SRBSenderEquivocation(Attack):
             self._alt_frame = (ROUND_MSG, label, ("VAL", k, alt_value, alt_sig))
             self._struck_k = k
             self.strikes += 1
+            # attest what was signed (as Byzantine senders here do): the
+            # auditor's Byzantine-sender integrity clause must see it
+            inner.ctx.record("bcast", seq=k, value=alt_value)
         if k != self._struck_k:
             return msg
         if dst % 2 == 1:

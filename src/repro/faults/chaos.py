@@ -44,8 +44,8 @@ from ..core.rounds import MessagePassingRoundTransport
 from ..core.srb import SRBLivenessChecker, SRBStreamChecker, check_srb
 from ..core.srb_from_uni import SRBFromUnidirectional, build_mp_srb_system
 from ..errors import ConfigurationError, PropertyViolation
-from ..sim.trace import TraceObserver
 from ..types import ProcessId, Time
+from ..workloads.load import OrderHasher
 from .adversaries import ChaosAdversary, GSTAdversary
 from .attacks import ATTACKS, AttackerProcess, TraitorReplica, get_attack
 from .channel import ReliableProcess
@@ -544,7 +544,8 @@ def run_srb_chaos(
     correct = cell.correct(n)
     checker = (
         SRBStreamChecker(
-            0, correct, expect_complete=expect_complete, fail_fast=True
+            0, correct, sender_correct=cell.attacker != 0,
+            expect_complete=expect_complete, fail_fast=True,
         )
         if streaming else None
     )
@@ -564,6 +565,7 @@ def run_srb_chaos(
             return checker.finish()
         fault_free = tuple(p for p in sim.fault_free_pids if p != cell.attacker)
         return check_srb(sim.trace, 0, fault_free,
+                         sender_correct=cell.attacker != 0,
                          expect_complete=expect_complete)
 
     protocol = "srb-uni-broken" if broken else "srb-uni"
@@ -1137,26 +1139,6 @@ def run_compromised_minbft_soak(
 # ---------------------------------------------------------------------------
 
 
-class _OrderHasher(TraceObserver):
-    """Streaming hash of the dispatch-order trace stream.
-
-    Subscribed before anything else, it sees every recorded event in
-    dispatch order and folds ``(index, time, kind, pid)`` into a SHA-256 —
-    the run's *order witness*. Two runs with equal digests recorded the
-    same events in the same order; the big-run harness uses this to prove
-    a sharded execution reproduced the serial one bit-exactly.
-    """
-
-    def __init__(self) -> None:
-        self._h = hashlib.sha256()
-
-    def on_event(self, ev) -> None:
-        self._h.update(f"{ev.index}|{ev.time!r}|{ev.kind}|{ev.pid}".encode())
-
-    def hexdigest(self) -> str:
-        return self._h.hexdigest()
-
-
 @dataclass(slots=True)
 class BigRunResult:
     """Deterministic merge of one sharded open-loop run.
@@ -1209,7 +1191,7 @@ def _run_big_shard(
     shard_seed = int.from_bytes(
         hashlib.sha256(f"bigrun|{seed}|{index}".encode()).digest()[:8], "big"
     )
-    hasher = _OrderHasher()
+    hasher = OrderHasher()
     sim, procs, _scheme = build_mp_srb_system(
         n=4,
         t=1,

@@ -26,12 +26,15 @@ while goodput pins to zero — unless admission control, retry budgets,
 and backpressure (the protected configuration) bring arrivals back under
 ``1/proc_time``.
 
-:class:`TenantClient` is the matching workload driver: a closed-loop
-client that signs its own ops, retries on a timeout policy (optionally
-jittered and bounded by a :class:`~repro.faults.timeouts.RetryBudget`),
-honors typed ``SVC_REJECT`` backpressure by pausing for the advertised
-``retry_after``, and emits the ``svc_sent`` / ``svc_done`` /
-``svc_failed`` trace events the streaming service auditors key on.
+:class:`TenantClient` is the matching workload driver: the closed-loop
+:class:`~repro.consensus.client.BFTClient` (sign, retry on a timeout
+policy — optionally jittered and bounded by a
+:class:`~repro.faults.timeouts.RetryBudget` — match replies, abandon)
+with the first hop through the ingress. It adds only what the ingress
+asks of it: honoring typed ``SVC_REJECT`` backpressure by pausing for the
+advertised ``retry_after``, the ``SVC_DONE`` ack, and the ``svc_sent`` /
+``svc_done`` / ``svc_failed`` trace-event names the streaming service
+auditors key on.
 """
 
 from __future__ import annotations
@@ -39,11 +42,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Optional, Sequence
 
-from ..crypto.signatures import Signer
-from ..consensus.minbft import REPLY, REQUEST, request_domain
-from ..errors import ConfigurationError, RetriesExhausted
+from ..consensus.client import BFTClient
+from ..consensus.minbft import REPLY, REQUEST
+from ..errors import ConfigurationError
 from ..sim.process import Process
-from ..types import ProcessId, Time
+from ..types import ProcessId
 from .admission import (
     BoundedAdmissionQueue,
     FairShare,
@@ -321,15 +324,15 @@ class IngressProcess(Process):
         return stats
 
 
-class TenantClient(Process):
+class TenantClient(BFTClient):
     """Closed-loop tenant driving ops through the ingress.
 
     One outstanding request at a time (which also keeps the replicas'
     per-client reply cache coherent): sign, send ``SVC_REQ`` to the
     ingress, wait for ``reply_quorum`` matching replica ``REPLY``\\ s,
-    ack with ``SVC_DONE``, think, repeat. Retransmission runs on
-    ``timeout_policy`` — optionally wrapped in seed-deterministic jitter
-    (``backoff_jitter``) and bounded by ``retry_budget`` (exhaustion is a
+    ack with ``SVC_DONE``, think, repeat — the
+    :class:`~repro.consensus.client.BFTClient` life-cycle, retransmission
+    policy, jitter and retry budget included (budget exhaustion is a
     terminal, typed ``svc_failed`` outcome). With
     ``honor_backpressure=True`` a typed ``SVC_REJECT`` pauses the tenant
     for the advertised ``retry_after`` (plus jitter) instead of feeding
@@ -339,6 +342,10 @@ class TenantClient(Process):
 
     RETRY_TAG = "svc-retry"
     RESUBMIT_TAG = "svc-resubmit"
+    JITTER_LABEL = "tenant"
+    SENT, DONE, FAILED, FINISHED = (
+        "svc_sent", "svc_done", "svc_failed", "tenant_done"
+    )
 
     def __init__(
         self,
@@ -354,192 +361,91 @@ class TenantClient(Process):
         honor_backpressure: bool = True,
         start_spread: float = 0.0,
     ) -> None:
-        super().__init__()
-        if reply_quorum < 1:
-            raise ConfigurationError(
-                f"reply quorum must be >= 1, got {reply_quorum}"
-            )
+        super().__init__(
+            replicas, reply_quorum, ops, retry_timeout=retry_timeout,
+            think_time=think_time, timeout_policy=timeout_policy,
+            retry_budget=retry_budget, backoff_jitter=backoff_jitter,
+        )
         self.ingress = ingress
-        self.replicas = tuple(replicas)
-        self.reply_quorum = reply_quorum
-        self.ops = list(ops)
-        if timeout_policy is None:
-            from ..faults.timeouts import FixedTimeout
-
-            timeout_policy = FixedTimeout(retry_timeout)
-        elif callable(timeout_policy) and not hasattr(timeout_policy, "current"):
-            timeout_policy = timeout_policy()
-        self.timeout_policy = timeout_policy
-        if callable(retry_budget) and not hasattr(retry_budget, "try_spend"):
-            retry_budget = retry_budget()
-        self.retry_budget = retry_budget
-        self.backoff_jitter = backoff_jitter
-        self.think_time = think_time
         self.honor_backpressure = honor_backpressure
         self.start_spread = start_spread
-        self.signer: Optional[Signer] = None  # injected by the harness
-        self._rng: Any = None
-        self._next_op = 0
-        self._terminal_wm = 0  # highest req_id that reached a terminal outcome
-        self._current_req_id: Optional[int] = None
-        self._sent_at: Time = 0.0
-        self._attempts = 0
-        self._replies: dict[ProcessId, Any] = {}
-        self._retry_timer: Optional[int] = None
-        self.latencies: list[float] = []
-        self.results: list[Any] = []
-        self.failures: list[RetriesExhausted] = []
         self.rejections = 0
-        self.retransmissions = 0
-
-    @property
-    def done(self) -> bool:
-        return self._next_op >= len(self.ops) and self._current_req_id is None
-
-    # -- lifecycle ---------------------------------------------------------
 
     def on_start(self) -> None:
-        from ..faults.timeouts import JitteredPolicy, derive_jitter_rng
-
-        self._rng = derive_jitter_rng(self.ctx.seed, "tenant", self.pid)
-        if self.backoff_jitter > 0:
-            self.timeout_policy = JitteredPolicy(
-                self.timeout_policy, self._rng, jitter=self.backoff_jitter
-            )
         if self.start_spread > 0:
             # de-synchronize the fleet's first wave of submissions
+            self._install_jitter()
             self.ctx.set_timer(
-                self._rng.random() * self.start_spread, "think"
+                self._jitter_rng().random() * self.start_spread, self.THINK_TAG
             )
         else:
-            self._submit_next()
+            super().on_start()
 
-    # -- submission / retransmission ---------------------------------------
-
-    def _submit_next(self) -> None:
-        if self._next_op >= len(self.ops):
-            self.ctx.record("custom", event="tenant_done", ops=len(self.results))
-            return
-        req_id = self._next_op + 1
-        self._current_req_id = req_id
-        self._replies = {}
-        self._sent_at = self.ctx.now
-        self._attempts = 1
-        if self.retry_budget is not None:
-            self.retry_budget.note_send()
-        self._send_request()
-        self.ctx.record("custom", event="svc_sent", req_id=req_id)
-        self._arm_retry()
-
-    def _send_request(self) -> None:
-        assert self.signer is not None
-        req_id = self._current_req_id
-        op = self.ops[self._next_op]
-        sig = self.signer.sign(request_domain(self.pid, req_id, op))
+    def _first_hop(self, req_id: int, op: tuple, sig: Any) -> None:
         self.ctx.send(self.ingress, (SVC_REQ, self.pid, req_id, op, sig))
 
-    def _arm_retry(self) -> None:
-        self._retry_timer = self.ctx.set_timer(
+    def _completed(self, req_id: int, latency: float) -> None:
+        self.ctx.send(self.ingress, (SVC_DONE, self.pid, req_id, latency))
+
+    # -- timers: the service's tags carry no request id ---------------------
+    #
+    # One request is in flight at a time, and a retry or resubmit timer
+    # drives whichever request that is when it fires. Two rejects of one
+    # request (the original and a retransmission) therefore leave a second
+    # retry timer behind that can retransmit the *next* request early.
+    # Harmless (the ingress deduplicates) and pinned by the chaos witnesses,
+    # so it is kept as it is.
+
+    def _arm_retry(self, req_id: int) -> None:
+        self._inflight[req_id]["timer"] = self.ctx.set_timer(
             self.timeout_policy.current(), self.RETRY_TAG
         )
 
-    def _cancel_retry(self) -> None:
-        if self._retry_timer is not None:
-            self.ctx.cancel_timer(self._retry_timer)
-            self._retry_timer = None
-
     def on_timer(self, tag: Any) -> None:
-        if tag == "think":
-            self._submit_next()
-            return
-        if tag == self.RESUBMIT_TAG:
-            if self._current_req_id is not None:
-                self._send_request()
-                self._arm_retry()
-            return
-        if tag != self.RETRY_TAG or self._current_req_id is None:
-            return
-        if self.retry_budget is not None and not self.retry_budget.try_spend():
-            self._abandon_current()
-            return
-        self.retransmissions += 1
-        self._attempts += 1
-        self.timeout_policy.escalate()
-        self._send_request()
-        self._arm_retry()
-
-    def _abandon_current(self) -> None:
-        req_id = self._current_req_id
-        assert req_id is not None
-        failure = RetriesExhausted(req_id, self._attempts)
-        self.failures.append(failure)
-        self.ctx.record(
-            "custom", event="svc_failed", req_id=req_id,
-            reason="retries_exhausted", attempts=self._attempts,
-        )
-        self._retry_timer = None
-        self._terminal_wm = max(self._terminal_wm, req_id)
-        self._current_req_id = None
-        self._next_op += 1
-        self._after_terminal()
-
-    def _after_terminal(self) -> None:
-        if self.think_time > 0:
-            self.ctx.set_timer(self.think_time, "think")
+        if tag == self.RETRY_TAG:
+            for req_id in tuple(self._inflight):  # _retry may abandon it
+                self._retry(req_id)
+        elif tag == self.RESUBMIT_TAG:
+            for req_id in self._inflight:
+                self._send_request(req_id)
+                self._arm_retry(req_id)
         else:
-            self._submit_next()
+            super().on_timer(tag)
 
     # -- completions and backpressure --------------------------------------
 
     def on_message(self, src: ProcessId, msg: Any) -> None:
         if not (isinstance(msg, tuple) and msg):
             return
-        if msg[0] == REPLY and len(msg) == 5:
-            self._on_reply(src, msg)
-        elif msg[0] == SVC_REJECT and len(msg) == 4:
+        if msg[0] == SVC_REJECT and len(msg) == 4:
             self._on_reject(msg)
-
-    def _on_reply(self, src: ProcessId, msg: tuple) -> None:
-        _, _replica, req_id, result, _view = msg
-        if src not in self.replicas:
-            return
-        if req_id != self._current_req_id:
-            # a reply for a request this tenant already resolved (completed
-            # earlier, or abandoned on budget exhaustion while it was still
-            # queued at the ingress): ack it anyway, so the ingress frees
-            # the dispatch slot now instead of waiting out the lease
-            if isinstance(req_id, int) and 0 < req_id <= self._terminal_wm:
+        elif msg[0] == REPLY and len(msg) == 5 and src in self.replicas:
+            req_id = msg[2]
+            if not isinstance(req_id, int):
+                return
+            if req_id in self._inflight:
+                super().on_message(src, msg)
+            elif 0 < req_id <= self._next_op:
+                # a reply for a request this tenant already resolved
+                # (completed earlier, or abandoned on budget exhaustion while
+                # it was still queued at the ingress): ack it anyway, so the
+                # ingress frees the dispatch slot now instead of waiting out
+                # the lease
                 self.ctx.send(self.ingress, (SVC_DONE, self.pid, req_id, 0.0))
-            return
-        self._replies[src] = result
-        matching = sum(1 for v in self._replies.values() if v == result)
-        if matching < self.reply_quorum:
-            return
-        latency = self.ctx.now - self._sent_at
-        self.latencies.append(latency)
-        self.results.append(result)
-        self.timeout_policy.observe(latency)
-        self.timeout_policy.note_progress()
-        self.ctx.record(
-            "custom", event="svc_done", req_id=req_id, latency=latency,
-        )
-        self.ctx.send(self.ingress, (SVC_DONE, self.pid, req_id, latency))
-        self._cancel_retry()
-        self._terminal_wm = max(self._terminal_wm, req_id)
-        self._current_req_id = None
-        self._next_op += 1
-        self._after_terminal()
 
     def _on_reject(self, msg: tuple) -> None:
         _, req_id, _reason, retry_after = msg
-        if req_id != self._current_req_id:
+        rec = self._inflight.get(req_id) if isinstance(req_id, int) else None
+        if rec is None:
             return
         self.rejections += 1
         if not self.honor_backpressure:
             return  # legacy client: keeps hammering on its retry timer
         # honor the hint: pause (with jitter, so the shed herd does not
         # return in lockstep) and resubmit the same request
-        self._cancel_retry()
+        if rec["timer"] is not None:
+            self.ctx.cancel_timer(rec["timer"])
+            rec["timer"] = None
         delay = max(float(retry_after), 0.1)
-        delay *= 1.0 + 0.5 * self._rng.random()
+        delay *= 1.0 + 0.5 * self._jitter_rng().random()
         self.ctx.set_timer(delay, self.RESUBMIT_TAG)

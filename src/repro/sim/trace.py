@@ -122,9 +122,6 @@ class TraceObserver:
     def on_event(self, ev: TraceEvent) -> None:
         """Called once per recorded event, in trace order."""
 
-    def on_evict(self, ev: TraceEvent) -> None:
-        """Called when ``ev`` falls out of a bounded store's retention window."""
-
 
 # ---------------------------------------------------------------------------
 # JSONL value codec
@@ -355,7 +352,6 @@ class TraceStore:
 
     def _evict_oldest(self) -> None:
         phys = self._dead
-        old = self._materialize(phys) if self._observers else None
         kind = self._c_kind[phys]
         pid = self._c_pid[phys]
         self._c_fields[phys] = None  # type: ignore[call-overload] — drop refs now
@@ -379,9 +375,6 @@ class TraceStore:
             del self._c_fields[:n]
             self._offset += n
             self._dead = 0
-        if old is not None:
-            for obs in self._observers:
-                obs.on_evict(old)
 
     # -- observer bus -----------------------------------------------------
 

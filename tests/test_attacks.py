@@ -86,6 +86,17 @@ class TestAttackMatrix:
             )
             assert forensics["uis_checked"] > 0  # the audit actually ran
 
+    @pytest.mark.parametrize("seed", [44, 48, 61])
+    @pytest.mark.parametrize("streaming", [True, False])
+    def test_equivocating_sender_is_not_audited_as_correct(self, seed, streaming):
+        """On these seeds every correct process delivers the sender's
+        *alternate* value, in agreement — legal under a Byzantine sender
+        (integrity binds a correct sender only). The cell used to audit the
+        attacked sender as correct and report an integrity violation."""
+        r = run_attack("srb-equivocate", seed=seed, streaming=streaming)
+        assert r.ok, r.violations[:2]
+        assert r.stats["deliveries"] > 0  # not the vacuous nobody-delivers case
+
     def test_sweep_axis_shape(self):
         results = attack_sweep(
             attacks=["equivocate-prepare", "srb-equivocate"], seeds=range(2)

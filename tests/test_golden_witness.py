@@ -15,8 +15,15 @@ import json
 
 import pytest
 
+from repro.core.rounds import RoundProcess
+from repro.core.srb import SRBStreamChecker
+from repro.core.srb_from_uni import build_sm_srb_system
+from repro.core.uni_from_sm import ALL_SM_TRANSPORTS, build_objects_for
 from repro.faults.chaos import attack_sweep, chaos_sweep
-from repro.workloads.load import run_pipeline_load
+from repro.service.soak import build_service_system, protected_profile
+from repro.sim.adversary import ReliableAsynchronous
+from repro.sim.runner import Simulation
+from repro.workloads.load import OrderHasher, run_pipeline_load
 
 ORDER_HASH = {
     "minbft": "9262806c7accdc3d177884864d7a5b3b86293bc8f7dcbfe2171b5bb3bbcbbcc1",
@@ -44,3 +51,85 @@ def test_chaos_and_attack_cell_stats_are_pinned():
         sort_keys=True, default=repr,
     )
     assert hashlib.sha256(blob.encode()).hexdigest() == CHAOS_STATS_HASH
+
+
+# Pinned at the parent of the client / checkpoint-path / verify_from
+# consolidation: the paths that change touches and the constants above do
+# not reach (the tenant's reject -> pause -> resubmit cycle, signed copies
+# in Algorithm 1 over shared memory, eviction under trace_retention).
+SERVICE_ORDER_HASH = (
+    "6dbbd05cdfee806fa3b4542c39ab4a4e2f6eade9cc195984b9f94851840e666d"
+)
+# (results, failures, rejections, retransmissions) summed over the tenants
+SERVICE_TENANT_COUNTS = (36, 44, 93, 20)
+SM_SRB_ORDER_HASH = (
+    "8873b7e16bb2efad3d7fea22d63175a61d10b6eddcc20a3ead96da64bf1a0722"
+)
+SWMR_ROUNDS_ORDER_HASH = (
+    "7050343d87220f37817be97a0d649557c0359183ea994462a0543a50ab6e1bf9"
+)
+
+
+def test_overloaded_service_run_is_pinned():
+    hasher = OrderHasher()
+    sim, _replicas, ingress, tenants = build_service_system(
+        profile=protected_profile(
+            think_time=0.2, start_spread=0.5, tenant_timeout=2.0,
+            retry_reserve=1.0, bucket_rate=1.0,
+        ),
+        n_tenants=20, ops_per_tenant=4, seed=3, observers=(hasher,),
+    )
+    sim.run(until=300.0)
+    assert sum(ingress.rejects.values()) > 0 and all(t.done for t in tenants)
+    counts = (
+        sum(len(t.results) for t in tenants),
+        sum(len(t.failures) for t in tenants),
+        sum(t.rejections for t in tenants),
+        sum(t.retransmissions for t in tenants),
+    )
+    assert (counts, hasher.hexdigest()) == (SERVICE_TENANT_COUNTS, SERVICE_ORDER_HASH)
+
+
+def test_sm_srb_burst_order_hash_is_pinned():
+    sim, procs, _scheme = build_sm_srb_system(n=4, t=1, seed=3)
+    checker = sim.attach_observer(SRBStreamChecker(0, range(4), fail_fast=True))
+    hasher = sim.attach_observer(OrderHasher())
+    for i in range(4):
+        sim.at(0.5 * i, lambda i=i: procs[0].broadcast(("v", i)))
+    sim.run(until=60.0)
+    assert checker.finish().ok and len(checker.deliveries) == 16
+    assert hasher.hexdigest() == SM_SRB_ORDER_HASH
+
+
+class _Chat(RoundProcess):
+    """Every process runs ``nrounds`` labelled rounds back to back."""
+
+    def __init__(self, transport, nrounds):
+        super().__init__(transport)
+        self.nrounds = nrounds
+        self.completed = 0
+
+    def on_round_start(self):
+        self.rounds.begin_round(("m", self.pid, 1), label=("r", 1))
+
+    def on_round_complete(self, label):
+        self.completed += 1
+        if label[1] < self.nrounds:
+            nxt = label[1] + 1
+            self.rounds.begin_round(("m", self.pid, nxt), label=("r", nxt))
+
+
+def test_swmr_rounds_under_retention_order_hash_is_pinned():
+    n, nrounds = 3, 40
+    procs = [_Chat(ALL_SM_TRANSPORTS["swmr"](), nrounds) for _ in range(n)]
+    hasher = OrderHasher()
+    sim = Simulation(
+        procs, ReliableAsynchronous(0.0, 3.0), seed=3,
+        trace_retention=500, observers=(hasher,),
+    )
+    for obj in build_objects_for("swmr", n):
+        sim.memory.register(obj)
+    sim.run(until=2_000.0)
+    assert [p.completed for p in procs] == [nrounds] * n
+    assert sim.trace.evicted > 0
+    assert hasher.hexdigest() == SWMR_ROUNDS_ORDER_HASH

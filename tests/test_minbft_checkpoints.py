@@ -6,9 +6,7 @@ import pytest
 
 from repro.consensus import build_minbft_system, check_replication
 from repro.consensus.minbft import MinBFTReplica, PREPARE, USIG_WRAP
-from repro.consensus.usig import USIG, USIGVerifier
-from repro.consensus.viewchange import validate_checkpoint_cert
-from repro.hardware.trinc import TrincAuthority
+from repro.consensus.replica import validate_checkpoint_cert
 
 
 def build(f=1, ops=8, interval=2, seed=1, factory=None, **kw):
@@ -70,9 +68,12 @@ class TestCheckpointLifecycle:
 class TestCertificateValidation:
     @pytest.fixture
     def env(self):
-        auth = TrincAuthority(3, seed=7)
-        usigs = {p: USIG(auth.trinket(p)) for p in range(3)}
-        return usigs, USIGVerifier(auth)
+        """The replicas' own USIGs, and replica 0 as the (f+1)-quorum verifier."""
+        _sim, reps, _clients = build(ops=0, seed=7)
+        usigs = {r.usig.replica: r.usig for r in reps}
+        return usigs, lambda cert: validate_checkpoint_cert(
+            cert, reps[0].quorum, reps[0]._check_ckpt_entry
+        )
 
     def make_cert(self, usigs, seq=2, digest=b"d" * 32, replicas=(0, 1)):
         cert = []
@@ -82,39 +83,39 @@ class TestCertificateValidation:
         return tuple(cert)
 
     def test_valid_cert(self, env):
-        usigs, verifier = env
+        usigs, validate = env
         cert = self.make_cert(usigs)
-        checked = validate_checkpoint_cert(verifier, cert, f=1)
+        checked = validate(cert)
         assert checked is not None
-        seq, digest, counters = checked
-        assert seq == 2 and set(counters) == {0, 1}
+        seq, digest, entries = checked
+        assert seq == 2 and set(entries) == {0, 1}
 
     def test_too_few_attestations(self, env):
-        usigs, verifier = env
+        usigs, validate = env
         cert = self.make_cert(usigs, replicas=(0,))
-        assert validate_checkpoint_cert(verifier, cert, f=1) is None
+        assert validate(cert) is None
 
     def test_mismatched_digests(self, env):
-        usigs, verifier = env
+        usigs, validate = env
         c0 = self.make_cert(usigs, digest=b"a" * 32, replicas=(0,))
         c1 = self.make_cert(usigs, digest=b"b" * 32, replicas=(1,))
-        assert validate_checkpoint_cert(verifier, c0 + c1, f=1) is None
+        assert validate(c0 + c1) is None
 
     def test_duplicate_replica_rejected(self, env):
-        usigs, verifier = env
+        usigs, validate = env
         msg = ("CHECKPOINT", 2, b"d" * 32)
         u1 = usigs[0].create_ui(msg)
         u2 = usigs[0].create_ui(msg)
         cert = ((0, msg, u1), (0, msg, u2))
-        assert validate_checkpoint_cert(verifier, cert, f=1) is None
+        assert validate(cert) is None
 
     def test_forged_ui_rejected(self, env):
-        usigs, verifier = env
+        usigs, validate = env
         cert = self.make_cert(usigs, replicas=(0, 1))
         # swap replica 1's message content
         r, msg, ui = cert[1]
         forged = (cert[0], (r, ("CHECKPOINT", 99, msg[2]), ui))
-        assert validate_checkpoint_cert(verifier, forged, f=1) is None
+        assert validate(forged) is None
 
 
 class SelectiveGapPrimary(MinBFTReplica):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.consensus import build_pbft_system, check_replication
 from repro.consensus.pbft import PBFTReplica, ckpt_domain
-from repro.crypto import SignatureScheme
+from repro.consensus.replica import validate_checkpoint_cert
 from repro.crypto.serialize import content_hash
 from repro.crypto.signatures import Signature
 
@@ -68,44 +68,47 @@ class TestCheckpointLifecycle:
 
 
 class TestCertificateValidation:
-    def make_cert(self, scheme, signers, seq, digest, replicas):
+    def make_cert(self, reps, seq, digest, replicas):
         return tuple(
-            (r, seq, digest, signers[r].sign(ckpt_domain(seq, digest, r)))
+            (r, seq, digest, reps[r].signer.sign(ckpt_domain(seq, digest, r)))
             for r in replicas
         )
 
     @pytest.fixture
     def env(self):
-        scheme = SignatureScheme(4, seed=5)
-        signers = [scheme.signer(p) for p in range(4)]
-        return scheme, signers
+        """The replicas (for their signers), and replica 0 as the
+        (2f+1)-quorum verifier."""
+        _sim, reps, _clients = build_pbft_system(
+            f=1, n_clients=1, ops_per_client=0, seed=5)
+        return reps, lambda cert: validate_checkpoint_cert(
+            cert, reps[0].quorum, reps[0]._check_ckpt_entry
+        )
 
     def test_valid_cert(self, env):
-        scheme, signers = env
-        cert = self.make_cert(scheme, signers, 2, b"d" * 32, (0, 1, 2))
-        assert PBFTReplica._validate_ckpt_cert(scheme, cert, f=1) == (2, b"d" * 32)
+        reps, validate = env
+        cert = self.make_cert(reps, 2, b"d" * 32, (0, 1, 2))
+        seq, digest, entries = validate(cert)
+        assert (seq, digest) == (2, b"d" * 32) and set(entries) == {0, 1, 2}
 
     def test_too_few(self, env):
-        scheme, signers = env
-        cert = self.make_cert(scheme, signers, 2, b"d" * 32, (0, 1))
-        assert PBFTReplica._validate_ckpt_cert(scheme, cert, f=1) is None
+        reps, validate = env
+        assert validate(self.make_cert(reps, 2, b"d" * 32, (0, 1))) is None
 
     def test_mismatched_digest(self, env):
-        scheme, signers = env
-        cert = self.make_cert(scheme, signers, 2, b"a" * 32, (0, 1)) + \
-            self.make_cert(scheme, signers, 2, b"b" * 32, (2,))
-        assert PBFTReplica._validate_ckpt_cert(scheme, cert, f=1) is None
+        reps, validate = env
+        cert = self.make_cert(reps, 2, b"a" * 32, (0, 1)) + \
+            self.make_cert(reps, 2, b"b" * 32, (2,))
+        assert validate(cert) is None
 
     def test_forged_signature(self, env):
-        scheme, signers = env
-        cert = self.make_cert(scheme, signers, 2, b"d" * 32, (0, 1))
+        reps, validate = env
+        cert = self.make_cert(reps, 2, b"d" * 32, (0, 1))
         forged = cert + ((2, 2, b"d" * 32, Signature(signer=2, tag=b"\x00" * 32)),)
-        assert PBFTReplica._validate_ckpt_cert(scheme, forged, f=1) is None
+        assert validate(forged) is None
 
     def test_duplicate_replica(self, env):
-        scheme, signers = env
-        one = self.make_cert(scheme, signers, 2, b"d" * 32, (0,))
-        assert PBFTReplica._validate_ckpt_cert(scheme, one * 3, f=1) is None
+        reps, validate = env
+        assert validate(self.make_cert(reps, 2, b"d" * 32, (0,)) * 3) is None
 
 
 class TestStateTransfer:

@@ -223,19 +223,6 @@ class TestRetention:
             expect = [ev for ev in unbounded.events(pid=pid) if ev.index in keep]
             assert bounded.events(pid=pid) == expect
 
-    def test_on_evict_fires_with_the_evicted_event(self):
-        evicted = []
-
-        class Watcher(TraceObserver):
-            def on_evict(self, ev):
-                evicted.append(ev.index)
-
-        t = TraceStore(retention=5)
-        t.subscribe(Watcher())
-        for i in range(12):
-            t.record(float(i), "custom", 0)
-        assert evicted == list(range(7))
-
     def test_retention_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="retention"):
             TraceStore(retention=0)

@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Parent-vs-change measurement in interleaved pairs.
+
+    tools/ab_pairs.py <parent-checkout> <change-checkout> \\
+        --workload W --pairs N [--seed S]
+
+Runs the ``BENCHMARK.json`` command (read from the change checkout) once in
+each checkout per pair, alternating which side goes first so a slow minute
+on the box lands on both sides, and prints for every end-to-end metric: each
+side's median, the change relative to the parent, how many pairs the change
+won (ties count for neither), and the parent's own interquartile spread.
+Against the bound ``BENCHMARK.json`` fixes for the metric the verdict is
+``worse`` (change's median worse than the parent's by more than the bound),
+``unresolved`` (the parent's spread is itself wider than the bound, so the
+runs cannot tell) or ``within``. A gain may be claimed only with >= 10
+pairs, >= 9/10 of them won, and medians further apart than the parent's
+spread (``gain?`` says whether this table would support one).
+
+Every run's raw values are printed too, so a report can list them all.
+Nothing is imported from either checkout; the benchmark's last stdout line
+(``{"correct", "attempted", "failed", "metrics"}``) is the only interface.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+from pathlib import Path
+
+
+def run_once(checkout: Path, manifest: dict, workload: str, seed: int) -> dict:
+    cmd = [
+        *manifest["command"], "--workload", workload, "--seed", str(seed),
+        "--seconds", str(manifest["run_seconds"]), "--trace", "0",
+    ]
+    done = subprocess.run(
+        cmd, cwd=checkout, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def spread(values: list[float]) -> float:
+    """Distance between the quartiles (0 with fewer than two runs)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summarize(metric: dict, parent: list[float], change: list[float]) -> str:
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    gain = sign * (c_med - p_med)  # > 0: the change is better
+    rel = gain / p_med if p_med else 0.0
+    wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+    losses = sum(1 for p, c in zip(parent, change) if sign * (c - p) < 0)
+    iqr = spread(parent)
+    rel_iqr = iqr / p_med if p_med else 0.0
+    if rel < -metric["bound"]:
+        verdict = "worse"
+    elif rel_iqr > metric["bound"]:
+        verdict = "unresolved"
+    else:
+        verdict = "within"
+    pairs = len(parent)
+    claimable = pairs >= 10 and wins >= 0.9 * pairs and gain > iqr
+    return (
+        f"{metric['name']:<12} parent {p_med:>12.6g}  change {c_med:>12.6g} "
+        f"{metric['unit']:<4} {rel:+7.1%}  wins {wins}/{pairs} "
+        f"(losses {losses})  parent IQR {iqr:.4g} ({rel_iqr:.1%})  "
+        f"bound {metric['bound']:.0%}  {verdict}  gain? {'yes' if claimable else 'no'}"
+    )
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+
+    manifest = json.loads((args.change / "BENCHMARK.json").read_text())
+    sides = {"parent": args.parent, "change": args.change}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_once(sides[side], manifest, args.workload, args.seed)
+            runs[side].append(result)
+            values = "  ".join(
+                f"{name}={m['value']:.6g}" for name, m in result["metrics"].items()
+            )
+            print(f"pair {pair + 1:>2} {side:<6} correct={result['correct']} "
+                  f"failed={result['failed']}/{result['attempted']}  {values}",
+                  flush=True)
+
+    print(f"\n{args.workload} seed {args.seed}: {args.pairs} interleaved pairs "
+          "(percentages: change relative to parent, + is better)")
+    for metric in manifest["end_to_end"]:
+        series = {
+            side: [r["metrics"][metric["name"]]["value"] for r in results]
+            for side, results in runs.items()
+        }
+        print(summarize(metric, series["parent"], series["change"]))
+    failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
+    incorrect = {
+        side: sum(1 for r in rs if not r["correct"]) for side, rs in runs.items()
+    }
+    print(f"failed operations: parent {failed['parent']}, change {failed['change']}; "
+          f"runs with a failed check: parent {incorrect['parent']}, "
+          f"change {incorrect['change']}")
+    return 1 if failed["change"] > failed["parent"] or incorrect["change"] else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
