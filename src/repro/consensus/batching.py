@@ -143,12 +143,3 @@ def make_batch_policy(spec: Any, batch_delay: float = 0.2) -> Any:
         )
     return spec
 
-
-def __getattr__(name: str) -> Any:
-    # the proposal engine grew into the replica core; the old name still
-    # imports from here (lazily: replica.py imports this module's policies)
-    if name == "PipelinedProposer":
-        from .replica import ReplicaCore
-
-        return ReplicaCore
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

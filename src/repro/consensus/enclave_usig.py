@@ -39,6 +39,11 @@ class EnclaveUI:
     counter: SeqNum
     attestation: EnclaveOutput
 
+    @property
+    def digest(self) -> Any:
+        """The message commitment this UI carries (authentic once verified)."""
+        return self.attestation.output[2]
+
     def __repr__(self) -> str:
         return f"EnclaveUI(r{self.replica}#{self.counter})"
 

@@ -29,16 +29,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from ..crypto.serialize import content_hash
+from ..crypto.serialize import IdentityMemo, content_hash
 from ..types import ProcessId, SeqNum, Time
 from ..sim.trace import DELIVER, TraceEvent, TraceObserver
 from .minbft import (
     COMMIT,
     NEW_VIEW,
-    PREPARE,
     RESYNC_INFO,
     USIG_WRAP,
     VIEW_CHANGE,
+    prepare_message,
 )
 from .usig import ui_like
 
@@ -125,6 +125,7 @@ class AccountabilityChecker(TraceObserver):
         self.verifier = verifier
         self.on_conviction = on_conviction
         self._seen: dict[tuple, tuple] = {}  # (replica, counter) -> (digest, message, ui)
+        self._prepares = IdentityMemo()  # the PREPAREs that COMMITs re-bind
         self.convicted: dict[ProcessId, ProofOfMisbehavior] = {}
         self.detected_at: dict[ProcessId, Time] = {}
         self.events_consumed = 0
@@ -170,7 +171,7 @@ class AccountabilityChecker(TraceObserver):
         if kind == COMMIT and len(message) == 5:
             _, view, seq, request, prepare_ui = message
             # the embedded prepare UI re-binds the primary's PREPARE
-            yield (PREPARE, view, seq, request), prepare_ui
+            yield prepare_message(self._prepares, view, seq, request), prepare_ui
         elif kind == VIEW_CHANGE and len(message) == 6:
             _, _nv, _base, cert, _blob, log = message
             yield from self._harvest_cert(cert)
@@ -210,10 +211,9 @@ class AccountabilityChecker(TraceObserver):
         self.uis_checked += 1
         if not self.verifier.verify_ui(ui, message, ui.replica):
             return
-        try:
-            digest = content_hash(message)
-        except Exception:
-            return
+        # a verified UI carries its message's digest; bytes() is free for
+        # bytes and freezes a look-alike bytearray its sender could mutate
+        digest = bytes(ui.digest)
         key = (ui.replica, ui.counter)
         prior = self._seen.get(key)
         if prior is None:

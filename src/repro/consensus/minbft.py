@@ -34,14 +34,9 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..crypto.serialize import (
-    caching_enabled,
-    canonical_bytes,
-    content_hash,
-    type_fingerprint,
-)
+from ..crypto.serialize import IdentityMemo, content_hash
 from ..crypto.signatures import SignatureScheme, Signer
-from ..errors import ConfigurationError, SignatureError
+from ..errors import ConfigurationError
 from ..types import ProcessId, SeqNum
 from .apps import StateMachine
 from .replica import (  # noqa: F401  (the request vocabulary is re-exported)
@@ -76,6 +71,22 @@ def resync_domain(replica: ProcessId, nonce: int) -> tuple:
 
 def resync_info_domain(replica: ProcessId, nonce: int, digest: bytes) -> tuple:
     return ("MINBFT-RESYNC-INFO", replica, nonce, digest)
+
+
+def prepare_message(memo: IdentityMemo, view: Any, seq: Any, request: Any) -> tuple:
+    """The PREPARE that a COMMIT's embedded prepare UI re-binds.
+
+    Every replica (and the accountability observer) rebuilds it for every
+    COMMIT it sees; interned per ``(view, seq, request object)`` the tuple
+    is one object, so its digest is computed once and found by identity
+    after that.
+    """
+    message = (PREPARE, view, seq, request)
+    interned = memo.get(message)
+    if interned is not None:
+        return interned
+    memo.put(message, message)
+    return message
 
 
 class MinBFTReplica(ReplicaCore):
@@ -247,30 +258,17 @@ class MinBFTReplica(ReplicaCore):
             self.malformed_rejects += 1
 
     def _valid_proposal(self, proposal: Any) -> bool:
-        """The core's proposal check, memoized in the scheme's protocol memo on the serialized proposal
-        plus its exact-type fingerprint: the same proposal object is
-        re-validated once per PREPARE and once per COMMIT at every replica,
-        and validity is a deterministic pure function of (content, types).
-        The fingerprint matters because a Byzantine primary could PREPARE a
-        list-shaped copy of a request — identical serialization, rejected
-        by the tuple isinstance checks — and a content-only key would cache
-        that False for the genuine tuple proposal too, a liveness failure.
-        Unserializable proposals (which can only come from Byzantine code)
-        take the uncached path.
+        """The core's proposal check, memoized per proposal *object* in the
+        scheme's protocol memo: the same proposal is re-validated once per
+        PREPARE and once per COMMIT at every replica. A Byzantine primary's
+        list-shaped copy of a request is a different object (and, being
+        mutable, never stored), so it can neither cache its rejection for
+        the genuine tuple nor inherit the tuple's acceptance.
         """
-        key = None
-        if caching_enabled():
-            try:
-                key = ("minbft-proposal", canonical_bytes(proposal),
-                       type_fingerprint(proposal))
-            except SignatureError:
-                key = None
-            if key is not None:
-                verdict = self.scheme.memo.get(key)
-                if verdict is not None:
-                    return verdict
-        verdict = super()._valid_proposal(proposal)
-        if key is not None:
+        key = ("minbft-proposal", proposal)
+        verdict = self.scheme.memo.get(key)
+        if verdict is None:
+            verdict = super()._valid_proposal(proposal)
             self.scheme.memo.put(key, verdict)
         return verdict
 
@@ -304,9 +302,8 @@ class MinBFTReplica(ReplicaCore):
             return
         if not ui_like(prepare_ui):
             return
-        if not self.verifier.verify_ui(
-            prepare_ui, (PREPARE, view, seq, request), self.primary_of(view)
-        ):
+        prepare = prepare_message(self.scheme.memo, view, seq, request)
+        if not self.verifier.verify_ui(prepare_ui, prepare, self.primary_of(view)):
             return
         if not self._valid_proposal(request):
             return

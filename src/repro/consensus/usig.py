@@ -16,16 +16,11 @@ every MinBFT replica uses.
 
 from __future__ import annotations
 
+import hmac
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from ..crypto.serialize import (
-    BoundedCache,
-    caching_enabled,
-    canonical_bytes,
-    content_hash,
-    type_fingerprint,
-)
+from ..crypto.serialize import BoundedCache, caching_enabled, content_hash
 from ..errors import ConfigurationError
 from ..hardware.trinc import Attestation, Trinket, TrincAuthority
 from ..types import ProcessId, SeqNum
@@ -38,6 +33,11 @@ class UI:
     replica: ProcessId
     counter: SeqNum
     attestation: Attestation
+
+    @property
+    def digest(self) -> Any:
+        """The message commitment this UI carries (authentic once verified)."""
+        return self.attestation.message
 
     def __repr__(self) -> str:
         return f"UI(r{self.replica}#{self.counter})"
@@ -81,19 +81,28 @@ class USIG:
         return UI(replica=self.replica, counter=c, attestation=att)
 
 
+#: exact types of (replica, trinket_id, counter_id, prev, seq, digest, tag)
+_MEMO_KEY_TYPES = (int, int, int, int, int, bytes, bytes)
+
+
 class USIGVerifier:
     """Stateless UI verification (check side); any process can hold one.
 
-    One verifier is shared by every replica of a simulation, so its
-    verified-UI memo deduplicates across the whole system: a UI broadcast
-    to n replicas (and re-checked as the embedded prepare UI of every
-    COMMIT) costs one attestation HMAC in total. The memo key commits to
-    the serialized ``(ui, message, replica)`` content *and* its exact-type
-    fingerprint — an impostor dataclass with the same qualname and fields
-    serializes identically to a genuine UI but must not share (or poison)
-    its cache entry — so verification is a deterministic pure function of
-    the key. Unserializable garbage falls through to the uncached check;
-    cached and uncached verdicts are identical.
+    One verifier is shared by every replica of a simulation, so its memo
+    deduplicates across the whole system: a UI broadcast to n replicas (and
+    re-checked as the embedded prepare UI of every COMMIT) costs one
+    attestation HMAC in total. Only that HMAC verdict is memoized, under
+    the attestation's own scalars ``(replica, trinket_id, counter_id, prev,
+    seq, digest, tag)`` — ``Attest(c, m)`` binds the counter to a commitment
+    to ``m``, so the UI already carries its message's digest and a lookup
+    never serializes. The structure checks and the comparison of the carried
+    digest with ``content_hash(message)`` (identity-cached: one encoding per
+    message object, which is what catches a sender lying about the digest)
+    run on every call. The scalars enter the memo only when each is
+    *exactly* ``int`` / ``bytes``: ``True == 1`` and ``bytearray(b) == b``
+    hash alike but verify differently, so look-alikes take the unmemoized
+    path rather than share an entry. Cached and uncached verdicts are
+    identical.
     """
 
     def __init__(self, authority: TrincAuthority) -> None:
@@ -108,23 +117,6 @@ class USIGVerifier:
         forces a Byzantine replica's message stream to be gap-free if it
         wants any of it accepted.
         """
-        key = None
-        if caching_enabled():
-            try:
-                parts = (ui, message, replica)
-                key = (canonical_bytes(parts), type_fingerprint(parts))
-            except Exception:
-                key = None
-            if key is not None:
-                verdict = self._verified.get(key)
-                if verdict is not None:
-                    return verdict
-        verdict = self._verify_ui_uncached(ui, message, replica)
-        if key is not None:
-            self._verified.put(key, verdict)
-        return verdict
-
-    def _verify_ui_uncached(self, ui: Any, message: Any, replica: ProcessId) -> bool:
         if not isinstance(ui, UI):
             return False
         if ui.replica != replica:
@@ -135,12 +127,20 @@ class USIGVerifier:
         if a.seq != ui.counter or a.prev != ui.counter - 1:
             return False
         try:
-            expected = content_hash(message)
-        except Exception:
+            # compare_digest reads the bytes themselves: the carried digest
+            # cannot answer for itself through an overridden ``__eq__``
+            if not hmac.compare_digest(a.message, content_hash(message)):
+                return False
+        except Exception:  # unserializable message, or not a digest at all
             return False
-        if a.message != expected:
-            return False
-        return self._authority.check(a, replica)
+        key = (replica, a.trinket_id, a.counter_id, a.prev, a.seq, a.message, a.tag)
+        if not caching_enabled() or tuple(map(type, key)) != _MEMO_KEY_TYPES:
+            return self._authority.check(a, replica)
+        verdict = self._verified.get(key)
+        if verdict is None:
+            verdict = self._authority.check(a, replica)
+            self._verified.put(key, verdict)
+        return verdict
 
 
 class UIOrderEnforcer:

@@ -44,9 +44,8 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..crypto.serialize import caching_enabled, canonical_bytes, type_fingerprint
 from ..crypto.signatures import Signature, SignatureScheme, Signer
-from ..errors import ConfigurationError, SignatureError
+from ..errors import ConfigurationError
 from ..sim.adversary import Adversary, ReliableAsynchronous
 from ..sim.runner import Simulation
 from ..types import ProcessId, SeqNum
@@ -85,28 +84,16 @@ def l1_domain(sender: ProcessId, k: SeqNum, m: Any) -> tuple:
 # each, and the proof tuple travels *by reference* through the simulated
 # network — an O(n * t^2) pile of redundant HMACs per broadcast without
 # memoization. The validators below memoize their verdicts in the scheme's
-# ``memo`` table keyed by the proof's canonical serialization *and* its
-# type fingerprint: the serialization alone erases distinctions the
-# validators isinstance-check (a list-shaped copy of a proof serializes
-# identically to the genuine tuple but must be rejected, and must not
-# share — or poison — the genuine proof's cache entry). With both in the
-# key, a structurally identical proof is fully validated once per scheme
-# and then answered from the cache, and verdicts are bit-identical to the
-# uncached path: validation is a deterministic pure function of
-# (content, exact types), and anything that fails to serialize (Byzantine
-# garbage) falls through to the uncached validator.
+# ``memo`` (an :class:`~repro.crypto.serialize.IdentityMemo`) under the
+# proof *objects* they were handed, so a lookup never serializes: the same
+# proof is validated once per scheme and then answered by a dict probe. A
+# list-shaped (or otherwise look-alike, or mutable) copy of a proof is a
+# different object and is validated on its own — it can neither poison the
+# genuine proof's entry nor inherit it — and a structurally equal second
+# copy is re-validated once, its HMACs still deduplicated by the scheme's
+# verification cache. Verdicts are bit-identical to the uncached path.
 
 _MEMO_MISS = object()
-
-
-def _proof_memo_key(scheme: SignatureScheme, kind: str, *parts: Any):
-    """Content- and type-committed memo key, or None when uncacheable."""
-    if not caching_enabled():
-        return None
-    try:
-        return (kind, canonical_bytes(parts), type_fingerprint(parts))
-    except SignatureError:
-        return None
 
 
 def validate_copies(
@@ -135,24 +122,6 @@ def validate_copies(
     return len(seen) >= t + 1
 
 
-def _validate_l1_item_uncached(
-    scheme: SignatureScheme,
-    sender: ProcessId,
-    k: SeqNum,
-    m: Any,
-    item: Any,
-    t: int,
-) -> Optional[ProcessId]:
-    if not (isinstance(item, tuple) and len(item) == 3):
-        return None
-    builder, copies, sig = item
-    if not scheme.verify_from(builder, l1_domain(sender, k, m), sig):
-        return None
-    if not validate_copies(scheme, sender, k, m, copies, t):
-        return None
-    return builder
-
-
 def validate_l1_item(
     scheme: SignatureScheme,
     sender: ProcessId,
@@ -163,15 +132,24 @@ def validate_l1_item(
 ) -> Optional[ProcessId]:
     """Validate one L1 proof ``(builder, copies, sig_builder)``; returns builder.
 
-    Memoized per scheme on the serialized ``(sender, k, m, item, t)``
-    content — relays and L2 assembly re-validate each L1 proof for free.
+    Memoized per scheme under the item's three components rather than the
+    item: receivers and L2 assemblers wrap the same ``copies`` and
+    signature objects in triples of their own, and re-validate each L1
+    proof for free all the same. The item is unpacked once, so the key and
+    the verdict are about the same three objects.
     """
-    key = _proof_memo_key(scheme, "srb-l1", sender, k, m, item, t)
-    if key is None:
-        return _validate_l1_item_uncached(scheme, sender, k, m, item, t)
+    if not (isinstance(item, tuple) and len(item) == 3):
+        return None
+    builder, copies, sig = item
+    key = ("srb-l1", sender, k, m, builder, copies, sig, t)
     verdict = scheme.memo.get(key, _MEMO_MISS)
     if verdict is _MEMO_MISS:
-        verdict = _validate_l1_item_uncached(scheme, sender, k, m, item, t)
+        verdict = (
+            builder
+            if scheme.verify_from(builder, l1_domain(sender, k, m), sig)
+            and validate_copies(scheme, sender, k, m, copies, t)
+            else None
+        )
         scheme.memo.put(key, verdict)
     return verdict
 
@@ -209,13 +187,11 @@ def validate_l2(
 ) -> Optional[tuple[SeqNum, Any]]:
     """Validate an L2 payload; returns ``(k, m)`` when sound, else ``None``.
 
-    Memoized per scheme on the serialized payload: the L2 proof is posted
+    Memoized per scheme under the payload object: the L2 proof is posted
     once and then re-checked by every receiver and forwarded by every
     relay — with the memo the full pyramid is validated once per scheme.
     """
-    key = _proof_memo_key(scheme, "srb-l2", sender, payload, t)
-    if key is None:
-        return _validate_l2_uncached(scheme, sender, payload, t)
+    key = ("srb-l2", sender, payload, t)
     verdict = scheme.memo.get(key, _MEMO_MISS)
     if verdict is _MEMO_MISS:
         verdict = _validate_l2_uncached(scheme, sender, payload, t)

@@ -22,6 +22,7 @@ from .serialize import (
     STATS,
     BoundedCache,
     CryptoStats,
+    IdentityMemo,
     caching_disabled,
     caching_enabled,
     canonical_bytes,
@@ -41,6 +42,7 @@ __all__ = [
     "reset_crypto_caches",
     "set_caching",
     "BoundedCache",
+    "IdentityMemo",
     "CryptoStats",
     "STATS",
     "Signature",

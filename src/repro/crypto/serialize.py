@@ -21,21 +21,25 @@ hop — so the encoder is built for the hot path:
   cheap; sets and maps, whose elements must be encoded separately for
   sorting, recurse through :func:`canonical_bytes` and so share the cache);
 - **identity-keyed memoization** — the simulator passes message objects by
-  reference, so the *same* proof tuple reaches every process; encodings of
-  deeply immutable values are kept in a bounded LRU keyed by object
-  identity (entries pin their value, which makes identity keys sound: an
-  id can only be recycled after its entry is evicted, and every hit
-  re-checks ``is``). Mutable values — lists, dicts, bytearrays, non-frozen
-  dataclasses, and anything containing one — are never cached, so caching
-  can never observe a stale encoding;
+  reference, so the *same* proof tuple reaches every process; encodings are
+  kept in a bounded LRU keyed by object identity. Four rules make identity
+  keys sound, here and in every table built on them: (1) only values the
+  encoder has proven *deeply immutable* are stored — lists, dicts,
+  bytearrays, non-frozen dataclasses, and anything containing one never
+  are, so a cache can never observe a stale value; (2) the entry pins its
+  value, so an id can only be recycled after the entry is evicted; (3)
+  every hit re-checks ``is``; (4) a scalar is never looked up by ``==``
+  alone (``True == 1``, ``bytearray(b) == b``): it is re-encoded, or keyed
+  by exact type and value;
 - **digest memoization** — :func:`content_hash` keeps its own identity LRU
-  for values the encoder proved immutable;
-- **type fingerprints** — the encoding deliberately erases distinctions
-  validators make with ``isinstance`` (tuple vs list, dataclass class
-  identity, bytes vs bytearray), so verdict memos keyed on it alone would
-  let Byzantine look-alikes poison the genuine value's cache entry;
-  :func:`type_fingerprint` is the memo-key companion that pins the exact
-  runtime types.
+  under the same rules;
+- **verdict memoization** — :class:`IdentityMemo` applies them to the
+  argument tuples of protocol validators (proof and proposal checks). The
+  encoding deliberately erases distinctions validators make with
+  ``isinstance`` (tuple vs list, dataclass class identity, bytes vs
+  bytearray), so a verdict memo keyed on the bytes would let a Byzantine
+  look-alike poison the genuine value's entry; a look-alike is a different
+  object and never shares one keyed on identity.
 
 Caching changes performance only: cached and uncached encodings are
 extensionally identical (hypothesis-tested), and :func:`caching_disabled`
@@ -151,9 +155,68 @@ class BoundedCache:
         return len(self._data)
 
 
+#: parts an :class:`IdentityMemo` keys by ``(type, value)``: immutable, and
+#: only the *exact* type — ``True == 1`` and ``bytearray(b) == b`` hash
+#: alike, and a subclass may override ``__eq__``
+_VALUE_KEYED = frozenset({type(None), bool, int, str, bytes})
+
+
+class IdentityMemo:
+    """Verdict memo keyed on *which objects* were checked, not on their bytes.
+
+    A validator's verdict is a pure function of its arguments' content and
+    exact types, and the simulator passes messages by reference, so one
+    proof reaches every process as the same object: ``get``/``put`` take
+    the argument tuple and a lookup is a dict probe, never a serialization.
+    The identity rules (see the module docstring) hold per part: a compound
+    part is admitted only once the encoder has proven it deeply immutable
+    (``put`` runs the encoder if it has not seen the object yet), the entry
+    pins every part, a hit re-checks ``is``, and scalars are keyed by exact
+    type and value. Anything else — a list, a ``bytearray``, whatever holds
+    one, a bare ``float`` or ``int`` subclass, garbage the encoder rejects —
+    is never stored, so a value mutated after its check gets the verdict of
+    its current content. A structurally equal but distinct object is a
+    miss: it is validated once in full and then admitted under its own
+    identity.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self, maxsize: int = 1 << 13) -> None:
+        self._entries = BoundedCache(maxsize)  # key -> (parts, verdict)
+
+    @staticmethod
+    def _key(parts: tuple) -> tuple:
+        return tuple(
+            [(type(p), p) if type(p) in _VALUE_KEYED else id(p) for p in parts]
+        )
+
+    def get(self, parts: tuple, default: Any = None) -> Any:
+        if not _caching_enabled:
+            return default
+        entry = self._entries.get(self._key(parts))
+        if entry is None:
+            return default
+        pinned, verdict = entry
+        for was, now in zip(pinned, parts):
+            if was is not now and type(now) not in _VALUE_KEYED:
+                return default
+        return verdict
+
+    def put(self, parts: tuple, verdict: Any) -> None:
+        if not _caching_enabled:
+            return
+        for p in parts:
+            if type(p) not in _VALUE_KEYED and not _proven_immutable(p):
+                return
+        self._entries.put(self._key(parts), (parts, verdict))
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 _ENCODING_CACHE = BoundedCache(1 << 15)  # id(value) -> (value, bytes)
 _DIGEST_CACHE = BoundedCache(1 << 15)  # id(value) -> (value, sha256)
-_FINGERPRINT_CACHE = BoundedCache(1 << 15)  # id(value) -> (value, fingerprint)
 _caching_enabled = True
 
 
@@ -194,7 +257,6 @@ def reset_crypto_caches(reset_stats: bool = True) -> None:
     """
     _ENCODING_CACHE.clear()
     _DIGEST_CACHE.clear()
-    _FINGERPRINT_CACHE.clear()
     if reset_stats:
         STATS.reset()
 
@@ -247,6 +309,20 @@ def _cached_encoding(value: Any) -> Optional[bytes]:
     if entry is not None and entry[0] is value:
         return entry[1]
     return None
+
+
+def _proven_immutable(value: Any) -> bool:
+    """Whether the encoder has proven ``value`` deeply immutable (encoding it
+    now if it has not met this object, or has since evicted it)."""
+    if _cached_encoding(value) is not None:
+        return True
+    try:
+        canonical_bytes(value)
+    except Exception:
+        # attacker-built values: whatever the encoder cannot finish (foreign
+        # types, ints past the str() digit limit, …) is mutable for all we know
+        return False
+    return _cached_encoding(value) is not None
 
 
 def _encode(value: Any, out: bytearray) -> bool:
@@ -430,143 +506,3 @@ def content_hash(value: Any) -> bytes:
     if _caching_enabled and _cached_encoding(value) is not None:
         _DIGEST_CACHE.put(id(value), (value, digest))
     return digest
-
-
-# ---------------------------------------------------------------------------
-# Type fingerprints (memo-key companion to canonical_bytes)
-# ---------------------------------------------------------------------------
-
-
-def _cached_fingerprint(value: Any) -> Optional[tuple]:
-    entry = _FINGERPRINT_CACHE.get(id(value))
-    if entry is not None and entry[0] is value:
-        return entry[1]
-    return None
-
-
-def _fp_sort_key(enc: bytes, fp: tuple) -> tuple:
-    # type objects are not orderable, so ties on the encoding break on the
-    # qualname path instead (deterministic within a process, which is all a
-    # per-scheme memo key needs)
-    return (enc, tuple(t.__qualname__ for t in fp))
-
-
-def _fingerprint(value: Any, out: list) -> bool:
-    """Append ``value``'s type fingerprint to ``out``; True when deeply immutable.
-
-    Same walk shape, cache gating, and element ordering as :func:`_encode`,
-    so fingerprint positions line up one-to-one between any two values with
-    equal canonical encodings (the encoding commits every container length).
-    """
-    root = _Frame(None, 0, True)
-    frames = [root]
-    stack = [value]
-    while stack:
-        v = stack.pop()
-        if v is _END:
-            frame = frames.pop()
-            if frame.immutable:
-                if _caching_enabled:
-                    _FINGERPRINT_CACHE.put(
-                        id(frame.value), (frame.value, tuple(out[frame.start:]))
-                    )
-            else:
-                frames[-1].immutable = False
-            continue
-        if isinstance(v, (tuple, list)):
-            if _caching_enabled:
-                cached = _cached_fingerprint(v)
-                if cached is not None:
-                    out.extend(cached)
-                    continue
-            frames.append(_Frame(v, len(out), not isinstance(v, list)))
-            out.append(type(v))
-            stack.append(_END)
-            stack.extend(reversed(v))
-        elif dataclasses.is_dataclass(v) and not isinstance(v, type):
-            if _caching_enabled:
-                cached = _cached_fingerprint(v)
-                if cached is not None:
-                    out.extend(cached)
-                    continue
-            frames.append(_Frame(v, len(out), _dataclass_frozen(type(v))))
-            out.append(type(v))
-            stack.append(_END)
-            for f in reversed(dataclasses.fields(v)):
-                stack.append(getattr(v, f.name))
-        elif isinstance(v, frozenset):
-            if _caching_enabled:
-                cached = _cached_fingerprint(v)
-                if cached is not None:
-                    out.extend(cached)
-                    continue
-            start = len(out)
-            out.append(type(v))
-            immutable = True
-            elems = []
-            for item in v:
-                sub: list = []
-                immutable &= _fingerprint(item, sub)
-                elems.append((canonical_bytes(item), tuple(sub)))
-            elems.sort(key=lambda e: _fp_sort_key(*e))
-            for _, sub_fp in elems:
-                out.extend(sub_fp)
-            if immutable:
-                if _caching_enabled:
-                    _FINGERPRINT_CACHE.put(id(v), (v, tuple(out[start:])))
-            else:
-                frames[-1].immutable = False
-        elif isinstance(v, dict):
-            out.append(type(v))
-            items = []
-            for key, val in v.items():
-                ksub: list = []
-                _fingerprint(key, ksub)
-                vsub: list = []
-                _fingerprint(val, vsub)
-                items.append(
-                    (canonical_bytes(key), tuple(ksub),
-                     canonical_bytes(val), tuple(vsub))
-                )
-            items.sort(key=lambda e: _fp_sort_key(e[0], e[1]) + _fp_sort_key(e[2], e[3]))
-            for _, ksub_fp, _, vsub_fp in items:
-                out.extend(ksub_fp)
-                out.extend(vsub_fp)
-            frames[-1].immutable = False
-        else:
-            # scalars: the encoding pins their tag, but the exact runtime
-            # type can still matter (bytearray encodes as bytes; an int/str
-            # subclass can override comparison hooks a validator relies on)
-            out.append(type(v))
-            if isinstance(v, bytearray):
-                frames[-1].immutable = False
-    return root.immutable
-
-
-def type_fingerprint(value: Any) -> tuple:
-    """Flat preorder tuple of the exact runtime types inside ``value``.
-
-    :func:`canonical_bytes` deliberately erases type distinctions that
-    validators check with ``isinstance``: tuples and lists encode
-    identically, a dataclass encoding commits only to ``__qualname__`` and
-    field values (not class identity), and ``bytearray`` encodes as
-    ``bytes``. A verdict memo keyed on the serialization alone therefore
-    lets a Byzantine look-alike — a list-shaped copy of a proof, an
-    impostor dataclass — share (and poison) the cache entry of the genuine
-    value it mimics. Every verdict memo key must pair the canonical bytes
-    with this fingerprint, so only values the uncached validators treat
-    identically can share an entry.
-
-    Deterministic per value content; identity-LRU cached for deeply
-    immutable values like the encoding cache, so hot-path lookups are O(1)
-    after the first walk. Raises :class:`~repro.errors.SignatureError` only
-    where :func:`canonical_bytes` does (frozenset/dict elements outside the
-    encodable domain).
-    """
-    if _caching_enabled:
-        cached = _cached_fingerprint(value)
-        if cached is not None:
-            return cached
-    out: list = []
-    _fingerprint(value, out)
-    return tuple(out)

@@ -36,7 +36,13 @@ from typing import Any
 
 from ..errors import SignatureError
 from ..types import ProcessId
-from .serialize import BoundedCache, STATS, caching_enabled, canonical_bytes
+from .serialize import (
+    STATS,
+    BoundedCache,
+    IdentityMemo,
+    caching_enabled,
+    canonical_bytes,
+)
 
 TAG_LENGTH = hashlib.sha256().digest_size
 """Length of every genuine signature tag (HMAC-SHA256 output, 32 bytes)."""
@@ -117,10 +123,9 @@ class SignatureScheme:
         # (signer, payload_bytes, tag) -> bool; one HMAC per unique
         # signature transferred through this scheme's proofs
         self._verify_cache = BoundedCache(1 << 13)
-        self.memo = BoundedCache(1 << 13)
-        """Scratch memo for protocol-layer caches (verified L1/L2 proofs,
-        proposal validity, …), scoped to this scheme so every run starts
-        cold. Keys must commit to the full serialized content they cover."""
+        self.memo = IdentityMemo(1 << 13)
+        """Protocol-layer verdict memo (verified L1/L2 proofs, proposal
+        validity, …), scoped to this scheme so every run starts cold."""
 
     @property
     def n(self) -> int:

@@ -446,7 +446,7 @@ class ChaosCell:
                 ]
             if live is not None:
                 live_report = live.finish(end_time=schedule.horizon)
-        return ChaosResult(
+        result = ChaosResult(
             protocol=protocol,
             seed=schedule.seed,
             ok=not violations and (live_report is None or live_report.ok),
@@ -456,6 +456,13 @@ class ChaosCell:
             abort_index=abort_index,
             liveness_violations=live_report.violations if live_report else [],
         )
+        # The cell is over and the result is all a caller gets. The trace is
+        # three quarters of the cell's objects; dropped now they are freed at
+        # once, otherwise the dead simulation (a reference cycle) keeps them
+        # until the cycle collector runs - inside the next cells, typically
+        # in their builders, and every full collection walks a few dead cells.
+        sim.trace.clear()
+        return result
 
 
 def reboot_replica(

@@ -376,6 +376,26 @@ class TraceStore:
             self._offset += n
             self._dead = 0
 
+    def clear(self) -> None:
+        """Evict every retained event at once; the counts keep covering them.
+
+        For a finished run whose trace nobody will read again. The rows are
+        most of a simulation's objects, and a simulation is one reference
+        cycle: released here they are freed by reference count, left in
+        place they wait for the cycle collector.
+        """
+        live = self._dead
+        self._evicted += len(self)
+        self._evicted_by_kind.update(self._c_kind[live:])
+        self._evicted_by_pid.update(self._c_pid[live:])
+        self._offset += len(self._c_time)
+        self._dead = 0
+        for column in (self._c_index, self._c_time, self._c_kind,
+                       self._c_pid, self._c_fields):
+            column.clear()
+        self._by_kind.clear()
+        self._by_pid.clear()
+
     # -- observer bus -----------------------------------------------------
 
     def subscribe(self, observer: TraceObserver) -> TraceObserver:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.serialize import (
     BoundedCache,
+    IdentityMemo,
     caching_disabled,
     caching_enabled,
     canonical_bytes,
@@ -120,6 +121,83 @@ class TestStatsAndControls:
         assert len(c) == 2
         assert c.get("a") is None
         assert c.get("c") == 3
+
+
+class TestIdentityMemo:
+    """The four identity rules, on the helper itself (the protocol-level
+    consequences are in ``tests/test_memo_poisoning.py``)."""
+
+    def test_same_object_hits_equal_object_misses(self):
+        memo = IdentityMemo()
+        a, b = tuple([1, "x"]), tuple([1, "x"])
+        assert a == b and a is not b
+        memo.put(("kind", a, 7), "verdict")
+        assert memo.get(("kind", a, 7)) == "verdict"
+        assert memo.get(("kind", b, 7)) is None
+        assert memo.get(("kind", a, 8), "miss") == "miss"
+
+    def test_scalars_are_keyed_by_exact_type_and_value(self):
+        memo = IdentityMemo()
+        memo.put((1, b"ab", "s", None), "exact")
+        # equal by value but built apart: scalars are not keyed by identity
+        assert memo.get((int("1"), bytes(bytearray(b"ab")), "".join("s"), None)) == "exact"
+        for lookalike in [(True, b"ab", "s", None), (1.0, b"ab", "s", None),
+                          (1, bytearray(b"ab"), "s", None)]:
+            assert lookalike == (1, b"ab", "s", None)  # and yet:
+            assert memo.get(lookalike) is None
+
+    @pytest.mark.parametrize("part", [
+        [1, 2], (1, [2]), bytearray(b"x"), (bytearray(b"x"),), {"k": 1}, 1.5,
+        object(), (object(),), type("SoftInt", (int,), {})(3),
+        (10 ** 5000,),  # past the int -> str digit limit: the encoder raises
+    ], ids=["list", "nested-list", "bytearray", "nested-bytearray", "dict",
+            "float", "object", "nested-object", "int-subclass", "huge-int"])
+    def test_only_encoder_proven_immutable_parts_are_admitted(self, part):
+        memo = IdentityMemo()
+        memo.put(("kind", part), True)  # never raises, never stores
+        assert len(memo) == 0
+        assert memo.get(("kind", part)) is None
+
+    def test_entry_pins_its_parts(self):
+        import gc
+        import weakref
+        from dataclasses import dataclass
+
+        @dataclass(frozen=True)
+        class Pinned:  # tuples cannot be weakly referenced
+            x: int
+
+        memo = IdentityMemo(maxsize=1)
+        part = Pinned(1)
+        alive = weakref.ref(part)
+        memo.put((part,), True)
+        del part
+        reset_crypto_caches()  # drop the encoder's own pin
+        gc.collect()
+        assert alive() is not None  # so its id cannot be recycled while stored
+        memo.put((tuple([3]),), True)  # evicts
+        gc.collect()
+        assert alive() is None
+
+    def test_hit_rechecks_identity(self):
+        memo = IdentityMemo()
+        a, b = tuple([1]), tuple([2])
+        memo.put((a,), "about a")
+        # forge what pinning rules out: b's key leading to a's entry
+        memo._entries.put(memo._key((b,)), memo._entries.get(memo._key((a,))))
+        assert memo.get((b,)) is None
+        assert memo.get((a,)) == "about a"
+
+    def test_bounded_and_disabled(self):
+        memo = IdentityMemo(maxsize=3)
+        parts = [tuple([i]) for i in range(10)]
+        for p in parts:
+            memo.put((p,), True)
+        assert len(memo) == 3 and memo.get((parts[0],)) is None
+        with caching_disabled():
+            assert memo.get((parts[-1],)) is None
+            memo.put((parts[0],), True)
+        assert memo.get((parts[-1],)) is True and memo.get((parts[0],)) is None
 
 
 class TestVerifyCache:

@@ -29,9 +29,26 @@ ORDER_HASH = {
     "minbft": "9262806c7accdc3d177884864d7a5b3b86293bc8f7dcbfe2171b5bb3bbcbbcc1",
     "pbft": "37e943d9511031f5dfc9e9c8d60ddc91308a0f46e90d1cf13c7dd0df5a7c67e6",
 }
+# Re-pinned when the verdict memos stopped serializing their keys (USIG memo
+# on the carried digest, proof / proposal memos on object identity,
+# ``type_fingerprint`` deleted): ``stats["crypto"]`` is inside this hash and
+# its bookkeeping counters moved — over the 21 cells ``serialize_misses``
+# 12,895 -> 7,526, ``serialize_hits`` 2,699 -> 250, ``hash_hits`` 4,682 ->
+# 8,007, ``hash_misses`` 2,995 -> 2,472, ``verify_hits`` 2,540 -> 2,603 (an
+# equal but distinct proof is re-validated once, its HMACs still found in
+# the verification cache). Nothing else did: the two constants below were
+# computed at the parent commit and hold at both.
 CHAOS_STATS_HASH = (
-    "137fc73b5e7ec4717e60a4471dc87bdb695fba9c64ebce1a86d135adc7d921b2"
+    "a5486a6e889f60c7ce3dca02eca5664f2ea801b9dd53560da5d1bc7aa9b6b522"
 )
+# the same cells with the ``crypto`` key removed from each ``stats``:
+# behaviour, separate from crypto bookkeeping
+CHAOS_BEHAVIOUR_HASH = (
+    "b36a4f143f16c36f3cd8dc5bceb483b8053b7a3f7eb1f8fe2f8205273dd2c4d9"
+)
+# ... and the crypto counters that are work, not bookkeeping, summed over
+# the cells: (hmac_ops, signs, verify_misses, cheap_rejects)
+CHAOS_CRYPTO_WORK = (2493, 639, 554, 0)
 
 
 @pytest.mark.parametrize("protocol", sorted(ORDER_HASH))
@@ -46,11 +63,22 @@ def test_chaos_and_attack_cell_stats_are_pinned():
         seeds=range(2),
     ) + attack_sweep(seeds=range(1))
     assert len(cells) == 21 and all(r.ok for r in cells)
-    blob = json.dumps(
-        [(r.protocol, r.seed, r.ok, r.stats) for r in cells],
-        sort_keys=True, default=repr,
-    )
-    assert hashlib.sha256(blob.encode()).hexdigest() == CHAOS_STATS_HASH
+
+    def digest(stats_of):
+        blob = json.dumps(
+            [(r.protocol, r.seed, r.ok, stats_of(r)) for r in cells],
+            sort_keys=True, default=repr,
+        )
+        return hashlib.sha256(blob.encode()).hexdigest()
+
+    assert digest(
+        lambda r: {k: v for k, v in r.stats.items() if k != "crypto"}
+    ) == CHAOS_BEHAVIOUR_HASH
+    assert tuple(
+        sum(r.stats["crypto"][k] for r in cells)
+        for k in ("hmac_ops", "signs", "verify_misses", "cheap_rejects")
+    ) == CHAOS_CRYPTO_WORK
+    assert digest(lambda r: r.stats) == CHAOS_STATS_HASH
 
 
 # Pinned at the parent of the client / checkpoint-path / verify_from

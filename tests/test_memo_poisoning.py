@@ -7,10 +7,15 @@ on ``isinstance``. A verdict memo keyed on the serialization alone would
 let a Byzantine peer submit a list-shaped (or impostor-dataclass) copy of
 a valid proof first, caching the rejection under the same key as the
 genuine value, so the genuine proof would be rejected by every later check
-on that scheme; the reverse order would get forged shapes accepted. Memo
-keys now pair the canonical bytes with
-:func:`repro.crypto.serialize.type_fingerprint`; these tests pin the
-end-to-end behavior in both submission orders at every memo site.
+on that scheme; the reverse order would get forged shapes accepted. The
+memos are therefore keyed on what the validators were actually handed: the
+proof and proposal memos on object identity
+(:class:`repro.crypto.serialize.IdentityMemo`: only values the encoder has
+proven deeply immutable, pinned, scalars by exact type), the USIG memo on
+the attestation's own exact-typed scalars. These tests pin the end-to-end
+behavior in both submission orders at every memo site — for look-alike
+shapes, look-alike scalars, values mutated after their check, and
+recycled object ids.
 """
 
 from __future__ import annotations
@@ -32,12 +37,13 @@ from repro.core.srb_from_uni import (
     validate_l2,
 )
 from repro.crypto.serialize import (
+    IdentityMemo,
     caching_disabled,
     canonical_bytes,
+    content_hash,
     reset_crypto_caches,
-    type_fingerprint,
 )
-from repro.crypto.signatures import SignatureScheme
+from repro.crypto.signatures import Signature, SignatureScheme
 from repro.hardware.trinc import TrincAuthority
 
 
@@ -227,37 +233,312 @@ class TestMinBFTProposalMemo:
         assert replica._valid_proposal(list(request)) is False
 
 
-# -- the fingerprint itself ---------------------------------------------------------
+# -- scalar look-alikes, mutation after the check, recycled ids -----------------------
+#
+# The same three questions at each memo site. (1) A scalar that compares and
+# hashes like the genuine one but is not of its exact type (``True`` for
+# ``1``, an ``int`` subclass, a ``bytearray`` for ``bytes``) must neither
+# poison the genuine entry nor inherit it. (2) A value holding something
+# mutable, verified and then mutated in place, must get the verdict of its
+# current content: it was never admitted. (3) Once an entry is evicted and
+# its object freed, a new object at the recycled ``id()`` must not hit.
 
 
-class TestTypeFingerprint:
-    def test_distinguishes_tuple_from_list(self):
-        assert canonical_bytes((1, 2)) == canonical_bytes([1, 2])
-        assert type_fingerprint((1, 2)) != type_fingerprint([1, 2])
+class _MyInt(int):
+    """Equal to, hashing like and encoding like the ``int`` it wraps."""
 
-    def test_distinguishes_nested_shapes(self):
-        assert type_fingerprint(((1,), "x")) != type_fingerprint(([1], "x"))
 
-    def test_distinguishes_impostor_dataclass(self):
-        usig = USIG(TrincAuthority(1, seed=0).trinket(0))
-        ui = usig.create_ui("m")
-        fake = _ImpostorUI(ui.replica, ui.counter, ui.attestation)
-        assert type_fingerprint(ui) != type_fingerprint(fake)
+def _assert_order_independent(check, shapes, fresh):
+    """``check(state, shape)`` gives, in either submission order on a fresh
+    ``state``, the verdicts of the uncached reference — which must tell the
+    first shape (the genuine one) from at least one look-alike."""
+    with caching_disabled():
+        state = fresh()
+        reference = [check(state, s) for s in shapes]
+    assert any(v != reference[0] for v in reference[1:])
+    for order in (range(len(shapes)), reversed(range(len(shapes)))):
+        state = fresh()
+        got = {i: check(state, shapes[i]) for i in order}
+        assert [got[i] for i in range(len(shapes))] == reference
+        # and again, now that whatever is admissible has been admitted
+        assert [check(state, s) for s in shapes] == reference
 
-    def test_distinguishes_bytes_from_bytearray(self):
-        assert canonical_bytes((b"ab",)) == canonical_bytes((bytearray(b"ab"),))
-        assert type_fingerprint((b"ab",)) != type_fingerprint((bytearray(b"ab"),))
 
-    def test_equal_values_equal_fingerprints(self):
-        a = (1, "x", (2.5, b"y"), frozenset({1, 2}))
-        b = (1, "x", (2.5, b"y"), frozenset({2, 1}))
-        assert type_fingerprint(a) == type_fingerprint(b)
+def _recycle(stale_id, make):
+    """Allocate ``make()`` objects until one lands on ``stale_id``."""
+    keep = []
+    for _ in range(2000):
+        candidate = make()
+        if id(candidate) == stale_id:
+            return candidate
+        keep.append(candidate)
+    pytest.skip("the allocator did not recycle the freed object's id")
 
-    def test_cached_identical_to_uncached(self):
-        value = (1, "x" * 100, (b"abc" * 40, 2.5), frozenset({1, 2}), {"k": (3,)})
-        with caching_disabled():
-            reference = type_fingerprint(value)
-        warm_miss = type_fingerprint(value)
-        warm_hit = type_fingerprint(value)
-        assert warm_miss == reference
-        assert warm_hit == reference
+
+class TestUSIGScalarLookalikes:
+    def _lookalikes(self, ui):
+        a = ui.attestation
+        return [
+            ui,
+            UI(ui.replica, True, dataclasses.replace(a, prev=False, seq=True)),
+            UI(True, ui.counter, dataclasses.replace(a, trinket_id=True)),
+            UI(ui.replica, _MyInt(1),
+               dataclasses.replace(a, prev=_MyInt(0), seq=_MyInt(1))),
+            UI(ui.replica, ui.counter,
+               dataclasses.replace(a, tag=bytearray(a.tag))),
+            UI(ui.replica, ui.counter,
+               dataclasses.replace(a, message=bytearray(a.message))),
+        ]
+
+    def test_lookalike_scalars_neither_poison_nor_inherit(self):
+        auth = TrincAuthority(2, seed=3)
+        ui = USIG(auth.trinket(1)).create_ui("m1")  # replica 1, counter 1
+        assert ui.counter == 1 and ui.attestation.prev == 0
+        shapes = self._lookalikes(ui)
+        assert len({canonical_bytes(s) for s in shapes[3:]} | {canonical_bytes(ui)}) == 1
+        _assert_order_independent(
+            lambda verifier, shape: verifier.verify_ui(shape, "m1", 1),
+            shapes, lambda: USIGVerifier(auth),
+        )
+
+    def test_only_exact_scalars_enter_the_memo(self):
+        auth = TrincAuthority(2, seed=3)
+        ui = USIG(auth.trinket(1)).create_ui("m1")
+        verifier = USIGVerifier(auth)
+        for shape in self._lookalikes(ui)[1:]:
+            verifier.verify_ui(shape, "m1", 1)
+        assert len(verifier._verified) == 0
+        assert verifier.verify_ui(ui, "m1", 1) is True
+        assert len(verifier._verified) == 1
+
+    @pytest.mark.parametrize("field", ["tag", "message"])
+    def test_mutated_bytearray_gets_its_current_verdict(self, field):
+        auth = TrincAuthority(2, seed=3)
+        ui = USIG(auth.trinket(0)).create_ui("m1")
+        buf = bytearray(getattr(ui.attestation, field))
+        soft = UI(0, 1, dataclasses.replace(ui.attestation, **{field: buf}))
+        verifier = USIGVerifier(auth)
+        assert verifier.verify_ui(soft, "m1", 0) is True
+        buf[0] ^= 1
+        assert verifier.verify_ui(soft, "m1", 0) is False
+        assert verifier.verify_ui(ui, "m1", 0) is True
+
+    def test_mutated_message_gets_its_current_verdict(self):
+        auth = TrincAuthority(2, seed=3)
+        message = ["PREPARE", 0, 1]
+        ui = USIG(auth.trinket(0)).create_ui(message)
+        verifier = USIGVerifier(auth)
+        assert verifier.verify_ui(ui, message, 0) is True
+        message.append("and more")
+        assert verifier.verify_ui(ui, message, 0) is False
+        message.pop()
+        assert verifier.verify_ui(ui, message, 0) is True
+
+    def test_digest_cannot_answer_for_itself(self):
+        # a Byzantine replica may attest any object with its own trinket;
+        # one whose ``==`` agrees with everything must not make a single UI
+        # bind two messages
+        class LyingDigest(bytes):
+            __hash__ = bytes.__hash__
+
+            def __eq__(self, other):
+                return True
+
+            def __ne__(self, other):
+                return False
+
+        auth = TrincAuthority(2, seed=3)
+        att = auth.trinket(0).attest(1, LyingDigest(content_hash("m1")))
+        ui, verifier = UI(0, 1, att), USIGVerifier(auth)
+        for _ in range(2):
+            assert verifier.verify_ui(ui, "m1", 0) is True
+            assert verifier.verify_ui(ui, "m2", 0) is False
+        assert len(verifier._verified) == 0  # and a look-alike is not memoized
+
+    def test_evicted_verdict_is_recomputed(self):
+        auth = TrincAuthority(2, seed=3)
+        usig, verifier = USIG(auth.trinket(0)), USIGVerifier(auth)
+        first = usig.create_ui("m1")
+        assert verifier.verify_ui(first, "m1", 0) is True
+        for i in range(verifier._verified.maxsize + 1):
+            message = ("m", i)
+            assert verifier.verify_ui(usig.create_ui(message), message, 0) is True
+        assert len(verifier._verified) == verifier._verified.maxsize
+        forged = UI(0, 1, dataclasses.replace(first.attestation, tag=b"\0" * 32))
+        assert verifier.verify_ui(forged, "m1", 0) is False
+        assert verifier.verify_ui(first, "m1", 0) is True
+
+
+class TestL1ScalarLookalikes:
+    def test_lookalike_scalars_neither_poison_nor_inherit(self):
+        scheme, signers = make_scheme()
+        builder, copies, sig = build_l1(scheme, signers, 1, (1, 2))
+        soft_sig = Signature(sig.signer, bytearray(sig.tag))
+        calls = [
+            (SENDER, K, (builder, copies, sig), T),
+            (SENDER, True, (builder, copies, sig), T),  # k: True == 1
+            (False, K, (builder, copies, sig), T),  # sender: False == 0
+            (SENDER, _MyInt(K), (builder, copies, sig), T),
+            (SENDER, K, (True, copies, sig), T),  # builder: True == 1
+            (SENDER, K, (builder, copies, soft_sig), T),
+        ]
+        _assert_order_independent(
+            lambda s, c: validate_l1_item(s, c[0], c[1], M, c[2], c[3]),
+            calls, lambda: make_scheme()[0],
+        )
+
+    def test_mutated_value_gets_its_current_verdict(self):
+        scheme, signers = make_scheme()
+        m = ["payload"]  # signed while it reads ["payload"]
+        copies = tuple(
+            (j, signers[j].sign(copy_domain(SENDER, K, m))) for j in (1, 2)
+        )
+        item = (1, copies, signers[1].sign(l1_domain(SENDER, K, m)))
+        assert validate_l1_item(scheme, SENDER, K, m, item, T) == 1
+        m.append("tampered")
+        assert validate_l1_item(scheme, SENDER, K, m, item, T) is None
+        m.pop()
+        assert validate_l1_item(scheme, SENDER, K, m, item, T) == 1
+
+    def test_mutated_signature_tag_gets_its_current_verdict(self):
+        scheme, signers = make_scheme()
+        builder, copies, sig = build_l1(scheme, signers, 1, (1, 2))
+        tag = bytearray(sig.tag)
+        item = (builder, copies, Signature(sig.signer, tag))
+        assert validate_l1_item(scheme, SENDER, K, M, item, T) == 1
+        tag[0] ^= 1
+        assert validate_l1_item(scheme, SENDER, K, M, item, T) is None
+        assert validate_l1_item(scheme, SENDER, K, M, (builder, copies, sig), T) == 1
+
+    def test_recycled_id_cannot_hit(self):
+        scheme, signers = make_scheme()
+        scheme.memo = IdentityMemo(maxsize=2)
+        builder, copies, sig = build_l1(scheme, signers, 1, (1, 2))
+        assert validate_l1_item(scheme, SENDER, K, M, (builder, copies, sig), T) == 1
+        for other in (2, 3):  # two more genuine proofs push the first out
+            item = build_l1(scheme, signers, other, (1, 2))
+            assert validate_l1_item(scheme, SENDER, K, M, item, T) == other
+        assert len(scheme.memo) == 2
+        stale, pairs = id(copies), list(copies)
+        del copies
+        reset_crypto_caches()  # the encoder's own LRU pinned it too
+        forged = _recycle(stale, lambda: tuple(pairs[:1] * 2))  # one copier, twice
+        assert validate_l1_item(scheme, SENDER, K, M, (builder, forged, sig), T) is None
+
+
+class TestL2ScalarLookalikes:
+    def test_lookalike_scalars_neither_poison_nor_inherit(self):
+        scheme, signers = make_scheme()
+        payload = build_l2(scheme, signers)
+        tag, k, m, sig_s, l1items = payload
+        soft_sig = Signature(sig_s.signer, bytearray(sig_s.tag))
+        shapes = [
+            payload,
+            (tag, True, m, sig_s, l1items),
+            (tag, _MyInt(k), m, sig_s, l1items),
+            (tag, k, m, soft_sig, l1items),
+            tuple(payload),  # the same object
+            (tag, k, m, sig_s, l1items),  # an equal, distinct one
+        ]
+        _assert_order_independent(
+            lambda s, p: validate_l2(s, SENDER, p, T),
+            shapes, lambda: make_scheme()[0],
+        )
+
+    def test_mutated_value_gets_its_current_verdict(self):
+        scheme, signers = make_scheme()
+        m = ["payload"]
+        sig_s = signers[SENDER].sign(val_domain(SENDER, K, m))
+        l1items = tuple(
+            (b, tuple((j, signers[j].sign(copy_domain(SENDER, K, m))) for j in (1, 2)),
+             signers[b].sign(l1_domain(SENDER, K, m)))
+            for b in (1, 2)
+        )
+        payload = ("L2", K, m, sig_s, l1items)
+        assert validate_l2(scheme, SENDER, payload, T) == (K, m)
+        m.append("tampered")
+        assert validate_l2(scheme, SENDER, payload, T) is None
+
+    def test_mutated_signature_tag_gets_its_current_verdict(self):
+        scheme, signers = make_scheme()
+        tag_, k, m, sig_s, l1items = build_l2(scheme, signers)
+        tag = bytearray(sig_s.tag)
+        payload = (tag_, k, m, Signature(sig_s.signer, tag), l1items)
+        assert validate_l2(scheme, SENDER, payload, T) == (K, M)
+        tag[0] ^= 1
+        assert validate_l2(scheme, SENDER, payload, T) is None
+
+    def test_recycled_id_cannot_hit(self):
+        scheme, signers = make_scheme()
+        scheme.memo = IdentityMemo(maxsize=4)
+        parts = list(build_l2(scheme, signers))
+        payload = tuple(parts)
+        assert validate_l2(scheme, SENDER, payload, T) == (K, M)
+        for i in range(8):  # misses are admitted too: push the payload out
+            assert validate_l2(scheme, SENDER, ("L2", K, M, i, ()), T) is None
+        stale = id(payload)
+        del payload
+        reset_crypto_caches()
+        forged = _recycle(stale, lambda: tuple(parts[:4] + [()]))  # no L1 proofs
+        assert validate_l2(scheme, SENDER, forged, T) is None
+
+
+class TestMinBFTProposalScalarLookalikes:
+    def _replica_and_client(self):
+        auth = TrincAuthority(3, seed=1)
+        scheme = SignatureScheme(4, seed=1)  # replicas 0..2, client 3
+        replica = MinBFTReplica(
+            3, USIG(auth.trinket(0)), USIGVerifier(auth), scheme,
+            scheme.signer(0), make_app("counter"),
+        )
+        return replica, scheme.signer(3)
+
+    def _request(self, client, op=("add", 1)):
+        return (REQUEST, 3, 1, op, client.sign(request_domain(3, 1, op)))
+
+    def test_lookalike_scalars_neither_poison_nor_inherit(self):
+        kind, client, req_id, op, sig = request = self._request(
+            self._replica_and_client()[1]
+        )
+        shapes = [
+            request,
+            (kind, client, True, op, sig),  # req_id: True == 1
+            (kind, _MyInt(client), req_id, op, sig),
+            (kind, client, req_id, op, Signature(sig.signer, bytearray(sig.tag))),
+            ("BATCH", request),
+            ("BATCH", request, (kind, client, True, op, sig)),
+        ]
+        _assert_order_independent(
+            lambda replica, p: replica._valid_proposal(p),
+            shapes, lambda: self._replica_and_client()[0],
+        )
+
+    def test_mutated_op_gets_its_current_verdict(self):
+        replica, client = self._replica_and_client()
+        op = ["add", 1]
+        request = self._request(client, op)
+        assert replica._valid_proposal(request) is True
+        op[1] = 1_000_000
+        assert replica._valid_proposal(request) is False
+
+    def test_mutated_signature_tag_gets_its_current_verdict(self):
+        replica, client = self._replica_and_client()
+        kind, pid, req_id, op, sig = self._request(client)
+        tag = bytearray(sig.tag)
+        request = (kind, pid, req_id, op, Signature(sig.signer, tag))
+        assert replica._valid_proposal(request) is True
+        tag[0] ^= 1
+        assert replica._valid_proposal(request) is False
+
+    def test_recycled_id_cannot_hit(self):
+        replica, client = self._replica_and_client()
+        replica.scheme.memo = IdentityMemo(maxsize=2)
+        request = self._request(client)
+        assert replica._valid_proposal(request) is True
+        for i in range(4):
+            assert replica._valid_proposal((REQUEST, 3, 1, ("add", i), None)) is False
+        stale, fields = id(request), list(request)
+        del request
+        reset_crypto_caches()
+        forged = _recycle(stale, lambda: tuple(fields[:3] + [("add", 2), fields[4]]))
+        assert replica._valid_proposal(forged) is False

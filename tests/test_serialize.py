@@ -8,12 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.serialize import (
-    caching_disabled,
-    canonical_bytes,
-    content_hash,
-    type_fingerprint,
-)
+from repro.crypto.serialize import canonical_bytes, content_hash
 from repro.errors import SignatureError
 
 
@@ -142,12 +137,3 @@ class TestProperties:
         import hashlib
 
         assert content_hash(v) == hashlib.sha256(canonical_bytes(v)).digest()
-
-    @given(values)
-    @settings(max_examples=200)
-    def test_fingerprint_cached_identical_to_uncached(self, v):
-        with caching_disabled():
-            reference = type_fingerprint(v)
-        # first call may populate the identity LRU, second must hit it
-        assert type_fingerprint(v) == reference
-        assert type_fingerprint(v) == reference

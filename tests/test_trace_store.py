@@ -223,6 +223,27 @@ class TestRetention:
             expect = [ev for ev in unbounded.events(pid=pid) if ev.index in keep]
             assert bounded.events(pid=pid) == expect
 
+    @pytest.mark.parametrize("retention", [None, 40])
+    def test_clear_evicts_everything_and_recording_goes_on(self, retention):
+        events = random_events(7, count=200)
+        t = build(events[:150], retention=retention)
+        # what is recorded after the clear: the last 50 events, or as many
+        # of them as the store retains
+        reference = build(events, retention=min(50, retention or 50))
+        t.clear()
+        assert len(t) == 0 and t.events() == [] and list(t) == []
+        assert t.evicted == t.total_recorded == 150
+        assert t.kind_counts() == build(events[:150]).kind_counts()
+        for time, kind, pid, fields in events[150:]:
+            t.record(time, kind, pid, **fields)
+        assert t.events() == reference.events()
+        for kind in KINDS:
+            assert t.events(kind) == reference.events(kind)
+        for pid in range(5):
+            assert t.events(pid=pid) == reference.events(pid=pid)
+        assert t.kind_counts() == reference.kind_counts()
+        assert t.pid_counts() == reference.pid_counts()
+
     def test_retention_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="retention"):
             TraceStore(retention=0)

@@ -16,7 +16,14 @@ runs cannot tell) or ``within``. A gain may be claimed only with >= 10
 pairs, >= 9/10 of them won, and medians further apart than the parent's
 spread (``gain?`` says whether this table would support one).
 
-Every run's raw values are printed too, so a report can list them all.
+Every run's raw values are printed too, so a report can list them all, each
+with the 1-minute load average (``os.getloadavg()[0]``) the box showed when
+the run started. A pair is marked ``noisy`` when either side started above
+``BUSY_LOAD`` and the summary lists the noisy pairs: on a 2-CPU box a
+co-tenant moves the calibrated ``setup_s`` of an untouched builder by tens
+of percent, so a verdict resting on noisy pairs is to be re-run, not
+reported.
+
 Nothing is imported from either checkout; the benchmark's last stdout line
 (``{"correct", "attempted", "failed", "metrics"}``) is the only interface.
 """
@@ -25,9 +32,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 from pathlib import Path
+
+#: A run that starts with the 1-minute load average above this shared the
+#: box. The ledger flags a run that starts above 1.0 — from a cold start. Here
+#: runs follow each other, and the one pinned benchmark child of the previous
+#: run alone holds the average at 0.95-1.08 on an otherwise idle box, so the
+#: same rule is 1.0 of our own plus a quarter of a CPU of somebody else's.
+BUSY_LOAD = 1.25
 
 
 def run_once(checkout: Path, manifest: dict, workload: str, seed: int) -> dict:
@@ -86,15 +101,22 @@ def main() -> int:
     manifest = json.loads((args.change / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for pair in range(args.pairs):
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+    noisy: list[int] = []
+    for pair in range(1, args.pairs + 1):
+        order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
+            load = os.getloadavg()[0]
+            busy = load > BUSY_LOAD
+            if busy and pair not in noisy:
+                noisy.append(pair)
             result = run_once(sides[side], manifest, args.workload, args.seed)
             runs[side].append(result)
             values = "  ".join(
                 f"{name}={m['value']:.6g}" for name, m in result["metrics"].items()
             )
-            print(f"pair {pair + 1:>2} {side:<6} correct={result['correct']} "
+            print(f"pair {pair:>2} {side:<6} load={load:.2f}"
+                  f"{' noisy' if busy else ''} "
+                  f"correct={result['correct']} "
                   f"failed={result['failed']}/{result['attempted']}  {values}",
                   flush=True)
 
@@ -113,6 +135,9 @@ def main() -> int:
     print(f"failed operations: parent {failed['parent']}, change {failed['change']}; "
           f"runs with a failed check: parent {incorrect['parent']}, "
           f"change {incorrect['change']}")
+    print(f"noisy pairs (a side started with load > {BUSY_LOAD:g}): "
+          f"{', '.join(map(str, noisy)) if noisy else 'none'}"
+          f"{' - re-run on an idle box before reporting' if noisy else ''}")
     return 1 if failed["change"] > failed["parent"] or incorrect["change"] else 0
 
 
