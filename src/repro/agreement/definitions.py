@@ -98,6 +98,8 @@ class AgreementStreamChecker(TraceObserver):
 
     # -- streaming ---------------------------------------------------------
 
+    kinds = frozenset({DECIDE})
+
     def on_event(self, ev: TraceEvent) -> None:
         if ev.kind != DECIDE or ev.pid not in self._correct_set:
             return

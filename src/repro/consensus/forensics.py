@@ -133,6 +133,8 @@ class AccountabilityChecker(TraceObserver):
 
     # -- observer interface -------------------------------------------------
 
+    kinds = frozenset({DELIVER})
+
     def on_event(self, ev: TraceEvent) -> None:
         if ev.kind != DELIVER:
             return

@@ -119,6 +119,8 @@ class ReplicationStreamChecker(TraceObserver):
 
     # -- streaming ---------------------------------------------------------
 
+    kinds = frozenset({CUSTOM})
+
     def on_event(self, ev: TraceEvent) -> None:
         if ev.kind != CUSTOM:
             return
@@ -302,6 +304,8 @@ class ReplicationLivenessChecker(TraceObserver):
         self._vc_armed: set[int] = set()
 
     # -- streaming ---------------------------------------------------------
+
+    kinds = frozenset({CUSTOM})
 
     def on_event(self, ev: TraceEvent) -> None:
         if ev.kind != CUSTOM:

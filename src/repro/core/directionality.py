@@ -131,6 +131,8 @@ class DirectionalityStreamChecker(TraceObserver):
 
     # -- streaming ---------------------------------------------------------
 
+    kinds = frozenset({ROUND_SENT, ROUND_END, ROUND_RECV})
+
     def on_event(self, ev: TraceEvent) -> None:
         if ev.pid not in self._pidset:
             return

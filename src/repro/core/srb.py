@@ -149,6 +149,8 @@ class SRBStreamChecker(TraceObserver):
 
     # -- streaming ---------------------------------------------------------
 
+    kinds = frozenset({BCAST, BCAST_DELIVER})
+
     def on_event(self, ev: TraceEvent) -> None:
         if ev.kind == BCAST:
             if ev.pid == self.sender:
@@ -338,6 +340,8 @@ class SRBLivenessChecker(TraceObserver):
         self.satisfied = 0
 
     # -- streaming ---------------------------------------------------------
+
+    kinds = frozenset({BCAST, BCAST_DELIVER})
 
     def on_event(self, ev: TraceEvent) -> None:
         if ev.kind == BCAST and ev.pid in self._ff_set:

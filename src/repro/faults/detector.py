@@ -252,6 +252,8 @@ class RecoverySupervisor(TraceObserver):
         self.suppressed_stale = 0
         self._per_pid: dict[ProcessId, int] = {}
 
+    kinds = frozenset({CUSTOM})
+
     def on_event(self, ev: TraceEvent) -> None:
         if ev.kind != CUSTOM or ev.field("event") != "crash":
             return

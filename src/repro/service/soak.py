@@ -323,6 +323,8 @@ class ServiceLivenessAuditor(TraceObserver):
         self.armed = 0
         self.satisfied = 0
 
+    kinds = frozenset({CUSTOM})
+
     def on_event(self, ev: TraceEvent) -> None:
         if ev.kind != CUSTOM:
             return

@@ -9,15 +9,17 @@ implementation of a primitive.
 
 Three capabilities beyond a plain list:
 
-- **Indexes.** Per-kind and per-pid indexes are maintained incrementally on
-  :meth:`TraceStore.record`, so ``events(kind=...)``, ``events(pid=...)``,
-  ``decisions()`` and ``local_view()`` cost O(matching events) instead of
-  O(full trace). On chaos sweeps and 100k-event benches this is the hot
-  path.
-- **Observer bus.** :class:`TraceObserver` subscribers receive every event
-  as it is recorded, enabling *online* checkers that maintain incremental
+- **Lazy indexes.** :meth:`TraceStore.record` is the hot path of every
+  simulated event and maintains no index. ``events(kind=...)``,
+  ``events(pid=...)``, ``decisions()`` and ``local_view()`` first catch the
+  per-kind / per-pid indexes up with the rows recorded since the previous
+  query, then cost O(matching events) instead of O(full trace); a run nobody
+  queries (streaming checkers over a retention ring) never builds them.
+- **Observer bus.** :class:`TraceObserver` subscribers receive the events of
+  the kinds they declare (:attr:`TraceObserver.kinds`; every kind by default)
+  as they are recorded, enabling *online* checkers that maintain incremental
   state and fail at the violating event instead of rescanning the finished
-  trace.
+  trace. A record no subscriber wants builds no event object.
 - **Bounded memory + JSONL.** A ``retention`` limit turns the store into a
   ring buffer (evicted events stay counted in per-kind/per-pid summaries),
   and :meth:`to_jsonl` / :meth:`from_jsonl` round-trip a trace through a
@@ -34,9 +36,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional, TextIO
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from ..errors import ConfigurationError
 from ..types import Delivery, Decision, ProcessId, Time
@@ -82,13 +84,14 @@ _LOCAL_VIEW_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One record in a trace.
 
     ``pid`` is the process the event belongs to (for :data:`DELIVER` that is
     the receiver; the sender appears in ``fields['src']``). ``fields`` is a
-    flat mapping of event-kind-specific data.
+    flat mapping of event-kind-specific data. Immutable; a named tuple
+    because one is built per observed record and a frozen dataclass costs
+    twice as much to construct.
     """
 
     index: int
@@ -113,14 +116,32 @@ class TraceObserver:
     """Streaming consumer of trace events.
 
     Subscribe with :meth:`TraceStore.subscribe`; :meth:`on_event` then runs
-    synchronously inside every ``record`` call, in subscription order. An
-    observer that raises aborts the recording call (and hence the
-    simulation step that produced the event) — this is how fail-fast
-    online checkers stop a run at the exact violating event.
+    synchronously inside the ``record`` call of every event whose kind is in
+    :attr:`kinds`, in subscription order. An observer that raises aborts the
+    recording call (and hence the simulation step that produced the event) —
+    this is how fail-fast online checkers stop a run at the exact violating
+    event.
     """
 
+    #: event kinds this observer is called for; ``None`` means every kind.
+    #: Declare the kinds ``on_event`` acts on and the store never calls it
+    #: (nor builds an event on its behalf) for the rest.
+    kinds: Optional[frozenset[str]] = None
+
     def on_event(self, ev: TraceEvent) -> None:
-        """Called once per recorded event, in trace order."""
+        """Called once per recorded event of a subscribed kind, in trace order."""
+
+
+def _route(observers: Iterable[TraceObserver], kind: str) -> tuple:
+    """The ``on_event`` of every observer subscribed to ``kind``, in order.
+
+    The one delivery rule, live (:meth:`TraceStore.record`, which is also
+    the JSONL import path) and offline (:meth:`TraceStore.replay_into`).
+    """
+    return tuple(
+        obs.on_event for obs in observers
+        if obs.kinds is None or kind in obs.kinds
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -243,29 +264,30 @@ def _decode_event(line: str) -> TraceEvent:
 
 
 class TraceStore:
-    """Append-only event log with incremental indexes and an observer bus.
+    """Append-only event log with lazy indexes and a kind-routed observer bus.
 
     ``retention`` bounds the number of events kept in memory: ``None``
     (default) keeps everything; ``N`` keeps the most recent ``N`` events in
     a ring buffer while :meth:`kind_counts` / :meth:`pid_counts` continue to
-    cover the evicted prefix. Observers always see every event regardless
-    of retention — streaming checkers are the intended consumer for runs
-    too long to hold in full.
+    cover the evicted prefix. Observers always see every event of their
+    kinds regardless of retention — streaming checkers are the intended
+    consumer for runs too long to hold in full.
 
-    Storage is *columnar*: five parallel lists (index, time, kind, pid,
-    fields) instead of one :class:`TraceEvent` object per record. The
-    frozen-dataclass construction cost — the single largest slice of
-    ``record`` on million-event runs — is deferred to the first reader
-    that actually needs an event object; a store nobody iterates (pure
-    counters, or observer-only runs with retention=1) never pays it at
-    all. The per-kind/per-pid indexes hold *logical positions* (ints)
-    into the columns, so they are immune to the amortized front-eviction
-    that keeps bounded stores O(retention): evicted rows are first marked
-    dead at the front of the columns and physically deleted only once
-    the dead prefix reaches half the column length — O(1) amortized per
-    eviction, same as the old deque ``popleft``. The external API
-    (``record``/``events``/iteration/JSONL/observers) is unchanged and
-    still trades in :class:`TraceEvent` values, materialized on demand.
+    Cost contract: :meth:`record` does five column appends, one routed
+    dispatch and, on a full ring, an O(1) eviction — it pays only for what
+    is observed. Storage is *columnar* (five parallel lists: index, time,
+    kind, pid, fields), a :class:`TraceEvent` is built only for a record
+    some subscriber's :attr:`~TraceObserver.kinds` cover or for a reader
+    that asks for one, and the per-kind / per-pid indexes are built by the
+    queries that use them: a query first indexes the rows recorded since
+    the previous query (``_indexed`` is the watermark; one that eviction
+    overtook restarts from the live window), then walks only the matching
+    positions. The indexes hold *logical positions* into the columns, so
+    they are immune to the amortized front-eviction that keeps bounded
+    stores O(retention): an evicted row is first only marked dead at the
+    front of the columns (its fields released), and the dead prefix is
+    deleted, and its kinds and pids added to the evicted-prefix counters,
+    in one batch once it reaches half the column length.
     """
 
     #: dead column prefixes shorter than this ride for free (and below
@@ -284,11 +306,13 @@ class TraceStore:
         self._c_fields: list[dict[str, Any]] = []
         self._offset = 0  # logical position of physical row 0
         self._dead = 0  # evicted rows not yet physically deleted (front)
-        self._by_kind: dict[str, deque[int]] = {}
-        self._by_pid: dict[ProcessId, deque[int]] = {}
+        self._by_kind: defaultdict[str, deque[int]] = defaultdict(deque)
+        self._by_pid: defaultdict[ProcessId, deque[int]] = defaultdict(deque)
+        self._indexed = 0  # logical position the indexes are caught up to
         self._observers: list[TraceObserver] = []
+        self._routes: dict[str, tuple] = {}  # kind -> _route(observers, kind)
         self._next_index = 0
-        self._evicted = 0
+        # kinds / pids of the rows already deleted from the columns
         self._evicted_by_kind: Counter[str] = Counter()
         self._evicted_by_pid: Counter[ProcessId] = Counter()
 
@@ -297,84 +321,69 @@ class TraceStore:
     def _materialize(self, phys: int) -> TraceEvent:
         """Build the TraceEvent for physical row ``phys``."""
         return TraceEvent(
-            index=self._c_index[phys],
-            time=self._c_time[phys],
-            kind=self._c_kind[phys],
-            pid=self._c_pid[phys],
-            fields=self._c_fields[phys],
+            self._c_index[phys], self._c_time[phys], self._c_kind[phys],
+            self._c_pid[phys], self._c_fields[phys],
         )
 
     def _live_rows(self) -> range:
         """Physical row numbers of the retained events, in trace order."""
         return range(self._dead, len(self._c_time))
 
+    def _compact(self, n: int) -> None:
+        """Delete the first ``n`` rows (all evicted); the counts keep them."""
+        self._evicted_by_kind.update(self._c_kind[:n])
+        self._evicted_by_pid.update(self._c_pid[:n])
+        for column in (self._c_index, self._c_time, self._c_kind,
+                       self._c_pid, self._c_fields):
+            del column[:n]
+        self._offset += n
+        self._dead = 0
+
+    def _catch_up(self) -> None:
+        """Bring the indexes up to date with the columns (query entry)."""
+        off = self._offset
+        first = off + self._dead  # logical position of the oldest live row
+        lo = self._indexed
+        by_kind, by_pid = self._by_kind, self._by_pid
+        if lo < first:  # every indexed row has been evicted since
+            by_kind.clear()
+            by_pid.clear()
+            lo = first
+        else:  # the oldest row leads its kind's and its pid's positions
+            for positions in (*by_kind.values(), *by_pid.values()):
+                while positions and positions[0] < first:
+                    positions.popleft()
+        self._indexed = off + len(self._c_time)
+        for pos, kind, pid in zip(
+            range(lo, self._indexed), self._c_kind[lo - off:], self._c_pid[lo - off:]
+        ):
+            by_kind[kind].append(pos)
+            by_pid[pid].append(pos)
+
     # -- recording -------------------------------------------------------
 
     def record(self, time: Time, kind: str, pid: ProcessId, **fields: Any) -> None:
-        pos = self._offset + len(self._c_time)
-        self._c_index.append(self._next_index)
-        self._next_index += 1
+        index = self._next_index
+        self._next_index = index + 1
+        self._c_index.append(index)
         self._c_time.append(time)
         self._c_kind.append(kind)
         self._c_pid.append(pid)
         self._c_fields.append(fields)
-        kind_dq = self._by_kind.get(kind)
-        if kind_dq is None:
-            kind_dq = self._by_kind[kind] = deque()
-        kind_dq.append(pos)
-        pid_dq = self._by_pid.get(pid)
-        if pid_dq is None:
-            pid_dq = self._by_pid[pid] = deque()
-        pid_dq.append(pos)
-        if self._observers:
-            ev = TraceEvent(
-                index=self._c_index[-1], time=time, kind=kind, pid=pid,
-                fields=fields,
-            )
-            for obs in self._observers:
-                obs.on_event(ev)
-        if self.retention is not None and len(self) > self.retention:
-            self._evict_oldest()
-
-    def _append(self, ev: TraceEvent) -> None:
-        """Append an already-built event (JSONL import path; keeps ``ev``'s
-        own index, which need not be contiguous)."""
-        pos = self._offset + len(self._c_time)
-        self._c_index.append(ev.index)
-        self._c_time.append(ev.time)
-        self._c_kind.append(ev.kind)
-        self._c_pid.append(ev.pid)
-        self._c_fields.append(ev.fields)
-        self._by_kind.setdefault(ev.kind, deque()).append(pos)
-        self._by_pid.setdefault(ev.pid, deque()).append(pos)
-        if self.retention is not None and len(self) > self.retention:
-            self._evict_oldest()
-
-    def _evict_oldest(self) -> None:
-        phys = self._dead
-        kind = self._c_kind[phys]
-        pid = self._c_pid[phys]
-        self._c_fields[phys] = None  # type: ignore[call-overload] — drop refs now
-        self._dead += 1
-        # The globally oldest retained event is necessarily at the front of
-        # its own kind and pid index deques (indexes are in trace order).
-        self._by_kind[kind].popleft()
-        self._by_pid[pid].popleft()
-        self._evicted += 1
-        self._evicted_by_kind[kind] += 1
-        self._evicted_by_pid[pid] += 1
-        if (
-            self._dead >= self._EVICT_COMPACT_MIN
-            and self._dead * 2 >= len(self._c_time)
-        ):
-            n = self._dead
-            del self._c_index[:n]
-            del self._c_time[:n]
-            del self._c_kind[:n]
-            del self._c_pid[:n]
-            del self._c_fields[:n]
-            self._offset += n
-            self._dead = 0
+        route = self._routes.get(kind)
+        if route is None:
+            route = self._routes[kind] = _route(self._observers, kind)
+        if route:  # a snapshot: (un)subscribing inside on_event is safe
+            ev = TraceEvent(index, time, kind, pid, fields)
+            for on_event in route:
+                on_event(ev)
+        if self.retention is not None:
+            dead, size = self._dead, len(self._c_time)
+            if size - dead > self.retention:  # evict the oldest live row
+                self._c_fields[dead] = None  # type: ignore[call-overload]
+                self._dead = dead = dead + 1
+                if dead >= self._EVICT_COMPACT_MIN and dead * 2 >= size:
+                    self._compact(dead)
 
     def clear(self) -> None:
         """Evict every retained event at once; the counts keep covering them.
@@ -384,15 +393,7 @@ class TraceStore:
         cycle: released here they are freed by reference count, left in
         place they wait for the cycle collector.
         """
-        live = self._dead
-        self._evicted += len(self)
-        self._evicted_by_kind.update(self._c_kind[live:])
-        self._evicted_by_pid.update(self._c_pid[live:])
-        self._offset += len(self._c_time)
-        self._dead = 0
-        for column in (self._c_index, self._c_time, self._c_kind,
-                       self._c_pid, self._c_fields):
-            column.clear()
+        self._compact(len(self._c_time))
         self._by_kind.clear()
         self._by_pid.clear()
 
@@ -401,10 +402,12 @@ class TraceStore:
     def subscribe(self, observer: TraceObserver) -> TraceObserver:
         """Attach a streaming observer; returns it for chaining."""
         self._observers.append(observer)
+        self._routes = {}
         return observer
 
     def unsubscribe(self, observer: TraceObserver) -> None:
         self._observers.remove(observer)
+        self._routes = {}
 
     @property
     def observers(self) -> tuple[TraceObserver, ...]:
@@ -414,11 +417,17 @@ class TraceStore:
         """Feed the retained events to ``observers`` in trace order.
 
         Offline streaming: run an online checker over a finished or
-        imported trace without re-executing the simulation.
+        imported trace without re-executing the simulation. Each observer
+        gets the events of its :attr:`~TraceObserver.kinds`, as it would
+        have live.
         """
-        for ev in self:
-            for obs in observers:
-                obs.on_event(ev)
+        routes = {k: _route(observers, k) for k in set(self._c_kind)}
+        for phys in self._live_rows():
+            route = routes[self._c_kind[phys]]
+            if route:
+                ev = self._materialize(phys)
+                for on_event in route:
+                    on_event(ev)
 
     # -- iteration / filtering -------------------------------------------
 
@@ -437,7 +446,7 @@ class TraceStore:
 
     @property
     def evicted(self) -> int:
-        return self._evicted
+        return self._offset + self._dead
 
     def events(
         self,
@@ -451,6 +460,8 @@ class TraceStore:
         smaller matching index, not the whole trace — and the secondary
         filter of a combined query reads one column, never a full event.
         """
+        if kind is not None or pid is not None:
+            self._catch_up()
         off = self._offset
         if kind is not None and pid is not None:
             by_kind = self._by_kind.get(kind, ())
@@ -476,19 +487,11 @@ class TraceStore:
 
     def kind_counts(self) -> dict[str, int]:
         """Total events per kind, including evicted ones."""
-        counts = Counter(self._evicted_by_kind)
-        for kind, dq in self._by_kind.items():
-            if dq:
-                counts[kind] += len(dq)
-        return dict(counts)
+        return dict(self._evicted_by_kind + Counter(self._c_kind))
 
     def pid_counts(self) -> dict[ProcessId, int]:
         """Total events per pid, including evicted ones."""
-        counts = Counter(self._evicted_by_pid)
-        for pid, dq in self._by_pid.items():
-            if dq:
-                counts[pid] += len(dq)
-        return dict(counts)
+        return dict(self._evicted_by_pid + Counter(self._c_pid))
 
     # -- protocol-level conveniences --------------------------------------
 
@@ -533,6 +536,7 @@ class TraceStore:
         view covers the retained window only (evicted events are gone);
         indistinguishability comparisons should use unbounded stores.
         """
+        self._catch_up()
         off = self._offset
         kind_col = self._c_kind
         fields_col = self._c_fields
@@ -588,28 +592,25 @@ class TraceStore:
         :class:`DataclassValue`/:class:`OpaqueValue` stand-ins — so view
         comparisons are exact between *imported* traces, and checkers that
         read codec-native fields (all the shipped ones) report identically
-        to the live run. ``observers`` are subscribed first and therefore
-        replay the stream event by event — deterministic offline
-        re-checking of an exported run.
+        to the live run. ``observers`` are subscribed first and every line
+        goes through :meth:`record`, so they replay the stream exactly as
+        they would have seen it live — deterministic offline re-checking of
+        an exported run.
         """
         store = cls()
         for obs in observers:
             store.subscribe(obs)
-        last_index = -1
         for line in text.splitlines():
             line = line.strip()
             if not line:
                 continue
             ev = _decode_event(line)
-            if ev.index <= last_index:
+            if ev.index < store._next_index:
                 raise ConfigurationError(
                     f"JSONL trace indexes not increasing at event {ev.index}"
                 )
-            last_index = ev.index
-            store._next_index = ev.index + 1
-            store._append(ev)
-            for obs in store._observers:
-                obs.on_event(ev)
+            store._next_index = ev.index  # need not be contiguous
+            store.record(ev.time, ev.kind, ev.pid, **ev.fields)
         return store
 
     @classmethod

@@ -46,7 +46,10 @@ class OrderHasher(TraceObserver):
         self._h = hashlib.sha256()
 
     def on_event(self, ev: TraceEvent) -> None:
-        self._h.update(repr((ev.index, ev.time, ev.kind, ev.pid)).encode())
+        # byte-identical to repr((index, time, kind, pid)), without the tuple
+        self._h.update(
+            f"({ev.index!r}, {ev.time!r}, {ev.kind!r}, {ev.pid!r})".encode()
+        )
 
     def hexdigest(self) -> str:
         return self._h.hexdigest()
@@ -59,6 +62,8 @@ class _CompletionClock(TraceObserver):
         self.first_sent: Optional[float] = None
         self.last_done: Optional[float] = None
         self.completions = 0
+
+    kinds = frozenset({CUSTOM})
 
     def on_event(self, ev: TraceEvent) -> None:
         if ev.kind != CUSTOM:

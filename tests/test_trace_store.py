@@ -4,9 +4,19 @@ retention, and JSONL round-trips (repro.sim.trace)."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.analysis.tracefile import (
     format_trace_summary,
@@ -50,20 +60,41 @@ def build(events, retention=None):
     return t
 
 
+class Log(TraceObserver):
+    """Records the index of every event it is handed."""
+
+    def __init__(self, kinds=None):
+        self.kinds = None if kinds is None else frozenset(kinds)
+        self.seen: list[int] = []
+
+    def on_event(self, ev):
+        self.seen.append(ev.index)
+
+
 # --- reference implementation: the pre-refactor linear-scan semantics ------
 
 
 class LinearScanReference:
-    """The old Trace behavior: one list, every query scans all of it."""
+    """The old Trace behavior: one list, every query scans all of it; the
+    oldest row is popped when a record leaves more than ``retention``."""
 
-    def __init__(self):
+    def __init__(self, retention=None):
+        self.retention = retention
         self.log: list[TraceEvent] = []
+        self.kinds: Counter = Counter()
+        self.pids: Counter = Counter()
+        self.next_index = 0
+
+    def append(self, time, kind, pid, **fields):
+        self.log.append(TraceEvent(self.next_index, time, kind, pid, fields))
+        self.next_index += 1
+        self.kinds[kind] += 1
+        self.pids[pid] += 1
 
     def record(self, time, kind, pid, **fields):
-        self.log.append(
-            TraceEvent(index=len(self.log), time=time, kind=kind, pid=pid,
-                       fields=fields)
-        )
+        self.append(time, kind, pid, **fields)
+        if self.retention is not None and len(self.log) > self.retention:
+            self.log.pop(0)
 
     def events(self, kind=None, pid=None, predicate=None):
         out = []
@@ -194,6 +225,52 @@ class TestObserverBus:
         t = build(random_events(3, count=50))
         t.replay_into(Collector())
         assert seen == [(ev.index, ev.kind) for ev in t.events()]
+
+    def test_unsubscribe_inside_on_event_does_not_skip_the_next_observer(self):
+        # regression: record() used to iterate the live observer list, so
+        # removing an entry mid-dispatch shifted the next observer past
+        # the event being delivered
+        t = TraceStore()
+
+        class Once(TraceObserver):
+            def on_event(self, ev):
+                t.unsubscribe(self)
+
+        log = Log()
+        t.subscribe(Once())
+        t.subscribe(log)
+        t.record(0.0, "custom", 0)
+        t.record(1.0, "custom", 0)
+        assert log.seen == [0, 1]
+        assert t.observers == (log,)
+
+    def test_subscribe_inside_on_event_starts_with_the_next_event(self):
+        t = TraceStore()
+        late = Log()
+
+        class Recruiter(TraceObserver):
+            def on_event(self, ev):
+                if ev.index == 0:
+                    t.subscribe(late)
+
+        t.subscribe(Recruiter())
+        for i in range(3):
+            t.record(float(i), "custom", 0)
+        assert late.seen == [1, 2]
+
+    def test_observer_is_called_only_for_its_kinds(self):
+        t = TraceStore()
+        sends, everything = t.subscribe(Log({"send"})), t.subscribe(Log())
+        for i, kind in enumerate(["send", "deliver", "custom", "send"]):
+            t.record(float(i), kind, 0)
+        assert sends.seen == [0, 3]
+        assert everything.seen == [0, 1, 2, 3]
+        replayed = Log({"deliver", "custom"})
+        t.replay_into(replayed)
+        assert replayed.seen == [1, 2]
+        imported = Log({"send"})
+        TraceStore.from_jsonl(t.to_jsonl(), observers=[imported])
+        assert imported.seen == [0, 3]
 
 
 class TestRetention:
@@ -364,6 +441,213 @@ class TestOfflineAnalysis:
         t.export_jsonl(path)
         replay_observers(load_trace(path), Collector())
         assert seen == list(range(30))
+
+
+# --- the lazy store against the list model, under every interleaving ---------
+
+
+def assert_same(store, model):
+    """Every read the store offers agrees with the model."""
+    assert len(store) == len(model.log)
+    assert list(store) == store.events() == model.log
+    assert store.total_recorded == model.next_index
+    assert store.evicted == sum(model.kinds.values()) - len(model.log)
+    for kind in KINDS:
+        assert store.events(kind) == model.events(kind)
+        for pid in PIDS:
+            assert store.events(kind, pid=pid) == model.events(kind, pid)
+    for pid in PIDS:
+        assert store.events(pid=pid) == model.events(pid=pid)
+        assert store.local_view(pid) == model.local_view(pid)
+    assert store.kind_counts() == dict(model.kinds)
+    assert store.pid_counts() == dict(model.pids)
+
+
+PIDS = range(5)  # what random_events draws from
+# few kinds and pids, so that the machine's queries keep hitting recorded rows
+SM_KINDS = ["send", "deliver", "op_linearize", "decide", "custom"]
+SM_PIDS = [0, 1, 2]
+sm_kind = st.sampled_from(SM_KINDS)
+sm_pid = st.sampled_from(SM_PIDS)
+
+
+class Tripwire(TraceObserver):
+    def on_event(self, ev):
+        raise ValueError("tripped")
+
+
+class LazyStoreMachine(RuleBasedStateMachine):
+    """Interleaves records, queries, clears and (un)subscriptions; after
+    every step each observer has seen exactly the model's records of its
+    kinds, and each query rule compares one read with the model (so the
+    indexes are caught up from every possible earlier state)."""
+
+    @initialize(retention=st.sampled_from([None, 1, 7, 64, 200]))
+    def start(self, retention):
+        self.store = TraceStore(retention=retention)
+        self.model = LinearScanReference(retention)
+        self.observers: list[tuple[Log, list[int]]] = []
+
+    def _row(self, kind, pid):
+        """The next row; the observers subscribed to its kind expect it."""
+        index = self.model.next_index
+        for log, expected in self.observers:
+            if log.kinds is None or kind in log.kinds:
+                expected.append(index)
+        return (float(index), kind, pid), {"tag": index % 3}
+
+    @rule(kind=sm_kind, pid=sm_pid)
+    def record(self, kind, pid):
+        row, fields = self._row(kind, pid)
+        self.model.record(*row, **fields)
+        self.store.record(*row, **fields)
+
+    @rule(n=st.integers(1, 150), data=st.data())
+    def record_burst(self, n, data):
+        # long enough to cross _EVICT_COMPACT_MIN and overtake a watermark
+        rng = data.draw(st.randoms(use_true_random=False))
+        for _ in range(n):
+            self.record(rng.choice(SM_KINDS), rng.choice(SM_PIDS))
+
+    @rule(kind=sm_kind, pid=sm_pid)
+    def record_under_a_raising_observer(self, kind, pid):
+        # today's semantics, pinned: the row is recorded, observers before
+        # the raiser are served, those after it are not, nothing is evicted
+        trip, late = Tripwire(), Log()
+        self.store.subscribe(trip)
+        self.store.subscribe(late)
+        row, fields = self._row(kind, pid)
+        self.model.append(*row, **fields)
+        with pytest.raises(ValueError, match="tripped"):
+            self.store.record(*row, **fields)
+        assert late.seen == []
+        self.store.unsubscribe(trip)
+        self.store.unsubscribe(late)
+
+    @rule(kind=sm_kind)
+    def query_kind(self, kind):
+        assert self.store.events(kind) == self.model.events(kind)
+
+    @rule(pid=sm_pid)
+    def query_pid(self, pid):
+        assert self.store.events(pid=pid) == self.model.events(pid=pid)
+
+    @rule(kind=sm_kind, pid=sm_pid)
+    def query_kind_and_pid(self, kind, pid):
+        assert self.store.events(kind, pid=pid) == self.model.events(kind, pid)
+
+    @rule(pid=sm_pid)
+    def query_local_view(self, pid):
+        assert self.store.local_view(pid) == self.model.local_view(pid)
+
+    @rule()
+    def query_counts_len_and_iteration(self):
+        assert self.store.kind_counts() == dict(self.model.kinds)
+        assert self.store.pid_counts() == dict(self.model.pids)
+        assert len(self.store) == len(self.model.log)
+        assert list(self.store) == self.model.log
+
+    @rule()
+    def clear(self):
+        self.store.clear()
+        self.model.log.clear()
+
+    @rule(kinds=st.none() | st.sets(sm_kind))
+    def subscribe(self, kinds):
+        self.observers.append((self.store.subscribe(Log(kinds)), []))
+
+    @precondition(lambda self: self.observers)
+    @rule(data=st.data())
+    def unsubscribe(self, data):
+        at = data.draw(st.integers(0, len(self.observers) - 1))
+        log, expected = self.observers.pop(at)
+        self.store.unsubscribe(log)
+        assert log.seen == expected
+
+    @invariant()
+    def observers_saw_their_kinds(self):
+        for log, expected in self.observers:
+            assert log.seen == expected
+        assert self.store.observers == tuple(log for log, _ in self.observers)
+
+    def teardown(self):
+        assert_same(self.store, self.model)
+
+
+TestLazyStoreMachine = LazyStoreMachine.TestCase
+TestLazyStoreMachine.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+
+
+class TestLazyIndexCases:
+    """The catch-up paths by name, each on every retention of the machine."""
+
+    RETENTIONS = [None, 1, 7, 64, 200]
+
+    def pair(self, retention, count=0):
+        store, model = TraceStore(retention), LinearScanReference(retention)
+        self.feed(store, model, count)
+        return store, model
+
+    @staticmethod
+    def feed(store, model, count):
+        for time, kind, pid, fields in random_events(model.next_index, count):
+            store.record(time, kind, pid, **fields)
+            model.record(time, kind, pid, **fields)
+
+    @pytest.mark.parametrize("retention", RETENTIONS)
+    def test_query_record_query_catches_up(self, retention):
+        store, model = self.pair(retention, 30)
+        assert_same(store, model)
+        for step in (1, 2, 5):  # fewer rows than any retention evicts at once
+            self.feed(store, model, step)
+            assert_same(store, model)
+
+    @pytest.mark.parametrize("retention", [1, 7, 64, 200])
+    def test_watermark_overtaken_by_eviction_and_by_compaction(self, retention):
+        store, model = self.pair(retention, retention + 3)
+        assert_same(store, model)
+        # every indexed row evicted, none of them compacted away yet ...
+        self.feed(store, model, min(retention + 1, 40))
+        assert_same(store, model)
+        # ... and now with the dead prefix deleted under the indexes
+        self.feed(store, model, 2 * max(retention, TraceStore._EVICT_COMPACT_MIN) + 5)
+        assert store._offset > 0
+        assert_same(store, model)
+
+    @pytest.mark.parametrize("retention", RETENTIONS)
+    def test_partly_evicted_index_keeps_its_live_tail(self, retention):
+        store, model = self.pair(retention, 150)
+        assert_same(store, model)
+        self.feed(store, model, (retention or 10) // 2 + 1)
+        assert_same(store, model)
+
+    @pytest.mark.parametrize("retention", RETENTIONS)
+    @pytest.mark.parametrize("queried_before", [False, True])
+    def test_query_after_clear(self, retention, queried_before):
+        store, model = self.pair(retention, 90)
+        if queried_before:
+            assert_same(store, model)
+        store.clear()
+        model.log.clear()
+        assert_same(store, model)
+        self.feed(store, model, 20)
+        assert_same(store, model)
+
+    def test_jsonl_import_with_gaps_in_the_indexes(self):
+        store, _ = self.pair(None, 120)
+        lines = store.to_jsonl().splitlines()[5::3]
+        back = TraceStore.from_jsonl("\n".join(lines))
+        kept = [ev for ev in store if ev.index >= 5 and (ev.index - 5) % 3 == 0]
+        assert list(back) == kept and back.total_recorded == kept[-1].index + 1
+        for kind in KINDS:
+            assert back.events(kind) == [ev for ev in kept if ev.kind == kind]
+        for pid in PIDS:
+            assert back.events(pid=pid) == [ev for ev in kept if ev.pid == pid]
+        # recording goes on after the last imported index
+        back.record(0.0, "custom", 0)
+        assert back.events("custom")[-1].index == kept[-1].index + 1
 
 
 class TestCompatibilityAlias:

@@ -2,13 +2,16 @@
 """Parent-vs-change measurement in interleaved pairs.
 
     tools/ab_pairs.py <parent-checkout> <change-checkout> \\
-        --workload W --pairs N [--seed S]
+        --workload W [W ...] | all  --pairs N [--seed S]
 
 Runs the ``BENCHMARK.json`` command (read from the change checkout) once in
 each checkout per pair, alternating which side goes first so a slow minute
 on the box lands on both sides, and prints for every end-to-end metric: each
 side's median, the change relative to the parent, how many pairs the change
 won (ties count for neither), and the parent's own interquartile spread.
+Several workloads (``all``: every one ``BENCHMARK.json`` declares) run one
+after the other and the output ends with one table, a row per workload and
+metric: the "no workload worse" evidence of a PR is one command.
 Against the bound ``BENCHMARK.json`` fixes for the metric the verdict is
 ``worse`` (change's median worse than the parent's by more than the bound),
 ``unresolved`` (the parent's spread is itself wider than the bound, so the
@@ -89,45 +92,40 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> str:
     )
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
-
-    manifest = json.loads((args.change / "BENCHMARK.json").read_text())
-    sides = {"parent": args.parent, "change": args.change}
+def measure(sides: dict[str, Path], manifest: dict, workload: str,
+            pairs: int, seed: int) -> tuple[list[str], bool]:
+    """Run one workload's pairs; its summary rows and whether the change
+    failed more operations, or any check, than the parent."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     noisy: list[int] = []
-    for pair in range(1, args.pairs + 1):
+    for pair in range(1, pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
             load = os.getloadavg()[0]
             busy = load > BUSY_LOAD
             if busy and pair not in noisy:
                 noisy.append(pair)
-            result = run_once(sides[side], manifest, args.workload, args.seed)
+            result = run_once(sides[side], manifest, workload, seed)
             runs[side].append(result)
             values = "  ".join(
                 f"{name}={m['value']:.6g}" for name, m in result["metrics"].items()
             )
-            print(f"pair {pair:>2} {side:<6} load={load:.2f}"
+            print(f"{workload} pair {pair:>2} {side:<6} load={load:.2f}"
                   f"{' noisy' if busy else ''} "
                   f"correct={result['correct']} "
                   f"failed={result['failed']}/{result['attempted']}  {values}",
                   flush=True)
 
-    print(f"\n{args.workload} seed {args.seed}: {args.pairs} interleaved pairs "
+    print(f"\n{workload} seed {seed}: {pairs} interleaved pairs "
           "(percentages: change relative to parent, + is better)")
+    rows = []
     for metric in manifest["end_to_end"]:
         series = {
             side: [r["metrics"][metric["name"]]["value"] for r in results]
             for side, results in runs.items()
         }
-        print(summarize(metric, series["parent"], series["change"]))
+        rows.append(summarize(metric, series["parent"], series["change"]))
+        print(rows[-1])
     failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
     incorrect = {
         side: sum(1 for r in rs if not r["correct"]) for side, rs in runs.items()
@@ -137,8 +135,36 @@ def main() -> int:
           f"change {incorrect['change']}")
     print(f"noisy pairs (a side started with load > {BUSY_LOAD:g}): "
           f"{', '.join(map(str, noisy)) if noisy else 'none'}"
-          f"{' - re-run on an idle box before reporting' if noisy else ''}")
-    return 1 if failed["change"] > failed["parent"] or incorrect["change"] else 0
+          f"{' - re-run on an idle box before reporting' if noisy else ''}\n",
+          flush=True)
+    return rows, failed["change"] > failed["parent"] or bool(incorrect["change"])
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True, nargs="+",
+                    help="one or more BENCHMARK.json workload names, or 'all'")
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+
+    manifest = json.loads((args.change / "BENCHMARK.json").read_text())
+    workloads = args.workload
+    if workloads == ["all"]:
+        workloads = [w["name"] for w in manifest["workloads"]]
+    sides = {"parent": args.parent, "change": args.change}
+    table: list[str] = []
+    bad = False
+    for workload in workloads:
+        rows, worse = measure(sides, manifest, workload, args.pairs, args.seed)
+        table += [f"{workload:<16} {row}" for row in rows]
+        bad = bad or worse
+    if len(workloads) > 1:
+        print(f"summary, seed {args.seed}, {args.pairs} pairs per workload:")
+        print("\n".join(table))
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
