@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from ..errors import PropertyViolation
-from ..sim.trace import DECIDE, Trace, TraceEvent, TraceObserver
+from ..sim.trace import DECIDE, TraceEvent, TraceObserver, TraceStore
 from ..types import ProcessId
 from ..broadcast.definitions import BOT
 
@@ -128,7 +128,7 @@ class AgreementStreamChecker(TraceObserver):
 
     # -- batch feeding -----------------------------------------------------
 
-    def consume(self, trace: Trace) -> "AgreementStreamChecker":
+    def consume(self, trace: TraceStore) -> "AgreementStreamChecker":
         """Feed a finished trace's ``decide`` events (index-backed)."""
         for ev in trace.events(DECIDE):
             self.on_event(ev)
@@ -191,7 +191,7 @@ class AgreementStreamChecker(TraceObserver):
 
 
 def check_agreement(
-    trace: Trace,
+    trace: TraceStore,
     variant: str,
     inputs: Mapping[ProcessId, Any],
     correct: Iterable[ProcessId],

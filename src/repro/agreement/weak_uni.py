@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..consensus.minbft import MinBFTReplica, REQUEST, request_domain
+from ..consensus.minbft import MinBFTReplica
+from ..consensus.replica import REQUEST, request_domain
 from ..types import SeqNum
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from ..errors import PropertyViolation
-from ..sim.trace import Trace
+from ..sim.trace import TraceStore
 from ..types import ProcessId
 
 
@@ -73,7 +73,7 @@ class BroadcastReport:
             raise PropertyViolation(self.variant, "; ".join(vs[:3]))
 
 
-def _collect_commits(trace: Trace, correct: Iterable[ProcessId]) -> dict[ProcessId, Any]:
+def _collect_commits(trace: TraceStore, correct: Iterable[ProcessId]) -> dict[ProcessId, Any]:
     commits: dict[ProcessId, Any] = {}
     for d in trace.decisions():
         if d.pid in commits:
@@ -83,7 +83,7 @@ def _collect_commits(trace: Trace, correct: Iterable[ProcessId]) -> dict[Process
 
 
 def check_nonequivocating_broadcast(
-    trace: Trace,
+    trace: TraceStore,
     sender: ProcessId,
     sender_input: Any,
     correct: Iterable[ProcessId],
@@ -118,7 +118,7 @@ def check_nonequivocating_broadcast(
 
 
 def check_reliable_broadcast(
-    trace: Trace,
+    trace: TraceStore,
     sender: ProcessId,
     sender_input: Any,
     correct: Iterable[ProcessId],
@@ -157,7 +157,7 @@ def check_reliable_broadcast(
 
 
 def check_byzantine_broadcast(
-    trace: Trace,
+    trace: TraceStore,
     sender: ProcessId,
     sender_input: Any,
     correct: Iterable[ProcessId],

@@ -43,7 +43,7 @@ from ..crypto.signatures import SignatureScheme, Signer
 from ..errors import ConfigurationError, RetriesExhausted
 from ..sim.process import Process
 from ..types import ProcessId, Time
-from .minbft import REPLY, REQUEST, request_domain
+from .replica import REPLY, REQUEST, request_domain
 
 
 class BFTClient(Process):

@@ -39,14 +39,7 @@ from ..crypto.signatures import SignatureScheme, Signer
 from ..errors import ConfigurationError
 from ..types import ProcessId, SeqNum
 from .apps import StateMachine
-from .replica import (  # noqa: F401  (the request vocabulary is re-exported)
-    REPLY,
-    REQUEST,
-    ReplicaCore,
-    proposal_requests,
-    request_domain,
-    request_key,
-)
+from .replica import REQUEST, ReplicaCore, proposal_requests, request_key
 from .usig import UI, UIOrderEnforcer, USIG, USIGVerifier, ui_like
 from .viewchange import LogEntry, compute_reproposals, verify_log_from
 

@@ -30,7 +30,7 @@ from typing import Any, Iterable, Optional
 
 from ..errors import ConfigurationError, PropertyViolation
 from ..sim.liveness import DeadlineMonitor, LivenessReport
-from ..sim.trace import CUSTOM, Trace, TraceEvent, TraceObserver
+from ..sim.trace import CUSTOM, TraceEvent, TraceObserver, TraceStore
 from ..types import ProcessId, Time
 
 
@@ -226,7 +226,7 @@ class ReplicationStreamChecker(TraceObserver):
 
     # -- batch feeding -----------------------------------------------------
 
-    def consume(self, trace: Trace) -> "ReplicationStreamChecker":
+    def consume(self, trace: TraceStore) -> "ReplicationStreamChecker":
         """Feed a finished trace's ``custom`` events (index-backed)."""
         for ev in trace.events(CUSTOM):
             self.on_event(ev)
@@ -263,7 +263,8 @@ class ReplicationLivenessChecker(TraceObserver):
       when **f+1 distinct fault-free replicas** have started view changes
       targeting ``>= v`` (a lone stuck replica whose quorum partners
       crashed is protocol-legal and must not be flagged), and is satisfied
-      when any fault-free replica adopts a view ``>= v``.
+      when any fault-free replica adopts a view ``>= v``, under the same
+      ``request_bound`` from the moment it is armed.
 
     Batch and streaming verdicts are identical: both feed the same events
     in trace order through one :class:`~repro.sim.liveness.DeadlineMonitor`
@@ -280,7 +281,6 @@ class ReplicationLivenessChecker(TraceObserver):
         fault_free_replicas: Iterable[ProcessId],
         fault_free_clients: Iterable[ProcessId],
         f: int,
-        vc_bound: Optional[float] = None,
         fail_fast: bool = False,
     ) -> None:
         if request_bound <= 0:
@@ -289,7 +289,6 @@ class ReplicationLivenessChecker(TraceObserver):
             )
         self.gst = gst
         self.request_bound = request_bound
-        self.vc_bound = vc_bound if vc_bound is not None else request_bound
         self.replicas = set(fault_free_replicas)
         self.clients = set(fault_free_clients)
         self.f = f
@@ -316,7 +315,6 @@ class ReplicationLivenessChecker(TraceObserver):
             self._arm(
                 ("req", ev.pid, ev.field("req_id")),
                 ev.time,
-                self.request_bound,
                 f"request {ev.field('req_id')} from client {ev.pid} "
                 f"(sent t={ev.time:g}) never completed",
             )
@@ -340,7 +338,6 @@ class ReplicationLivenessChecker(TraceObserver):
                 self._arm(
                     ("vc", target),
                     ev.time,
-                    self.vc_bound,
                     f"view change to view {target} (f+1 fault-free starters "
                     f"by t={ev.time:g}) never terminated",
                 )
@@ -353,8 +350,8 @@ class ReplicationLivenessChecker(TraceObserver):
             if self._vc_pending.get(ev.pid, 0) <= view:
                 self._vc_pending.pop(ev.pid, None)
 
-    def _arm(self, key: Any, now: Time, bound: float, message: str) -> None:
-        self.monitor.expect(key, max(now, self.gst) + bound, message)
+    def _arm(self, key: Any, now: Time, message: str) -> None:
+        self.monitor.expect(key, max(now, self.gst) + self.request_bound, message)
         self.armed += 1
 
     def _expire(self, ev: TraceEvent) -> None:
@@ -368,7 +365,7 @@ class ReplicationLivenessChecker(TraceObserver):
 
     # -- batch feeding -----------------------------------------------------
 
-    def consume(self, trace: Trace) -> "ReplicationLivenessChecker":
+    def consume(self, trace: TraceStore) -> "ReplicationLivenessChecker":
         """Feed a finished trace's ``custom`` events (index-backed)."""
         for ev in trace.events(CUSTOM):
             self.on_event(ev)
@@ -388,14 +385,13 @@ class ReplicationLivenessChecker(TraceObserver):
 
 
 def check_replication_liveness(
-    trace: Trace,
+    trace: TraceStore,
     gst: Time,
     request_bound: float,
     fault_free_replicas: Iterable[ProcessId],
     fault_free_clients: Iterable[ProcessId],
     f: int,
     end_time: Optional[Time] = None,
-    vc_bound: Optional[float] = None,
 ) -> LivenessReport:
     """Batch liveness audit of a finished trace (same core as streaming)."""
     return (
@@ -405,7 +401,6 @@ def check_replication_liveness(
             fault_free_replicas=fault_free_replicas,
             fault_free_clients=fault_free_clients,
             f=f,
-            vc_bound=vc_bound,
         )
         .consume(trace)
         .finish(end_time=end_time)
@@ -413,7 +408,7 @@ def check_replication_liveness(
 
 
 def check_replication(
-    trace: Trace,
+    trace: TraceStore,
     correct_replicas: Iterable[ProcessId],
     clients: Iterable[ProcessId] = (),
     expected_ops: dict[ProcessId, int] | None = None,

@@ -34,9 +34,9 @@ from ..sim.trace import (
     ROUND_END,
     ROUND_RECV,
     ROUND_SENT,
-    Trace,
     TraceEvent,
     TraceObserver,
+    TraceStore,
 )
 from ..types import ProcessId, RoundId
 
@@ -227,7 +227,7 @@ class DirectionalityStreamChecker(TraceObserver):
 
     # -- batch feeding -----------------------------------------------------
 
-    def consume(self, trace: Trace) -> "DirectionalityStreamChecker":
+    def consume(self, trace: TraceStore) -> "DirectionalityStreamChecker":
         """Feed a finished trace through the per-kind indexes.
 
         First-occurrence indexes are insensitive to interleaving across
@@ -318,7 +318,7 @@ class DirectionalityStreamChecker(TraceObserver):
 
 
 def check_directionality(
-    trace: Trace, correct: Iterable[ProcessId]
+    trace: TraceStore, correct: Iterable[ProcessId]
 ) -> DirectionalityReport:
     """Check one trace against the three directionality definitions.
 

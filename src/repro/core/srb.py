@@ -37,7 +37,7 @@ from typing import Any, Iterable, Optional
 from ..errors import ConfigurationError, PropertyViolation
 from ..sim.liveness import DeadlineMonitor, LivenessReport
 from ..sim.process import Process
-from ..sim.trace import BCAST, BCAST_DELIVER, Trace, TraceEvent, TraceObserver
+from ..sim.trace import BCAST, BCAST_DELIVER, TraceEvent, TraceObserver, TraceStore
 from ..types import Delivery, ProcessId, SeqNum, Time
 
 
@@ -202,7 +202,7 @@ class SRBStreamChecker(TraceObserver):
 
     # -- batch feeding -----------------------------------------------------
 
-    def consume(self, trace: Trace) -> "SRBStreamChecker":
+    def consume(self, trace: TraceStore) -> "SRBStreamChecker":
         """Feed a finished trace through the index-backed event queries."""
         for ev in trace.events(BCAST, pid=self.sender):
             self.on_event(ev)
@@ -374,7 +374,7 @@ class SRBLivenessChecker(TraceObserver):
 
     # -- batch feeding -----------------------------------------------------
 
-    def consume(self, trace: Trace) -> "SRBLivenessChecker":
+    def consume(self, trace: TraceStore) -> "SRBLivenessChecker":
         """Feed a finished trace, merging both kinds back into trace order."""
         merged = sorted(
             [*trace.events(BCAST), *trace.events(BCAST_DELIVER)],
@@ -398,7 +398,7 @@ class SRBLivenessChecker(TraceObserver):
 
 
 def check_srb_liveness(
-    trace: Trace,
+    trace: TraceStore,
     gst: Time,
     bound: float,
     fault_free: Iterable[ProcessId],
@@ -413,7 +413,7 @@ def check_srb_liveness(
 
 
 def check_srb(
-    trace: Trace,
+    trace: TraceStore,
     sender: ProcessId,
     correct: Iterable[ProcessId],
     sender_correct: bool = True,
@@ -445,7 +445,7 @@ def check_srb(
 
 
 def deliveries_by_process(
-    trace: Trace, sender: ProcessId
+    trace: TraceStore, sender: ProcessId
 ) -> dict[ProcessId, list[tuple[SeqNum, Any]]]:
     """Convenience: per-receiver ordered (seq, value) lists for ``sender``."""
     out: dict[ProcessId, list[tuple[SeqNum, Any]]] = {}

@@ -61,34 +61,6 @@ class SignatureError(ReproError):
     """
 
 
-class ProtocolViolationError(ReproError):
-    """A *correct* process observed a state that the protocol proves impossible.
-
-    Protocol implementations raise this instead of silently continuing when
-    an invariant that should hold for correct processes breaks (it indicates
-    a bug in the library, or a checker being run on a trace from a different
-    protocol).
-    """
-
-
-class RequestRejected(ReproError):
-    """The serving layer refused a request with a typed, actionable answer.
-
-    This is the *graceful-degradation* outcome: instead of queueing without
-    bound (and converting overload into a liveness violation), the ingress
-    answers immediately with a machine-readable reason and an advisory
-    ``retry_after`` that backpressure-aware clients honor.
-    """
-
-    def __init__(self, req_id: int, reason: str, retry_after: float = 0.0) -> None:
-        self.req_id = req_id
-        self.reason = reason
-        self.retry_after = retry_after
-        super().__init__(
-            f"request {req_id} rejected ({reason}), retry_after={retry_after}"
-        )
-
-
 class RetriesExhausted(ReproError):
     """A client gave up on a request after its retry budget ran dry.
 

@@ -37,10 +37,9 @@ from ..consensus.minbft import (
     REQ_VIEW_CHANGE as MB_REQ_VIEW_CHANGE,
     USIG_WRAP,
     VIEW_CHANGE as MB_VIEW_CHANGE,
-    proposal_requests,
-    request_key,
 )
 from ..consensus.pbft import PRE_PREPARE as PBFT_PRE_PREPARE, pp_domain
+from ..consensus.replica import proposal_requests, request_key
 from ..core.rounds import ROUND_MSG
 from ..core.srb_from_uni import val_domain
 from ..crypto.serialize import content_hash

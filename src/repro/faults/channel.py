@@ -167,8 +167,8 @@ class ReliableChannel:
         # many channels backing off in lockstep re-collide forever without
         # jitter, and drawing it from the protocol stream would let retry
         # timing perturb protocol randomness (and vice versa). Keying by
-        # (seed, pid, incarnation) keeps sweeps bit-identical and
-        # ``one_big_run`` serial ≡ pooled.
+        # (seed, pid, incarnation) keeps sweeps bit-identical, serial ≡
+        # pooled.
         self._jitter_rng = derive_jitter_rng(
             ctx.seed, "rc", ctx.pid, ctx.incarnation
         )

@@ -23,6 +23,7 @@ produces real safety violations, which is how we test that the harness
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
 import random
@@ -45,7 +46,6 @@ from ..core.srb import SRBLivenessChecker, SRBStreamChecker, check_srb
 from ..core.srb_from_uni import SRBFromUnidirectional, build_mp_srb_system
 from ..errors import ConfigurationError, PropertyViolation
 from ..types import ProcessId, Time
-from ..workloads.load import OrderHasher
 from .adversaries import ChaosAdversary, GSTAdversary
 from .attacks import ATTACKS, AttackerProcess, TraitorReplica, get_attack
 from .channel import ReliableProcess
@@ -55,6 +55,10 @@ DEFAULT_CHANNEL = dict(base_timeout=2.0, backoff=2.0, max_timeout=20.0,
                        max_retries=25)
 """Retry budget used by the harness: generous enough that per-message loss
 below 1.0 cannot realistically exhaust it within a run."""
+
+DEFAULT_HORIZON: Time = 600.0
+"""Simulated length of a cell; :func:`make_schedule` places GST and every
+crash relative to it, so a cell run at another horizon is another cell."""
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +149,7 @@ class FaultSchedule:
 def make_schedule(
     seed: int,
     crashable: Sequence[ProcessId],
-    horizon: Time = 600.0,
+    horizon: Time = DEFAULT_HORIZON,
     crash_recovery: bool = True,
 ) -> FaultSchedule:
     """Derive a fault schedule deterministically from ``seed``.
@@ -254,14 +258,9 @@ class EagerBrokenSRB(SRBFromUnidirectional):
 
 
 def _simcore_stats(sim) -> dict[str, int]:
-    """Event-loop counters for ``ChaosResult.stats["simcore"]``.
-
-    Deterministic counters only: sweep results promise serial/parallel
-    bit-identity (``tests/test_chaos_parallel.py`` compares full stats
-    dicts), so the wall-clock-derived ``events_per_sec`` stays off this
-    dict — read it from the :class:`~repro.sim.scheduler.RunStats` a
-    ``sim.run`` call returns, or from :class:`BigRunResult`.
-    """
+    """Event-loop counters for ``ChaosResult.stats["simcore"]``: pure
+    functions of the seed, like everything else on a sweep result
+    (``tests/test_chaos_parallel.py`` compares full stats dicts)."""
     sched = sim.scheduler
     return {
         "timer_wheel_hits": sched.timer_wheel_hits,
@@ -290,11 +289,16 @@ class ChaosResult:
     liveness_violations: list[str] = field(default_factory=list)
     """Post-GST deadline misses from the streaming liveness auditors
     (separate from ``violations`` — those are safety / whole-run checks)."""
+    replay_kwargs: dict[str, Any] = field(default_factory=dict)
+    """What :func:`replay` needs besides ``(protocol, seed)`` to rebuild this
+    cell: a non-default ``horizon`` (the schedule's GST and crash times are
+    derived from it) and the runner kwargs the cell was started with."""
 
     def replay_hint(self) -> str:
+        args = "".join(f", {k}={v!r}" for k, v in self.replay_kwargs.items())
         return (
             f"replay with: repro.faults.chaos.replay({self.protocol!r}, "
-            f"{self.seed})"
+            f"{self.seed}{args})"
         )
 
 
@@ -498,18 +502,13 @@ def run_srb_chaos(
     reliable: bool = True,
     streaming: bool = True,
     attack: Optional[str] = None,
-    liveness_bound: float = 200.0,
-    value_bytes: int = 0,
 ) -> ChaosResult:
     """Algorithm-1 SRB (message-passing rounds) under one fault schedule.
 
     The sender (pid 0) broadcasts ``n_messages`` values early in the run;
     crashes/restarts follow the schedule (the sender is protected — a
     crashed sender makes validity unfalsifiable). Safety and completion are
-    checked over the processes that never crashed. ``value_bytes`` pads
-    each broadcast value to roughly that size — the realistic-payload
-    workload the hot-path bench sweeps, where every redundant signature
-    check re-serializes the payload it embeds.
+    checked over the processes that never crashed.
 
     With ``streaming=True`` (the default) a fail-fast
     :class:`~repro.core.srb.SRBStreamChecker` rides along as a trace
@@ -542,10 +541,9 @@ def run_srb_chaos(
             pid, cls(transport, 0, t, scheme, signer)
         ),
     )
-    pad = "x" * value_bytes
     for i in range(n_messages):
         sim.at(1.0 + 0.8 * i,
-               lambda i=i: procs[0].broadcast(f"chaos-{i}-{pad}"),
+               lambda i=i: procs[0].broadcast(f"chaos-{i}-"),
                label=f"bcast-{i}")
 
     correct = cell.correct(n)
@@ -561,9 +559,7 @@ def run_srb_chaos(
     # exempt from the liveness audit — no delivery is owed, so no
     # obligation can be armed.
     live = (
-        SRBLivenessChecker(
-            gst=schedule.gst, bound=liveness_bound, fault_free=correct
-        )
+        SRBLivenessChecker(gst=schedule.gst, bound=200.0, fault_free=correct)
         if expect_complete else None
     )
 
@@ -607,7 +603,6 @@ def run_minbft_chaos(
     stalling: bool = False,
     pipelined: bool = False,
     attack: Optional[str] = None,
-    liveness_bound: float = 300.0,
 ) -> ChaosResult:
     """MinBFT replication under one fault schedule.
 
@@ -665,7 +660,7 @@ def run_minbft_chaos(
         if stalling
         else ("minbft-pipelined" if pipelined else "minbft"),
         build_minbft_system, 2 * f + 1, f, n_clients, ops_per_client, app,
-        streaming, liveness_bound,
+        streaming,
         policy_factory=policy_factory,
         replica_factory=(lambda pid, **kw: StallingPrimary(**kw))
         if stalling
@@ -691,7 +686,6 @@ def run_pbft_chaos(
     app: str = "counter",
     streaming: bool = True,
     attack: Optional[str] = None,
-    liveness_bound: float = 300.0,
 ) -> ChaosResult:
     """PBFT replication (n = 3f+1, the hardware-free baseline) under one
     fault schedule — primarily the Byzantine-attack axis of the sweep.
@@ -706,7 +700,6 @@ def run_pbft_chaos(
     return _run_replication_chaos(
         ChaosCell(schedule, "pbft", attack), "pbft", build_pbft_system,
         3 * f + 1, f, n_clients, ops_per_client, app, streaming,
-        liveness_bound,
     )
 
 
@@ -720,7 +713,6 @@ def _run_replication_chaos(
     ops_per_client: int,
     app: str,
     streaming: bool,
-    liveness_bound: float,
     policy_factory: Optional[Callable[[], Any]] = None,
     replica_factory: Optional[Callable[..., Any]] = None,
     replica_options: Optional[dict] = None,
@@ -767,7 +759,7 @@ def _run_replication_chaos(
     # clients are never crashable, so every client is fault-free
     live = ReplicationLivenessChecker(
         gst=schedule.gst,
-        request_bound=liveness_bound,
+        request_bound=300.0,
         fault_free_replicas=correct,
         fault_free_clients=client_pids,
         f=f,
@@ -853,7 +845,19 @@ _CRASHABLE = {
 }
 
 
-def run_chaos(protocol: str, seed: int, horizon: Time = 600.0, **kwargs) -> ChaosResult:
+def _replayable(
+    result: ChaosResult, horizon: Time, kwargs: dict[str, Any]
+) -> ChaosResult:
+    """Record on ``result`` what :meth:`ChaosResult.replay_hint` must print."""
+    if horizon != DEFAULT_HORIZON:
+        result.replay_kwargs["horizon"] = horizon
+    result.replay_kwargs.update(kwargs)
+    return result
+
+
+def run_chaos(
+    protocol: str, seed: int, horizon: Time = DEFAULT_HORIZON, **kwargs
+) -> ChaosResult:
     """Run one protocol under the seed's derived fault schedule."""
     if protocol not in PROTOCOLS:
         raise ConfigurationError(
@@ -862,11 +866,15 @@ def run_chaos(protocol: str, seed: int, horizon: Time = 600.0, **kwargs) -> Chao
     schedule = make_schedule(
         seed, crashable=list(_CRASHABLE[protocol]()), horizon=horizon
     )
-    return PROTOCOLS[protocol](schedule, **kwargs)
+    return _replayable(PROTOCOLS[protocol](schedule, **kwargs), horizon, kwargs)
 
 
-def replay(protocol: str, seed: int, horizon: Time = 600.0, **kwargs) -> ChaosResult:
-    """Re-run a reported failure; bit-identical to the original run.
+def replay(
+    protocol: str, seed: int, horizon: Time = DEFAULT_HORIZON, **kwargs
+) -> ChaosResult:
+    """Re-run a reported failure; bit-identical to the original run given
+    the ``horizon`` and runner kwargs its :attr:`ChaosResult.replay_kwargs`
+    name (the hint prints them).
 
     ``protocol`` is a :attr:`ChaosResult.protocol` string: a
     :data:`PROTOCOLS` name, or ``"<protocol>+<attack>"`` as attack cells
@@ -886,7 +894,7 @@ def replay(protocol: str, seed: int, horizon: Time = 600.0, **kwargs) -> ChaosRe
 
 _REPLAY_HINT_RE = re.compile(
     r"repro\.faults\.chaos\.replay\((['\"])(?P<protocol>[\w+-]+)\1,\s*"
-    r"(?P<seed>\d+)\)"
+    r"(?P<seed>\d+)(?:,\s*(?P<kwargs>\w+=[^()]*))?\)"
 )
 
 
@@ -896,16 +904,25 @@ def replay_from_hint(hint: str, **kwargs) -> ChaosResult:
     Hints are copy-pasted out of CI logs and bug reports, so this accepts
     the whole hint line (or any string containing one). Replays are always
     serial single runs — a hint captured from a parallel sweep reproduces
-    identically because every run is a pure function of (protocol, seed)
-    and workers never share state.
+    identically because every run is a pure function of (protocol, seed,
+    horizon, runner kwargs) and workers never share state. The hint's own
+    keyword arguments are passed on; ``kwargs`` given here override them.
     """
     m = _REPLAY_HINT_RE.search(hint)
     if m is None:
         raise ConfigurationError(
             f"no replay hint found in {hint!r}; expected "
-            "'repro.faults.chaos.replay(<protocol>, <seed>)'"
+            "'repro.faults.chaos.replay(<protocol>, <seed>"
+            "[, <name>=<literal>...])'"
         )
-    return replay(m.group("protocol"), int(m.group("seed")), **kwargs)
+    try:
+        call = ast.parse(f"f({m['kwargs'] or ''})", mode="eval").body
+        hinted = {kw.arg: ast.literal_eval(kw.value) for kw in call.keywords}
+    except (SyntaxError, ValueError) as exc:
+        raise ConfigurationError(
+            f"replay hint arguments {m['kwargs']!r} are not literals: {exc}"
+        ) from None
+    return replay(m["protocol"], int(m["seed"]), **{**hinted, **kwargs})
 
 
 def _pool_task(fn: Callable[..., Any], caching: bool, args: tuple, kwargs: dict) -> Any:
@@ -945,53 +962,23 @@ def _map_tasks(
         return [f.result() for f in futures]
 
 
-_SEEDED_DEFAULT_PROTOCOLS = ("srb-uni", "minbft")
-
-
 def chaos_sweep(
-    protocols: Iterable[str] = _SEEDED_DEFAULT_PROTOCOLS,
+    protocols: Iterable[str] = ("srb-uni", "minbft"),
     seeds: Iterable[int] = range(10),
-    horizon: Time = 600.0,
+    horizon: Time = DEFAULT_HORIZON,
     workers: Optional[int] = None,
-    mode: str = "seeded",
     **kwargs,
-) -> Any:
+) -> list[ChaosResult]:
     """The protocol × seed grid; every cell is an independent seeded run.
 
     ``workers > 1`` fans the grid out over a ``ProcessPoolExecutor``.
     Results are collected in submission order and every run resets the
     process-global crypto caches on entry, so the returned list — stats
     and all — is bit-identical to the serial sweep (property-tested in
-    ``tests/test_chaos_parallel.py``).
-
-    ``mode="exhaustive"`` swaps sampling for bounded model checking:
-    ``protocols`` then names entries of
-    :data:`repro.mc.fixtures.SYSTEMS` (all of them when left at the
-    seeded default), ``seeds``/``horizon`` are ignored (there is nothing
-    to sample — every schedule at the configured bound is explored), and
-    the return value is the ``{name: ExplorationResult}`` mapping of
+    ``tests/test_chaos_parallel.py``). The exhaustive counterpart — every
+    schedule of a small system instead of sampled seeds — is
     :func:`exhaustive_sweep`.
-
-    ``mode="big-run"`` swaps many-small-runs for ONE sharded open-loop
-    run: the first entry of ``seeds`` seeds the workload, ``protocols``/
-    ``horizon`` are ignored (the big-run harness is SRB-only and sizes
-    its own horizon from the arrival span), remaining ``kwargs`` forward
-    to :func:`one_big_run`, and the return value is its
-    :class:`BigRunResult`.
     """
-    if mode == "big-run":
-        seed = next(iter(seeds), 0)
-        return one_big_run(seed=seed, workers=workers, **kwargs)
-    if mode == "exhaustive":
-        names = (
-            None if tuple(protocols) == _SEEDED_DEFAULT_PROTOCOLS
-            else protocols
-        )
-        return exhaustive_sweep(systems=names, workers=workers, **kwargs)
-    if mode != "seeded":
-        raise ConfigurationError(
-            f"mode must be 'seeded', 'exhaustive', or 'big-run', got {mode!r}"
-        )
     tasks = [
         ((protocol, seed, horizon), kwargs)
         for protocol in protocols
@@ -1012,7 +999,7 @@ _ATTACK_RUNNERS: dict[str, Callable[..., ChaosResult]] = {
 
 
 def run_attack(
-    name: str, seed: int, horizon: Time = 600.0, **kwargs: Any
+    name: str, seed: int, horizon: Time = DEFAULT_HORIZON, **kwargs: Any
 ) -> ChaosResult:
     """Run one attack cell: the named attack against its target protocol.
 
@@ -1038,15 +1025,16 @@ def run_attack(
                 for p, at, r in spec.crash_script
             ),
         )
-    return _ATTACK_RUNNERS[spec.protocol](
+    result = _ATTACK_RUNNERS[spec.protocol](
         schedule, attack=name, **{**spec.runner_kwargs, **kwargs}
     )
+    return _replayable(result, horizon, kwargs)
 
 
 def attack_sweep(
     attacks: Optional[Iterable[str]] = None,
     seeds: Iterable[int] = range(5),
-    horizon: Time = 600.0,
+    horizon: Time = DEFAULT_HORIZON,
     workers: Optional[int] = None,
     **kwargs: Any,
 ) -> list[ChaosResult]:
@@ -1065,8 +1053,7 @@ def attack_sweep(
 
 def run_compromised_minbft_soak(
     seed: int = 0,
-    horizon: Time = 600.0,
-    conviction_delay: float = 5.0,
+    horizon: Time = DEFAULT_HORIZON,
 ) -> dict[str, Any]:
     """The full compromised-hardware arc in ONE run: violate, convict, heal.
 
@@ -1083,11 +1070,12 @@ def run_compromised_minbft_soak(
     2. the :class:`~repro.consensus.forensics.AccountabilityChecker`
        harvests both UIs off the wire and convicts replica 0 with a
        self-contained, independently verifiable proof-of-misbehavior;
-    3. ``conviction_delay`` later the culprit is quarantined and the
-       survivors ``convict()``: purge its UIs, roll back to their last
-       attested state (genesis here — checkpoints are off, and a stable
-       checkpoint co-signed by the culprit could attest divergent
-       states), and re-form the view without it;
+    3. :func:`~repro.consensus.forensics.install_accountability`'s
+       ``delay`` later the culprit is quarantined and the survivors
+       ``convict()``: purge its UIs, roll back to their last attested
+       state (genesis here — checkpoints are off, and a stable checkpoint
+       co-signed by the culprit could attest divergent states), and
+       re-form the view without it;
     4. clients retry and finish against the 2-replica rump group (green).
 
     Returns the evidence bundle: the proof (replayable via
@@ -1124,7 +1112,6 @@ def run_compromised_minbft_soak(
         replicas,
         verifier=replicas[1].verifier,
         recover=True,
-        delay=conviction_delay,
     )
     sim.run(until=horizon)
     expected_ops = {n + c: len(clients[c].ops) for c in range(n_clients)}
@@ -1139,176 +1126,6 @@ def run_compromised_minbft_soak(
         "report": report,
         "forensics": forensics.stats(),
     }
-
-
-# ---------------------------------------------------------------------------
-# One-big-run sharding
-# ---------------------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class BigRunResult:
-    """Deterministic merge of one sharded open-loop run.
-
-    ``order_hash`` is SHA-256 over the per-shard order witnesses in shard
-    order — the identity of the whole logical run. It depends on
-    ``(protocol, seed, n_ops, rate, shards)`` but **not** on ``workers``:
-    executing the same shard set serially or across a pool yields the
-    same digest (asserted by ``benchmarks/bench_simcore.py`` and
-    ``tests/test_big_run.py``).
-
-    ``stats`` sums the deterministic per-shard counters
-    (``events_processed``, ``timer_wheel_hits``, ``freelist_reuses``,
-    ``deliveries``) and adds the one legitimately nondeterministic
-    aggregate, ``events_per_sec`` (total events over total worker wall
-    time) — throughput reporting, never an identity field.
-    """
-
-    protocol: str
-    seed: int
-    n_ops: int
-    shards: int
-    workers: int
-    ok: bool
-    violations: list[str]
-    order_hash: str
-    shard_hashes: tuple[str, ...]
-    stats: dict[str, Any] = field(default_factory=dict)
-
-
-def _run_big_shard(
-    seed: int, index: int, arrivals: tuple, drain: float, scheduler: str
-) -> dict[str, Any]:
-    """Picklable worker: simulate one contiguous shard of the big workload.
-
-    Each shard is an independent SRB system (fresh processes, shard-derived
-    sub-seed) whose sender broadcasts the shard's ops at their original
-    absolute arrival times — open-loop arrivals carry no cross-op causal
-    edges on the client side, so cutting the timeline cuts nothing the
-    safety checkers care about. Crashes/loss are deliberately absent:
-    the big-run harness measures throughput and order-determinism, the
-    seeded chaos grid above owns fault coverage.
-    """
-    reset_crypto_caches()
-    scheduler_factory = None
-    if scheduler == "reference":
-        from ..sim._reference import HeapOnlyScheduler
-
-        scheduler_factory = HeapOnlyScheduler
-    shard_seed = int.from_bytes(
-        hashlib.sha256(f"bigrun|{seed}|{index}".encode()).digest()[:8], "big"
-    )
-    hasher = OrderHasher()
-    sim, procs, _scheme = build_mp_srb_system(
-        n=4,
-        t=1,
-        sender=0,
-        seed=shard_seed,
-        reliable=dict(DEFAULT_CHANNEL),
-        observers=(hasher,),
-        scheduler_factory=scheduler_factory,
-    )
-    checker = SRBStreamChecker(
-        0, tuple(range(4)), expect_complete=True, fail_fast=False
-    )
-    sim.attach_observer(checker)
-    for t_arrive, op in arrivals:
-        sim.at(t_arrive, lambda op=op: procs[0].broadcast(op), label="big-op")
-    span_end = arrivals[-1][0] if arrivals else 0.0
-    run_stats = sim.run(until=span_end + drain)
-    report = checker.finish()
-    return {
-        "index": index,
-        "ops": len(arrivals),
-        "order_hash": hasher.hexdigest(),
-        "violations": [f"shard {index}: {v}" for v in report.all_violations()],
-        "events_processed": run_stats.events_processed,
-        "timer_wheel_hits": run_stats.timer_wheel_hits,
-        "freelist_reuses": run_stats.freelist_reuses,
-        "deliveries": len(report.deliveries),
-        "wall_seconds": (
-            run_stats.events_processed / run_stats.events_per_sec
-            if run_stats.events_per_sec
-            else 0.0
-        ),
-    }
-
-
-def one_big_run(
-    seed: int = 0,
-    n_ops: int = 200,
-    rate: float = 2.0,
-    shards: int = 4,
-    workers: Optional[int] = None,
-    drain: float = 120.0,
-    kind: str = "uniform-kv",
-    scheduler: str = "production",
-) -> BigRunResult:
-    """Split one huge open-loop SRB workload across workers; merge deterministically.
-
-    The complement of the seeded :func:`chaos_sweep` grid: instead of many
-    small independent runs, ONE logical run — ``n_ops`` broadcast ops
-    arriving open-loop at ``rate`` ops per time unit — cut into
-    ``shards`` contiguous timeline slices that execute as independent
-    simulations (serially, or fanned over a ``ProcessPoolExecutor`` when
-    ``workers > 1``). The merge is deterministic: shard results are
-    recombined in shard order regardless of completion order, counters are
-    summed, and the combined ``order_hash`` chains the per-shard dispatch
-    order witnesses — so the digest is a pure function of the workload
-    parameters and ``shards``, never of ``workers`` or pool scheduling.
-
-    ``shards`` is part of the run's identity (shard boundaries reset
-    protocol state); ``workers`` only sets execution parallelism. To
-    compare a serial and a parallel execution of the *same* run, hold
-    ``shards`` fixed and vary ``workers``.
-
-    ``scheduler`` selects the event-loop implementation: ``"production"``
-    (default) or ``"reference"`` — the retained pre-refactor heap-only
-    loop from :mod:`repro.sim._reference`. The dispatch order, and hence
-    ``order_hash``, must be identical under either (the benchmark records
-    exactly this cross-implementation check); only throughput differs.
-    """
-    if shards < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {shards}")
-    if scheduler not in ("production", "reference"):
-        raise ConfigurationError(
-            f"scheduler must be 'production' or 'reference', got {scheduler!r}"
-        )
-    from ..workloads.generator import open_loop_arrivals, shard_arrivals
-
-    arrivals = open_loop_arrivals(n_ops, seed=seed, rate=rate, kind=kind)
-    shard_list = shard_arrivals(arrivals, shards)
-    tasks = [
-        ((seed, s.index, s.arrivals, drain, scheduler), {})
-        for s in shard_list
-    ]
-    records = _map_tasks(_run_big_shard, tasks, workers)
-    records.sort(key=lambda r: r["index"])  # merge key: shard order
-    shard_hashes = tuple(r["order_hash"] for r in records)
-    combined = hashlib.sha256("|".join(shard_hashes).encode()).hexdigest()
-    violations = [v for r in records for v in r["violations"]]
-    total_events = sum(r["events_processed"] for r in records)
-    total_wall = sum(r["wall_seconds"] for r in records)
-    return BigRunResult(
-        protocol="srb-uni",
-        seed=seed,
-        n_ops=n_ops,
-        shards=shards,
-        workers=workers if _pooled(workers, len(tasks)) else 1,
-        ok=not violations,
-        violations=violations,
-        order_hash=combined,
-        shard_hashes=shard_hashes,
-        stats={
-            "events_processed": total_events,
-            "timer_wheel_hits": sum(r["timer_wheel_hits"] for r in records),
-            "freelist_reuses": sum(r["freelist_reuses"] for r in records),
-            "deliveries": sum(r["deliveries"] for r in records),
-            "events_per_sec": (
-                total_events / total_wall if total_wall > 0 else 0.0
-            ),
-        },
-    )
 
 
 def _run_mc_task(name: str, root_choice: Optional[int], root_sleep: tuple[int, ...]):

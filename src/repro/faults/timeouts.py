@@ -57,8 +57,8 @@ def derive_jitter_rng(seed: int, *labels: Any) -> random.Random:
     simulator uses for per-process streams. Two properties matter:
 
     - *seed-determinism*: jitter draws are a pure function of
-      ``(seed, labels)``, so sweeps replay bit-identically and
-      ``one_big_run`` serial ≡ pooled still holds;
+      ``(seed, labels)``, so sweeps replay bit-identically and a pooled
+      sweep equals the serial one;
     - *independence*: the stream is consumed only by the jitter site, so
       protocol-level RNG use (``ctx.rng``) can change without shifting
       retry timing — and vice versa.

@@ -21,7 +21,7 @@ machinery keeps it from collapsing?* Four modules:
 
 Everything is a pure function of the run seed (jitter streams derive
 from it); the chaos registry gains ``service`` / ``service-storm``
-protocols so the same sweep/replay/one-big-run tooling applies.
+protocols so the same sweep/replay tooling applies.
 """
 
 from .admission import (

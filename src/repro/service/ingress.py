@@ -43,7 +43,7 @@ from collections import deque
 from typing import Any, Optional, Sequence
 
 from ..consensus.client import BFTClient
-from ..consensus.minbft import REPLY, REQUEST
+from ..consensus.replica import REPLY, REQUEST
 from ..errors import ConfigurationError
 from ..sim.process import Process
 from ..types import ProcessId

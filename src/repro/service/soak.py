@@ -491,7 +491,6 @@ def run_service_chaos(
     protected: bool = True,
     storm: bool = False,
     app: str = "bank",
-    liveness_bound: Optional[float] = None,
     profile: Optional[ServiceProfile] = None,
 ) -> Any:
     """The serving layer under one fault schedule; a standard ChaosResult.
@@ -521,8 +520,6 @@ def run_service_chaos(
         n_tenants = 32 if storm else 6
     if ops_per_tenant is None:
         ops_per_tenant = 60 if storm else 6
-    if liveness_bound is None:
-        liveness_bound = 150.0 if storm else 300.0
     prof = profile if profile is not None else (
         protected_profile() if protected else unprotected_profile()
     )
@@ -552,7 +549,7 @@ def run_service_chaos(
     checker = ReplicationStreamChecker(cell.correct(n), fail_fast=True)
     live = ServiceLivenessAuditor(
         gst=schedule.gst,
-        bound=liveness_bound,
+        bound=150.0 if storm else 300.0,
         tenants=range(n + 1, n + 1 + n_tenants),
         ingress=n,
     )

@@ -9,7 +9,7 @@ The substrate every protocol in this library runs on:
   shared-memory programs.
 - :mod:`~repro.sim.adversary` — delay/partition control: asynchronous,
   partially synchronous, lock-step synchronous, scripted.
-- :class:`~repro.sim.trace.Trace` — the structured log all property
+- :class:`~repro.sim.trace.TraceStore` — the structured log all property
   checkers consume.
 """
 
@@ -38,7 +38,7 @@ from .process import Context, Process
 from .runner import Simulation
 from .scheduler import RunStats, Scheduler
 from .shared_memory import Op, SharedMemorySystem, SharedObject, Sleep, SMProgram
-from .trace import Trace, TraceEvent, TraceObserver, TraceStore
+from .trace import TraceEvent, TraceObserver, TraceStore
 
 __all__ = [
     "Adversary",
@@ -65,7 +65,6 @@ __all__ = [
     "Simulation",
     "Sleep",
     "SMProgram",
-    "Trace",
     "TraceEvent",
     "TraceObserver",
     "TraceStore",

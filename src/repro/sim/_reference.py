@@ -3,15 +3,10 @@
 This is the event loop as it stood before the timer-wheel/free-list
 rewrite of :mod:`repro.sim.scheduler` — a single binary heap for every
 payload type, no event recycling, ``step`` via ``heap.remove``. It is
-kept verbatim for two jobs:
-
-- **golden determinism** — ``tests/test_simcore_determinism.py`` drives
-  this implementation and the production one through identical random
-  schedule/cancel/run/step interleavings and asserts byte-identical
-  dispatch order and :class:`~repro.sim.scheduler.RunStats`;
-- **benchmark baseline** — ``benchmarks/bench_simcore.py`` measures the
-  production loop's events/sec against this loop on the same profiles
-  (the ISSUE's ≥5× bar is relative to this implementation).
+kept as the golden-determinism oracle: ``tests/test_simcore_determinism.py``
+drives this implementation and the production one through identical random
+schedule/cancel/run/step interleavings and asserts byte-identical dispatch
+order and :class:`~repro.sim.scheduler.RunStats`.
 
 Do not optimize this file. Behavioral fixes that change dispatch order
 must be applied to both implementations (and are a red flag: the whole
@@ -21,37 +16,12 @@ point of the pair is that dispatch order never changes).
 from __future__ import annotations
 
 import heapq
-import time as _time
 from typing import Callable, Optional
 
 from ..errors import SimulationError
 from ..types import Time
 from .events import Event, Payload
 from .scheduler import RunStats
-
-
-class _PreRefactorEvent(Event):
-    """Event with the comparator the pre-refactor loop actually ran.
-
-    The rewrite replaced the dataclass-generated ``order=True`` pair —
-    which builds a ``(time, seq)`` tuple per operand per comparison — with
-    hand-written field compares (see :class:`~repro.sim.events.Event`).
-    Since this loop's whole job is *pre-refactor baseline fidelity*, its
-    own events restore the generated comparator verbatim; letting the
-    baseline borrow the optimized one would silently credit it with part
-    of the rewrite it is supposed to measure. Ordering semantics are
-    identical either way, so determinism cross-checks are unaffected.
-    """
-
-    __slots__ = ()
-
-    def __lt__(self, other: Event) -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.time, self.seq) == (other.time, other.seq)
 
 
 class HeapOnlyScheduler:
@@ -93,8 +63,8 @@ class HeapOnlyScheduler:
                  after: Event | None = None) -> Event:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        ev = _PreRefactorEvent(time=self._now + delay, seq=self._seq,
-                               payload=payload, after=after)
+        ev = Event(time=self._now + delay, seq=self._seq, payload=payload,
+                   after=after)
         self._seq += 1
         heapq.heappush(self._heap, ev)
         self._live += 1
@@ -108,8 +78,7 @@ class HeapOnlyScheduler:
                     f"cannot schedule at {time} before current time {self._now}"
                 )
             time = self._now
-        ev = _PreRefactorEvent(time=time, seq=self._seq, payload=payload,
-                               after=after)
+        ev = Event(time=time, seq=self._seq, payload=payload, after=after)
         self._seq += 1
         heapq.heappush(self._heap, ev)
         self._live += 1
@@ -179,7 +148,6 @@ class HeapOnlyScheduler:
             raise SimulationError("scheduler is already running (re-entrant run)")
         self._running = True
         stats = RunStats()
-        wall0 = _time.perf_counter()
         try:
             while self._heap:
                 if max_events is not None and stats.events_processed >= max_events:
@@ -206,7 +174,4 @@ class HeapOnlyScheduler:
         if until is not None and stats.exhausted:
             self._now = max(self._now, until)
         stats.end_time = self._now
-        wall = _time.perf_counter() - wall0
-        if wall > 0.0:
-            stats.events_per_sec = stats.events_processed / wall
         return stats

@@ -101,23 +101,6 @@ class Network:
             return 1.0
         return self.messages_delivered / self.messages_sent
 
-    # -- controlled-schedule mode ---------------------------------------------
-
-    def pending_deliveries(self) -> list:
-        """Co-enabled, not-yet-dispatched deliveries in canonical order.
-
-        The model checker's view of the network: every pending
-        :class:`~repro.sim.events.MessageDeliver` event, sorted by
-        ``(time, seq)`` — the same explicit tie-break the scheduler's
-        choice-set enumeration uses, so the order is bit-identical across
-        processes and Python versions.
-        """
-        return [
-            ev
-            for ev in self._sim.scheduler.co_enabled()
-            if isinstance(ev.payload, MessageDeliver)
-        ]
-
     # -- audits ---------------------------------------------------------------
 
     def withheld_between(

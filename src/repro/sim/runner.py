@@ -72,10 +72,9 @@ class Simulation:
     ) -> None:
         """``scheduler_factory`` swaps the event-loop implementation under
         the same simulation — any object satisfying the ``Scheduler`` API.
-        Used by ``benchmarks/bench_simcore.py`` and the golden-determinism
-        tests to run identical workloads over the production loop and the
-        retained pre-refactor loop (:mod:`repro.sim._reference`); leave it
-        ``None`` everywhere else."""
+        Used by the golden-determinism tests to run identical workloads
+        over the production loop and the retained pre-refactor loop
+        (:mod:`repro.sim._reference`); leave it ``None`` everywhere else."""
         if not processes:
             raise ConfigurationError("a simulation needs at least one process")
         self.n = len(processes)
@@ -137,9 +136,6 @@ class Simulation:
         """
         return self.trace.subscribe(observer)
 
-    def detach_observer(self, observer: TraceObserver) -> None:
-        self.trace.unsubscribe(observer)
-
     # -- fault management -----------------------------------------------------
 
     def declare_byzantine(self, *pids: ProcessId) -> "Simulation":
@@ -148,10 +144,6 @@ class Simulation:
             self._check_pid(pid)
             self._byzantine.add(pid)
         return self
-
-    @property
-    def byzantine_pids(self) -> frozenset[ProcessId]:
-        return frozenset(self._byzantine)
 
     @property
     def crashed_pids(self) -> frozenset[ProcessId]:

@@ -6,9 +6,8 @@ identical event order on any platform — there is no wall-clock anywhere
 and ties break by creation order. Everything below is an *implementation*
 of global ``(time, creation_seq)`` order, never a relaxation of it.
 
-Three structural changes over the pre-refactor loop (retained verbatim in
-:mod:`repro.sim._reference` as the golden-determinism and benchmark
-baseline):
+Three structural changes over the pre-refactor loop (retained in
+:mod:`repro.sim._reference` as the golden-determinism oracle):
 
 - **Keyed heap entries.** The heap stores ``(time, seq, Event)`` tuples,
   not events. ``seq`` is globally unique, so a comparison never reaches
@@ -50,7 +49,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time as _time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -63,7 +61,8 @@ _INF = math.inf
 
 @dataclass(slots=True)
 class RunStats:
-    """Summary of one scheduler run segment."""
+    """Summary of one scheduler run segment. Every field is a pure function
+    of the seed, so two runs claimed identical compare with ``==``."""
 
     events_processed: int = 0
     end_time: Time = 0.0
@@ -75,9 +74,6 @@ class RunStats:
     freelist_reuses: int = 0
     """Events allocated from the free-list during this segment instead of
     freshly — deterministic for a fixed seed."""
-    events_per_sec: float = 0.0
-    """Dispatch throughput of this segment (wall-clock derived — the one
-    nondeterministic field; determinism comparisons must exclude it)."""
     consensus: Optional[dict] = None
     """Aggregated replication-pipeline counters (batches flushed, proposal
     stalls, window occupancy, noop slots, batch-size histogram), merged by
@@ -89,18 +85,6 @@ class RunStats:
     process exposing ``service_stats()``. ``None`` when no process does.
     Counter values are pure functions of the seed, so the dict belongs in
     the deterministic fields."""
-
-    def deterministic_fields(self) -> tuple:
-        """Everything but the wall-clock throughput, for bit-identity checks."""
-        return (
-            self.events_processed,
-            self.end_time,
-            self.exhausted,
-            self.timer_wheel_hits,
-            self.freelist_reuses,
-            self.consensus,
-            self.service,
-        )
 
 
 class _TimerWheel:
@@ -576,7 +560,6 @@ class Scheduler:
         stats = RunStats()
         wheel_hits0 = self.timer_wheel_hits
         reuses0 = self._freelist.reuses
-        wall0 = _time.perf_counter()
         heap = self._heap
         wheel = self._wheel
         freelist = self._freelist
@@ -638,7 +621,4 @@ class Scheduler:
         stats.end_time = self._now
         stats.timer_wheel_hits = self.timer_wheel_hits - wheel_hits0
         stats.freelist_reuses = self._freelist.reuses - reuses0
-        wall = _time.perf_counter() - wall0
-        if wall > 0.0:
-            stats.events_per_sec = processed / wall
         return stats

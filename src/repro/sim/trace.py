@@ -1,11 +1,10 @@
 """Structured execution traces: indexed store, observer bus, JSONL replay.
 
-A :class:`TraceStore` (aliased ``Trace`` for compatibility) is an
-append-only log of everything observable that happened in a run. Property
-checkers (`repro.core.directionality`, `repro.core.srb`,
-`repro.agreement.definitions`, `repro.consensus.safety`) consume traces
-rather than protocol internals, so the same checker validates any
-implementation of a primitive.
+A :class:`TraceStore` is an append-only log of everything observable that
+happened in a run. Property checkers (`repro.core.directionality`,
+`repro.core.srb`, `repro.agreement.definitions`, `repro.consensus.safety`)
+consume traces rather than protocol internals, so the same checker
+validates any implementation of a primitive.
 
 Three capabilities beyond a plain list:
 
@@ -521,9 +520,6 @@ class TraceStore:
             for ev in self.events(BCAST_DELIVER)
         ]
 
-    def message_sends(self, src: ProcessId | None = None) -> list[TraceEvent]:
-        return self.events(SEND, pid=src)
-
     def message_deliveries(self, dst: ProcessId | None = None) -> list[TraceEvent]:
         return self.events(DELIVER, pid=dst)
 
@@ -636,8 +632,3 @@ class TraceStore:
         if limit is not None and len(self) > limit:
             lines.append(f"… {len(self) - limit} more events")
         return "\n".join(lines)
-
-
-# Backward-compatible name: the rest of the library (and downstream code)
-# says ``Trace``; the indexed store is a drop-in replacement.
-Trace = TraceStore

@@ -2,12 +2,10 @@
 
 from .load import LoadResult, OrderHasher, run_pipeline_load, split_arrivals
 from .generator import (
-    ArrivalShard,
     WorkloadSpec,
     bank_transfers,
     generate_workload,
     open_loop_arrivals,
-    shard_arrivals,
     skewed_kv,
     tenant_ops,
     tenant_workloads,
@@ -15,7 +13,6 @@ from .generator import (
 )
 
 __all__ = [
-    "ArrivalShard",
     "LoadResult",
     "OrderHasher",
     "WorkloadSpec",
@@ -23,7 +20,6 @@ __all__ = [
     "generate_workload",
     "open_loop_arrivals",
     "run_pipeline_load",
-    "shard_arrivals",
     "skewed_kv",
     "split_arrivals",
     "tenant_ops",

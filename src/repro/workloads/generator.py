@@ -97,27 +97,8 @@ def generate_workload(spec: WorkloadSpec) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Open-loop arrivals (for the one-big-run sweep sharder)
+# Open-loop arrivals
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class ArrivalShard:
-    """One contiguous slice of an open-loop workload.
-
-    ``index`` is the shard's position in the original arrival order —
-    the merge key for deterministic recombination. Arrival times stay
-    *absolute* (no rebasing): virtual time is free to skip, and keeping
-    the original timestamps makes a shard's simulation independent of how
-    many shards the workload was cut into before it.
-    """
-
-    index: int
-    arrivals: tuple[tuple[float, tuple], ...]
-
-    @property
-    def span_end(self) -> float:
-        return self.arrivals[-1][0] if self.arrivals else 0.0
 
 
 def open_loop_arrivals(
@@ -131,11 +112,9 @@ def open_loop_arrivals(
 
     Open-loop means arrivals are paced by an external clock, not by
     response completion — a Poisson process of intensity ``rate`` ops per
-    time unit (exponential interarrivals), which is what makes the
-    workload *shardable*: each op is issued independently of every other
-    op's outcome, so cutting the timeline cuts no causal edges on the
-    client side. Ops come from the named closed-loop generator; times and
-    ops are both pure functions of ``seed``.
+    time unit (exponential interarrivals): each op is issued independently
+    of every other op's outcome. Ops come from the named closed-loop
+    generator; times and ops are both pure functions of ``seed``.
     """
     if rate <= 0:
         raise ConfigurationError(f"rate must be positive, got {rate}")
@@ -229,25 +208,3 @@ def tenant_workloads(
                    read_ratio=read_ratio)
         for i in range(n_tenants)
     ]
-
-
-def shard_arrivals(
-    arrivals: list[tuple[float, tuple]], n_shards: int
-) -> list[ArrivalShard]:
-    """Cut an open-loop workload into ``n_shards`` contiguous slices.
-
-    Slices are near-equal by *op count* (boundary ``k`` falls at
-    ``len * k // n_shards``), preserving arrival order within and across
-    shards. The shard list is a pure function of ``(arrivals, n_shards)``
-    — in particular independent of how many workers later execute it,
-    which is what lets a sharded run reproduce a serial run bit-exactly.
-    """
-    if n_shards < 1:
-        raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
-    n = len(arrivals)
-    shards = []
-    for k in range(n_shards):
-        lo = n * k // n_shards
-        hi = n * (k + 1) // n_shards
-        shards.append(ArrivalShard(index=k, arrivals=tuple(arrivals[lo:hi])))
-    return shards

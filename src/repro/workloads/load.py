@@ -145,7 +145,6 @@ def run_pipeline_load(
     request_bound: float = 500.0,
     max_events: Optional[int] = None,
     trace_retention: Optional[int] = None,
-    extra_observers: tuple = (),
 ) -> LoadResult:
     """Run one open-loop load cell against a pipelined cluster.
 
@@ -194,7 +193,7 @@ def run_pipeline_load(
             batch_delay=batch_delay,
         ),
         client_options=dict(max_outstanding=max_outstanding),
-        observers=(hasher, clock, safety, liveness, *extra_observers),
+        observers=(hasher, clock, safety, liveness),
         # every auditor above streams, so soak runs can bound the trace
         # ring buffer instead of holding 10^6 events for a batch audit
         trace_retention=trace_retention,

@@ -19,11 +19,11 @@ from repro.core.rounds import SharedMemoryRoundTransport
 from repro.core.uni_from_sm import build_objects_for
 from repro.errors import ConfigurationError, PropertyViolation
 from repro.sim import ReliableAsynchronous, Simulation
-from repro.sim.trace import Trace
+from repro.sim.trace import TraceStore
 
 
 def synthetic(commits, inputs, variant, correct=None, all_correct=True):
-    t = Trace()
+    t = TraceStore()
     for i, (pid, v) in enumerate(commits):
         t.record(float(i), "decide", pid, value=v)
     correct = correct if correct is not None else sorted(inputs)
@@ -68,7 +68,7 @@ class TestCheckers:
             rep.assert_ok()
 
     def test_only_first_decision_counts(self):
-        t = Trace()
+        t = TraceStore()
         t.record(0.0, "decide", 0, value="a")
         t.record(1.0, "decide", 0, value="b")
         rep = check_agreement(t, WEAK, {0: "a"}, [0], all_correct=True)

@@ -10,7 +10,7 @@ from repro.analysis import format_kv, format_table, percentile, summarize
 from repro.consensus.apps import BankApp, CounterApp, KVStoreApp, NoopApp, make_app
 from repro.consensus.safety import check_replication
 from repro.errors import ConfigurationError
-from repro.sim.trace import Trace
+from repro.sim.trace import TraceStore
 from repro.workloads import WorkloadSpec, bank_transfers, generate_workload, skewed_kv, uniform_kv
 
 
@@ -67,7 +67,7 @@ class TestApps:
 
 
 def trace_with_executions(executions, dones=()):
-    t = Trace()
+    t = TraceStore()
     for i, (replica, seq, client, req_id, op, result) in enumerate(executions):
         t.record(float(i), "custom", replica, event="execute", seq=seq,
                  client=client, req_id=req_id, op=op, result=result)

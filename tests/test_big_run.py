@@ -1,34 +1,21 @@
-"""One-big-run sweep sharder: determinism, shard identity, merge rules.
+"""Workload generators: open-loop arrivals and per-tenant op streams.
 
-The R7 sharder cuts ONE logical open-loop run into contiguous timeline
-slices that execute as independent simulations and merge
-deterministically. The claims under test (see ``BigRunResult``):
-
-- ``order_hash`` is a pure function of ``(seed, n_ops, rate, shards)`` —
-  identical for serial and worker-pool execution of the same shard set;
-- ``shards`` is part of the run's *identity* (boundaries reset protocol
-  state), so a different shard count is a different logical run;
-- the production scheduler and the retained pre-refactor loop replay the
-  same big run to the same digest (the cross-implementation witness the
-  acceptance criteria require);
-- the open-loop generator and cutter are deterministic, contiguous, and
-  lossless.
+Both are pure functions of their seed: the arrival clock draws from its own
+stream (changing the op mix never moves a timestamp), holds its laws at
+rates far past saturation, and a tenant's ops depend on ``(seed, index)``
+alone, not on the size of the fleet.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.faults.chaos import one_big_run
 from repro.errors import ConfigurationError
 from repro.workloads.generator import (
     open_loop_arrivals,
-    shard_arrivals,
     tenant_ops,
     tenant_workloads,
 )
-
-BIG = dict(seed=11, n_ops=48, rate=3.0, shards=4)
 
 
 class TestOpenLoopArrivals:
@@ -54,36 +41,9 @@ class TestOpenLoopArrivals:
             open_loop_arrivals(10, rate=0.0)
 
 
-class TestShardArrivals:
-    def test_shards_are_contiguous_and_lossless(self):
-        arrivals = open_loop_arrivals(47, seed=1)  # deliberately not divisible
-        shards = shard_arrivals(arrivals, 5)
-        assert [s.index for s in shards] == [0, 1, 2, 3, 4]
-        rebuilt = [pair for s in shards for pair in s.arrivals]
-        assert rebuilt == arrivals
-        # contiguity across the cut points: spans never interleave
-        ends = [s.span_end for s in shards if s.arrivals]
-        assert ends == sorted(ends)
-
-    def test_near_equal_op_counts(self):
-        shards = shard_arrivals(open_loop_arrivals(47, seed=1), 5)
-        sizes = [len(s.arrivals) for s in shards]
-        assert sum(sizes) == 47
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_single_shard_is_whole_run(self):
-        arrivals = open_loop_arrivals(10, seed=3)
-        (only,) = shard_arrivals(arrivals, 1)
-        assert only.arrivals == tuple(arrivals)
-
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ConfigurationError):
-            shard_arrivals([], 0)
-
-
 class TestOverloadArrivals:
-    """The generator/cutter laws must survive rates far past saturation —
-    the regime the serving-layer soak drives them into."""
+    """The generator's laws must survive rates far past saturation — the
+    regime the serving-layer soak drives it into."""
 
     def test_count_exact_at_any_rate(self):
         for rate in (0.01, 10.0, 500.0, 1e6):
@@ -104,24 +64,6 @@ class TestOverloadArrivals:
         slow = open_loop_arrivals(1000, seed=6, rate=50.0)[-1][0]
         fast = open_loop_arrivals(1000, seed=6, rate=100.0)[-1][0]
         assert slow / fast == pytest.approx(2.0, rel=0.15)
-
-    def test_sharding_lossless_at_overload_rate(self):
-        arrivals = open_loop_arrivals(331, seed=12, rate=800.0)
-        for n_shards in (1, 2, 7, 331, 400):
-            shards = shard_arrivals(arrivals, n_shards)
-            rebuilt = [pair for s in shards for pair in s.arrivals]
-            assert rebuilt == arrivals, n_shards
-
-    def test_shard_cut_is_deterministic(self):
-        arrivals = open_loop_arrivals(97, seed=13, rate=800.0)
-        assert shard_arrivals(arrivals, 6) == shard_arrivals(arrivals, 6)
-
-    def test_more_shards_than_ops_yields_empty_tails(self):
-        arrivals = open_loop_arrivals(3, seed=1, rate=200.0)
-        shards = shard_arrivals(arrivals, 5)
-        assert sum(len(s.arrivals) for s in shards) == 3
-        assert any(not s.arrivals for s in shards)
-        assert all(s.span_end == 0.0 for s in shards if not s.arrivals)
 
 
 class TestTenantWorkloads:
@@ -162,48 +104,3 @@ class TestTenantWorkloads:
             tenant_ops(0, 10, kind="graph")
         with pytest.raises(ConfigurationError):
             tenant_workloads(0, 10)
-
-
-class TestOneBigRun:
-    def test_serial_and_pooled_execution_identical(self):
-        serial = one_big_run(**BIG)
-        pooled = one_big_run(workers=2, **BIG)
-        assert serial.ok and pooled.ok
-        assert serial.order_hash == pooled.order_hash
-        assert serial.shard_hashes == pooled.shard_hashes
-        # summed deterministic counters survive the pool round-trip too
-        for key in ("events_processed", "deliveries", "timer_wheel_hits",
-                    "freelist_reuses"):
-            assert serial.stats[key] == pooled.stats[key], key
-
-    def test_repeatable(self):
-        assert one_big_run(**BIG).order_hash == one_big_run(**BIG).order_hash
-
-    def test_shard_count_is_run_identity(self):
-        # shard boundaries reset protocol state, so a different cut is a
-        # DIFFERENT logical run — not an execution detail
-        four = one_big_run(**BIG)
-        two = one_big_run(**{**BIG, "shards": 2})
-        assert four.ok and two.ok
-        assert four.order_hash != two.order_hash
-
-    def test_seed_is_run_identity(self):
-        assert (
-            one_big_run(**BIG).order_hash
-            != one_big_run(**{**BIG, "seed": BIG["seed"] + 1}).order_hash
-        )
-
-    def test_pre_refactor_scheduler_replays_same_run(self):
-        production = one_big_run(**BIG)
-        reference = one_big_run(scheduler="reference", **BIG)
-        assert production.ok and reference.ok
-        assert production.order_hash == reference.order_hash
-        assert production.shard_hashes == reference.shard_hashes
-        # and the rewrite actually engaged its machinery on this run
-        assert production.stats["timer_wheel_hits"] > 0
-        assert production.stats["freelist_reuses"] > 0
-        assert reference.stats["timer_wheel_hits"] == 0
-
-    def test_rejects_unknown_scheduler(self):
-        with pytest.raises(ConfigurationError):
-            one_big_run(scheduler="turbo", **BIG)

@@ -10,6 +10,8 @@ acceptance grid (both protocols × ``range(10)``).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.crypto.serialize import caching_disabled
@@ -64,6 +66,25 @@ class TestParallelSweep:
             assert r.stats["crypto"]["verify_hits"] == 0
             assert r.stats["crypto"]["serialize_hits"] == 0
 
+    def test_cached_sweep_equals_uncached_reference(self):
+        # whole cells, not single verdicts (tests/test_crypto_cache.py,
+        # tests/test_memo_poisoning.py): with the caches on, every cell ends
+        # exactly as the re-serialize-and-re-HMAC-everything reference does,
+        # for at most a third of the HMACs
+        kw = dict(protocols=("srb-uni", "minbft"), seeds=range(2),
+                  horizon=250.0)
+        with caching_disabled():
+            uncached = chaos_sweep(**kw)
+        cached = chaos_sweep(**kw)
+
+        def verdict(r: ChaosResult) -> tuple:
+            stats = {k: v for k, v in r.stats.items() if k != "crypto"}
+            return as_tuple(dataclasses.replace(r, stats=stats))
+
+        assert [verdict(r) for r in cached] == [verdict(r) for r in uncached]
+        hmacs = lambda rs: sum(r.stats["crypto"]["hmac_ops"] for r in rs)
+        assert 0 < 3 * hmacs(cached) <= hmacs(uncached)
+
     def test_crypto_stats_reset_per_run(self):
         # back-to-back runs must report identical per-run counters: the
         # second run starts from a cold cache, not the first run's warm one
@@ -85,6 +106,28 @@ class TestReplayHint:
         for r in results:
             replayed = replay_from_hint(r.replay_hint(), horizon=250.0)
             assert as_tuple(replayed) == as_tuple(r)
+
+    def test_hint_alone_rebuilds_a_non_default_cell(self):
+        # make_schedule places GST and every crash relative to the horizon,
+        # so a failure found at horizon=250 is another cell at the default
+        # 600: the hint has to carry what the sweep was started with
+        results = chaos_sweep(protocols=("srb-uni-broken",), seeds=range(4),
+                              horizon=250.0)
+        bad = next(r for r in results if not r.ok)
+        assert "horizon=250.0" in bad.replay_hint()
+        assert replay_from_hint(bad.replay_hint()) == bad
+        # runner kwargs are not in the protocol name either
+        adaptive = run_chaos("minbft", 3, horizon=250.0, timeouts="adaptive")
+        assert "timeouts='adaptive'" in adaptive.replay_hint()
+        assert replay_from_hint(adaptive.replay_hint()) == adaptive
+        # ... and a default cell's hint stays the bare (protocol, seed)
+        assert run_chaos("srb-uni", 4).replay_hint().endswith("('srb-uni', 4)")
+
+    def test_hint_with_a_non_literal_argument_rejected(self):
+        with pytest.raises(ConfigurationError, match="not literals"):
+            replay_from_hint(
+                "repro.faults.chaos.replay('service', 3, profile=PROFILE)"
+            )
 
     @pytest.mark.parametrize(
         "attack", ["equivocate-prepare", "pbft-equivocate", "srb-forge-l1"]

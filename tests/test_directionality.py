@@ -9,14 +9,14 @@ from repro.core.directionality import (
     check_directionality,
 )
 from repro.errors import PropertyViolation
-from repro.sim.trace import Trace
+from repro.sim.trace import TraceStore
 
 import pytest
 
 
 def trace_of(events):
     """events: list of (kind, pid, fields) in order; times auto-increment."""
-    t = Trace()
+    t = TraceStore()
     for i, (kind, pid, fields) in enumerate(events):
         t.record(float(i), kind, pid, **fields)
     return t

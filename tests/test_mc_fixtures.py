@@ -15,7 +15,7 @@ import pytest
 from repro.agreement.worlds import run_vwa_rb_impossibility_exhaustive
 from repro.core.separations import run_srb_separation_exhaustive
 from repro.errors import ConfigurationError
-from repro.faults.chaos import chaos_sweep, exhaustive_sweep
+from repro.faults.chaos import exhaustive_sweep
 from repro.mc import Explorer, parse_schedule_id, replay_schedule
 from repro.mc.fixtures import SYSTEMS, get_system, sampled_verdicts
 
@@ -75,14 +75,10 @@ class TestExhaustiveSweep:
                 f"expected {'some' if expected else 'none'}"
             )
 
-    def test_chaos_sweep_exhaustive_arm(self):
-        out = chaos_sweep(mode="exhaustive", protocols=("srb-eager",))
+    def test_sweep_of_named_systems(self):
+        out = exhaustive_sweep(systems=("srb-eager",))
         assert sorted(out) == ["srb-eager"]
         assert out["srb-eager"].violations
-
-    def test_chaos_sweep_rejects_unknown_mode(self):
-        with pytest.raises(ConfigurationError, match="mode"):
-            chaos_sweep(mode="fuzzy")
 
 
 class TestExhaustiveSeparation:

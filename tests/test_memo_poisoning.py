@@ -27,7 +27,8 @@ from typing import Any
 import pytest
 
 from repro.consensus.apps import make_app
-from repro.consensus.minbft import MinBFTReplica, REQUEST, request_domain
+from repro.consensus.minbft import MinBFTReplica
+from repro.consensus.replica import REQUEST, request_domain
 from repro.consensus.usig import UI, USIG, USIGVerifier
 from repro.core.srb_from_uni import (
     copy_domain,

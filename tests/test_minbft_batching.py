@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.consensus import build_minbft_system, check_replication
-from repro.consensus.minbft import MinBFTReplica, proposal_requests
+from repro.consensus.minbft import MinBFTReplica
+from repro.consensus.replica import proposal_requests
 
 
 def with_batching(**extra):

@@ -16,7 +16,9 @@ observationally indistinguishable:
   determinism rides on it), under adversarial step choices;
 - the decided after-cancelled-predecessor semantics (blocked **forever**
   — see the ``co_enabled`` docstring) as an explicit regression pin on
-  both implementations.
+  both implementations;
+- full stack: one SRB-over-reliable-channel system built on each
+  scheduler dispatches the same ``(time, seq)`` order end to end.
 
 The drivers follow the owner pattern the free-list imposes: a raw timer
 handle is dead once it fires or is cancelled (its slot may be recycled
@@ -26,8 +28,8 @@ never recycles.
 
 Cross-implementation stats comparison deliberately excludes
 ``timer_wheel_hits``/``freelist_reuses`` (the reference has neither
-mechanism and reports 0 by design); full ``deterministic_fields()``
-reproducibility is asserted new-scheduler-vs-itself instead.
+mechanism and reports 0 by design); whole-``RunStats`` reproducibility
+is asserted new-scheduler-vs-itself instead.
 """
 
 from __future__ import annotations
@@ -35,9 +37,12 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.srb_from_uni import build_mp_srb_system
+from repro.faults.chaos import DEFAULT_CHANNEL
 from repro.sim._reference import HeapOnlyScheduler
 from repro.sim.events import TimerFire
 from repro.sim.scheduler import Scheduler
+from repro.workloads import OrderHasher, open_loop_arrivals
 
 FINAL_DRAIN = 1_000_000.0  # past any schedulable time the programs reach
 
@@ -59,7 +64,7 @@ def _interpret_run(sched_cls, ops):
     """Replay one drawn command program in free-running mode.
 
     Returns the dispatch log and the implementation-independent slice of
-    each segment's stats, plus the full deterministic_fields tuples (for
+    each segment's stats, plus the whole ``RunStats`` (for
     same-implementation reproducibility checks only).
     """
     s = sched_cls()
@@ -95,16 +100,16 @@ def _interpret_run(sched_cls, ops):
         elif kind == "run":
             stats = s.run(max_events=idx)
             segments.append((stats.events_processed, stats.end_time))
-            full_stats.append(stats.deterministic_fields())
+            full_stats.append(stats)
         else:  # until
             stats = s.run(until=s.now + delay)
             segments.append((stats.events_processed, stats.end_time))
-            full_stats.append(stats.deterministic_fields())
+            full_stats.append(stats)
     final = s.run(until=FINAL_DRAIN)
     segments.append(
         (final.events_processed, final.end_time, final.exhausted)
     )
-    full_stats.append(final.deterministic_fields())
+    full_stats.append(final)
     return log, segments, full_stats
 
 
@@ -243,3 +248,37 @@ class TestCancelledPredecessorBlocksForever:
             assert [ev.seq for ev in s.co_enabled()] == [a.seq]
             s.step(a)
             assert [ev.seq for ev in s.co_enabled()] == [b.seq]
+
+
+class TestFullStackGoldenDeterminism:
+    """The two loops under a real system, not a command program: Algorithm-1
+    SRB over retransmitting channels arms and cancels a timer per frame, so
+    the wheel and the free-list are both in play on the production side."""
+
+    def _run(self, scheduler_factory):
+        hasher = OrderHasher()
+        sim, procs, _scheme = build_mp_srb_system(
+            n=4, t=1, sender=0, seed=11,
+            reliable=dict(DEFAULT_CHANNEL),
+            observers=(hasher,),
+            scheduler_factory=scheduler_factory,
+        )
+        arrivals = open_loop_arrivals(12, seed=11, rate=3.0)
+        for at, op in arrivals:
+            sim.at(at, lambda op=op: procs[0].broadcast(op), label="op")
+        stats = sim.run(until=arrivals[-1][0] + 120.0)
+        delivered = len(sim.trace.events("bcast_deliver"))
+        return hasher.hexdigest(), stats, delivered
+
+    def test_srb_system_replays_on_pre_refactor_scheduler(self):
+        new_hash, new_stats, new_delivered = self._run(None)
+        ref_hash, ref_stats, ref_delivered = self._run(HeapOnlyScheduler)
+        assert new_hash == ref_hash, "full-stack dispatch order diverged"
+        assert new_delivered == ref_delivered == 4 * 12
+        assert (new_stats.events_processed, new_stats.end_time) == (
+            ref_stats.events_processed, ref_stats.end_time
+        )
+        # and the rewrite actually engaged its machinery on this run
+        assert new_stats.timer_wheel_hits > 0
+        assert new_stats.freelist_reuses > 0
+        assert ref_stats.timer_wheel_hits == ref_stats.freelist_reuses == 0

@@ -6,12 +6,12 @@ import pytest
 
 from repro.core.srb import check_srb, deliveries_by_process
 from repro.errors import PropertyViolation
-from repro.sim.trace import Trace
+from repro.sim.trace import TraceStore
 
 
 def trace_of(broadcasts, deliveries):
     """broadcasts: [(seq, value)]; deliveries: [(receiver, seq, value)]."""
-    t = Trace()
+    t = TraceStore()
     time = 0.0
     for seq, value in broadcasts:
         t.record(time, "bcast", 0, seq=seq, value=value)

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from repro.sim.trace import Trace
+from repro.sim.trace import TraceStore
 
 
 def build_trace(events):
-    t = Trace()
+    t = TraceStore()
     for time, kind, pid, fields in events:
         t.record(time, kind, pid, **fields)
     return t

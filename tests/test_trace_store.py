@@ -29,7 +29,6 @@ from repro.sim.trace import (
     _LOCAL_VIEW_KINDS,
     DataclassValue,
     OpaqueValue,
-    Trace,
     TraceEvent,
     TraceObserver,
     TraceStore,
@@ -648,8 +647,3 @@ class TestLazyIndexCases:
         # recording goes on after the last imported index
         back.record(0.0, "custom", 0)
         assert back.events("custom")[-1].index == kept[-1].index + 1
-
-
-class TestCompatibilityAlias:
-    def test_trace_is_the_indexed_store(self):
-        assert Trace is TraceStore
