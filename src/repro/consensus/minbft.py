@@ -250,21 +250,6 @@ class MinBFTReplica(ReplicaCore):
             # USIG-signed babble: sequenced, authentic, still garbage
             self.malformed_rejects += 1
 
-    def _valid_proposal(self, proposal: Any) -> bool:
-        """The core's proposal check, memoized per proposal *object* in the
-        scheme's protocol memo: the same proposal is re-validated once per
-        PREPARE and once per COMMIT at every replica. A Byzantine primary's
-        list-shaped copy of a request is a different object (and, being
-        mutable, never stored), so it can neither cache its rejection for
-        the genuine tuple nor inherit the tuple's acceptance.
-        """
-        key = ("minbft-proposal", proposal)
-        verdict = self.scheme.memo.get(key)
-        if verdict is None:
-            verdict = super()._valid_proposal(proposal)
-            self.scheme.memo.put(key, verdict)
-        return verdict
-
     def _on_prepare(self, replica: ProcessId, ui: UI, message: tuple) -> None:
         _, view, seq, request = message
         if not isinstance(view, int) or not isinstance(seq, int) or seq < 1:

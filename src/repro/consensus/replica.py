@@ -260,14 +260,26 @@ class ReplicaCore(Process):
 
     def _valid_proposal(self, proposal: Any) -> bool:
         """A slot proposal: one valid request, or a non-empty BATCH of them
-        with no duplicate request keys."""
-        requests = proposal_requests(proposal)
-        if not requests:
-            return False
-        if not all(self._valid_request(r) for r in requests):
-            return False
-        keys = [request_key(r) for r in requests]
-        return len(keys) == len(set(keys))
+        with no duplicate request keys.
+
+        Memoized per proposal *object* in the scheme's protocol memo: the
+        same proposal is re-validated at every replica in every phase that
+        carries it. A Byzantine primary's list-shaped copy of a request is a
+        different object (and, being mutable, never stored), so it can
+        neither cache its rejection for the genuine tuple nor inherit the
+        tuple's acceptance.
+        """
+        key = ("proposal", proposal)
+        verdict = self.scheme.memo.get(key)
+        if verdict is None:
+            requests = proposal_requests(proposal)
+            verdict = (
+                bool(requests)
+                and all(self._valid_request(r) for r in requests)
+                and len({request_key(r) for r in requests}) == len(requests)
+            )
+            self.scheme.memo.put(key, verdict)
+        return verdict
 
     # -- window --------------------------------------------------------------
 

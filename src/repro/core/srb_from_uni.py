@@ -91,7 +91,8 @@ def l1_domain(sender: ProcessId, k: SeqNum, m: Any) -> tuple:
 # different object and is validated on its own — it can neither poison the
 # genuine proof's entry nor inherit it — and a structurally equal second
 # copy is re-validated once, its HMACs still deduplicated by the scheme's
-# verification cache. Verdicts are bit-identical to the uncached path.
+# signature-verdict memo (the signed domains are rebuilt from the same
+# parts). Verdicts are bit-identical to the uncached path.
 
 _MEMO_MISS = object()
 

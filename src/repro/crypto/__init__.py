@@ -12,7 +12,7 @@ interface contract:
   only the scheme and the claimed signer id (transferability).
 
 The whole stack is memoized for the hot path (identity-keyed encoding
-cache, per-scheme verification cache) with counters in :data:`STATS`;
+cache, per-scheme signature-verdict memo) with counters in :data:`STATS`;
 :func:`caching_disabled` / :func:`set_caching` restore the uncached
 reference behavior for baselines, and :func:`reset_crypto_caches` gives
 each chaos run a cold, deterministic cache state.

@@ -17,9 +17,12 @@ Algorithm-1 broadcast serializes the same proof structures at every relay
 hop — so the encoder is built for the hot path:
 
 - **iterative spine** — the encoder walks sequences and dataclasses with an
-  explicit stack instead of Python recursion (deep proof pyramids stay
-  cheap; sets and maps, whose elements must be encoded separately for
-  sorting, recurse through :func:`canonical_bytes` and so share the cache);
+  explicit stack of open containers instead of Python recursion (deep proof
+  pyramids stay cheap; sets and maps, whose elements must be encoded
+  separately for sorting, recurse and so share the cache). The exact types
+  nearly every protocol value is made of (``str``, ``bytes``, ``int``,
+  ``tuple``) are dispatched first, lengths below 256 and the small ints
+  protocols count with come from tables;
 - **identity-keyed memoization** — the simulator passes message objects by
   reference, so the *same* proof tuple reaches every process; encodings are
   kept in a bounded LRU keyed by object identity. Four rules make identity
@@ -34,7 +37,10 @@ hop — so the encoder is built for the hot path:
 - **digest memoization** — :func:`content_hash` keeps its own identity LRU
   under the same rules;
 - **verdict memoization** — :class:`IdentityMemo` applies them to the
-  argument tuples of protocol validators (proof and proposal checks). The
+  argument tuples of protocol validators (proof and proposal checks) and
+  to the parts of a signed tuple
+  (:meth:`~repro.crypto.signatures.SignatureScheme.verify`), so a verdict
+  lookup is a dict probe and never an encoding. The
   encoding deliberately erases distinctions validators make with
   ``isinstance`` (tuple vs list, dataclass class identity, bytes vs
   bytearray), so a verdict memo keyed on the bytes would let a Byzantine
@@ -177,7 +183,9 @@ class IdentityMemo:
     is never stored, so a value mutated after its check gets the verdict of
     its current content. A structurally equal but distinct object is a
     miss: it is validated once in full and then admitted under its own
-    identity.
+    identity. Parts that are all exact scalars — a signed domain tuple such
+    as ``(signer, tag, "PBFT-PREPARE", view, seq, digest, src)`` — need none
+    of the per-part work: the key is the parts themselves beside their types.
     """
 
     __slots__ = ("_entries",)
@@ -187,29 +195,41 @@ class IdentityMemo:
 
     @staticmethod
     def _key(parts: tuple) -> tuple:
-        return tuple(
-            [(type(p), p) if type(p) in _VALUE_KEYED else id(p) for p in parts]
+        """``(types, values)``: the exact type of every part, and each part
+        itself when its type is value-keyed, its ``id`` otherwise. A key
+        whose values *are* ``parts`` (no compound among them: the common
+        case, decided without a Python-level loop) needs no ``is`` re-check
+        and no immutability proof."""
+        types = tuple(map(type, parts))
+        if _VALUE_KEYED.issuperset(types):
+            return types, parts
+        return types, tuple(
+            [p if t in _VALUE_KEYED else id(p) for t, p in zip(types, parts)]
         )
 
     def get(self, parts: tuple, default: Any = None) -> Any:
         if not _caching_enabled:
             return default
-        entry = self._entries.get(self._key(parts))
+        key = self._key(parts)
+        entry = self._entries.get(key)
         if entry is None:
             return default
         pinned, verdict = entry
-        for was, now in zip(pinned, parts):
-            if was is not now and type(now) not in _VALUE_KEYED:
-                return default
+        if key[1] is not parts:
+            for was, now, tp in zip(pinned, parts, key[0]):
+                if was is not now and tp not in _VALUE_KEYED:
+                    return default
         return verdict
 
     def put(self, parts: tuple, verdict: Any) -> None:
         if not _caching_enabled:
             return
-        for p in parts:
-            if type(p) not in _VALUE_KEYED and not _proven_immutable(p):
-                return
-        self._entries.put(self._key(parts), (parts, verdict))
+        key = self._key(parts)
+        if key[1] is not parts:
+            for p, tp in zip(parts, key[0]):
+                if tp not in _VALUE_KEYED and not _proven_immutable(p):
+                    return
+        self._entries.put(key, (parts, verdict))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -274,34 +294,20 @@ def crypto_stats() -> CryptoStats:
 #: strings/bytes shorter than this are cheaper to re-encode than to cache
 _SCALAR_CACHE_MIN = 64
 
-
-def _encode_length(out: bytearray, n: int) -> None:
-    out += struct.pack(">Q", n)
+_pack_length = struct.Struct(">Q").pack
+_pack_float = struct.Struct(">d").pack
+#: the length prefix of every length below 256: nearly all of them
+_LENGTH = tuple(map(_pack_length, range(256)))
+#: whole encodings of the ints protocols count with (views, slots, pids, …)
+_SMALL_INT = {
+    i: _TAG_INT + _LENGTH[len(str(i))] + str(i).encode("ascii")
+    for i in range(-16, 1025)
+}
 
 
 def _dataclass_frozen(tp: type) -> bool:
     params = getattr(tp, "__dataclass_params__", None)
     return bool(params is not None and params.frozen)
-
-
-class _Frame:
-    """An open container during iterative encoding."""
-
-    __slots__ = ("value", "start", "immutable")
-
-    def __init__(self, value: Any, start: int, immutable: bool) -> None:
-        self.value = value
-        self.start = start
-        self.immutable = immutable
-
-
-class _End:
-    """Stack marker: the most recently opened container is complete."""
-
-    __slots__ = ()
-
-
-_END = _End()
 
 
 def _cached_encoding(value: Any) -> Optional[bytes]:
@@ -320,9 +326,19 @@ def _proven_immutable(value: Any) -> bool:
         canonical_bytes(value)
     except Exception:
         # attacker-built values: whatever the encoder cannot finish (foreign
-        # types, ints past the str() digit limit, …) is mutable for all we know
+        # types, a dataclass that lost a field, …) is mutable for all we know
         return False
     return _cached_encoding(value) is not None
+
+
+def _unencodable(v: Any) -> SignatureError:
+    """A ``str`` UTF-8 cannot carry (a lone surrogate) or an ``int`` past the
+    interpreter's ``str()`` digit limit (whose ``repr`` raises as well):
+    outside the domain like any foreign type, and reachable from the wire."""
+    return SignatureError(
+        f"cannot canonically serialize this {type(v).__name__}: "
+        + ("too many digits" if isinstance(v, int) else ascii(v))
+    )
 
 
 def _encode(value: Any, out: bytearray) -> bool:
@@ -330,154 +346,180 @@ def _encode(value: Any, out: bytearray) -> bool:
 
     Returns True when ``value`` is *deeply immutable* — the gate for both
     encoding and digest memoization. The walk is iterative over the
-    sequence/dataclass spine; ``frozenset`` and ``dict`` elements must be
-    encoded separately (their byte encodings are what gets sorted) and
-    reach the cache through nested :func:`canonical_bytes` calls.
+    sequence/dataclass spine: ``children`` iterates the open container,
+    ``frames`` holds the containers around it, and ``immutable`` is the
+    open container's verdict so far. ``frozenset`` and ``dict`` elements
+    must be encoded separately (their byte encodings are what gets sorted)
+    and go through nested :func:`_encode` calls. The exact types nearly
+    every protocol value is made of (short ``str`` / ``bytes``, ``int``,
+    ``tuple``) are tested first, by ``type``; subclass instances take the
+    ``isinstance`` half of the same branches.
     """
-    root = _Frame(None, 0, True)
-    frames = [root]
-    stack = [value]
-    while stack:
-        v = stack.pop()
-        if v is _END:
-            frame = frames.pop()
-            if frame.immutable:
-                if _caching_enabled:
-                    _ENCODING_CACHE.put(
-                        id(frame.value), (frame.value, bytes(out[frame.start:]))
-                    )
+    caching = _caching_enabled
+    frames: list = []  # (children, container, start, immutable) of the enclosing ones
+    children = iter((value,))
+    container, start, immutable = None, 0, True
+    while True:
+        for v in children:
+            tp = type(v)
+            if (tp is str or tp is bytes) and len(v) < _SCALAR_CACHE_MIN:
+                if tp is str:
+                    try:
+                        v = v.encode("utf-8")
+                    except ValueError:
+                        raise _unencodable(v) from None
+                    out += _TAG_STR
+                else:
+                    out += _TAG_BYTES
+                out += _LENGTH[len(v)]
+                out += v
+            elif tp is int or (tp is not bool and isinstance(v, int)):
+                small = _SMALL_INT.get(v) if tp is int else None
+                if small is not None:
+                    out += small
+                    continue
+                try:
+                    body = b"%d" % v if tp is int else str(v).encode("ascii")
+                except ValueError:
+                    raise _unencodable(v) from None
+                n = len(body)
+                out += _TAG_INT
+                out += _LENGTH[n] if n < 256 else _pack_length(n)
+                out += body
+            elif tp is tuple or tp is list or isinstance(v, (tuple, list)):
+                if caching:
+                    cached = _cached_encoding(v)
+                    if cached is not None:
+                        out += cached
+                        continue
+                frames.append((children, container, start, immutable))
+                children, container, start = iter(v), v, len(out)
+                immutable = tp is tuple or not isinstance(v, list)
+                n = len(v)
+                out += _TAG_SEQ
+                out += _LENGTH[n] if n < 256 else _pack_length(n)
+                break
+            elif v is None:
+                out += _TAG_NONE
+            elif v is True:
+                out += _TAG_TRUE
+            elif v is False:
+                out += _TAG_FALSE
+            elif isinstance(v, float):
+                out += _TAG_FLOAT
+                out += _pack_float(v)
+            elif isinstance(v, (str, bytes, bytearray)):
+                # long strings are worth an identity-cache entry of their
+                # own: payloads embedded in relayed proofs re-encode at every
+                # signature check otherwise (str and bytes are immutable)
+                soft = isinstance(v, bytearray)
+                big = caching and not soft and len(v) >= _SCALAR_CACHE_MIN
+                if big:
+                    cached = _cached_encoding(v)
+                    if cached is not None:
+                        out += cached
+                        continue
+                if isinstance(v, str):
+                    try:
+                        body = v.encode("utf-8")
+                    except ValueError:
+                        raise _unencodable(v) from None
+                    encoded = _TAG_STR
+                else:
+                    body = bytes(v)
+                    encoded = _TAG_BYTES
+                n = len(body)
+                encoded += (_LENGTH[n] if n < 256 else _pack_length(n)) + body
+                out += encoded
+                if big:
+                    _ENCODING_CACHE.put(id(v), (v, encoded))
+                if soft:
+                    immutable = False
+            elif isinstance(v, frozenset):
+                if caching:
+                    cached = _cached_encoding(v)
+                    if cached is not None:
+                        out += cached
+                        continue
+                mark = len(out)
+                hard = True
+                items = []
+                for item in v:
+                    body = bytearray()
+                    hard &= _encode(item, body)
+                    items.append(bytes(body))
+                items.sort()
+                out += _TAG_SET
+                out += _pack_length(len(items))
+                for item in items:
+                    out += _pack_length(len(item))
+                    out += item
+                if not hard:
+                    immutable = False
+                elif caching:
+                    _ENCODING_CACHE.put(id(v), (v, bytes(out[mark:])))
+            elif isinstance(v, dict):
+                # dicts are mutable: encode (through the cache for the
+                # elements) but neither store nor allow any enclosing
+                # container to be stored
+                pairs = []
+                for key, val in v.items():
+                    kbody = bytearray()
+                    _encode(key, kbody)
+                    vbody = bytearray()
+                    _encode(val, vbody)
+                    pairs.append((bytes(kbody), bytes(vbody)))
+                pairs.sort()
+                out += _TAG_MAP
+                out += _pack_length(len(pairs))
+                for k, val in pairs:
+                    out += _pack_length(len(k))
+                    out += k
+                    out += _pack_length(len(val))
+                    out += val
+                immutable = False
+            elif dataclasses.is_dataclass(v) and not isinstance(v, type):
+                if caching:
+                    cached = _cached_encoding(v)
+                    if cached is not None:
+                        out += cached
+                        continue
+                fields = dataclasses.fields(v)
+                frames.append((children, container, start, immutable))
+                children = iter([getattr(v, f.name) for f in fields])
+                container, start = v, len(out)
+                immutable = _dataclass_frozen(tp)
+                name = tp.__qualname__.encode("utf-8")
+                out += _TAG_DATACLASS
+                out += _pack_length(len(name))
+                out += name
+                out += _pack_length(len(fields))
+                break
             else:
-                frames[-1].immutable = False
-            continue
-        if v is None:
-            out += _TAG_NONE
-        elif v is True:
-            out += _TAG_TRUE
-        elif v is False:
-            out += _TAG_FALSE
-        elif isinstance(v, int):
-            body = str(v).encode("ascii")
-            out += _TAG_INT
-            _encode_length(out, len(body))
-            out += body
-        elif isinstance(v, float):
-            out += _TAG_FLOAT
-            out += struct.pack(">d", v)
-        elif isinstance(v, str):
-            # long strings are worth an identity-cache entry of their own:
-            # payloads embedded in relayed proofs re-encode at every
-            # signature check otherwise (str is immutable, so this is sound)
-            big = len(v) >= _SCALAR_CACHE_MIN
-            if big and _caching_enabled:
-                cached = _cached_encoding(v)
-                if cached is not None:
-                    out += cached
-                    continue
-            start = len(out)
-            body = v.encode("utf-8")
-            out += _TAG_STR
-            _encode_length(out, len(body))
-            out += body
-            if big and _caching_enabled:
-                _ENCODING_CACHE.put(id(v), (v, bytes(out[start:])))
-        elif isinstance(v, (bytes, bytearray)):
-            big = len(v) >= _SCALAR_CACHE_MIN and not isinstance(v, bytearray)
-            if big and _caching_enabled:
-                cached = _cached_encoding(v)
-                if cached is not None:
-                    out += cached
-                    continue
-            start = len(out)
-            out += _TAG_BYTES
-            _encode_length(out, len(v))
-            out += bytes(v)
-            if big and _caching_enabled:
-                _ENCODING_CACHE.put(id(v), (v, bytes(out[start:])))
-            if isinstance(v, bytearray):
-                frames[-1].immutable = False
-        elif isinstance(v, (tuple, list)):
-            if _caching_enabled:
-                cached = _cached_encoding(v)
-                if cached is not None:
-                    out += cached
-                    continue
-            frames.append(_Frame(v, len(out), not isinstance(v, list)))
-            out += _TAG_SEQ
-            _encode_length(out, len(v))
-            stack.append(_END)
-            stack.extend(reversed(v))
-        elif isinstance(v, frozenset):
-            if _caching_enabled:
-                cached = _cached_encoding(v)
-                if cached is not None:
-                    out += cached
-                    continue
-            start = len(out)
-            immutable = True
-            encoded = []
-            for item in v:
-                body = bytearray()
-                immutable &= _encode(item, body)
-                encoded.append(bytes(body))
-            encoded.sort()
-            out += _TAG_SET
-            _encode_length(out, len(encoded))
-            for item in encoded:
-                _encode_length(out, len(item))
-                out += item
-            if immutable:
-                if _caching_enabled:
-                    _ENCODING_CACHE.put(id(v), (v, bytes(out[start:])))
-            else:
-                frames[-1].immutable = False
-        elif isinstance(v, dict):
-            # dicts are mutable: encode (through the cache for the
-            # elements) but neither store nor allow any enclosing
-            # container to be stored
-            items = []
-            for key, val in v.items():
-                kbody = bytearray()
-                _encode(key, kbody)
-                vbody = bytearray()
-                _encode(val, vbody)
-                items.append((bytes(kbody), bytes(vbody)))
-            items.sort()
-            out += _TAG_MAP
-            _encode_length(out, len(items))
-            for k, val in items:
-                _encode_length(out, len(k))
-                out += k
-                _encode_length(out, len(val))
-                out += val
-            frames[-1].immutable = False
-        elif dataclasses.is_dataclass(v) and not isinstance(v, type):
-            if _caching_enabled:
-                cached = _cached_encoding(v)
-                if cached is not None:
-                    out += cached
-                    continue
-            frames.append(_Frame(v, len(out), _dataclass_frozen(type(v))))
-            name = type(v).__qualname__.encode("utf-8")
-            out += _TAG_DATACLASS
-            _encode_length(out, len(name))
-            out += name
-            fields = dataclasses.fields(v)
-            _encode_length(out, len(fields))
-            stack.append(_END)
-            for f in reversed(fields):
-                stack.append(getattr(v, f.name))
+                raise SignatureError(
+                    "cannot canonically serialize value of type "
+                    f"{tp.__name__}: {v!r}"
+                )
         else:
-            raise SignatureError(
-                f"cannot canonically serialize value of type {type(v).__name__}: {v!r}"
-            )
-    return root.immutable
+            # ``children`` ran out: the open container is complete
+            if not frames:
+                return immutable
+            if immutable:
+                if caching:
+                    _ENCODING_CACHE.put(
+                        id(container), (container, bytes(out[start:]))
+                    )
+                children, container, start, immutable = frames.pop()
+            else:
+                children, container, start, _ = frames.pop()
 
 
 def canonical_bytes(value: Any) -> bytes:
     """Encode ``value`` into its canonical byte representation.
 
     Raises :class:`~repro.errors.SignatureError` for values outside the
-    supported domain (e.g. sets of unhashable items, arbitrary objects).
+    supported domain (arbitrary objects, an ``int`` past the interpreter's
+    ``str()`` digit limit, a ``str`` UTF-8 cannot carry).
     Identical to the uncached reference encoding for every value; repeated
     calls on the same (immutable) object are O(1) via the identity LRU.
     """

@@ -14,17 +14,26 @@ Implementation detail: signatures are HMAC-SHA256 tags over the canonical
 serialization of the payload, keyed by a per-process key derived from the
 scheme seed. This keeps runs deterministic across platforms.
 
-Hot path: the L1/L2 proof pyramids of Algorithm 1 (and MinBFT's USIG
-certificates) carry the *same* signatures through every relay hop, so each
-scheme keeps a bounded verification cache keyed by ``(signer,
-payload_bytes, tag)`` — a signature transferred through proofs is
-HMAC-verified once per scheme, after which verification is a dict lookup.
-Correctness is unconditional: the key commits to the exact payload
-encoding and tag, verification is deterministic, and the cache stores only
-the boolean verdict, so cached and uncached verify are extensionally
-identical (hypothesis-tested). Structurally malformed tags (wrong type or
-length) are cheap-rejected before any serialization or HMAC. All activity
-is counted in :data:`repro.crypto.serialize.STATS`.
+Hot path: the L1/L2 proof pyramids of Algorithm 1 (and PBFT's all-to-all
+phases) carry the *same* signatures to every process, and every receiver
+rebuilds the signed domain tuple before checking one. So each scheme keeps
+a bounded verdict memo keyed by ``(signer, tag, *parts of the signed
+tuple)`` and probes it *before* encoding anything: a signature is
+HMAC-verified once per scheme, after which a check is a dict probe — no
+serialization, no HMAC. The key stands in for ``(signer's key, encoding,
+tag)``, which is what the verdict is a function of, under the rules of
+:class:`~repro.crypto.serialize.IdentityMemo`: a scalar part is keyed by
+exact type and value (``True``, ``1`` and ``1.0`` encode differently and
+never share an entry), a compound part by pinned identity and only once
+the encoder has proven it deeply immutable (so its encoding cannot change
+under the entry), a hit re-checks ``is``. Whatever is not admissible — a
+value that is not exactly a ``tuple``, a list or ``bytearray`` or bare
+``float`` or subclass instance among the parts — verifies uncached, so
+cached and uncached verify are extensionally identical (hypothesis-tested
+with look-alike mutations, ``tests/test_memo_poisoning.py``). Structurally
+malformed tags (wrong type or length) are cheap-rejected before any
+serialization or HMAC. All activity is counted in
+:data:`repro.crypto.serialize.STATS`.
 """
 
 from __future__ import annotations
@@ -38,7 +47,6 @@ from ..errors import SignatureError
 from ..types import ProcessId
 from .serialize import (
     STATS,
-    BoundedCache,
     IdentityMemo,
     caching_enabled,
     canonical_bytes,
@@ -120,9 +128,9 @@ class SignatureScheme:
             for pid in range(n)
         }
         self._issued: set[ProcessId] = set()
-        # (signer, payload_bytes, tag) -> bool; one HMAC per unique
-        # signature transferred through this scheme's proofs
-        self._verify_cache = BoundedCache(1 << 13)
+        # (signer, tag, *parts of the signed tuple) -> bool; one HMAC per
+        # unique signature transferred through this scheme's proofs
+        self._verdicts = IdentityMemo(1 << 13)
         self.memo = IdentityMemo(1 << 13)
         """Protocol-layer verdict memo (verified L1/L2 proofs, proposal
         validity, …), scoped to this scheme so every run starts cold."""
@@ -158,9 +166,12 @@ class SignatureScheme:
         treat all of these identically as "invalid signature".
 
         Tags that are not 32-byte byte strings are rejected before any
-        serialization or HMAC work (no genuine tag has another shape), and
-        verdicts are memoized per ``(signer, payload, tag)`` so relayed
-        proofs cost one HMAC per unique signature.
+        serialization or HMAC work (no genuine tag has another shape).
+        Verdicts are memoized per ``(signer, tag, *value)`` when ``value``
+        is exactly a ``tuple`` — every signed domain is — under the rules of
+        :class:`~repro.crypto.serialize.IdentityMemo`, so relayed proofs cost
+        one HMAC per unique signature and a repeated check costs a dict
+        probe, not an encoding. Anything else verifies uncached.
         """
         if not isinstance(signature, Signature):
             return False
@@ -168,26 +179,31 @@ class SignatureScheme:
         if not isinstance(tag, (bytes, bytearray)) or len(tag) != TAG_LENGTH:
             STATS.cheap_rejects += 1
             return False
-        key = self._keys.get(signature.signer)
+        try:
+            key = self._keys.get(signature.signer)
+        except TypeError:  # an unhashable "signer"
+            return False
         if key is None:
             return False
+        caching = caching_enabled()
+        parts = None
+        if caching and type(value) is tuple:
+            parts = (signature.signer, bytes(tag), *value)
+            verdict = self._verdicts.get(parts)
+            if verdict is not None:
+                STATS.verify_hits += 1
+                return verdict
         try:
             payload = canonical_bytes(value)
         except SignatureError:
             return False
-        cache_key = None
-        if caching_enabled():
-            cache_key = (signature.signer, payload, bytes(tag))
-            verdict = self._verify_cache.get(cache_key)
-            if verdict is not None:
-                STATS.verify_hits += 1
-                return verdict
+        if caching:
             STATS.verify_misses += 1
         STATS.hmac_ops += 1
         expected = hmac.new(key, payload, hashlib.sha256).digest()
         verdict = hmac.compare_digest(expected, tag)
-        if cache_key is not None:
-            self._verify_cache.put(cache_key, verdict)
+        if parts is not None:
+            self._verdicts.put(parts, verdict)
         return verdict
 
     def verify_from(self, signer: ProcessId, value: Any, signature: Any) -> bool:

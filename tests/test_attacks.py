@@ -18,9 +18,11 @@ import pytest
 
 from repro.consensus.forensics import ProofOfMisbehavior, verify_proof
 from repro.consensus.harness import build_minbft_system, build_pbft_system
+from repro.consensus.replica import REQUEST
+from repro.consensus.safety import check_replication
 from repro.consensus.usig import USIG, USIGVerifier
 from repro.core.srb_from_uni import build_sm_srb_system
-from repro.crypto import reset_crypto_caches
+from repro.crypto import Signature, reset_crypto_caches
 from repro.errors import ConfigurationError
 from repro.faults.attacks import ATTACKS, attacks_for, get_attack
 from repro.faults.chaos import (
@@ -297,6 +299,35 @@ class TestHardenedHandlers:
         stats = target.consensus_stats()
         assert stats["malformed_rejects"] > 0
         assert stats["convicted_rejects"] == 0
+
+    @pytest.mark.parametrize("build", [build_minbft_system, build_pbft_system],
+                             ids=["minbft", "pbft"])
+    def test_unencodable_request_from_the_wire_is_dropped(self, build):
+        # an int past the interpreter's str() digit limit made the encoder
+        # raise ValueError, which ``verify`` ("returns False, never raises")
+        # let through ``_valid_request`` and out of ``on_message``
+        reset_crypto_caches()
+        sim, replicas, clients = build(f=1, n_clients=1, ops_per_client=3, seed=0)
+        n, byzantine = len(replicas), len(replicas) - 1
+        client = clients[0].pid
+        hostile = (REQUEST, client, 1, ("put", "k", 10 ** 5000),
+                   Signature(client, b"\0" * 32))
+
+        def spray():
+            for dst in range(n):
+                replicas[byzantine].ctx.send(dst, hostile)
+
+        sim.declare_byzantine(byzantine)
+        sim.at(0.2, spray)
+        sim.at(30.0, spray)
+        sim.run(until=2000.0)
+        correct = [r for r in range(n) if r != byzantine]
+        check_replication(sim.trace, correct, expected_ops={client: 3}).assert_ok()
+        assert all(replicas[r].commits_executed == 3 for r in correct)
+        assert clients[0].results == [1, 3, 6]
+        for r in correct:  # and as a proposal, straight at the handler
+            replicas[r].on_message(byzantine, hostile)
+            assert replicas[r]._valid_proposal(("BATCH", hostile)) is False
 
     def test_srb_survives_babble(self):
         sim, procs, _scheme = build_sm_srb_system(n=3, t=1, sender=0, seed=0)

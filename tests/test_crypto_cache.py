@@ -1,6 +1,7 @@
 """The crypto cache layer: cached behavior must equal the uncached reference.
 
-The caches are identity-keyed (plus content-keyed memos higher up), so the
+The caches are identity-keyed (the verdict memos higher up key scalars by
+exact type and value and everything else by identity), so the
 property at stake is *extensional equality*: for every value, the cached
 ``canonical_bytes``/``content_hash``/``verify`` return exactly what the
 uncached reference returns — including the adversarial look-alikes
@@ -145,6 +146,44 @@ class TestIdentityMemo:
                           (1, bytearray(b"ab"), "s", None)]:
             assert lookalike == (1, b"ab", "s", None)  # and yet:
             assert memo.get(lookalike) is None
+
+    def test_all_scalar_parts_take_the_flat_key(self):
+        memo = IdentityMemo()
+        parts = ("kind", 1, True, None, b"ab")
+        types, values = memo._key(parts)
+        assert values is parts  # no per-part rewrite, nothing to re-check
+        assert types == (str, int, bool, type(None), bytes)
+        memo.put((1, True), "int-bool")
+        memo.put((1, 1), "int-int")
+        memo.put((True, 1), "bool-int")
+        assert len(memo) == 3
+        assert memo.get((1, True)) == "int-bool"
+        assert memo.get((1, 1)) == "int-int"
+        assert memo.get((True, 1)) == "bool-int"
+        assert memo.get((True, True)) is None
+        assert memo.get((1, 1.0)) is None and memo.get((1.0, 1)) is None
+
+    def test_a_compound_part_takes_the_identity_key(self):
+        memo = IdentityMemo()
+        op = tuple(["add", 1])
+        types, values = memo._key(("kind", 7, op))
+        assert types == (str, int, tuple) and values == ("kind", 7, id(op))
+        # an id is an int, and so is a scalar part: the types tell them apart
+        memo.put(("kind", 7, op), "compound")
+        assert memo.get(("kind", 7, id(op))) is None
+        memo.put(("kind", 7, id(op)), "scalar")
+        assert memo.get(("kind", 7, op)) == "compound"
+        assert memo.get(("kind", 7, id(op))) == "scalar"
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_a_float_is_never_stored(self, zero):
+        memo = IdentityMemo()
+        memo.put(("kind", 0), "exact")
+        memo.put(("kind", zero), "float")
+        assert len(memo) == 1
+        assert memo.get(("kind", zero)) is None
+        assert memo.get(("kind", 0)) == "exact"
+        assert memo.get(("kind", False)) is None
 
     @pytest.mark.parametrize("part", [
         [1, 2], (1, [2]), bytearray(b"x"), (bytearray(b"x"),), {"k": 1}, 1.5,

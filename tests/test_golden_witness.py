@@ -19,6 +19,7 @@ from repro.core.rounds import RoundProcess
 from repro.core.srb import SRBStreamChecker
 from repro.core.srb_from_uni import build_sm_srb_system
 from repro.core.uni_from_sm import ALL_SM_TRANSPORTS, build_objects_for
+from repro.crypto.serialize import crypto_stats, reset_crypto_caches
 from repro.faults.chaos import attack_sweep, chaos_sweep
 from repro.service.soak import build_service_system, protected_profile
 from repro.sim.adversary import ReliableAsynchronous
@@ -29,17 +30,34 @@ ORDER_HASH = {
     "minbft": "9262806c7accdc3d177884864d7a5b3b86293bc8f7dcbfe2171b5bb3bbcbbcc1",
     "pbft": "37e943d9511031f5dfc9e9c8d60ddc91308a0f46e90d1cf13c7dd0df5a7c67e6",
 }
-# Re-pinned when the verdict memos stopped serializing their keys (USIG memo
-# on the carried digest, proof / proposal memos on object identity,
-# ``type_fingerprint`` deleted): ``stats["crypto"]`` is inside this hash and
-# its bookkeeping counters moved — over the 21 cells ``serialize_misses``
-# 12,895 -> 7,526, ``serialize_hits`` 2,699 -> 250, ``hash_hits`` 4,682 ->
-# 8,007, ``hash_misses`` 2,995 -> 2,472, ``verify_hits`` 2,540 -> 2,603 (an
-# equal but distinct proof is re-validated once, its HMACs still found in
-# the verification cache). Nothing else did: the two constants below were
-# computed at the parent commit and hold at both.
+# (hmac_ops, signs, verify_misses, hash_hits, hash_misses, cheap_rejects) of the
+# same two runs, computed at the parent of the part-keyed signature-verdict
+# memo: crypto *work*. That change and the encoder kernel under it may move
+# ``serialize_*`` (a verdict lookup stopped encoding: 5,452 -> 4,252 calls
+# and 9,887 -> 3,524) and, through the core's proposal memo, PBFT's
+# ``verify_hits`` (6,363 -> 5,163: a batch's requests are no longer
+# re-verified at every replica in every phase) — and nothing else.
+LOAD_CRYPTO_WORK = {
+    "minbft": (2046, 400, 400, 5873, 2206, 0),
+    "pbft": (3316, 1728, 1588, 563, 208, 0),
+}
+# Re-pinned twice, each time because ``stats["crypto"]`` is inside this hash
+# and its bookkeeping counters moved; the two constants below it were
+# computed at the first parent and hold at every commit since. (1) The
+# verdict memos stopped serializing their keys (USIG memo on the carried
+# digest, proof / proposal memos on object identity, ``type_fingerprint``
+# deleted): over the 21 cells ``serialize_misses`` 12,895 -> 7,526,
+# ``serialize_hits`` 2,699 -> 250, ``hash_hits`` 4,682 -> 8,007,
+# ``hash_misses`` 2,995 -> 2,472, ``verify_hits`` 2,540 -> 2,603 (an equal
+# but distinct proof is re-validated once, its HMACs still found in the
+# verification memo). (2) ``SignatureScheme.verify`` probes its memo on the
+# parts of the signed tuple before encoding anything, and PBFT shares the
+# core's proposal memo: ``serialize_misses`` 7,526 -> 5,044,
+# ``serialize_hits`` 250 -> 129, ``verify_hits`` 2,603 -> 2,531 (the PBFT
+# cells' re-verified batch requests); ``hash_*``, ``verify_misses``,
+# ``hmac_ops``, ``signs`` and ``cheap_rejects`` as before.
 CHAOS_STATS_HASH = (
-    "a5486a6e889f60c7ce3dca02eca5664f2ea801b9dd53560da5d1bc7aa9b6b522"
+    "a73217de3f9088e00f24bc2ed8370a317129e4fb30ae91e660e14b9d934feccd"
 )
 # the same cells with the ``crypto`` key removed from each ``stats``:
 # behaviour, separate from crypto bookkeeping
@@ -53,8 +71,14 @@ CHAOS_CRYPTO_WORK = (2493, 639, 554, 0)
 
 @pytest.mark.parametrize("protocol", sorted(ORDER_HASH))
 def test_pipeline_load_order_hash_is_pinned(protocol):
+    reset_crypto_caches()
     result = run_pipeline_load(protocol, n_requests=400, rate=20.0, seed=3)
     assert result.order_hash == ORDER_HASH[protocol]
+    work = crypto_stats()
+    assert (
+        work.hmac_ops, work.signs, work.verify_misses,
+        work.hash_hits, work.hash_misses, work.cheap_rejects,
+    ) == LOAD_CRYPTO_WORK[protocol]
 
 
 def test_chaos_and_attack_cell_stats_are_pinned():

@@ -12,10 +12,12 @@ memos are therefore keyed on what the validators were actually handed: the
 proof and proposal memos on object identity
 (:class:`repro.crypto.serialize.IdentityMemo`: only values the encoder has
 proven deeply immutable, pinned, scalars by exact type), the USIG memo on
-the attestation's own exact-typed scalars. These tests pin the end-to-end
-behavior in both submission orders at every memo site — for look-alike
-shapes, look-alike scalars, values mutated after their check, and
-recycled object ids.
+the attestation's own exact-typed scalars, and the signature-verdict memo
+of :meth:`SignatureScheme.verify` on the signer, the tag and the *parts* of
+the signed tuple under the same ``IdentityMemo`` rules. These tests pin the
+end-to-end behavior in both submission orders at every memo site — for
+look-alike shapes, look-alike scalars, values mutated after their check,
+and recycled object ids.
 """
 
 from __future__ import annotations
@@ -25,9 +27,12 @@ from dataclasses import dataclass
 from typing import Any
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.consensus.apps import make_app
 from repro.consensus.minbft import MinBFTReplica
+from repro.consensus.pbft import PBFTReplica
 from repro.consensus.replica import REQUEST, request_domain
 from repro.consensus.usig import UI, USIG, USIGVerifier
 from repro.core.srb_from_uni import (
@@ -42,6 +47,7 @@ from repro.crypto.serialize import (
     caching_disabled,
     canonical_bytes,
     content_hash,
+    crypto_stats,
     reset_crypto_caches,
 )
 from repro.crypto.signatures import Signature, SignatureScheme
@@ -200,24 +206,35 @@ class TestUSIGMemo:
         assert verifier.verify_ui(fake, "m1", 0) is False
 
 
-# -- MinBFT proposal-validity memo --------------------------------------------------
+# -- the core's proposal-validity memo, under both replica classes --------------------
+
+CLIENT = 4  # replicas are 0..2 (MinBFT) or 0..3 (PBFT)
+
+
+def _minbft_replica() -> MinBFTReplica:
+    auth = TrincAuthority(3, seed=1)
+    scheme = SignatureScheme(5, seed=1)
+    return MinBFTReplica(
+        3, USIG(auth.trinket(0)), USIGVerifier(auth), scheme,
+        scheme.signer(0), make_app("counter"),
+    )
+
+
+def _pbft_replica() -> PBFTReplica:
+    scheme = SignatureScheme(5, seed=1)
+    return PBFTReplica(4, scheme, scheme.signer(0), make_app("counter"))
+
+
+def _signed_request(client_signer, op: Any = ("add", 1)) -> tuple:
+    return (REQUEST, CLIENT, 1, op, client_signer.sign(request_domain(CLIENT, 1, op)))
 
 
 class TestMinBFTProposalMemo:
+    make_replica = staticmethod(_minbft_replica)
+
     def _replica_and_request(self):
-        auth = TrincAuthority(3, seed=1)
-        scheme = SignatureScheme(4, seed=1)  # replicas 0..2, client 3
-        replica = MinBFTReplica(
-            3,
-            USIG(auth.trinket(0)),
-            USIGVerifier(auth),
-            scheme,
-            scheme.signer(0),
-            make_app("counter"),
-        )
-        op = ("add", 1)
-        sig = scheme.signer(3).sign(request_domain(3, 1, op))
-        return replica, (REQUEST, 3, 1, op, sig)
+        replica = self.make_replica()
+        return replica, _signed_request(replica.scheme.signer(CLIENT))
 
     def test_list_shaped_proposal_does_not_block_genuine(self):
         replica, request = self._replica_and_request()
@@ -232,6 +249,10 @@ class TestMinBFTProposalMemo:
         replica, request = self._replica_and_request()
         assert replica._valid_proposal(request) is True
         assert replica._valid_proposal(list(request)) is False
+
+
+class TestPBFTProposalMemo(TestMinBFTProposalMemo):
+    make_replica = staticmethod(_pbft_replica)
 
 
 # -- scalar look-alikes, mutation after the check, recycled ids -----------------------
@@ -485,20 +506,14 @@ class TestL2ScalarLookalikes:
 
 
 class TestMinBFTProposalScalarLookalikes:
-    def _replica_and_client(self):
-        auth = TrincAuthority(3, seed=1)
-        scheme = SignatureScheme(4, seed=1)  # replicas 0..2, client 3
-        replica = MinBFTReplica(
-            3, USIG(auth.trinket(0)), USIGVerifier(auth), scheme,
-            scheme.signer(0), make_app("counter"),
-        )
-        return replica, scheme.signer(3)
+    make_replica = staticmethod(_minbft_replica)
 
-    def _request(self, client, op=("add", 1)):
-        return (REQUEST, 3, 1, op, client.sign(request_domain(3, 1, op)))
+    def _replica_and_client(self):
+        replica = self.make_replica()
+        return replica, replica.scheme.signer(CLIENT)
 
     def test_lookalike_scalars_neither_poison_nor_inherit(self):
-        kind, client, req_id, op, sig = request = self._request(
+        kind, client, req_id, op, sig = request = _signed_request(
             self._replica_and_client()[1]
         )
         shapes = [
@@ -511,20 +526,20 @@ class TestMinBFTProposalScalarLookalikes:
         ]
         _assert_order_independent(
             lambda replica, p: replica._valid_proposal(p),
-            shapes, lambda: self._replica_and_client()[0],
+            shapes, self.make_replica,
         )
 
     def test_mutated_op_gets_its_current_verdict(self):
         replica, client = self._replica_and_client()
         op = ["add", 1]
-        request = self._request(client, op)
+        request = _signed_request(client, op)
         assert replica._valid_proposal(request) is True
         op[1] = 1_000_000
         assert replica._valid_proposal(request) is False
 
     def test_mutated_signature_tag_gets_its_current_verdict(self):
         replica, client = self._replica_and_client()
-        kind, pid, req_id, op, sig = self._request(client)
+        kind, pid, req_id, op, sig = _signed_request(client)
         tag = bytearray(sig.tag)
         request = (kind, pid, req_id, op, Signature(sig.signer, tag))
         assert replica._valid_proposal(request) is True
@@ -534,12 +549,255 @@ class TestMinBFTProposalScalarLookalikes:
     def test_recycled_id_cannot_hit(self):
         replica, client = self._replica_and_client()
         replica.scheme.memo = IdentityMemo(maxsize=2)
-        request = self._request(client)
+        request = _signed_request(client)
         assert replica._valid_proposal(request) is True
         for i in range(4):
-            assert replica._valid_proposal((REQUEST, 3, 1, ("add", i), None)) is False
+            assert replica._valid_proposal(
+                (REQUEST, CLIENT, 1, ("add", i), None)
+            ) is False
         stale, fields = id(request), list(request)
         del request
         reset_crypto_caches()
         forged = _recycle(stale, lambda: tuple(fields[:3] + [("add", 2), fields[4]]))
         assert replica._valid_proposal(forged) is False
+
+
+class TestPBFTProposalScalarLookalikes(TestMinBFTProposalScalarLookalikes):
+    make_replica = staticmethod(_pbft_replica)
+
+
+# -- the signature-verdict memo of SignatureScheme.verify ---------------------------
+#
+# The verdict of ``verify(value, signature)`` is a function of the signer's
+# key, the *encoding* of ``value`` and the tag. The memo is keyed on the
+# signer, the tag's bytes and the parts of ``value`` instead of on the
+# encoding, so the look-alike question is the reverse of the validators': two
+# values with different encodings (``True`` for ``1``, ``1.0`` for ``1``) must
+# never share an entry, and a part that can change its encoding after the
+# check (a list, whatever holds one) must never be stored.
+
+
+class _MyStr(str):
+    pass
+
+
+DIGEST = content_hash("some proposal")
+DOMAIN = ("PBFT-PREPARE", 1, 0, DIGEST, ("op", 1))  # as signer 1 signs it
+
+
+def _calls(sig: Signature) -> list:
+    """``(value, signature)`` pairs: the genuine one first, then look-alikes
+    of the value, of one part at a time, of the signer and of the tag."""
+    tag, view, seq, digest, op = DOMAIN
+    return [
+        (DOMAIN, sig),
+        # same encoding as the genuine value: verifies, cached or not
+        (list(DOMAIN), sig),
+        ((tag, _MyInt(view), seq, digest, op), sig),
+        ((_MyStr(tag), view, seq, digest, op), sig),
+        ((tag, view, seq, bytearray(digest), op), sig),
+        ((tag, view, seq, digest, list(op)), sig),
+        ((tag, view, seq, digest, ("op", _MyInt(1))), sig),
+        ((tag, view, seq, digest, tuple(["op", 1])), sig),  # equal, distinct part
+        # a different encoding behind an equal-and-hashing-alike part: does not
+        ((tag, True, seq, digest, op), sig),
+        ((tag, view, False, digest, op), sig),
+        ((tag, 1.0, seq, digest, op), sig),
+        ((tag, view, 0.0, digest, op), sig),
+        ((tag, view, seq, digest, ("op", True)), sig),
+        ((tag, view, seq, digest, ("op", 1.0)), sig),
+        # look-alike signers reach the same key; look-alike tags the same bytes
+        (DOMAIN, Signature(True, sig.tag)),
+        (DOMAIN, Signature(_MyInt(1), sig.tag)),
+        (DOMAIN, Signature(1.0, sig.tag)),
+        (DOMAIN, Signature(1, bytearray(sig.tag))),
+        # and the plain negatives
+        (DOMAIN, Signature(2, sig.tag)),
+        (DOMAIN, Signature(1, bytes(32))),
+        (DOMAIN[:4], sig),
+    ]
+
+
+class TestVerifyScalarLookalikes:
+    def _scheme_and_sig(self):
+        scheme = SignatureScheme(4, seed=7)
+        return scheme, scheme.signer(1).sign(DOMAIN)
+
+    def test_lookalikes_neither_poison_nor_inherit(self):
+        calls = _calls(self._scheme_and_sig()[1])
+        with caching_disabled():
+            reference = [SignatureScheme(4, seed=7).verify(*c) for c in calls]
+        assert reference == [True] * 8 + [False] * 6 + [True] * 4 + [False] * 3
+        _assert_order_independent(
+            lambda scheme, call: scheme.verify(*call),
+            calls, lambda: SignatureScheme(4, seed=7),
+        )
+
+    def test_all_scalar_domain_lookalikes_neither_poison_nor_inherit(self):
+        # every part an exact scalar: the memo's flat key, as PBFT's phases use
+        tag, view, seq, digest, src = flat = ("PBFT-COMMIT", 1, 0, DIGEST, 1)
+        sig = SignatureScheme(4, seed=7).signer(1).sign(flat)
+        calls = [(v, sig) for v in [
+            flat,
+            (tag, _MyInt(view), seq, digest, src),
+            (_MyStr(tag), view, seq, digest, src),
+            (tag, view, seq, bytearray(digest), src),
+            (tag, True, seq, digest, src),
+            (tag, view, False, digest, src),
+            (tag, view, seq, digest, True),
+            (tag, 1.0, seq, digest, src),
+            (tag, view, 0.0, digest, src),
+        ]] + [(flat, Signature(True, sig.tag)), (flat, Signature(2, sig.tag))]
+        with caching_disabled():
+            reference = [SignatureScheme(4, seed=7).verify(*c) for c in calls]
+        assert reference == [True] * 4 + [False] * 5 + [True, False]
+        _assert_order_independent(
+            lambda scheme, call: scheme.verify(*call),
+            calls, lambda: SignatureScheme(4, seed=7),
+        )
+
+    def test_only_exact_and_proven_immutable_parts_enter_the_memo(self):
+        scheme, sig = self._scheme_and_sig()
+        calls = _calls(sig)
+        # every part an exact scalar, or a tuple the encoder proved deeply
+        # immutable (a float or an int subclass *inside* one is part of its
+        # pinned, immutable content; as a part of its own it has no key)
+        admitted = {0, 6, 7, 8, 9, 12, 13, 14, 18, 19, 20}
+        for i, call in enumerate(calls):
+            before = len(scheme._verdicts)
+            scheme.verify(*call)
+            assert len(scheme._verdicts) - before == (i in admitted), i
+        # 17, the bytearray tag, found the genuine entry: a tag is keyed by
+        # the bytes it holds at the time of the call
+        assert crypto_stats().verify_hits == 1
+
+    def test_a_hit_costs_no_encoding_and_no_hmac(self):
+        scheme, sig = self._scheme_and_sig()
+        assert scheme.verify(DOMAIN, sig) is True
+        before = crypto_stats()
+        assert scheme.verify(tuple(DOMAIN[:4]) + (DOMAIN[4],), sig) is True
+        after = crypto_stats()
+        assert after.verify_hits == before.verify_hits + 1
+        assert (after.serialize_hits, after.serialize_misses, after.hmac_ops) == (
+            before.serialize_hits, before.serialize_misses, before.hmac_ops
+        )
+
+    def test_mutated_list_part_gets_its_current_verdict(self):
+        scheme = SignatureScheme(4, seed=7)
+        op = ["add", 1]
+        value = ("MINBFT-REQ", 3, 1, op)
+        sig = scheme.signer(3).sign(value)
+        assert scheme.verify(value, sig) is True
+        op[1] = 1_000_000
+        assert scheme.verify(value, sig) is False
+        op[1] = 1
+        assert scheme.verify(value, sig) is True
+        assert len(scheme._verdicts) == 0
+
+    def test_mutated_part_at_depth_gets_its_current_verdict(self):
+        scheme = SignatureScheme(4, seed=7)
+        inner = bytearray(b"abc")
+        value = ("SRB-VAL", 0, 1, ("m", (inner,)))
+        sig = scheme.signer(0).sign(value)
+        assert scheme.verify(value, sig) is True
+        inner[0] ^= 1
+        assert scheme.verify(value, sig) is False
+        assert len(scheme._verdicts) == 0
+
+    def test_mutated_tag_gets_its_current_verdict(self):
+        scheme, sig = self._scheme_and_sig()
+        tag = bytearray(sig.tag)
+        soft = Signature(1, tag)
+        assert scheme.verify(DOMAIN, soft) is True
+        tag[0] ^= 1
+        assert scheme.verify(DOMAIN, soft) is False
+        assert scheme.verify(DOMAIN, sig) is True
+
+    def test_recycled_id_cannot_hit(self):
+        scheme = SignatureScheme(4, seed=7)
+        scheme._verdicts = IdentityMemo(maxsize=2)
+        op = tuple(["add", 1])
+        sig = scheme.signer(3).sign(("MINBFT-REQ", 3, 1, op))
+        assert scheme.verify(("MINBFT-REQ", 3, 1, op), sig) is True
+        for i in (2, 3):  # two more verdicts push the first out
+            assert scheme.verify(("MINBFT-REQ", 3, i, ("add", i)), sig) is False
+        assert len(scheme._verdicts) == 2
+        stale = id(op)
+        del op
+        reset_crypto_caches()  # the encoder's own LRU pinned it too
+        forged = _recycle(stale, lambda: tuple(["add", 1_000_000]))
+        assert scheme.verify(("MINBFT-REQ", 3, 1, forged), sig) is False
+
+    def test_hit_rechecks_identity(self):
+        scheme = SignatureScheme(4, seed=7)
+        a, b = tuple(["add", 1]), tuple(["add", 2])
+        sig = scheme.signer(3).sign(("MINBFT-REQ", 3, 1, a))
+        assert scheme.verify(("MINBFT-REQ", 3, 1, a), sig) is True
+        # forge what pinning rules out: b's key leading to a's entry
+        memo = scheme._verdicts
+        key_of = lambda op: memo._key((3, sig.tag, "MINBFT-REQ", 3, 1, op))  # noqa: E731
+        memo._entries.put(key_of(b), memo._entries.get(key_of(a)))
+        assert scheme.verify(("MINBFT-REQ", 3, 1, b), sig) is False
+        assert scheme.verify(("MINBFT-REQ", 3, 1, a), sig) is True
+
+
+# generated values, each submitted with look-alike mutations of itself
+
+_exact_scalars = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3)
+    | st.binary(max_size=3) | st.sampled_from([0.0, 1.0, -1.0])
+)
+_parts = st.recursive(
+    _exact_scalars,
+    lambda children: st.lists(children, max_size=3).map(tuple)
+    | st.lists(children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _lookalikes_of(part: Any) -> list:
+    """Values that compare equal to ``part`` (or nearly) under another type."""
+    if part is True or part is False:
+        return [int(part), float(part)]
+    if type(part) is int:
+        out = [_MyInt(part), float(part)]
+        return out + [bool(part)] if part in (0, 1) else out
+    if type(part) is float:
+        return [int(part)]
+    if type(part) is str:
+        return [_MyStr(part), part.encode()]
+    if type(part) is bytes:
+        return [bytearray(part)]
+    if type(part) is tuple:
+        return [list(part), tuple(list(part))] + [
+            part[:i] + (alt,) + part[i + 1:]
+            for i, p in enumerate(part) for alt in _lookalikes_of(p)[:1]
+        ]
+    if type(part) is list:
+        return [tuple(part)]
+    return []
+
+
+class TestVerifyCachedEqualsUncached:
+    @given(st.lists(_parts, min_size=1, max_size=5).map(tuple), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_over_generated_values_and_their_lookalikes(self, value, data):
+        reset_crypto_caches()
+        sig = SignatureScheme(3, seed=5).signer(1).sign(value)
+        calls = [(value, sig), (tuple(list(value)), sig), (list(value), sig)]
+        calls += [(alt, sig) for alt in _lookalikes_of(value)[2:]]
+        calls += [
+            (value, Signature(True, sig.tag)),
+            (value, Signature(1, bytearray(sig.tag))),
+            (value, Signature(2, sig.tag)),
+        ]
+        order = data.draw(st.permutations(range(len(calls))))
+        with caching_disabled():
+            uncached = SignatureScheme(3, seed=5)
+            reference = [uncached.verify(*c) for c in calls]
+        assert reference[0] is True
+        scheme = SignatureScheme(3, seed=5)
+        got = {i: scheme.verify(*calls[i]) for i in order}
+        assert [got[i] for i in range(len(calls))] == reference
+        # and again, now that whatever is admissible has been admitted
+        assert [scheme.verify(*c) for c in calls] == reference

@@ -49,9 +49,29 @@ class TestSignVerify:
         sig = Signature(signer=99, tag=b"x" * 32)
         assert not scheme4.verify("m", sig)
 
+    @pytest.mark.parametrize("signer", [[1], {1: 1}, None, "1", 1.5, (1,)])
+    def test_odd_signer_verify_false_never_raises(self, scheme4, signer):
+        sig = scheme4.signer(1).sign(("m",))
+        assert scheme4.verify(("m",), Signature(signer=signer, tag=sig.tag)) is False
+        assert scheme4.verify_signed((("m",), Signature(signer, sig.tag))) is False
+
     def test_unserializable_value_verify_false(self, scheme4):
         sig = scheme4.signer(0).sign("m")
         assert not scheme4.verify(object(), sig)
+
+    @pytest.mark.parametrize("scalar", [10 ** 5000, "lone \ud800"],
+                             ids=["huge-int", "surrogate"])
+    def test_unencodable_scalar_verify_false_never_raises(self, scheme4, scalar):
+        # past the interpreter's int -> str digit limit / not UTF-8: the
+        # encoder's own failure type, so every caller's guard covers it
+        signer = scheme4.signer(0)
+        sig = signer.sign(("x", 1))
+        for value in (scalar, ("x", scalar), ("x", ("y", [scalar]))):
+            assert scheme4.verify(value, sig) is False
+            assert scheme4.verify_from(0, value, sig) is False
+            assert scheme4.verify_signed((value, sig)) is False
+            with pytest.raises(SignatureError):
+                signer.sign(value)
 
 
 class TestCapabilityDiscipline:

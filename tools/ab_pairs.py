@@ -2,7 +2,7 @@
 """Parent-vs-change measurement in interleaved pairs.
 
     tools/ab_pairs.py <parent-checkout> <change-checkout> \\
-        --workload W [W ...] | all  --pairs N [--seed S]
+        --workload W [W ...] | all  --pairs N [--seed S] [--claim METRIC:WORKLOAD]
 
 Runs the ``BENCHMARK.json`` command (read from the change checkout) once in
 each checkout per pair, alternating which side goes first so a slow minute
@@ -18,6 +18,10 @@ Against the bound ``BENCHMARK.json`` fixes for the metric the verdict is
 runs cannot tell) or ``within``. A gain may be claimed only with >= 10
 pairs, >= 9/10 of them won, and medians further apart than the parent's
 spread (``gain?`` says whether this table would support one).
+``--claim ops_per_s:pbft_load`` turns the table into a verdict: the exit
+status is non-zero unless that row reads ``gain? yes`` and no row of any
+workload reads ``worse`` (without it only failed operations and failed
+checks set the exit status).
 
 Every run's raw values are printed too, so a report can list them all, each
 with the 1-minute load average (``os.getloadavg()[0]``) the box showed when
@@ -67,7 +71,10 @@ def spread(values: list[float]) -> float:
     return q3 - q1
 
 
-def summarize(metric: dict, parent: list[float], change: list[float]) -> str:
+def summarize(metric: dict, parent: list[float],
+              change: list[float]) -> tuple[str, str, bool]:
+    """One table row, its verdict against the bound, and whether the row
+    would support a claimed gain."""
     sign = 1.0 if metric["better"] == "higher" else -1.0
     p_med, c_med = statistics.median(parent), statistics.median(change)
     gain = sign * (c_med - p_med)  # > 0: the change is better
@@ -89,13 +96,13 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> str:
         f"{metric['unit']:<4} {rel:+7.1%}  wins {wins}/{pairs} "
         f"(losses {losses})  parent IQR {iqr:.4g} ({rel_iqr:.1%})  "
         f"bound {metric['bound']:.0%}  {verdict}  gain? {'yes' if claimable else 'no'}"
-    )
+    ), verdict, claimable
 
 
 def measure(sides: dict[str, Path], manifest: dict, workload: str,
-            pairs: int, seed: int) -> tuple[list[str], bool]:
-    """Run one workload's pairs; its summary rows and whether the change
-    failed more operations, or any check, than the parent."""
+            pairs: int, seed: int) -> tuple[dict[str, tuple], bool]:
+    """Run one workload's pairs; its :func:`summarize` rows by metric name and
+    whether the change failed more operations, or any check, than the parent."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     noisy: list[int] = []
     for pair in range(1, pairs + 1):
@@ -118,14 +125,15 @@ def measure(sides: dict[str, Path], manifest: dict, workload: str,
 
     print(f"\n{workload} seed {seed}: {pairs} interleaved pairs "
           "(percentages: change relative to parent, + is better)")
-    rows = []
+    rows = {}
     for metric in manifest["end_to_end"]:
         series = {
             side: [r["metrics"][metric["name"]]["value"] for r in results]
             for side, results in runs.items()
         }
-        rows.append(summarize(metric, series["parent"], series["change"]))
-        print(rows[-1])
+        row = summarize(metric, series["parent"], series["change"])
+        rows[metric["name"]] = row
+        print(row[0])
     failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
     incorrect = {
         side: sum(1 for r in rs if not r["correct"]) for side, rs in runs.items()
@@ -140,7 +148,7 @@ def measure(sides: dict[str, Path], manifest: dict, workload: str,
     return rows, failed["change"] > failed["parent"] or bool(incorrect["change"])
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
@@ -148,22 +156,41 @@ def main() -> int:
                     help="one or more BENCHMARK.json workload names, or 'all'")
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    ap.add_argument("--claim", metavar="METRIC:WORKLOAD",
+                    help="exit non-zero unless this row reads 'gain? yes' "
+                         "and no row reads 'worse'")
+    args = ap.parse_args(argv)
 
     manifest = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = args.workload
     if workloads == ["all"]:
         workloads = [w["name"] for w in manifest["workloads"]]
+    claim = tuple(args.claim.split(":")) if args.claim else None
+    if claim is not None and not (
+        len(claim) == 2 and claim[1] in workloads
+        and claim[0] in [m["name"] for m in manifest["end_to_end"]]
+    ):
+        ap.error(f"--claim {args.claim}: not an end-to-end metric of a "
+                 "workload this command runs")
     sides = {"parent": args.parent, "change": args.change}
-    table: list[str] = []
+    table: dict[tuple[str, str], tuple] = {}
     bad = False
     for workload in workloads:
         rows, worse = measure(sides, manifest, workload, args.pairs, args.seed)
-        table += [f"{workload:<16} {row}" for row in rows]
+        table.update({(name, workload): row for name, row in rows.items()})
         bad = bad or worse
     if len(workloads) > 1:
         print(f"summary, seed {args.seed}, {args.pairs} pairs per workload:")
-        print("\n".join(table))
+        print("\n".join(f"{workload:<16} {text}"
+                        for (_, workload), (text, _, _) in table.items()))
+    if claim is not None:
+        worse_rows = [f"{name}:{workload}" for (name, workload), row
+                      in table.items() if row[1] == "worse"]
+        met = table[claim][2] and not worse_rows
+        print(f"claim {args.claim}: {'met' if met else 'NOT MET'} "
+              f"(gain? {'yes' if table[claim][2] else 'no'}; "
+              f"worse: {', '.join(worse_rows) or 'none'})")
+        bad = bad or not met
     return 1 if bad else 0
 
 
