@@ -1,7 +1,7 @@
 """Measurement aggregation and table rendering for the bench harnesses."""
 
 from .report import format_kv, format_table
-from .stats import RunMetrics, Summary, collect_metrics, percentile, summarize
+from .stats import Summary, percentile, summarize
 from .tracefile import (
     format_trace_summary,
     load_trace,
@@ -10,9 +10,7 @@ from .tracefile import (
 )
 
 __all__ = [
-    "RunMetrics",
     "Summary",
-    "collect_metrics",
     "format_kv",
     "format_table",
     "format_trace_summary",

@@ -1,4 +1,4 @@
-"""Latency / throughput / message-count aggregation for benches."""
+"""Order statistics (latency summaries) for benches and load cells."""
 
 from __future__ import annotations
 
@@ -59,37 +59,3 @@ def summarize(values: Iterable[float]) -> Summary:
         maximum=vals[-1],
     )
 
-
-@dataclass(frozen=True, slots=True)
-class RunMetrics:
-    """Protocol-level costs of one simulation run."""
-
-    messages_sent: int
-    messages_delivered: int
-    sm_ops: int
-    virtual_duration: float
-    requests_completed: int
-
-    @property
-    def throughput(self) -> float:
-        """Requests per unit of virtual time."""
-        if self.virtual_duration <= 0:
-            return 0.0
-        return self.requests_completed / self.virtual_duration
-
-    @property
-    def messages_per_request(self) -> float:
-        if self.requests_completed == 0:
-            return float("inf")
-        return self.messages_sent / self.requests_completed
-
-
-def collect_metrics(sim, requests_completed: int) -> RunMetrics:
-    """Extract :class:`RunMetrics` from a finished simulation."""
-    return RunMetrics(
-        messages_sent=sim.network.messages_sent,
-        messages_delivered=sim.network.messages_delivered,
-        sm_ops=sim.memory.ops_linearized,
-        virtual_duration=sim.now,
-        requests_completed=requests_completed,
-    )

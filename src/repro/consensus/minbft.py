@@ -135,7 +135,7 @@ class MinBFTReplica(ReplicaCore):
         self.usig = usig
         self.verifier = verifier
         self.sent_log: list[tuple[Any, UI]] = []
-        self._enforcer = UIOrderEnforcer(self._on_usig_released)
+        self._enforcer = UIOrderEnforcer()
         # slot -> (view, prepare_counter, request) first-accepted prepare
         self._accepted: dict[SeqNum, tuple[int, SeqNum, Any]] = {}
         # vote key -> set of replicas
@@ -208,7 +208,9 @@ class MinBFTReplica(ReplicaCore):
             if ui.replica in self._convicted:
                 self.convicted_rejects += 1
                 return
-            self._enforcer.submit(ui.replica, ui.counter, (message, ui))
+            self._enforcer.submit(
+                ui.replica, ui.counter, (message, ui), self._on_usig_released
+            )
         elif kind == REQUEST and len(msg) == 5:
             self._on_request(msg)
         elif kind == REQ_VIEW_CHANGE and len(msg) == 4:
@@ -444,7 +446,7 @@ class MinBFTReplica(ReplicaCore):
         ):
             return
         self._resynced.add(peer)
-        self._enforcer.resync(peer, counter)
+        self._enforcer.resync(peer, counter, self._on_usig_released)
         # newest view first: the bundle is the primary's USIG-signed NEW-VIEW,
         # validated exactly as if it had arrived through the live protocol
         if isinstance(nv, tuple) and len(nv) == 2:

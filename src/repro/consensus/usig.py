@@ -143,17 +143,20 @@ class USIGVerifier:
         return verdict
 
 
+Release = Callable[[ProcessId, SeqNum, Any], None]
+
+
 class UIOrderEnforcer:
     """Holdback queue: release each replica's messages in counter order.
 
     MinBFT requires replicas to *accept* messages from replica ``i`` only
     in UI order with no gaps; out-of-order arrivals wait until the gap
-    fills. Feed every (replica, counter, item) in; ``on_release`` fires in
-    order.
+    fills. Feed every (replica, counter, item) in; the ``on_release`` the
+    call passes fires, in order, for each item it releases. The callback
+    is not kept: the replica owning the enforcer is usually the callee.
     """
 
-    def __init__(self, on_release: Callable[[ProcessId, SeqNum, Any], None]) -> None:
-        self._on_release = on_release
+    def __init__(self) -> None:
         self._next: dict[ProcessId, SeqNum] = {}
         self._held: dict[ProcessId, dict[SeqNum, Any]] = {}
         self.released = 0
@@ -162,7 +165,8 @@ class UIOrderEnforcer:
     def expected(self, replica: ProcessId) -> SeqNum:
         return self._next.get(replica, 1)
 
-    def submit(self, replica: ProcessId, counter: SeqNum, item: Any) -> None:
+    def submit(self, replica: ProcessId, counter: SeqNum, item: Any,
+               on_release: Release) -> None:
         nxt = self._next.get(replica, 1)
         if counter < nxt:
             return  # duplicate / replay
@@ -171,18 +175,20 @@ class UIOrderEnforcer:
             return
         held[counter] = item
         self.held_max = max(self.held_max, len(held))
-        self._release_from(replica, nxt)
+        self._release_from(replica, nxt, on_release)
 
-    def _release_from(self, replica: ProcessId, nxt: SeqNum) -> None:
+    def _release_from(self, replica: ProcessId, nxt: SeqNum,
+                      on_release: Release) -> None:
         held = self._held.get(replica, {})
         while nxt in held:
             item = held.pop(nxt)
             self._next[replica] = nxt + 1
             self.released += 1
-            self._on_release(replica, nxt, item)
+            on_release(replica, nxt, item)
             nxt += 1
 
-    def resync(self, replica: ProcessId, counter: SeqNum) -> None:
+    def resync(self, replica: ProcessId, counter: SeqNum,
+               on_release: Release) -> None:
         """Skip ``replica``'s stream forward: accept from ``counter + 1`` on.
 
         Crash recovery support: a rebooted process's enforcer expects every
@@ -203,7 +209,7 @@ class UIOrderEnforcer:
         if held:
             for c in [c for c in held if c <= counter]:
                 del held[c]
-        self._release_from(replica, counter + 1)
+        self._release_from(replica, counter + 1, on_release)
 
     def purge(self, replica: ProcessId) -> int:
         """Drop everything held from ``replica`` and stop expecting more.

@@ -42,6 +42,7 @@ Trace events ``round_begin/round_sent/round_recv/round_end`` feed the
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import Any, Hashable, Optional
 
@@ -82,7 +83,8 @@ class RoundTransport:
     def attach(self, host: "RoundProcess") -> None:
         if self.host is not None:
             raise ConfigurationError("round transport attached twice")
-        self.host = host
+        # a proxy: the host owns its transport, not the other way round
+        self.host = weakref.proxy(host)
 
     def start(self) -> None:
         """Called from the host's ``on_start``."""

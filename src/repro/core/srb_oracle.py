@@ -63,7 +63,7 @@ class SRBOracle:
         seed: int = 0,
         record_trace: bool = True,
     ) -> None:
-        self._sim: Simulation | None = sim
+        self._sim: Simulation | None = None
         self.record_trace = record_trace
         """When the oracle serves as a *transport* underneath another
         broadcast protocol, set False so its bcast/bcast_deliver events do
@@ -82,15 +82,27 @@ class SRBOracle:
         self._handles: set[ProcessId] = set()
         self.withheld: list[WithheldDelivery] = []
         self.broadcasts = 0
+        if sim is not None:
+            self.bind(sim)
 
     # -- wiring ------------------------------------------------------------------
 
     def bind(self, sim: Simulation) -> "SRBOracle":
-        """Attach to the simulation (required before any broadcast)."""
+        """Attach to the simulation (required before any broadcast).
+
+        Closing the simulation unbinds the oracle: the simulation, the
+        subscribers and the delivery chain all lead back here. The ledger
+        and the counters stay readable."""
         if self._sim is not None and self._sim is not sim:
             raise ConfigurationError("SRB oracle already bound to a simulation")
         self._sim = sim
+        sim.on_close(self._unbind)
         return self
+
+    def _unbind(self) -> None:
+        self._sim = None
+        self._subscribers.clear()
+        self._last_delivery_event.clear()
 
     @property
     def sim(self) -> Simulation:

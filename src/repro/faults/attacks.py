@@ -27,6 +27,7 @@ Two tiers, mirroring the paper's classification:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -90,14 +91,19 @@ class Attack:
     name = "attack"
 
     def __init__(self) -> None:
-        self._inner: Optional[Process] = None
+        self._inner_ref: Optional[weakref.ref] = None
         self.strikes = 0  # times the attack actually deviated
         self.suppressed = 0  # messages it withheld
         self.injected = 0  # extra messages it minted/sent
         self.missed = 0  # strike opportunities it had to pass up
 
     def bind(self, inner: Process) -> None:
-        self._inner = inner
+        self._inner_ref = weakref.ref(inner)
+
+    @property
+    def _inner(self) -> Optional[Process]:
+        """The bound incarnation, held weakly: its context's filter leads here."""
+        return None if self._inner_ref is None else self._inner_ref()
 
     def outgoing(self, src: ProcessId, dst: ProcessId, msg: Any) -> Any:
         return msg

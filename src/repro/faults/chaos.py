@@ -460,12 +460,7 @@ class ChaosCell:
             abort_index=abort_index,
             liveness_violations=live_report.violations if live_report else [],
         )
-        # The cell is over and the result is all a caller gets. The trace is
-        # three quarters of the cell's objects; dropped now they are freed at
-        # once, otherwise the dead simulation (a reference cycle) keeps them
-        # until the cycle collector runs - inside the next cells, typically
-        # in their builders, and every full collection walks a few dead cells.
-        sim.trace.clear()
+        sim.close()
         return result
 
 

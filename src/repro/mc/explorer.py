@@ -7,6 +7,9 @@ bound. The simulator cannot be checkpointed, so the search is *stateless*
 in the Verisoft/Flanagan–Godefroid sense: to visit a node of the schedule
 tree, the whole prefix is re-executed from scratch (cheap here: one
 execution is a few hundred microseconds of pure-Python event dispatch).
+Each execution's simulation is closed when its branch ends, after the
+check and ``on_leaf``, so it is freed by reference count, not by the cycle
+collector; :meth:`Explorer.replay` hands its simulation over open.
 
 Between choices, *forced* events (scenario callbacks, shared-memory
 linearizations) drain eagerly in canonical ``(time, seq)`` order — they
@@ -264,6 +267,8 @@ class Explorer:
 
     def _execute(
         self,
+        state: Any,
+        sim: Simulation,
         frames: list[_Frame],
         path: list[int],
         fps: list[tuple],
@@ -271,7 +276,8 @@ class Explorer:
         root_choice: Optional[int],
         root_sleep: tuple[int, ...],
     ) -> str:
-        """Re-execute the prefix in ``path``, extend to one maximal branch.
+        """Re-execute the prefix in ``path`` on the fresh ``sim``, extend
+        to one maximal branch.
 
         Persistent search state (``frames``' backtrack/done/sleep sets)
         survives across calls; simulator state and clocks are rebuilt. The
@@ -279,7 +285,6 @@ class Explorer:
         state, or a convicted violation. Returns ``_STOP`` to end the
         whole search (root-settle violation or stop-at-first-violation).
         """
-        state, sim = self._fresh()
         bounds: list[int] = []
         depth_clocks: list[VClock] = []
         executed_clock: dict[int, VClock] = {}
@@ -444,9 +449,13 @@ class Explorer:
         path: list[int] = []
         fps: list[tuple] = []
         while True:
-            outcome = self._execute(
-                frames, path, fps, res, root_choice, root_sleep
-            )
+            state, sim = self._fresh()
+            try:
+                outcome = self._execute(
+                    state, sim, frames, path, fps, res, root_choice, root_sleep
+                )
+            finally:
+                sim.close()
             if outcome == _STOP:
                 res.complete = False
                 break
@@ -546,4 +555,7 @@ def root_choice_count(factory: Factory, **options: Any) -> int:
     """Number of root transitions — the shard count for a parallel split."""
     explorer = Explorer(factory, **options)
     _, sim = explorer._fresh()
-    return len(explorer._settle(sim))
+    try:
+        return len(explorer._settle(sim))
+    finally:
+        sim.close()

@@ -170,8 +170,8 @@ def sampled_verdicts(
     for seed in seeds:
         sim, checker = build_echo_gap(seed=seed, rng_delays=True)
         sim.run(until=horizon)
-        report = checker.finish()
-        verdicts.append(not report.all_violations())
+        sim.close()
+        verdicts.append(not checker.finish().all_violations())
     return verdicts
 
 

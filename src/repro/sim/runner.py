@@ -99,6 +99,7 @@ class Simulation:
         self.memory = SharedMemorySystem(self)
         self._processes: list[Process] = list(processes)
         self._contexts: list[Context] = []
+        self._retired: list[Context] = []  # contexts restarts replaced
         self._byzantine: set[ProcessId] = set()
         self._crashed: set[ProcessId] = set()
         self._ever_crashed: set[ProcessId] = set()
@@ -107,6 +108,8 @@ class Simulation:
         self._timers_by_pid: dict[ProcessId, set[int]] = {}
         self._next_timer_id = 0
         self._started = False
+        self._closed = False
+        self._on_close: list[Callable[[], None]] = []
         for pid, proc in enumerate(self._processes):
             ctx = Context(self, pid, _derive_rng(seed, "proc", pid))
             proc._attach(ctx)
@@ -267,6 +270,7 @@ class Simulation:
         )
         fresh._attach(ctx)
         self._processes[pid] = fresh
+        self._retired.append(self._contexts[pid])
         self._contexts[pid] = ctx
         self._crashed.discard(pid)
         self.trace.record(
@@ -399,6 +403,8 @@ class Simulation:
 
     def start(self) -> None:
         """Deliver ``on_start`` to every process (idempotent)."""
+        if self._closed:
+            raise SimulationError("the simulation is closed; it cannot run")
         if self._started:
             return
         self._started = True
@@ -438,6 +444,31 @@ class Simulation:
         stats.consensus = self.collect_consensus_stats()
         stats.service = self.collect_service_stats()
         return stats
+
+    def close(self) -> None:
+        """End the run, so that it is freed by reference count.
+
+        Contexts (every incarnation's), network, shared memory, dispatch hook
+        and pending events all lead back here: unclosed, a finished run is a
+        reference cycle only the cycle collector frees. The trace, counters
+        and :attr:`processes` still answer; the processes act as crashed;
+        :meth:`run`, :meth:`start` and :meth:`step_event` raise
+        :class:`~repro.errors.SimulationError`. Idempotent.
+        """
+        self._closed = True
+        for ctx in (*self._contexts, *self._retired):
+            ctx._kill()
+            ctx._sim = None
+        self.network._sim = self.memory._sim = None
+        self.scheduler.close()
+        self._handlers = {}
+        for release in self._on_close:
+            release()
+
+    def on_close(self, release: Callable[[], None]) -> None:
+        """Have :meth:`close` call ``release``: how a service bound from
+        outside (an SRB oracle) lets go of the run and its processes."""
+        self._on_close.append(release)
 
     def collect_consensus_stats(self) -> Optional[dict]:
         """Merge replication-pipeline counters over hosted processes.

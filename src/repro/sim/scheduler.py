@@ -461,6 +461,14 @@ class Scheduler:
         self._dead_in_heap = 0
         self.compactions += 1
 
+    def close(self) -> None:
+        """Drop the dispatch hook and every queued event (controlled-mode
+        tombstones too): payloads close over the owner. Counters survive."""
+        self.dispatch = None
+        self._heap.clear()
+        self._wheel = _TimerWheel(self.WHEEL_BASE, self.WHEEL_FANOUT)
+        self._live = self._dead_in_heap = 0
+
     # -- choice-point API (controlled-schedule mode) -----------------------
 
     @property

@@ -387,10 +387,10 @@ class TraceStore:
     def clear(self) -> None:
         """Evict every retained event at once; the counts keep covering them.
 
-        For a finished run whose trace nobody will read again. The rows are
-        most of a simulation's objects, and a simulation is one reference
-        cycle: released here they are freed by reference count, left in
-        place they wait for the cycle collector.
+        For a store kept alive after its rows stop mattering (a long-lived
+        run read only through its observers and counts). A finished
+        simulation needs no clearing: once closed, its trace is freed with
+        it by reference count.
         """
         self._compact(len(self._c_time))
         self._by_kind.clear()

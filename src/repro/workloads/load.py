@@ -211,6 +211,7 @@ def run_pipeline_load(
     first = clock.first_sent if clock.first_sent is not None else 0.0
     last = clock.last_done if clock.last_done is not None else first
     duration = max(last - first, 1e-9)
+    sim.close()  # the result reads only process state, which a closed run keeps
     return LoadResult(
         protocol=protocol,
         rate=rate,

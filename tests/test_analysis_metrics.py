@@ -1,40 +1,10 @@
-"""Tests for run-metrics collection and misc shared types."""
+"""Tests for the shared value types."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis import RunMetrics, collect_metrics
-from repro.sim import Process, ReliableAsynchronous, Simulation
 from repro.types import Decision, Delivery, Message, RoundMessage
-
-
-class TestRunMetrics:
-    def test_throughput_and_messages_per_request(self):
-        m = RunMetrics(messages_sent=100, messages_delivered=95, sm_ops=10,
-                       virtual_duration=50.0, requests_completed=25)
-        assert m.throughput == 0.5
-        assert m.messages_per_request == 4.0
-
-    def test_zero_guards(self):
-        m = RunMetrics(messages_sent=10, messages_delivered=10, sm_ops=0,
-                       virtual_duration=0.0, requests_completed=0)
-        assert m.throughput == 0.0
-        assert m.messages_per_request == float("inf")
-
-    def test_collect_from_simulation(self):
-        class Chatter(Process):
-            def on_start(self):
-                self.ctx.broadcast(("HI",), include_self=False)
-
-        sim = Simulation([Chatter(), Chatter()],
-                         ReliableAsynchronous(0.1, 0.2), seed=1)
-        sim.run_to_quiescence()
-        m = collect_metrics(sim, requests_completed=2)
-        assert m.messages_sent == 2
-        assert m.messages_delivered == 2
-        assert m.virtual_duration > 0
-        assert m.requests_completed == 2
 
 
 class TestSharedTypes:

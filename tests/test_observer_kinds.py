@@ -34,6 +34,7 @@ from repro.faults.chaos import attack_sweep, chaos_sweep, run_chaos
 from repro.faults.detector import RecoverySupervisor
 from repro.service.soak import ServiceLivenessAuditor
 from repro.sim import trace as trace_module
+from repro.sim.runner import Simulation
 from repro.sim.trace import TraceEvent, TraceObserver, TraceStore
 from repro.workloads.load import OrderHasher, _CompletionClock, run_pipeline_load
 
@@ -266,11 +267,14 @@ def test_exported_chaos_cell_replays_to_the_live_reports(monkeypatch):
             observer.finish = recording
         return subscribe(store, observer)
 
-    def keep(store):  # ChaosCell.run clears the trace behind its result
-        kept["jsonl"], kept["live"] = store.to_jsonl(), store.observers
+    close = Simulation.close
+
+    def keep(sim):  # ChaosCell.run drops the closed cell behind its result
+        kept["jsonl"], kept["live"] = sim.trace.to_jsonl(), sim.trace.observers
+        close(sim)
 
     monkeypatch.setattr(TraceStore, "subscribe", spy)
-    monkeypatch.setattr(TraceStore, "clear", keep)
+    monkeypatch.setattr(Simulation, "close", keep)
     assert run_chaos("minbft", 1).ok
     monkeypatch.undo()
 

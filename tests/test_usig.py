@@ -66,35 +66,39 @@ class TestUSIG:
 class TestUIOrderEnforcer:
     def test_in_order_release(self):
         out = []
-        enf = UIOrderEnforcer(lambda r, c, item: out.append((r, c, item)))
-        enf.submit(0, 1, "a")
-        enf.submit(0, 2, "b")
+        enf = UIOrderEnforcer()
+        release = lambda r, c, item: out.append((r, c, item))
+        enf.submit(0, 1, "a", release)
+        enf.submit(0, 2, "b", release)
         assert out == [(0, 1, "a"), (0, 2, "b")]
 
     def test_holdback_until_gap_fills(self):
         out = []
-        enf = UIOrderEnforcer(lambda r, c, item: out.append(c))
-        enf.submit(0, 3, "c")
-        enf.submit(0, 2, "b")
+        enf = UIOrderEnforcer()
+        release = lambda r, c, item: out.append(c)
+        enf.submit(0, 3, "c", release)
+        enf.submit(0, 2, "b", release)
         assert out == []
-        enf.submit(0, 1, "a")
+        enf.submit(0, 1, "a", release)
         assert out == [1, 2, 3]
 
     def test_duplicates_and_replays_dropped(self):
         out = []
-        enf = UIOrderEnforcer(lambda r, c, item: out.append((c, item)))
-        enf.submit(0, 1, "a")
-        enf.submit(0, 1, "a-again")
-        enf.submit(0, 2, "b")
-        enf.submit(0, 2, "b-later")
+        enf = UIOrderEnforcer()
+        release = lambda r, c, item: out.append((c, item))
+        enf.submit(0, 1, "a", release)
+        enf.submit(0, 1, "a-again", release)
+        enf.submit(0, 2, "b", release)
+        enf.submit(0, 2, "b-later", release)
         assert out == [(1, "a"), (2, "b")]
 
     def test_streams_independent(self):
         out = []
-        enf = UIOrderEnforcer(lambda r, c, item: out.append((r, c)))
-        enf.submit(1, 1, "x")
-        enf.submit(0, 2, "held")
-        enf.submit(1, 2, "y")
+        enf = UIOrderEnforcer()
+        release = lambda r, c, item: out.append((r, c))
+        enf.submit(1, 1, "x", release)
+        enf.submit(0, 2, "held", release)
+        enf.submit(1, 2, "y", release)
         assert out == [(1, 1), (1, 2)]
         assert enf.expected(0) == 1
 
@@ -102,7 +106,8 @@ class TestUIOrderEnforcer:
     @settings(max_examples=40)
     def test_any_arrival_order_releases_in_order(self, order):
         out = []
-        enf = UIOrderEnforcer(lambda r, c, item: out.append(c))
+        enf = UIOrderEnforcer()
+        release = lambda r, c, item: out.append(c)
         for c in order:
-            enf.submit(0, c, f"m{c}")
+            enf.submit(0, c, f"m{c}", release)
         assert out == list(range(1, 9))
