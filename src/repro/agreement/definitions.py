@@ -19,50 +19,19 @@ it at n ≥ 2f+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from ..errors import PropertyViolation
-from ..sim.trace import DECIDE, TraceEvent, TraceObserver, TraceStore
+from ..sim.trace import DECIDE, StreamChecker, TraceEvent, TraceStore
 from ..types import ProcessId
-from ..broadcast.definitions import BOT
+from ..broadcast.definitions import BOT, AgreementReport
 
 VERY_WEAK = "very-weak-agreement"
 WEAK = "weak-validity-agreement"
 STRONG = "strong-validity-agreement"
 
 
-@dataclass(slots=True)
-class AgreementReport:
-    """Audit of one single-shot agreement execution."""
-
-    variant: str
-    commits: dict[ProcessId, Any] = field(default_factory=dict)
-    agreement_violations: list[str] = field(default_factory=list)
-    validity_violations: list[str] = field(default_factory=list)
-    termination_violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not (
-            self.agreement_violations
-            or self.validity_violations
-            or self.termination_violations
-        )
-
-    def all_violations(self) -> list[str]:
-        return (
-            [f"agreement: {v}" for v in self.agreement_violations]
-            + [f"validity: {v}" for v in self.validity_violations]
-            + [f"termination: {v}" for v in self.termination_violations]
-        )
-
-    def assert_ok(self) -> None:
-        if not self.ok:
-            raise PropertyViolation(self.variant, "; ".join(self.all_violations()[:3]))
-
-
-class AgreementStreamChecker(TraceObserver):
+class AgreementStreamChecker(StreamChecker):
     """Incremental single-shot-agreement state shared by batch and streaming.
 
     Collects the first commit of every correct process from ``decide``
@@ -86,15 +55,15 @@ class AgreementStreamChecker(TraceObserver):
             raise PropertyViolation(
                 "agreement-checker", f"unknown variant {variant!r}"
             )
+        super().__init__(fail_fast)
         self.variant = variant
+        self.prop = f"{variant}-stream"
         self.inputs = dict(inputs)
         self.correct = sorted(set(correct))
         self._correct_set = set(self.correct)
         self.all_correct = all_correct
         self.expect_termination = expect_termination
-        self.fail_fast = fail_fast
         self.commits: dict[ProcessId, Any] = {}
-        self.online_violations: list[tuple[int, str]] = []
 
     # -- streaming ---------------------------------------------------------
 
@@ -116,23 +85,11 @@ class AgreementStreamChecker(TraceObserver):
             if up_to_bot and (v is BOT or w is BOT):
                 continue
             if v != w:
-                msg = (
+                self._flag(
+                    ev,
                     f"process {q} committed {w!r} but process {ev.pid} "
-                    f"committed {v!r}"
+                    f"committed {v!r}",
                 )
-                self.online_violations.append((ev.index, msg))
-                raise PropertyViolation(
-                    f"{self.variant}-stream",
-                    f"event #{ev.index} (t={ev.time:g}): {msg}",
-                )
-
-    # -- batch feeding -----------------------------------------------------
-
-    def consume(self, trace: TraceStore) -> "AgreementStreamChecker":
-        """Feed a finished trace's ``decide`` events (index-backed)."""
-        for ev in trace.events(DECIDE):
-            self.on_event(ev)
-        return self
 
     # -- final audit -------------------------------------------------------
 

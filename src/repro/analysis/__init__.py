@@ -2,21 +2,14 @@
 
 from .report import format_kv, format_table
 from .stats import Summary, percentile, summarize
-from .tracefile import (
-    format_trace_summary,
-    load_trace,
-    replay_observers,
-    trace_summary,
-)
+from .tracefile import format_trace_summary, trace_summary
 
 __all__ = [
     "Summary",
     "format_kv",
     "format_table",
     "format_trace_summary",
-    "load_trace",
     "percentile",
-    "replay_observers",
     "summarize",
     "trace_summary",
 ]

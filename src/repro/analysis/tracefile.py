@@ -1,17 +1,19 @@
-"""Offline analysis of exported JSONL traces.
+"""Summaries of exported JSONL traces.
 
 A run exported with :meth:`~repro.sim.trace.TraceStore.export_jsonl` is a
-complete, deterministic artifact: this module loads it back, replays it
-through streaming checkers (the same :class:`~repro.sim.trace.TraceObserver`
-classes that run online), and renders summaries — without re-executing the
-simulation. Typical post-mortem::
+complete, deterministic artifact: :meth:`~repro.sim.trace.TraceStore.load_jsonl`
+loads it back, every property checker re-audits it with its ``consume``
+(the same class that ran online, fed in trace order), and this module
+renders summaries — without re-executing the simulation. Typical
+post-mortem::
 
-    from repro.analysis.tracefile import load_trace, replay_observers
+    from repro.analysis import format_trace_summary
     from repro.core.srb import SRBStreamChecker
+    from repro.sim.trace import TraceStore
 
-    trace = load_trace("failing-run.jsonl")
-    checker = SRBStreamChecker(0, correct=[1, 2, 3])
-    replay_observers(trace, checker)
+    trace = TraceStore.load_jsonl("failing-run.jsonl")
+    print(format_trace_summary(trace))
+    checker = SRBStreamChecker(0, correct=[1, 2, 3]).consume(trace)
     print(checker.finish().all_violations())
 """
 
@@ -19,23 +21,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..sim.trace import TraceObserver, TraceStore
+from ..sim.trace import TraceStore
 from .report import format_kv, format_table
-
-
-def load_trace(path: str) -> TraceStore:
-    """Load a JSONL trace file into an indexed :class:`TraceStore`."""
-    return TraceStore.load_jsonl(path)
-
-
-def replay_observers(trace: TraceStore, *observers: TraceObserver) -> None:
-    """Feed a loaded trace's events to streaming observers, in trace order.
-
-    Thin alias of :meth:`TraceStore.replay_into`, named for the offline
-    workflow: the exact checker classes that run online during a simulation
-    re-audit an imported trace event by event.
-    """
-    trace.replay_into(*observers)
 
 
 def trace_summary(trace: TraceStore) -> dict[str, Any]:

@@ -13,7 +13,6 @@
 from .bracha import BrachaRBC
 from .definitions import (
     BOT,
-    BroadcastReport,
     check_byzantine_broadcast,
     check_nonequivocating_broadcast,
     check_reliable_broadcast,
@@ -24,7 +23,6 @@ from .nonequivocating import NonEquivocatingBroadcast
 __all__ = [
     "BOT",
     "BrachaRBC",
-    "BroadcastReport",
     "DolevStrong",
     "NonEquivocatingBroadcast",
     "check_byzantine_broadcast",

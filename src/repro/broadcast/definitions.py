@@ -12,7 +12,9 @@ Three single-shot broadcast variants, ordered by strength of termination:
 
 Committing is recorded with ``ctx.decide`` (trace kind ``decide``);
 checkers audit finished traces. ``BOT`` is the distinguished "no value"
-the non-equivocating variant may commit.
+the non-equivocating variant may commit. :class:`AgreementReport` is the
+one report of a single-shot decision, for this zoo and for the agreement
+zoo (:mod:`repro.agreement.definitions`) alike.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ BOT = _Bot()
 
 
 @dataclass(slots=True)
-class BroadcastReport:
-    """Audit of one single-shot broadcast execution."""
+class AgreementReport:
+    """Audit of one single-shot agreement or broadcast execution."""
 
     variant: str
     commits: dict[ProcessId, Any] = field(default_factory=dict)
@@ -69,8 +71,7 @@ class BroadcastReport:
 
     def assert_ok(self) -> None:
         if not self.ok:
-            vs = self.all_violations()
-            raise PropertyViolation(self.variant, "; ".join(vs[:3]))
+            raise PropertyViolation(self.variant, "; ".join(self.all_violations()[:3]))
 
 
 def _collect_commits(trace: TraceStore, correct: Iterable[ProcessId]) -> dict[ProcessId, Any]:
@@ -88,10 +89,10 @@ def check_nonequivocating_broadcast(
     sender_input: Any,
     correct: Iterable[ProcessId],
     sender_correct: bool,
-) -> BroadcastReport:
+) -> AgreementReport:
     """Audit agreement-up-to-⊥ and correct-sender validity/termination."""
     correct = sorted(set(correct))
-    report = BroadcastReport(variant="non-equivocating-broadcast")
+    report = AgreementReport(variant="non-equivocating-broadcast")
     report.commits = _collect_commits(trace, correct)
 
     # values may be unhashable; compare pairwise instead of via a set
@@ -123,10 +124,10 @@ def check_reliable_broadcast(
     sender_input: Any,
     correct: Iterable[ProcessId],
     sender_correct: bool,
-) -> BroadcastReport:
+) -> AgreementReport:
     """Non-equivocating checks plus all-or-nothing termination; no ⊥ commits."""
     correct = sorted(set(correct))
-    report = BroadcastReport(variant="reliable-broadcast")
+    report = AgreementReport(variant="reliable-broadcast")
     report.commits = _collect_commits(trace, correct)
 
     committed = sorted(report.commits.items())
@@ -162,7 +163,7 @@ def check_byzantine_broadcast(
     sender_input: Any,
     correct: Iterable[ProcessId],
     sender_correct: bool,
-) -> BroadcastReport:
+) -> AgreementReport:
     """Reliable-broadcast checks plus unconditional termination."""
     report = check_reliable_broadcast(
         trace, sender, sender_input, correct, sender_correct

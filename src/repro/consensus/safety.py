@@ -15,12 +15,12 @@ Checked properties:
   runs expected to complete).
 
 Both checking modes share one incremental core
-(:class:`ReplicationStreamChecker`): batch :func:`check_replication` feeds
-the finished trace's ``custom`` events through the kind index; attached as
-a live :class:`~repro.sim.trace.TraceObserver` with ``fail_fast=True`` the
-same core flags *permanent* violations online — a duplicate execution or
-a slot whose batch prefix diverges between two replicas can never be
-undone by later events, so the run aborts at that exact event.
+(:class:`ReplicationStreamChecker`): batch :func:`check_replication`
+replays the finished trace through it; attached as a live
+:class:`~repro.sim.trace.TraceObserver` with ``fail_fast=True`` the same
+core flags *permanent* violations online — a duplicate execution or a slot
+whose batch prefix diverges between two replicas can never be undone by
+later events, so the run aborts at that exact event.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 from ..errors import ConfigurationError, PropertyViolation
-from ..sim.liveness import DeadlineMonitor, LivenessReport
-from ..sim.trace import CUSTOM, TraceEvent, TraceObserver, TraceStore
+from ..sim.liveness import DeadlineChecker, LivenessReport
+from ..sim.trace import CUSTOM, StreamChecker, TraceEvent, TraceStore
 from ..types import ProcessId, Time
 
 
@@ -80,7 +80,7 @@ class ReplicationReport:
         )
 
 
-class ReplicationStreamChecker(TraceObserver):
+class ReplicationStreamChecker(StreamChecker):
     """Incremental replication-audit state shared by batch and streaming modes.
 
     Collects executions, checkpoint transfers, and client completions from
@@ -105,20 +105,20 @@ class ReplicationStreamChecker(TraceObserver):
         correct_replicas: Iterable[ProcessId],
         fail_fast: bool = False,
     ) -> None:
+        super().__init__(fail_fast)
         self.correct = sorted(set(correct_replicas))
         self._correct_set = set(self.correct)
-        self.fail_fast = fail_fast
         self.executions: list[Execution] = []
         self.clients_done: dict[ProcessId, int] = {}
         self.transfers: dict[ProcessId, set[int]] = {}
         self.noops: dict[ProcessId, set[int]] = {}
         self.by_slot: dict[int, dict[ProcessId, list[Execution]]] = {}
         self._seen_requests: dict[ProcessId, set[tuple]] = {}
-        self.online_violations: list[tuple[int, str]] = []
         self.events_consumed = 0
 
     # -- streaming ---------------------------------------------------------
 
+    prop = "replication-stream"
     kinds = frozenset({CUSTOM})
 
     def on_event(self, ev: TraceEvent) -> None:
@@ -216,22 +216,6 @@ class ReplicationStreamChecker(TraceObserver):
                     f"executed {(o.client, o.req_id, repr(o.result))}",
                 )
 
-    def _flag(self, ev: TraceEvent, message: str) -> None:
-        self.online_violations.append((ev.index, message))
-        if self.fail_fast:
-            raise PropertyViolation(
-                "replication-stream",
-                f"event #{ev.index} (t={ev.time:g}): {message}",
-            )
-
-    # -- batch feeding -----------------------------------------------------
-
-    def consume(self, trace: TraceStore) -> "ReplicationStreamChecker":
-        """Feed a finished trace's ``custom`` events (index-backed)."""
-        for ev in trace.events(CUSTOM):
-            self.on_event(ev)
-        return self
-
     # -- final audit -------------------------------------------------------
 
     def finish(
@@ -249,7 +233,7 @@ class ReplicationStreamChecker(TraceObserver):
         )
 
 
-class ReplicationLivenessChecker(TraceObserver):
+class ReplicationLivenessChecker(DeadlineChecker):
     """Streaming post-GST liveness auditor for the replication layer.
 
     Under partial synchrony nothing is owed before GST; after it, within a
@@ -266,12 +250,8 @@ class ReplicationLivenessChecker(TraceObserver):
       when any fault-free replica adopts a view ``>= v``, under the same
       ``request_bound`` from the moment it is armed.
 
-    Batch and streaming verdicts are identical: both feed the same events
-    in trace order through one :class:`~repro.sim.liveness.DeadlineMonitor`
-    (batch via :meth:`consume`, streaming via the observer bus). With
-    ``fail_fast=True`` an expired deadline raises at the first event whose
-    timestamp proves the violation — deadline expiry is permanent, the
-    missing completion cannot arrive retroactively.
+    The deadline plumbing — batch path, ``fail_fast``, report — is
+    :class:`~repro.sim.liveness.DeadlineChecker`'s.
     """
 
     def __init__(
@@ -287,16 +267,11 @@ class ReplicationLivenessChecker(TraceObserver):
             raise ConfigurationError(
                 f"request_bound must be > 0, got {request_bound}"
             )
-        self.gst = gst
+        super().__init__(gst, fail_fast)
         self.request_bound = request_bound
         self.replicas = set(fault_free_replicas)
         self.clients = set(fault_free_clients)
         self.f = f
-        self.fail_fast = fail_fast
-        self.monitor = DeadlineMonitor()
-        self.online_violations: list[tuple[int, str]] = []
-        self.satisfied = 0
-        self.armed = 0
         # per fault-free replica: highest view-change target started and not
         # yet resolved by an adoption >= target (quorum-gating state)
         self._vc_pending: dict[ProcessId, int] = {}
@@ -304,6 +279,7 @@ class ReplicationLivenessChecker(TraceObserver):
 
     # -- streaming ---------------------------------------------------------
 
+    prop = "liveness-stream"
     kinds = frozenset({CUSTOM})
 
     def on_event(self, ev: TraceEvent) -> None:
@@ -315,19 +291,18 @@ class ReplicationLivenessChecker(TraceObserver):
             self._arm(
                 ("req", ev.pid, ev.field("req_id")),
                 ev.time,
+                self.request_bound,
                 f"request {ev.field('req_id')} from client {ev.pid} "
                 f"(sent t={ev.time:g}) never completed",
             )
         elif tag == "request_done" and ev.pid in self.clients:
-            if self.monitor.satisfy(("req", ev.pid, ev.field("req_id"))):
-                self.satisfied += 1
+            self._satisfy(("req", ev.pid, ev.field("req_id")))
         elif tag == "request_failed" and ev.pid in self.clients:
             # a typed abandonment (retry budget exhausted) discharges the
             # obligation: the client made a deliberate, recorded decision
             # to stop waiting, same stance as the service-layer auditor —
             # a *silent* non-completion is still convicted
-            if self.monitor.satisfy(("req", ev.pid, ev.field("req_id"))):
-                self.satisfied += 1
+            self._satisfy(("req", ev.pid, ev.field("req_id")))
         elif tag == "view_change_start" and ev.pid in self.replicas:
             target = ev.field("new_view")
             if target > self._vc_pending.get(ev.pid, 0):
@@ -338,6 +313,7 @@ class ReplicationLivenessChecker(TraceObserver):
                 self._arm(
                     ("vc", target),
                     ev.time,
+                    self.request_bound,
                     f"view change to view {target} (f+1 fault-free starters "
                     f"by t={ev.time:g}) never terminated",
                 )
@@ -345,43 +321,9 @@ class ReplicationLivenessChecker(TraceObserver):
             view = ev.field("view")
             for target in sorted(t for t in self._vc_armed if t <= view):
                 self._vc_armed.discard(target)
-                if self.monitor.satisfy(("vc", target)):
-                    self.satisfied += 1
+                self._satisfy(("vc", target))
             if self._vc_pending.get(ev.pid, 0) <= view:
                 self._vc_pending.pop(ev.pid, None)
-
-    def _arm(self, key: Any, now: Time, message: str) -> None:
-        self.monitor.expect(key, max(now, self.gst) + self.request_bound, message)
-        self.armed += 1
-
-    def _expire(self, ev: TraceEvent) -> None:
-        for ob in self.monitor.advance(ev.time):
-            self.online_violations.append((ev.index, ob.message))
-            if self.fail_fast:
-                raise PropertyViolation(
-                    "liveness-stream",
-                    f"event #{ev.index} (t={ev.time:g}): {ob.message}",
-                )
-
-    # -- batch feeding -----------------------------------------------------
-
-    def consume(self, trace: TraceStore) -> "ReplicationLivenessChecker":
-        """Feed a finished trace's ``custom`` events (index-backed)."""
-        for ev in trace.events(CUSTOM):
-            self.on_event(ev)
-        return self
-
-    # -- final audit -------------------------------------------------------
-
-    def finish(self, end_time: Optional[Time] = None) -> LivenessReport:
-        report = LivenessReport(
-            obligations_armed=self.armed, obligations_satisfied=self.satisfied
-        )
-        report.violations = [m for _, m in self.online_violations]
-        violated, unresolved = self.monitor.flush(end_time)
-        report.violations += [ob.message for ob in violated]
-        report.unresolved = [ob.message for ob in unresolved]
-        return report
 
 
 def check_replication_liveness(

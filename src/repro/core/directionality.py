@@ -17,7 +17,7 @@ with* the trace. Benches run many adversarial schedules and aggregate.
 
 Both checking modes share one incremental core
 (:class:`DirectionalityStreamChecker`): batch :func:`check_directionality`
-feeds a finished trace through the per-kind indexes; attached as a live
+replays a finished trace through it; attached as a live
 :class:`~repro.sim.trace.TraceObserver` with ``fail_fast=True`` the same
 core detects violations online — a directionality violation is permanent
 the moment the relevant ``round_end`` passes without the required receipt,
@@ -34,8 +34,8 @@ from ..sim.trace import (
     ROUND_END,
     ROUND_RECV,
     ROUND_SENT,
+    StreamChecker,
     TraceEvent,
-    TraceObserver,
     TraceStore,
 )
 from ..types import ProcessId, RoundId
@@ -53,6 +53,9 @@ class PairViolation:
     q: ProcessId
     round: RoundId
     detail: str
+
+    def __str__(self) -> str:
+        return f"pair ({self.p}, {self.q}) round {self.round}: {self.detail}"
 
 
 @dataclass(slots=True)
@@ -83,10 +86,9 @@ class DirectionalityReport:
 
     def assert_unidirectional(self) -> None:
         if self.unidirectional_violations:
-            v = self.unidirectional_violations[0]
             raise PropertyViolation(
                 "unidirectionality",
-                f"pair ({v.p}, {v.q}) round {v.round}: {v.detail} "
+                f"{self.unidirectional_violations[0]} "
                 f"(+{len(self.unidirectional_violations) - 1} more)",
             )
 
@@ -100,7 +102,7 @@ class _RoundView:
     received_from: dict[ProcessId, int]  # src -> first receive index for this round
 
 
-class DirectionalityStreamChecker(TraceObserver):
+class DirectionalityStreamChecker(StreamChecker):
     """Incremental round-view collection shared by batch and streaming modes.
 
     Maintains first-occurrence ``round_sent`` / ``round_end`` /
@@ -115,22 +117,24 @@ class DirectionalityStreamChecker(TraceObserver):
     indexes, so they cannot retroactively satisfy the obligation), or a
     straggling ``round_sent`` arriving after the peer's round already
     ended. :meth:`finish` remains authoritative for the full report.
+    Each finding is a :class:`PairViolation`; a bidirectional miss is
+    recorded but never fatal — the property checked is unidirectionality.
     """
 
     def __init__(
         self, correct: Iterable[ProcessId], fail_fast: bool = False
     ) -> None:
+        super().__init__(fail_fast)
         self.correct = sorted(set(correct))
         self._pidset = set(self.correct)
-        self.fail_fast = fail_fast
         self.sent: dict[tuple[ProcessId, RoundId], int] = {}
         self.ended: dict[tuple[ProcessId, RoundId], int] = {}
         self.received: dict[tuple[ProcessId, RoundId], dict[ProcessId, int]] = {}
         self.round_order: dict[RoundId, None] = {}
-        self.online_violations: list[tuple[int, PairViolation]] = []
 
     # -- streaming ---------------------------------------------------------
 
+    prop = "unidirectionality-stream"
     kinds = frozenset({ROUND_SENT, ROUND_END, ROUND_RECV})
 
     def on_event(self, ev: TraceEvent) -> None:
@@ -216,33 +220,10 @@ class DirectionalityStreamChecker(TraceObserver):
     def _flag(
         self, ev: TraceEvent, violation: PairViolation, bidirectional: bool
     ) -> None:
-        self.online_violations.append((ev.index, violation))
-        if self.fail_fast and not bidirectional:
-            raise PropertyViolation(
-                "unidirectionality-stream",
-                f"event #{ev.index} (t={ev.time:g}): pair "
-                f"({violation.p}, {violation.q}) round {violation.round}: "
-                f"{violation.detail}",
-            )
-
-    # -- batch feeding -----------------------------------------------------
-
-    def consume(self, trace: TraceStore) -> "DirectionalityStreamChecker":
-        """Feed a finished trace through the per-kind indexes.
-
-        First-occurrence indexes are insensitive to interleaving across
-        kinds, so feeding kind by kind reproduces the chronological scan's
-        state exactly (online checks are skipped — they assume event
-        order — and :meth:`finish` does the full audit).
-        """
-        online, self.fail_fast = self.fail_fast, False
-        try:
-            for kind in (ROUND_SENT, ROUND_END, ROUND_RECV):
-                for ev in trace.events(kind):
-                    self.on_event(ev)
-        finally:
-            self.fail_fast = online
-        return self
+        if bidirectional:
+            self.online_violations.append((ev.index, violation))
+        else:
+            super()._flag(ev, violation)
 
     # -- final audit -------------------------------------------------------
 

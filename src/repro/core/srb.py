@@ -16,8 +16,8 @@ Implementations record ``bcast`` events when the sender broadcasts and
 ``bcast_deliver`` events on delivery. Two checking modes share one
 incremental core (:class:`SRBStreamChecker`):
 
-- **batch** — :func:`check_srb` audits a finished trace (index-backed: it
-  walks only the ``bcast``/``bcast_deliver`` events, not the whole trace);
+- **batch** — :func:`check_srb` audits a finished trace by replaying its
+  ``bcast``/``bcast_deliver`` events through the same core;
 - **streaming** — attach an :class:`SRBStreamChecker` as a
   :class:`~repro.sim.trace.TraceObserver` and it maintains the same state
   online; with ``fail_fast=True`` a *permanent* safety violation
@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 from ..errors import ConfigurationError, PropertyViolation
-from ..sim.liveness import DeadlineMonitor, LivenessReport
+from ..sim.liveness import DeadlineChecker, LivenessReport
 from ..sim.process import Process
-from ..sim.trace import BCAST, BCAST_DELIVER, TraceEvent, TraceObserver, TraceStore
+from ..sim.trace import BCAST, BCAST_DELIVER, StreamChecker, TraceEvent, TraceStore
 from ..types import Delivery, ProcessId, SeqNum, Time
 
 
@@ -105,13 +105,13 @@ class SRBReport:
             )
 
 
-class SRBStreamChecker(TraceObserver):
+class SRBStreamChecker(StreamChecker):
     """Incremental SRB state shared by the batch and streaming checkers.
 
     Feed it ``bcast`` / ``bcast_deliver`` events (any other kinds are
-    ignored) — as a live :class:`~repro.sim.trace.TraceObserver`, through
-    :meth:`~repro.sim.trace.TraceStore.replay_into`, or via
-    :func:`check_srb`'s batch scan. :meth:`finish` then audits the four
+    ignored) — as a live :class:`~repro.sim.trace.TraceObserver` or through
+    :meth:`~repro.sim.trace.StreamChecker.consume` (:func:`check_srb`'s
+    batch path). :meth:`finish` then audits the four
     properties over the accumulated state; its report is identical to the
     pre-refactor whole-trace scan by construction.
 
@@ -133,22 +133,22 @@ class SRBStreamChecker(TraceObserver):
         expect_complete: bool = True,
         fail_fast: bool = False,
     ) -> None:
+        super().__init__(fail_fast)
         self.sender = sender
         self.correct_set = sorted(set(correct))
         self.sender_correct = sender_correct
         self.expect_complete = expect_complete
-        self.fail_fast = fail_fast
         self.broadcasts: list[tuple[SeqNum, Any]] = []
         self.deliveries: list[Delivery] = []
         self.by_receiver: dict[ProcessId, list[Delivery]] = {
             p: [] for p in self.correct_set
         }
         self.value_of: dict[SeqNum, tuple[ProcessId, Any]] = {}
-        self.online_violations: list[tuple[int, str]] = []
         self.events_consumed = 0
 
     # -- streaming ---------------------------------------------------------
 
+    prop = "SRB-stream"
     kinds = frozenset({BCAST, BCAST_DELIVER})
 
     def on_event(self, ev: TraceEvent) -> None:
@@ -192,23 +192,6 @@ class SRBStreamChecker(TraceObserver):
                     f"{known[1]!r} but process {d.receiver} delivered "
                     f"{d.value!r}",
                 )
-
-    def _flag(self, ev: TraceEvent, message: str) -> None:
-        self.online_violations.append((ev.index, message))
-        if self.fail_fast:
-            raise PropertyViolation(
-                "SRB-stream", f"event #{ev.index} (t={ev.time:g}): {message}"
-            )
-
-    # -- batch feeding -----------------------------------------------------
-
-    def consume(self, trace: TraceStore) -> "SRBStreamChecker":
-        """Feed a finished trace through the index-backed event queries."""
-        for ev in trace.events(BCAST, pid=self.sender):
-            self.on_event(ev)
-        for ev in trace.events(BCAST_DELIVER):
-            self.on_event(ev)
-        return self
 
     # -- final audit -------------------------------------------------------
 
@@ -303,21 +286,16 @@ class SRBStreamChecker(TraceObserver):
         return report
 
 
-class SRBLivenessChecker(TraceObserver):
+class SRBLivenessChecker(DeadlineChecker):
     """Streaming post-GST delivery-liveness auditor for SRB streams.
 
     Every ``bcast`` recorded by a fault-free process at time ``t`` owes a
     matching ``bcast_deliver`` at every fault-free receiver by
     ``max(t, gst) + bound`` — the timed refinement of SRB validity under
     partial synchrony. Before GST nothing is owed; a broadcast sent in the
-    chaotic era's deadline simply starts at GST.
-
-    Batch (:meth:`consume`) and streaming verdicts agree by construction:
-    both push the same events in trace order through one
-    :class:`~repro.sim.liveness.DeadlineMonitor`. With ``fail_fast=True``
-    an expired delivery deadline raises at the first later event (expiry
-    is permanent). Obligations whose deadlines fall past the end of the
-    run come back as ``unresolved``, not violated.
+    chaotic era's deadline simply starts at GST. The deadline plumbing —
+    batch path, ``fail_fast``, report, ``unresolved`` obligations past the
+    end of the run — is :class:`~repro.sim.liveness.DeadlineChecker`'s.
     """
 
     def __init__(
@@ -329,72 +307,32 @@ class SRBLivenessChecker(TraceObserver):
     ) -> None:
         if bound <= 0:
             raise ConfigurationError(f"bound must be > 0, got {bound}")
-        self.gst = gst
+        super().__init__(gst, fail_fast)
         self.bound = bound
         self.fault_free = sorted(set(fault_free))
         self._ff_set = set(self.fault_free)
-        self.fail_fast = fail_fast
-        self.monitor = DeadlineMonitor()
-        self.online_violations: list[tuple[int, str]] = []
-        self.armed = 0
-        self.satisfied = 0
 
     # -- streaming ---------------------------------------------------------
 
+    prop = "SRB-liveness-stream"
     kinds = frozenset({BCAST, BCAST_DELIVER})
 
     def on_event(self, ev: TraceEvent) -> None:
         if ev.kind == BCAST and ev.pid in self._ff_set:
             self._expire(ev)
             seq, value = ev.field("seq"), ev.field("value")
-            deadline = max(ev.time, self.gst) + self.bound
             for receiver in self.fault_free:
-                self.monitor.expect(
+                self._arm(
                     ("dlv", ev.pid, seq, receiver),
-                    deadline,
+                    ev.time,
+                    self.bound,
                     f"broadcast #{seq} by fault-free sender {ev.pid} "
                     f"(t={ev.time:g}, {value!r}) never delivered by "
                     f"fault-free process {receiver}",
                 )
-                self.armed += 1
         elif ev.kind == BCAST_DELIVER and ev.pid in self._ff_set:
             self._expire(ev)
-            key = ("dlv", ev.field("sender"), ev.field("seq"), ev.pid)
-            if self.monitor.satisfy(key):
-                self.satisfied += 1
-
-    def _expire(self, ev: TraceEvent) -> None:
-        for ob in self.monitor.advance(ev.time):
-            self.online_violations.append((ev.index, ob.message))
-            if self.fail_fast:
-                raise PropertyViolation(
-                    "SRB-liveness-stream",
-                    f"event #{ev.index} (t={ev.time:g}): {ob.message}",
-                )
-
-    # -- batch feeding -----------------------------------------------------
-
-    def consume(self, trace: TraceStore) -> "SRBLivenessChecker":
-        """Feed a finished trace, merging both kinds back into trace order."""
-        merged = sorted(
-            [*trace.events(BCAST), *trace.events(BCAST_DELIVER)],
-            key=lambda ev: ev.index,
-        )
-        for ev in merged:
-            self.on_event(ev)
-        return self
-
-    # -- final audit -------------------------------------------------------
-
-    def finish(self, end_time: Optional[Time] = None) -> LivenessReport:
-        report = LivenessReport(
-            obligations_armed=self.armed, obligations_satisfied=self.satisfied
-        )
-        report.violations = [m for _, m in self.online_violations]
-        violated, unresolved = self.monitor.flush(end_time)
-        report.violations += [ob.message for ob in violated]
-        report.unresolved = [ob.message for ob in unresolved]
-        return report
+            self._satisfy(("dlv", ev.field("sender"), ev.field("seq"), ev.pid))
 
 
 def check_srb_liveness(

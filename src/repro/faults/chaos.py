@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..consensus.apps import make_app
 from ..crypto.serialize import caching_enabled, crypto_stats, reset_crypto_caches, set_caching
-from ..consensus.forensics import AccountabilityChecker, install_accountability, verify_proof
+from ..consensus.forensics import AccountabilityChecker, install_accountability
 from ..consensus.harness import build_minbft_system, build_pbft_system
 from ..consensus.minbft import MinBFTReplica
 from ..consensus.safety import (

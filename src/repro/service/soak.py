@@ -51,12 +51,12 @@ from typing import Any, Iterable, Optional, Sequence
 from ..consensus.minbft import MinBFTReplica
 from ..consensus.safety import ReplicationStreamChecker
 from ..crypto.signatures import SignatureScheme
-from ..errors import ConfigurationError, PropertyViolation
+from ..errors import ConfigurationError
 from ..faults.adversaries import BurstWindow, GSTAdversary
 from ..sim.adversary import Adversary, ReliableAsynchronous
 from ..sim.runner import Simulation
-from ..sim.liveness import DeadlineMonitor, LivenessReport
-from ..sim.trace import CUSTOM, TraceEvent, TraceObserver
+from ..sim.liveness import DeadlineChecker
+from ..sim.trace import CUSTOM, TraceEvent
 from ..types import ProcessId, Time
 from .admission import FairShare, QueueDeadline, TokenBucket
 from .degrade import BrownoutController
@@ -284,7 +284,7 @@ def storm_adversary(n: int, gst: Time, delta: float) -> PlantedBurstGST:
 # ---------------------------------------------------------------------------
 
 
-class ServiceLivenessAuditor(TraceObserver):
+class ServiceLivenessAuditor(DeadlineChecker):
     """Streaming post-GST auditor for the serving layer's answer contract.
 
     Every request a fault-free tenant submits (``svc_sent``) must reach
@@ -299,8 +299,9 @@ class ServiceLivenessAuditor(TraceObserver):
 
     A metastably collapsed service violates this contract wholesale: the
     unbounded inbox keeps requests in limbo — no reply, no rejection —
-    past any bound. Deadline expiry is permanent, so the streaming and
-    batch verdicts agree exactly as for the replication auditors.
+    past any bound. The deadline plumbing — batch path, ``fail_fast``,
+    report — is :class:`~repro.sim.liveness.DeadlineChecker`'s, as for the
+    replication auditors.
     """
 
     def __init__(
@@ -313,16 +314,12 @@ class ServiceLivenessAuditor(TraceObserver):
     ) -> None:
         if bound <= 0:
             raise ConfigurationError(f"bound must be > 0, got {bound}")
-        self.gst = gst
+        super().__init__(gst, fail_fast)
         self.bound = bound
         self.tenants = set(tenants)
         self.ingress = ingress
-        self.fail_fast = fail_fast
-        self.monitor = DeadlineMonitor()
-        self.online_violations: list[tuple[int, str]] = []
-        self.armed = 0
-        self.satisfied = 0
 
+    prop = "service-liveness"
     kinds = frozenset({CUSTOM})
 
     def on_event(self, ev: TraceEvent) -> None:
@@ -332,40 +329,17 @@ class ServiceLivenessAuditor(TraceObserver):
         tag = ev.field("event")
         if tag == "svc_sent" and ev.pid in self.tenants:
             req_id = ev.field("req_id")
-            self.monitor.expect(
+            self._arm(
                 ("svc", ev.pid, req_id),
-                max(ev.time, self.gst) + self.bound,
+                ev.time,
+                self.bound,
                 f"request {req_id} from tenant {ev.pid} (sent t={ev.time:g}) "
                 "reached no terminal outcome (done/rejected/abandoned)",
             )
-            self.armed += 1
         elif tag in ("svc_done", "svc_failed") and ev.pid in self.tenants:
-            if self.monitor.satisfy(("svc", ev.pid, ev.field("req_id"))):
-                self.satisfied += 1
+            self._satisfy(("svc", ev.pid, ev.field("req_id")))
         elif tag == "svc_reject" and ev.pid == self.ingress:
-            key = ("svc", ev.field("tenant"), ev.field("req_id"))
-            if self.monitor.satisfy(key):
-                self.satisfied += 1
-
-    def _expire(self, ev: TraceEvent) -> None:
-        for ob in self.monitor.advance(ev.time):
-            self.online_violations.append((ev.index, ob.message))
-            if self.fail_fast:
-                raise PropertyViolation(
-                    "service-liveness",
-                    f"event #{ev.index} (t={ev.time:g}): {ob.message}",
-                )
-
-    def finish(self, end_time: Optional[Time] = None) -> LivenessReport:
-        report = LivenessReport(
-            obligations_armed=self.armed,
-            obligations_satisfied=self.satisfied,
-        )
-        report.violations = [m for _, m in self.online_violations]
-        violated, unresolved = self.monitor.flush(end_time)
-        report.violations += [ob.message for ob in violated]
-        report.unresolved = [ob.message for ob in unresolved]
-        return report
+            self._satisfy(("svc", ev.field("tenant"), ev.field("req_id")))
 
 
 # ---------------------------------------------------------------------------

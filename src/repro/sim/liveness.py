@@ -25,8 +25,9 @@ from typing import Hashable, Optional
 
 from ..errors import PropertyViolation
 from ..types import Time
+from .trace import StreamChecker, TraceEvent
 
-__all__ = ["DeadlineMonitor", "LivenessReport", "Obligation"]
+__all__ = ["DeadlineChecker", "DeadlineMonitor", "LivenessReport", "Obligation"]
 
 
 @dataclass(slots=True)
@@ -133,3 +134,48 @@ class DeadlineMonitor:
         self._live.clear()
         self._heap.clear()
         return violated, unresolved
+
+
+class DeadlineChecker(StreamChecker):
+    """Base of the streaming post-GST liveness auditors.
+
+    Owns what they share: one :class:`DeadlineMonitor`, the ``armed`` /
+    ``satisfied`` counters and the end-of-run report. A subclass declares
+    ``kinds`` and an ``on_event`` that calls :meth:`_expire` (which advances
+    virtual time to the event) and then :meth:`_arm` / :meth:`_satisfy`.
+    Nothing is owed before ``gst``: an obligation armed at ``start`` is due
+    by ``max(start, gst) + bound``. An expired deadline is permanent, so it
+    is a :meth:`_flag` finding — with ``fail_fast=True`` the run aborts at
+    the first event whose timestamp proves it.
+    """
+
+    def __init__(self, gst: Time, fail_fast: bool = False) -> None:
+        super().__init__(fail_fast)
+        self.gst = gst
+        self.monitor = DeadlineMonitor()
+        self.armed = 0
+        self.satisfied = 0
+
+    def _arm(self, key: Hashable, start: Time, bound: float, message: str) -> None:
+        self.monitor.expect(key, max(start, self.gst) + bound, message)
+        self.armed += 1
+
+    def _satisfy(self, key: Hashable) -> None:
+        if self.monitor.satisfy(key):
+            self.satisfied += 1
+
+    def _expire(self, ev: TraceEvent) -> None:
+        for ob in self.monitor.advance(ev.time):
+            self._flag(ev, ob.message)
+
+    def finish(self, end_time: Optional[Time] = None) -> LivenessReport:
+        """Online expiries, then those due before ``end_time``; obligations
+        due after it are ``unresolved``."""
+        violated, unresolved = self.monitor.flush(end_time)
+        return LivenessReport(
+            violations=[m for _, m in self.online_violations]
+            + [ob.message for ob in violated],
+            unresolved=[ob.message for ob in unresolved],
+            obligations_armed=self.armed,
+            obligations_satisfied=self.satisfied,
+        )

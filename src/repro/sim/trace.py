@@ -39,7 +39,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, PropertyViolation
 from ..types import Delivery, Decision, ProcessId, Time
 
 # Event kind constants — string tags keep the trace easy to filter and dump.
@@ -129,6 +129,42 @@ class TraceObserver:
 
     def on_event(self, ev: TraceEvent) -> None:
         """Called once per recorded event of a subscribed kind, in trace order."""
+
+
+class StreamChecker(TraceObserver):
+    """The one contract of every property checker: fed live or offline.
+
+    Live, a checker is a subscribed observer; offline, :meth:`consume`
+    replays a finished (or imported) trace through the very same
+    ``on_event``, in trace order — so batch and streaming verdicts are
+    identical by construction, not by a second feeding loop per class.
+
+    A finding no later event can undo goes through :meth:`_flag`: it is
+    recorded in :attr:`online_violations` as ``(event index, finding)``
+    and, with ``fail_fast=True``, raised right there as a
+    :class:`~repro.errors.PropertyViolation` named :attr:`prop`, aborting
+    the simulation step that recorded the event.
+    """
+
+    #: the :attr:`~repro.errors.PropertyViolation.prop` a fail-fast finding
+    #: is raised under; each checker names its own
+    prop: str
+
+    def __init__(self, fail_fast: bool = False) -> None:
+        self.fail_fast = fail_fast
+        self.online_violations: list[tuple[int, Any]] = []
+
+    def _flag(self, ev: TraceEvent, finding: Any) -> None:
+        self.online_violations.append((ev.index, finding))
+        if self.fail_fast:
+            raise PropertyViolation(
+                self.prop, f"event #{ev.index} (t={ev.time:g}): {finding}"
+            )
+
+    def consume(self, trace: "TraceStore") -> "StreamChecker":
+        """Feed a finished trace's retained events, as live; returns self."""
+        trace.replay_into(self)
+        return self
 
 
 def _route(observers: Iterable[TraceObserver], kind: str) -> tuple:
@@ -383,18 +419,6 @@ class TraceStore:
                 self._dead = dead = dead + 1
                 if dead >= self._EVICT_COMPACT_MIN and dead * 2 >= size:
                     self._compact(dead)
-
-    def clear(self) -> None:
-        """Evict every retained event at once; the counts keep covering them.
-
-        For a store kept alive after its rows stop mattering (a long-lived
-        run read only through its observers and counts). A finished
-        simulation needs no clearing: once closed, its trace is freed with
-        it by reference count.
-        """
-        self._compact(len(self._c_time))
-        self._by_kind.clear()
-        self._by_pid.clear()
 
     # -- observer bus -----------------------------------------------------
 

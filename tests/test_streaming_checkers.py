@@ -26,6 +26,7 @@ from repro.core.directionality import (
 from repro.core.srb import SRBStreamChecker, check_srb
 from repro.errors import PropertyViolation
 from repro.faults.chaos import make_schedule, run_chaos
+from repro.service.soak import ServiceLivenessAuditor
 from repro.sim.trace import TraceStore
 
 SEEDS = range(11)  # must mirror tests/test_chaos.py: the tier-1 sweep grid
@@ -103,6 +104,25 @@ def replication_trace(store, seed=0, violate=False):
         t += 1.0
 
 
+def service_trace(store, seed=0, violate=False):
+    # tenants 1 and 2 behind ingress 0; every request ends done, abandoned
+    # or rejected at the ingress — except, when violating, one left in limbo
+    rng = random.Random(seed)
+    t = 0.0
+    for req_id in range(8):
+        tenant = rng.choice((1, 2))
+        store.record(t, "custom", tenant, event="svc_sent", req_id=req_id)
+        t += rng.uniform(0.5, 2.0)
+        if violate and req_id == 3:
+            continue
+        outcome = rng.choice(("svc_done", "svc_failed", "svc_reject"))
+        if outcome == "svc_reject":
+            store.record(t, "custom", 0, event=outcome, tenant=tenant, req_id=req_id)
+        else:
+            store.record(t, "custom", tenant, event=outcome, req_id=req_id)
+        t += rng.uniform(0.5, 2.0)
+
+
 def agreement_trace(store, seed=0, violate=False):
     values = {0: "v", 1: "v", 2: "w" if violate else "v"}
     for t, (p, v) in enumerate(values.items()):
@@ -160,6 +180,21 @@ class TestStreamingMatchesBatch:
         assert live.finish() == batch
         assert batch.ok is (not violate)
 
+    @pytest.mark.parametrize("violate", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_service_liveness(self, seed, violate):
+        live = ServiceLivenessAuditor(2.0, 3.0, [1, 2], 0)
+        store = recorded_through(
+            lambda s: service_trace(s, seed=seed, violate=violate), live
+        )
+        end = store.events()[-1].time + 10.0
+        batch = ServiceLivenessAuditor(2.0, 3.0, [1, 2], 0).consume(store)
+        assert batch.online_violations == live.online_violations
+        report = batch.finish(end)
+        assert live.finish(end) == report
+        assert report.obligations_armed == 8
+        assert report.ok is (not violate)
+
     def test_jsonl_replay_matches_live(self):
         live = SRBStreamChecker(0, [1, 2, 3])
         store = recorded_through(lambda s: srb_trace(s, violate=True), live)
@@ -212,6 +247,21 @@ class TestFailFast:
         with pytest.raises(PropertyViolation, match="unidirectionality-stream"):
             rounds_trace(store, violate=True)
         assert checker.online_violations
+
+    def test_directionality_batch_raises_where_the_live_run_did(self):
+        live = DirectionalityStreamChecker([0, 1, 2], fail_fast=True)
+        store = TraceStore()
+        store.subscribe(live)
+        with pytest.raises(PropertyViolation) as live_raised:
+            rounds_trace(store, violate=True)
+        full = TraceStore()
+        rounds_trace(full, violate=True)
+        batch = DirectionalityStreamChecker([0, 1, 2], fail_fast=True)
+        with pytest.raises(PropertyViolation) as batch_raised:
+            batch.consume(full)
+        assert str(batch_raised.value) == str(live_raised.value)
+        assert batch.online_violations == live.online_violations
+        assert batch.online_violations[-1][0] == store.events()[-1].index
 
 
 # --- the chaos sweep: streaming and batch agree run for run ----------------

@@ -18,12 +18,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.analysis.tracefile import (
-    format_trace_summary,
-    load_trace,
-    replay_observers,
-    trace_summary,
-)
+from repro.analysis.tracefile import format_trace_summary, trace_summary
 from repro.errors import ConfigurationError
 from repro.sim.trace import (
     _LOCAL_VIEW_KINDS,
@@ -299,27 +294,6 @@ class TestRetention:
             expect = [ev for ev in unbounded.events(pid=pid) if ev.index in keep]
             assert bounded.events(pid=pid) == expect
 
-    @pytest.mark.parametrize("retention", [None, 40])
-    def test_clear_evicts_everything_and_recording_goes_on(self, retention):
-        events = random_events(7, count=200)
-        t = build(events[:150], retention=retention)
-        # what is recorded after the clear: the last 50 events, or as many
-        # of them as the store retains
-        reference = build(events, retention=min(50, retention or 50))
-        t.clear()
-        assert len(t) == 0 and t.events() == [] and list(t) == []
-        assert t.evicted == t.total_recorded == 150
-        assert t.kind_counts() == build(events[:150]).kind_counts()
-        for time, kind, pid, fields in events[150:]:
-            t.record(time, kind, pid, **fields)
-        assert t.events() == reference.events()
-        for kind in KINDS:
-            assert t.events(kind) == reference.events(kind)
-        for pid in range(5):
-            assert t.events(pid=pid) == reference.events(pid=pid)
-        assert t.kind_counts() == reference.kind_counts()
-        assert t.pid_counts() == reference.pid_counts()
-
     def test_retention_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="retention"):
             TraceStore(retention=0)
@@ -407,7 +381,7 @@ class TestJsonlRoundTrip:
         t = build(random_events(10, count=60))
         path = str(tmp_path / "run.jsonl")
         assert t.export_jsonl(path) == 60
-        back = load_trace(path)
+        back = TraceStore.load_jsonl(path)
         assert back.events() == t.events()
 
 
@@ -438,7 +412,7 @@ class TestOfflineAnalysis:
         t = build(random_events(13, count=30))
         path = str(tmp_path / "run.jsonl")
         t.export_jsonl(path)
-        replay_observers(load_trace(path), Collector())
+        TraceStore.load_jsonl(path).replay_into(Collector())
         assert seen == list(range(30))
 
 
@@ -476,7 +450,7 @@ class Tripwire(TraceObserver):
 
 
 class LazyStoreMachine(RuleBasedStateMachine):
-    """Interleaves records, queries, clears and (un)subscriptions; after
+    """Interleaves records, queries and (un)subscriptions; after
     every step each observer has seen exactly the model's records of its
     kinds, and each query rule compares one read with the model (so the
     indexes are caught up from every possible earlier state)."""
@@ -545,11 +519,6 @@ class LazyStoreMachine(RuleBasedStateMachine):
         assert self.store.pid_counts() == dict(self.model.pids)
         assert len(self.store) == len(self.model.log)
         assert list(self.store) == self.model.log
-
-    @rule()
-    def clear(self):
-        self.store.clear()
-        self.model.log.clear()
 
     @rule(kinds=st.none() | st.sets(sm_kind))
     def subscribe(self, kinds):
@@ -620,18 +589,6 @@ class TestLazyIndexCases:
         store, model = self.pair(retention, 150)
         assert_same(store, model)
         self.feed(store, model, (retention or 10) // 2 + 1)
-        assert_same(store, model)
-
-    @pytest.mark.parametrize("retention", RETENTIONS)
-    @pytest.mark.parametrize("queried_before", [False, True])
-    def test_query_after_clear(self, retention, queried_before):
-        store, model = self.pair(retention, 90)
-        if queried_before:
-            assert_same(store, model)
-        store.clear()
-        model.log.clear()
-        assert_same(store, model)
-        self.feed(store, model, 20)
         assert_same(store, model)
 
     def test_jsonl_import_with_gaps_in_the_indexes(self):
