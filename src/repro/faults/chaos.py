@@ -257,19 +257,6 @@ class EagerBrokenSRB(SRBFromUnidirectional):
 # ---------------------------------------------------------------------------
 
 
-def _simcore_stats(sim) -> dict[str, int]:
-    """Event-loop counters for ``ChaosResult.stats["simcore"]``: pure
-    functions of the seed, like everything else on a sweep result
-    (``tests/test_chaos_parallel.py`` compares full stats dicts)."""
-    sched = sim.scheduler
-    return {
-        "timer_wheel_hits": sched.timer_wheel_hits,
-        "freelist_reuses": sched.freelist_reuses,
-        "compactions": sched.compactions,
-        "wheel_compactions": sched.wheel_compactions,
-    }
-
-
 @dataclass(slots=True)
 class ChaosResult:
     """Outcome of one protocol run under one seeded fault schedule.
@@ -412,7 +399,6 @@ class ChaosCell:
                 # caches were reset at cell start, so this is the run's own
                 # crypto work — comparable across serial and parallel sweeps
                 "crypto": crypto_stats().as_dict(),
-                "simcore": _simcore_stats(sim),
                 **extra_stats(),
             }
             if count_key is not None:

@@ -1,8 +1,8 @@
 """Retained pre-refactor scheduler: the heap-only reference loop.
 
-This is the event loop as it stood before the timer-wheel/free-list
-rewrite of :mod:`repro.sim.scheduler` — a single binary heap for every
-payload type, no event recycling, ``step`` via ``heap.remove``. It is
+This is the event loop as it stood before the rewrite of
+:mod:`repro.sim.scheduler` — a heap of ``Event`` objects compared by
+``Event.__lt__``, ``step`` via ``heap.remove``. It is
 kept as the golden-determinism oracle: ``tests/test_simcore_determinism.py``
 drives this implementation and the production one through identical random
 schedule/cancel/run/step interleavings and asserts byte-identical dispatch
@@ -28,7 +28,7 @@ class HeapOnlyScheduler:
     """The pre-refactor :class:`~repro.sim.scheduler.Scheduler`.
 
     API-compatible with the production scheduler (``Simulation`` can be
-    built over either), minus the wheel/free-list counters, which stay 0.
+    built over either).
     """
 
     COMPACT_MIN_HEAP = 128
@@ -40,9 +40,6 @@ class HeapOnlyScheduler:
         self._live = 0
         self._cancelled_in_heap = 0
         self.compactions = 0
-        self.wheel_compactions = 0
-        self.timer_wheel_hits = 0
-        self.freelist_reuses = 0
         self._running = False
         self.dispatch: Optional[Callable[[Event], None]] = None
         self.controlled = False

@@ -136,18 +136,13 @@ class Event:
     compaction, controlled-mode ``step`` — so ``Scheduler.cancel`` can
     distinguish a pending event from one that already fired and keep its
     live/tombstone counters exact under cancel-after-fire. A ``queued``
-    event may physically sit in the heap or in the timer wheel; a
-    non-``queued`` one may linger in either as a tombstone until lazily
-    swept."""
+    event sits in the scheduler's heap; a non-``queued`` one may linger
+    there as a tombstone until lazily swept."""
     fired: bool = field(default=False, compare=False)
     """Actually dispatched (as opposed to cancelled and swept). ``after``
     chains block on this: a successor is enabled only once its predecessor
     *fired* — a predecessor cancelled before firing blocks its successors
     forever (see :meth:`repro.sim.scheduler.Scheduler.co_enabled`)."""
-    in_wheel: bool = field(default=False, compare=False)
-    """Physically parked in the scheduler's timer wheel (as opposed to the
-    heap). Storage bookkeeping only — cleared when the event drains into
-    the heap; never consulted for ordering."""
     after: "Event | None" = field(default=None, compare=False)
     """Program-order predecessor: this event must not dispatch before
     ``after`` has. The heap run loop never needs it (producers encode order

@@ -19,7 +19,7 @@ from repro.consensus.batching import (
     make_batch_policy,
 )
 from repro.consensus.dedup import MISSING, ClientDedup
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PropertyViolation
 from repro.faults.chaos import assert_all_ok, chaos_sweep, run_chaos
 from repro.faults.timeouts import RetryBudget
 from repro.sim.trace import CUSTOM
@@ -306,6 +306,27 @@ class TestPipelineLoad:
         assert r.completed == 150 and r.failed == 0
         assert r.safety_ok and r.liveness_ok, r.violations
         assert r.consensus["batches_flushed"] > 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=PropertyViolation,
+        reason="PBFT replicas diverge under load (ROADMAP P0): seed 18 at "
+        "4,800 requests stops at event #338,324 (t=236.846) with 'slot 1280 "
+        "position 1 diverges: replica 1 executed (6, 1085, ...) but replica "
+        "3 executed (4, 1092, ...)'",
+    )
+    def test_pbft_seed_18_replicas_agree(self):
+        """Fault-free ``pbft_load``-shaped cell, red since it was found;
+        2,000 requests at the same seed and rate run clean.
+
+        No fault is injected: the view changes the divergence needs come
+        from the view-change timer bug (ROADMAP P0(c)), which fires them in
+        fault-free runs. A timer fix that turns this XPASS has not fixed
+        the divergence — it must replace this cell with one whose view
+        changes are forced (ROADMAP N1), not delete it.
+        """
+        r = run_pipeline_load("pbft", n_requests=4800, rate=20.0, seed=18)
+        assert r.safety_ok, r.violations
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import Callback
+from repro.sim.events import Callback, TimerFire
 from repro.sim.scheduler import Scheduler
 
 
@@ -153,6 +153,20 @@ class TestCancellation:
         assert s.pending == 200
         assert len(s._heap) == 200
 
+    def test_fired_timer_handle_cannot_cancel_a_later_timer(self):
+        # a handle names one event for good: once ``a`` has fired, no later
+        # event may come back under it, so cancelling ``a`` touches nothing
+        fired = []
+        s = Scheduler()
+        s.dispatch = lambda ev: fired.append(ev.payload.tag)
+        a = s.schedule(1.0, TimerFire(pid=0, tag="a", timer_id=0))
+        s.run()
+        b = s.schedule(1.0, TimerFire(pid=0, tag="b", timer_id=1))
+        s.cancel(a)
+        assert b is not a and not b.cancelled
+        s.run()
+        assert fired == ["a", "b"]
+
 
 class TestMisuse:
     def test_negative_delay(self):
@@ -272,7 +286,7 @@ class TestPendingUnderRestartStorms:
     timers wholesale and must keep it consistent with the heap."""
 
     def _recount(self, sim):
-        # iter_pending spans both storage tiers (heap + timer wheel)
+        # iter_pending skips the heap's tombstones
         return sum(1 for _ in sim.scheduler.iter_pending())
 
     def test_counter_matches_heap_after_repeated_crash_restart(self):
