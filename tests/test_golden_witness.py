@@ -89,6 +89,28 @@ def test_pipeline_load_order_hash_is_pinned(protocol):
     ) == LOAD_CRYPTO_WORK[protocol]
 
 
+# The 400-request runs above see no view change. These longer ones do —
+# 3 per MinBFT replica, 4 per PBFT replica, PBFT's with two checkpoint
+# state transfers and four null-filled slots — so they pin view adoption
+# under load: fast-forward, re-proposal and the timers it re-arms.
+# Computed before the two protocols' view-adoption tails became one.
+VIEW_CHANGE_ORDER_HASH = {
+    "minbft": "b1e3743b359fc0b42517284a5fe06745ae930c16df1d16dbc8fa8c4b7243047f",
+    "pbft": "3beda9cdd7f8bbc632e08f8007de6e010f26fd28a832e523930871d777a561e0",
+}
+# (state_transfers, noop_slots) summed over the replicas
+VIEW_CHANGE_CATCH_UP = {"minbft": (0, 0), "pbft": (2, 4)}
+
+
+@pytest.mark.parametrize("protocol", sorted(VIEW_CHANGE_ORDER_HASH))
+def test_pipeline_load_across_view_changes_is_pinned(protocol):
+    result = run_pipeline_load(protocol, n_requests=2000, rate=20.0, seed=0)
+    assert result.order_hash == VIEW_CHANGE_ORDER_HASH[protocol]
+    assert (
+        result.consensus["state_transfers"], result.consensus["noop_slots"]
+    ) == VIEW_CHANGE_CATCH_UP[protocol]
+
+
 def test_chaos_and_attack_cell_stats_are_pinned():
     cells = chaos_sweep(
         ("srb-uni", "minbft", "minbft-pipelined", "pbft", "service"),
