@@ -34,106 +34,21 @@ def default_workload(client_index: int, n_ops: int, app: str) -> list[tuple]:
 
 
 def build_minbft_system(
-    f: int = 1,
-    n_clients: int = 1,
-    ops_per_client: int = 5,
-    app: str = "counter",
-    seed: int = 0,
-    adversary: Adversary | None = None,
-    req_timeout: float = 60.0,
-    retry_timeout: float = 150.0,
-    replica_factory: Optional[Callable[..., Process]] = None,
-    replica_wrapper: Optional[Callable[[int, Process], Process]] = None,
-    workloads: Optional[Sequence[Sequence[tuple]]] = None,
-    reliable: bool | dict = False,
-    trace_retention: Optional[int] = None,
-    observers: Sequence[Any] = (),
-    timeout_policy: Optional[Callable[[], Any]] = None,
-    replica_options: Optional[dict] = None,
-    client_options: Optional[dict] = None,
-    client_arrivals: Optional[Sequence[Sequence[tuple]]] = None,
+    **options: Any,
 ) -> tuple[Simulation, list[MinBFTReplica], list[BFTClient]]:
-    """A ready-to-run MinBFT deployment: n = 2f+1 replicas + clients.
-
-    ``replica_factory(pid, **kwargs)`` substitutes custom (e.g. Byzantine)
-    replicas for chosen pids; it receives the same keyword arguments as
-    :class:`~repro.consensus.minbft.MinBFTReplica`.
-
-    ``replica_wrapper(pid, replica)`` wraps chosen replicas *after*
-    construction — the attack library's
-    :class:`~repro.faults.attacks.AttackerProcess` goes here (return the
-    replica unchanged for the rest). Applied inside any ``reliable``
-    hosting layer, so filters see protocol messages, not retransmission
-    frames. The returned list always holds the inner replicas.
-
-    ``replica_options`` forwards extra keyword arguments to every replica
-    (``checkpoint_interval``, ``window_size``, ``batching``,
-    ``batch_policy``, ...); ``client_options`` does the same for every
-    client (``max_outstanding``, ``retry_budget``, ...).
-    ``client_arrivals`` gives each client an open-loop arrival stream
-    (one ``[(t, op), ...]`` list per client, overriding ``workloads``) —
-    see :class:`~repro.consensus.client.BFTClient`.
-
-    ``timeout_policy`` is a zero-argument factory (see
-    :func:`~repro.faults.timeouts.make_policy_factory`); each replica and
-    client gets a **fresh** policy instance so per-process RTT state never
-    aliases. ``None`` keeps the legacy fixed ``req_timeout`` /
-    ``retry_timeout`` behaviour.
-
-    ``trace_retention`` / ``observers`` pass through to
-    :class:`~repro.sim.runner.Simulation`: a bounded trace ring buffer and
-    streaming :class:`~repro.sim.trace.TraceObserver` checkers for long
-    runs.
-
-    ``reliable`` hosts every replica and client behind a
-    :class:`~repro.faults.channel.ReliableProcess` retransmission layer
-    (pass a dict to forward ReliableChannel options) — required for
-    liveness under the lossy/chaos adversaries in :mod:`repro.faults`. The
-    returned lists always hold the inner replica/client objects.
-    """
-    return _build_system(
-        MinBFTReplica, f, 2 * f + 1, usig_hardware,
-        n_clients, ops_per_client, app, seed, adversary, req_timeout,
-        retry_timeout, replica_factory, replica_wrapper, workloads, reliable,
-        trace_retention, observers, timeout_policy, replica_options,
-        client_options, client_arrivals,
-    )
+    """A ready-to-run MinBFT deployment: n = 2f+1 replicas with USIGs, and
+    clients (``options``: see :func:`_build_system`)."""
+    return _build_system(MinBFTReplica, lambda f: 2 * f + 1, usig_hardware,
+                         **options)
 
 
 def build_pbft_system(
-    f: int = 1,
-    n_clients: int = 1,
-    ops_per_client: int = 5,
-    app: str = "counter",
-    seed: int = 0,
-    adversary: Adversary | None = None,
-    req_timeout: float = 60.0,
-    retry_timeout: float = 150.0,
-    replica_factory: Optional[Callable[..., Process]] = None,
-    replica_wrapper: Optional[Callable[[int, Process], Process]] = None,
-    workloads: Optional[Sequence[Sequence[tuple]]] = None,
-    reliable: bool | dict = False,
-    trace_retention: Optional[int] = None,
-    observers: Sequence[Any] = (),
-    timeout_policy: Optional[Callable[[], Any]] = None,
-    replica_options: Optional[dict] = None,
-    client_options: Optional[dict] = None,
-    client_arrivals: Optional[Sequence[Sequence[tuple]]] = None,
+    **options: Any,
 ) -> tuple[Simulation, list[PBFTReplica], list[BFTClient]]:
-    """A ready-to-run PBFT deployment: n = 3f+1 replicas + clients.
-
-    ``timeout_policy`` is a zero-argument factory and ``replica_options``
-    / ``client_options`` / ``client_arrivals`` / ``replica_wrapper`` /
-    ``reliable`` forward pipeline, open-loop, attack-wrapping, and
-    retransmission settings; see :func:`build_minbft_system`.
-    """
-    return _build_system(
-        PBFTReplica, f, 3 * f + 1, lambda n, seed: [{}] * n,
-        n_clients, ops_per_client, app, seed, adversary, req_timeout,
-        retry_timeout, replica_factory, replica_wrapper, workloads, reliable,
-        trace_retention, observers, timeout_policy, replica_options,
-        client_options, client_arrivals,
-    )
+    """A ready-to-run PBFT deployment: n = 3f+1 replicas, no trusted
+    hardware, and clients (``options``: see :func:`_build_system`)."""
+    return _build_system(PBFTReplica, lambda f: 3 * f + 1,
+                         lambda n, seed: [{}] * n, **options)
 
 
 def usig_hardware(n: int, seed: int) -> list[dict]:
@@ -148,18 +63,64 @@ def usig_hardware(n: int, seed: int) -> list[dict]:
 
 
 def _build_system(
-    replica_cls, f, n, hardware, n_clients, ops_per_client, app, seed,
-    adversary, req_timeout, retry_timeout, replica_factory, replica_wrapper,
-    workloads, reliable, trace_retention, observers, timeout_policy,
-    replica_options, client_options, client_arrivals,
-):
-    """The one builder body behind both entry points (whose parameters these
-    are): ``n`` replicas of ``replica_cls`` — ``hardware(n, seed)`` supplies
-    each one's trusted component as constructor keywords, if the protocol
-    has one — the client fleet, the optional attack wrapper and reliable
-    hosting, and the simulation."""
+    replica_cls: type,
+    group_size: Callable[[int], int],
+    hardware: Callable[[int, int], list[dict]],
+    *,
+    f: int = 1,
+    n_clients: int = 1,
+    ops_per_client: int = 5,
+    app: str = "counter",
+    seed: int = 0,
+    adversary: Adversary | None = None,
+    req_timeout: float = 60.0,
+    retry_timeout: float = 150.0,
+    replica_factory: Optional[Callable[..., Process]] = None,
+    replica_wrapper: Optional[Callable[[int, Process], Process]] = None,
+    workloads: Optional[Sequence[Sequence[tuple]]] = None,
+    reliable: bool | dict = False,
+    trace_retention: Optional[int] = None,
+    observers: Sequence[Any] = (),
+    timeout_policy: Optional[Callable[[], Any]] = None,
+    replica_options: Optional[dict] = None,
+    client_options: Optional[dict] = None,
+    client_arrivals: Optional[Sequence[Sequence[tuple]]] = None,
+) -> tuple[Simulation, list, list[BFTClient]]:
+    """The one builder behind both entry points: ``n = group_size(f)``
+    replicas of ``replica_cls`` — ``hardware(n, seed)`` supplies each one's
+    trusted component as constructor keywords, if the protocol has one —
+    and ``n_clients`` clients, in one simulation.
+
+    ``replica_factory(pid, **kwargs)`` substitutes custom (e.g. Byzantine)
+    replicas for chosen pids, given ``replica_cls``'s keyword arguments.
+    ``replica_wrapper(pid, replica)`` wraps replicas *after* construction
+    (the attack library's :class:`~repro.faults.attacks.AttackerProcess`;
+    return the rest unchanged), inside any ``reliable`` layer, so filters
+    see protocol messages, not retransmission frames.
+
+    ``replica_options`` / ``client_options`` forward extra keyword
+    arguments to every replica (``checkpoint_interval``, ``window_size``,
+    ``batching``, ``batch_policy``, ...) / client (``max_outstanding``,
+    ``retry_budget``, ...). ``client_arrivals`` gives each client an
+    open-loop arrival stream (one ``[(t, op), ...]`` list per client,
+    overriding ``workloads``) — see :class:`~repro.consensus.client.BFTClient`.
+
+    ``timeout_policy`` is a zero-argument factory (see
+    :func:`~repro.faults.timeouts.make_policy_factory`) called once per
+    replica and client, so per-process RTT state never aliases; ``None``
+    keeps the fixed ``req_timeout`` / ``retry_timeout``.
+    ``trace_retention`` / ``observers`` pass through to
+    :class:`~repro.sim.runner.Simulation` (a bounded trace ring buffer,
+    streaming :class:`~repro.sim.trace.TraceObserver` checkers).
+    ``reliable`` hosts every process behind a
+    :class:`~repro.faults.channel.ReliableProcess` (a dict forwards
+    ReliableChannel options) — required for liveness under the lossy
+    adversaries of :mod:`repro.faults`. The returned lists always hold the
+    inner replica / client objects.
+    """
     if f < 1:
         raise ConfigurationError(f"f must be >= 1, got {f}")
+    n = group_size(f)
     scheme = SignatureScheme(n + n_clients, seed=seed)
     trusted = hardware(n, seed)
 
@@ -175,10 +136,8 @@ def _build_system(
             timeout_policy=timeout_policy,
             **(replica_options or {}),
         )
-        if replica_factory is not None:
-            replicas.append(replica_factory(pid, **kwargs))
-        else:
-            replicas.append(replica_cls(**kwargs))
+        replicas.append(replica_factory(pid, **kwargs) if replica_factory
+                        else replica_cls(**kwargs))
 
     clients: list[BFTClient] = []
     for c in range(n_clients):

@@ -88,20 +88,13 @@ class MinBFTReplica(ReplicaCore):
     Parameters: ``n`` replicas tolerate ``f = (n-1)//2`` Byzantine; the
     replica ids are ``0..n-1`` and clients live at higher pids. ``usig``
     is this replica's trusted component, ``verifier``/``scheme`` are the
-    public verification roots shared by everyone.
-
-    ``window_size`` bounds the primary's in-flight slots (0 = unbounded,
-    the legacy behaviour); ``batch_policy`` selects the batch-sizing
-    policy (``None``/"fixed" = the legacy fixed ``batch_delay`` timer,
-    "adaptive" = EWMA pipeline-matching). See
-    :mod:`repro.consensus.batching`. Everything not specific to the USIG
-    (request intake, ordered execution, the proposal pipeline) is
-    inherited from :class:`~repro.consensus.replica.ReplicaCore`.
+    public verification roots shared by everyone. ``options`` are
+    :class:`~repro.consensus.replica.ReplicaCore`'s, which holds everything
+    not specific to the USIG (intake, execution, pipeline, view adoption).
     """
 
     VC_TIMER = "minbft-vc"
     BATCH_TAG = "minbft-batch"
-    REQ_TIMEOUT = 60.0
 
     def __init__(
         self,
@@ -111,26 +104,13 @@ class MinBFTReplica(ReplicaCore):
         scheme: SignatureScheme,
         signer: Signer,
         app: StateMachine,
-        req_timeout: float | None = None,
-        checkpoint_interval: int = 0,
-        batching: bool = False,
-        batch_delay: float = 0.2,
-        batch_policy: Any = None,
-        window_size: int = 0,
-        timeout_policy: Any = None,
-        reply_window: int = 8,
-        gap_limit: int = 64,
+        **options: Any,
     ) -> None:
         if n < 3 or n % 2 == 0:
             raise ConfigurationError(
                 f"MinBFT runs with n = 2f+1 >= 3 replicas, got n={n}"
             )
-        super().__init__(
-            n, (n - 1) // 2, scheme, signer, app,
-            req_timeout if req_timeout is not None else self.REQ_TIMEOUT,
-            checkpoint_interval, batching, batch_delay, batch_policy,
-            window_size, timeout_policy, reply_window, gap_limit,
-        )
+        super().__init__(n, (n - 1) // 2, scheme, signer, app, **options)
         self.quorum = self.f + 1
         self.usig = usig
         self.verifier = verifier
@@ -356,24 +336,9 @@ class MinBFTReplica(ReplicaCore):
             s: r for s, r in self._expected_reproposals.items() if s > seq
         }
 
-    def slot_state_size(self) -> int:
-        """Total per-slot/per-request entries this replica holds.
-
-        The 10^5-request soak asserts this stays bounded by the checkpoint
-        interval + window (+ per-client O(1) dedup state), not by total
-        requests served.
-        """
-        return (
-            len(self._accepted)
-            + sum(len(v) for v in self._votes.values())
-            + len(self._certified)
-            + len(self._proposed_keys)
-            + len(self._ckpt_blobs)
-            + len(self._ckpt_votes)
-            + len(self._pending)
-            + len(self.sent_log)
-            + self._dedup.size()
-        )
+    def _protocol_state_size(self) -> int:
+        return (len(self._accepted) + len(self.sent_log)
+                + sum(len(v) for v in self._votes.values()))
 
     # -- crash-recovery resync ---------------------------------------------------------------
     #
@@ -525,9 +490,7 @@ class MinBFTReplica(ReplicaCore):
             VIEW_CHANGE, new_view, self._log_base, self._stable_cert,
             self._stable_blob, tuple(self.sent_log),
         ))
-        if self._vc_timer is not None:
-            self.ctx.cancel_timer(self._vc_timer)
-        self._arm_vc_timer()
+        self._restart_vc_timer()
         self._maybe_send_new_view(new_view)
 
     def _validate_vc(self, replica: ProcessId, base: Any, cert: Any,
@@ -593,10 +556,10 @@ class MinBFTReplica(ReplicaCore):
 
     def _validate_new_view_bundle(
         self, bundle: Any
-    ) -> Optional[tuple[dict[SeqNum, Any], SeqNum, Any]]:
+    ) -> Optional[tuple[SeqNum, Any, dict[SeqNum, Any]]]:
         """Validate a NEW-VIEW bundle of f+1 VIEW-CHANGE bodies.
 
-        Returns ``(reproposals, best_stable, best_blob)`` or None. Shared
+        Returns ``(best_stable, best_blob, {seq: request})`` or None. Shared
         by the live NEW-VIEW path and the crash-recovery resync path — both
         must apply identical verification before a view is adopted.
         """
@@ -623,11 +586,11 @@ class MinBFTReplica(ReplicaCore):
         if len(logs) < self.f + 1:
             return None
         reproposals = {
-            seq: cand
+            seq: cand.request
             for seq, cand in compute_reproposals(logs).items()
             if seq > best_stable
         }
-        return reproposals, best_stable, best_blob
+        return best_stable, best_blob, reproposals
 
     def _on_new_view(self, replica: ProcessId, ui: UI, message: tuple) -> None:
         _, new_view, bundle = message
@@ -639,11 +602,17 @@ class MinBFTReplica(ReplicaCore):
         if validated is None:
             return
         self._latest_new_view = (message, ui)
-        reproposals, best_stable, best_blob = validated
-        self._adopt_view(new_view, reproposals, best_stable, best_blob)
+        self._adopt_view(new_view, *validated)
+
+    def _reset_view_slots(self, stable_seq: SeqNum,
+                          reproposals: dict[SeqNum, Any]) -> None:
+        """Core hook: the new primary must PREPARE exactly the re-proposal
+        set, and no PREPARE of an old view counts in the new one."""
+        self._expected_reproposals = reproposals
+        self._accepted = {}
 
     def _fast_forward(self, stable_seq: SeqNum, blob: Any) -> None:
-        """Install a certified checkpoint state we fell behind of."""
+        """Install a certified checkpoint state a RESYNC-INFO carries."""
         if blob is None or stable_seq < self.exec_next:
             return
         self._install_state(stable_seq, blob)
@@ -674,9 +643,7 @@ class MinBFTReplica(ReplicaCore):
         self._rollback_to_attested()
         self.ctx.record("custom", event="convict", culprit=culprit)
         self._view_change_past_convicted((self.in_view_change or self.view) + 1)
-        if self._vc_timer is not None:
-            self.ctx.cancel_timer(self._vc_timer)
-        self._arm_vc_timer()
+        self._restart_vc_timer()
 
     def _rollback_to_attested(self) -> None:
         """Rewind execution to the newest state a quorum attested to."""
@@ -702,41 +669,3 @@ class MinBFTReplica(ReplicaCore):
                 "custom", event="rollback", to_seq=exec_next - 1,
                 rolled_from=rolled_from - 1,
             )
-
-    def _adopt_view(self, new_view: int, reproposals: dict[SeqNum, Any],
-                    stable_seq: SeqNum = 0, stable_blob: Any = None) -> None:
-        self.view = new_view
-        self.in_view_change = None
-        self.view_changes_completed += 1
-        if stable_seq >= self.exec_next:
-            self._fast_forward(stable_seq, stable_blob)
-        self._expected_reproposals = {
-            seq: cand.request for seq, cand in reproposals.items()
-        }
-        self._accepted = {}
-        self._proposed_keys = set()
-        self.ctx.record("custom", event="view_adopted", view=new_view)
-        max_slot = max(reproposals, default=stable_seq)
-        self.next_seq = max(max_slot + 1, self.exec_next)
-        self.timeout_policy.note_progress()  # the view change delivered
-        if self._vc_timer is not None:
-            self.ctx.cancel_timer(self._vc_timer)
-            self._vc_timer = None
-        if self._batch_timer is not None:
-            # a batch window opened under the old view must not flush into
-            # the new one with a stale timer
-            self.ctx.cancel_timer(self._batch_timer)
-            self._batch_timer = None
-        self._batch_stalled = False
-        if self._pending:
-            self._arm_vc_timer()
-        if self.primary_of(new_view) == self.pid:
-            # re-propose ALL of S in order — even slots we already executed,
-            # because a lagging correct replica may still need a certificate
-            # in the new view — then any fresh pending requests
-            for seq in sorted(reproposals):
-                cand = reproposals[seq]
-                for req in proposal_requests(cand.request):
-                    self._proposed_keys.add(request_key(req))
-                self._usig_broadcast((PREPARE, new_view, seq, cand.request))
-            self._propose_pending()

@@ -81,10 +81,8 @@ def gs_domain(seq: SeqNum, digest: bytes, replica: ProcessId) -> tuple:
 class PBFTReplica(ReplicaCore):
     """One PBFT replica (n = 3f+1, f = (n-1)//3).
 
-    ``window_size``/``batching``/``batch_policy`` drive the pipelined
-    proposal engine of the shared
-    :class:`~repro.consensus.replica.ReplicaCore`: slots may carry
-    ``("BATCH", *requests)`` proposals exactly as in MinBFT, with the
+    ``options`` are :class:`~repro.consensus.replica.ReplicaCore`'s; a
+    slot may carry a ``("BATCH", *requests)`` proposal as in MinBFT, the
     PRE-PREPARE signed over the whole batch digest.
     """
 
@@ -98,25 +96,13 @@ class PBFTReplica(ReplicaCore):
         scheme: SignatureScheme,
         signer: Signer,
         app: StateMachine,
-        req_timeout: float = 60.0,
-        checkpoint_interval: int = 0,
-        batching: bool = False,
-        batch_delay: float = 0.2,
-        batch_policy: Any = None,
-        window_size: int = 0,
-        timeout_policy: Any = None,
-        reply_window: int = 8,
-        gap_limit: int = 64,
+        **options: Any,
     ) -> None:
         if n < 4 or (n - 1) % 3 != 0:
             raise ConfigurationError(
                 f"PBFT runs with n = 3f+1 >= 4 replicas, got n={n}"
             )
-        super().__init__(
-            n, (n - 1) // 3, scheme, signer, app, req_timeout,
-            checkpoint_interval, batching, batch_delay, batch_policy,
-            window_size, timeout_policy, reply_window, gap_limit,
-        )
+        super().__init__(n, (n - 1) // 3, scheme, signer, app, **options)
         self.quorum = 2 * self.f + 1
         # seq -> (view, digest, request)
         self._accepted_pp: dict[SeqNum, tuple[int, bytes, Any]] = {}
@@ -583,44 +569,24 @@ class PBFTReplica(ReplicaCore):
         expected = self._compute_reproposals(vcs)
         if expected != reproposals:
             return
-        # adopt the view, fast-forwarding over checkpointed slots if behind
-        self.view = new_view
-        self.in_view_change = None
-        self.view_changes_completed += 1
-        if best_stable >= self.exec_next and best_blob is not None:
-            self._install_state(best_stable, best_blob)
-            self._execute_ready()
+        self._adopt_view(new_view, best_stable, best_blob, {
+            seq: request for seq, _view, _digest, request in reproposals
+        })
+
+    def _reset_view_slots(self, stable_seq: SeqNum,
+                          reproposals: dict[SeqNum, Any]) -> None:
+        """Core hook: pre-prepares the new view's checkpoint settles are
+        dropped, and every prepared slot may be committed again."""
         self._accepted_pp = {
-            s: a for s, a in self._accepted_pp.items() if s > best_stable
+            s: a for s, a in self._accepted_pp.items() if s > stable_seq
         }
-        self._proposed_keys = set()
         self._commit_sent = set()
-        if self._batch_timer is not None:
-            # a batch window opened under the old view must not flush into
-            # the new one with a stale timer
-            self.ctx.cancel_timer(self._batch_timer)
-            self._batch_timer = None
-        self._batch_stalled = False
-        self.ctx.record("custom", event="view_adopted", view=new_view)
-        max_slot = max((item[0] for item in reproposals), default=best_stable)
-        self.next_seq = max(max_slot + 1, self.exec_next)
-        self.timeout_policy.note_progress()  # the view change delivered
-        if self._vc_timer is not None:
-            self.ctx.cancel_timer(self._vc_timer)
-            self._vc_timer = None
-        if self._pending:
-            self._arm_vc_timer()
-        if self.primary_of(new_view) == self.pid:
-            for seq, _view, digest, request in reproposals:
-                if self._valid_proposal(request):
-                    d = content_hash(request)
-                    s = self.signer.sign(pp_domain(new_view, seq, d))
-                    for req in self._slot_requests(request):
-                        self._proposed_keys.add(request_key(req))
-                    self.ctx.broadcast(
-                        (PRE_PREPARE, new_view, seq, request, s), include_self=True
-                    )
-            self._propose_pending()
+
+    def _repropose(self, seq: SeqNum, proposal: Any) -> None:
+        """Core hook: a VIEW-CHANGE's prepared request is unvalidated input,
+        so a proposal that is not valid is not re-issued."""
+        if self._valid_proposal(proposal):
+            super()._repropose(seq, proposal)
 
     # -- forensic quarantine ----------------------------------------------------------------
 
@@ -640,20 +606,8 @@ class PBFTReplica(ReplicaCore):
         if self.primary_of(self.view) == culprit and self.in_view_change is None:
             self._view_change_past_convicted(self.view + 1)
 
-    def slot_state_size(self) -> int:
-        """Total per-slot/per-request entries this replica holds (the soak
-        tests assert this stays bounded by checkpoint interval + window)."""
-        return (
-            len(self._accepted_pp)
-            + sum(len(v) for v in self._prepares.values())
-            + sum(len(v) for v in self._commits.values())
-            + len(self._prepared_certs)
-            + len(self._commit_sent)
-            + len(self._certified)
-            + len(self._requests)
-            + len(self._proposed_keys)
-            + len(self._ckpt_blobs)
-            + len(self._ckpt_votes)
-            + len(self._pending)
-            + self._dedup.size()
-        )
+    def _protocol_state_size(self) -> int:
+        return (len(self._accepted_pp) + len(self._prepared_certs)
+                + len(self._commit_sent) + len(self._requests)
+                + sum(len(v) for v in self._prepares.values())
+                + sum(len(v) for v in self._commits.values()))

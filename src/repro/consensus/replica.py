@@ -7,8 +7,10 @@ with 2f+1 quorums. :class:`ReplicaCore` holds, once, everything that is
 cached replies, pending set, view-change timer), the primary-side
 windowed/batched proposal engine, in-order execution of certified slots
 (apply, dedup record, latency feedback, REPLY, no-op slots, checkpoint
-trigger), the checkpoint state blob and its installation, and the
-escalation tail of the view-change timer and of a conviction.
+trigger), the checkpoint state blob and its installation, the adoption
+of a view whose NEW-VIEW the protocol has validated (fast-forward,
+slot-state reset, timers, re-proposal), and the escalation tail of the
+view-change timer and of a conviction.
 :class:`~repro.consensus.minbft.MinBFTReplica` and
 :class:`~repro.consensus.pbft.PBFTReplica` add how a slot gets
 *certified* — a replica class defines **evidence and quorum**, the core
@@ -16,8 +18,10 @@ defines everything else — and plug in through a handful of hooks, none of
 them on the per-request path: :meth:`~ReplicaCore._emit_slot`,
 :meth:`~ReplicaCore._slot_requests`,
 :meth:`~ReplicaCore._send_view_change`,
-:meth:`~ReplicaCore._before_vc_retry`, :attr:`ReplicaCore.STATE_TAG`, and
-for checkpoints :attr:`ReplicaCore.quorum`,
+:meth:`~ReplicaCore._before_vc_retry`, for view adoption
+:meth:`~ReplicaCore._reset_view_slots` and :meth:`~ReplicaCore._repropose`,
+:meth:`~ReplicaCore._protocol_state_size`, :attr:`ReplicaCore.STATE_TAG`,
+and for checkpoints :attr:`ReplicaCore.quorum`,
 :meth:`~ReplicaCore._send_checkpoint` / :meth:`~ReplicaCore._check_ckpt_entry`
 (one replica's evidence out, one certificate entry in),
 :meth:`~ReplicaCore._prune_slots` and
@@ -114,6 +118,10 @@ class ReplicaCore(Process):
     slot in :attr:`_certified` and call :meth:`_execute_ready` once their
     quorum vouches for it, and call :meth:`_pipeline_resume` whenever the
     window base may have moved (checkpoint stabilization, state transfer).
+    They validate a NEW-VIEW with their own evidence, then :meth:`_adopt_view`.
+    Options: ``window_size`` bounds in-flight slots (0 = unbounded);
+    ``batch_policy`` is ``None``/"fixed" (the ``batch_delay`` timer) or
+    "adaptive"; a ``None`` ``timeout_policy`` fixes ``req_timeout``.
     """
 
     VC_TIMER = "vc"
@@ -130,15 +138,14 @@ class ReplicaCore(Process):
         scheme: SignatureScheme,
         signer: Signer,
         app: StateMachine,
-        req_timeout: float,
-        checkpoint_interval: int,
-        batching: bool,
-        batch_delay: float,
-        batch_policy: Any,
-        window_size: int,
-        timeout_policy: Any,
-        reply_window: int,
-        gap_limit: int,
+        *,
+        req_timeout: float = 60.0,
+        checkpoint_interval: int = 0,
+        batching: bool = False,
+        batch_delay: float = 0.2,
+        batch_policy: Any = None,
+        window_size: int = 0,
+        timeout_policy: Any = None,
     ) -> None:
         super().__init__()
         if window_size < 0:
@@ -168,7 +175,7 @@ class ReplicaCore(Process):
         # bounded executed-request memory + reply cache (replaces the old
         # unbounded _executed_keys set and latest-only _client_cache, which
         # a multi-outstanding client would race past)
-        self._dedup = ClientDedup(reply_window=reply_window, gap_limit=gap_limit)
+        self._dedup = ClientDedup()
         self._pending: dict[tuple, Any] = {}  # request_key -> request
         # request arrival times feed the adaptive timeout's RTT estimator
         self._pending_since: dict[tuple, float] = {}
@@ -422,6 +429,21 @@ class ReplicaCore(Process):
         """A view-change timer expired unproductively; runs before it
         escalates."""
 
+    def _reset_view_slots(self, stable_seq: SeqNum,
+                          reproposals: dict[SeqNum, Any]) -> None:
+        """Drop the protocol's per-slot state of the view being left."""
+        raise NotImplementedError
+
+    def _repropose(self, seq: SeqNum, proposal: Any) -> None:
+        """As the new primary, re-issue a slot the NEW-VIEW carries."""
+        for request in self._slot_requests(proposal):
+            self._proposed_keys.add(request_key(request))
+        self._emit_slot(seq, proposal)
+
+    def _protocol_state_size(self) -> int:
+        """The protocol's own per-slot entries (see :meth:`slot_state_size`)."""
+        return 0
+
     def on_execute(self, seq: SeqNum, request: Any, result: Any) -> None:
         """Hook: called once per locally executed request (adapters override)."""
 
@@ -476,9 +498,8 @@ class ReplicaCore(Process):
                 self._emit_checkpoint(seq)
         if executed_any:
             self.timeout_policy.note_progress()
-        if not self._pending and self._vc_timer is not None:
-            self.ctx.cancel_timer(self._vc_timer)
-            self._vc_timer = None
+        if not self._pending:
+            self._stop_vc_timer()
         if self.exec_next != exec_start:
             # execution progress moved the window base: stalled proposals
             # (and stalled batch flushes) may proceed now
@@ -588,12 +609,57 @@ class ReplicaCore(Process):
             return None
         return seq, entries
 
+    # -- view adoption --------------------------------------------------------
+
+    def _adopt_view(self, new_view: int, stable_seq: SeqNum, stable_blob: Any,
+                    reproposals: dict[SeqNum, Any]) -> None:
+        """Enter a validated view: its newest certified checkpoint and the
+        ``{seq: proposal}`` its primary re-issues above it."""
+        self.view = new_view
+        self.in_view_change = None
+        self.view_changes_completed += 1
+        if stable_seq >= self.exec_next and stable_blob is not None:
+            # fast-forward over the checkpointed slots we fell behind
+            self._install_state(stable_seq, stable_blob)
+            self._execute_ready()
+        self._reset_view_slots(stable_seq, reproposals)
+        self._proposed_keys = set()
+        if self._batch_timer is not None:
+            # a batch window opened under the old view must not flush into
+            # the new one with a stale timer
+            self.ctx.cancel_timer(self._batch_timer)
+            self._batch_timer = None
+        self._batch_stalled = False
+        self.ctx.record("custom", event="view_adopted", view=new_view)
+        max_slot = max(reproposals, default=stable_seq)
+        self.next_seq = max(max_slot + 1, self.exec_next)
+        self.timeout_policy.note_progress()  # the view change delivered
+        self._stop_vc_timer()
+        if self._pending:
+            self._arm_vc_timer()
+        if self.primary_of(new_view) == self.pid:
+            # re-propose every carried slot in order — even ones we already
+            # executed, because a lagging correct replica may still need a
+            # certificate in the new view — then any fresh pending requests
+            for seq in sorted(reproposals):
+                self._repropose(seq, reproposals[seq])
+            self._propose_pending()
+
     # -- view-change timer / conviction tails --------------------------------
 
     def _arm_vc_timer(self) -> None:
         self._vc_timer = self.ctx.set_timer(
             self.timeout_policy.current(), self.VC_TIMER
         )
+
+    def _stop_vc_timer(self) -> None:
+        if self._vc_timer is not None:
+            self.ctx.cancel_timer(self._vc_timer)
+            self._vc_timer = None
+
+    def _restart_vc_timer(self) -> None:
+        self._stop_vc_timer()
+        self._arm_vc_timer()
 
     def on_timer(self, tag: Any) -> None:
         if tag == self.BATCH_TAG:
@@ -618,6 +684,14 @@ class ReplicaCore(Process):
         self._send_view_change(target)
 
     # -- counters ------------------------------------------------------------
+
+    def slot_state_size(self) -> int:
+        """Per-slot/per-request entries held; the soak tests assert it stays
+        bounded by checkpoint interval + window, not by requests served."""
+        return (len(self._certified) + len(self._proposed_keys)
+                + len(self._ckpt_blobs) + len(self._ckpt_votes)
+                + len(self._pending) + self._dedup.size()
+                + self._protocol_state_size())
 
     def consensus_stats(self) -> dict[str, Any]:
         """Pipeline counters for :class:`~repro.sim.scheduler.RunStats` /

@@ -137,6 +137,30 @@ class TestFaults:
         rep.assert_ok()
 
 
+    def test_new_primary_behind_the_checkpoint_proposes_above_it(self):
+        """A new primary that adopts a view whose checkpoint is ahead of
+        its own execution proposes its pending requests above that
+        checkpoint only — never first at its stale ``next_seq``, on a slot
+        the checkpoint already settled."""
+        from repro.consensus.replica import REQUEST, request_domain
+
+        sim, reps, clients = build_minbft_system(
+            f=1, n_clients=1, ops_per_client=6, seed=0,
+            replica_options=dict(window_size=4, checkpoint_interval=2),
+        )
+        sim.run(until=500.0)
+        r0, r1 = reps[0], reps[1]
+        assert r0.stable_seq == 6
+        r1._install_state(0, r1._genesis_state)  # fell behind everything
+        client = clients[0]
+        op = ("add", 1)
+        r1._on_request((REQUEST, client.pid, 100, op,
+                        client.signer.sign(request_domain(client.pid, 100, op))))
+        logged = len(r1.sent_log)
+        r1._adopt_view(1, r0.stable_seq, r0._stable_blob, {})
+        prepared = [m[2] for m, _ui in r1.sent_log[logged:] if m[0] == PREPARE]
+        assert prepared == [7]
+
 class TestByzantineReplicas:
     def test_equivocating_primary_cannot_split_state(self):
         class EquivocatingPrimary(MinBFTReplica):
