@@ -31,6 +31,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 from ..crypto.serialize import IdentityMemo, content_hash
 from ..types import ProcessId, SeqNum, Time
+from ..sim.process import bare
 from ..sim.trace import DELIVER, TraceEvent, TraceObserver
 from .minbft import (
     COMMIT,
@@ -243,15 +244,6 @@ class AccountabilityChecker(TraceObserver):
         }
 
 
-def _bare_replica(proc: Any) -> Any:
-    """Strip wrapper layers (reliable channel, Byzantine wrappers)."""
-    seen = 0
-    while hasattr(proc, "inner") and seen < 4:
-        proc = proc.inner
-        seen += 1
-    return proc
-
-
 def install_accountability(
     sim: Any,
     replicas: Iterable[Any],
@@ -271,7 +263,7 @@ def install_accountability(
     """
     replica_pids = [
         pid for pid, r in enumerate(replicas)
-        if hasattr(_bare_replica(r), "convict")
+        if hasattr(bare(r), "convict")
     ]
 
     def _handle(proof: ProofOfMisbehavior) -> None:
@@ -285,7 +277,7 @@ def install_accountability(
                 for pid in replica_pids:
                     if pid == culprit:
                         continue
-                    rep = _bare_replica(sim.process(pid))
+                    rep = bare(sim.process(pid))
                     if hasattr(rep, "convict"):
                         rep.convict(culprit)
 

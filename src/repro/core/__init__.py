@@ -51,7 +51,6 @@ from .srb import (
     SRBLivenessChecker,
     SRBReport,
     SRBStreamChecker,
-    SRBroadcast,
     check_srb,
     check_srb_liveness,
     deliveries_by_process,
@@ -101,7 +100,6 @@ __all__ = [
     "SRBSenderHandle",
     "SRBTrincVerifier",
     "SRBTrinket",
-    "SRBroadcast",
     "SeparationOutcome",
     "SharedMemoryRoundTransport",
     "StickyChainRoundTransport",

@@ -1,4 +1,4 @@
-"""Sequenced Reliable Broadcast: the interface and its four-property checker.
+"""Sequenced Reliable Broadcast: the four properties and their checker.
 
 The paper's Definition 1. A designated *sender* broadcasts messages with
 consecutive sequence numbers (1, 2, …); the primitive guarantees:
@@ -36,36 +36,8 @@ from typing import Any, Iterable, Optional
 
 from ..errors import ConfigurationError, PropertyViolation
 from ..sim.liveness import DeadlineChecker, LivenessReport
-from ..sim.process import Process
 from ..sim.trace import BCAST, BCAST_DELIVER, StreamChecker, TraceEvent, TraceStore
 from ..types import Delivery, ProcessId, SeqNum, Time
-
-
-class SRBroadcast(Process):
-    """Interface for SRB implementations (the sender-side API).
-
-    A concrete SRB protocol subclasses this (or embeds equivalent logic) —
-    application code calls :meth:`broadcast` on the sender and overrides
-    :meth:`on_deliver` everywhere. Implementations must call
-    :meth:`_record_broadcast` / :meth:`_record_delivery` so traces are
-    checkable.
-    """
-
-    def broadcast(self, message: Any) -> SeqNum:
-        """(Sender only.) Broadcast ``message`` with the next sequence number."""
-        raise NotImplementedError
-
-    def on_deliver(self, sender: ProcessId, seq: SeqNum, message: Any) -> None:
-        """Application hook: ``(seq, message)`` from ``sender`` was delivered."""
-
-    # -- trace plumbing ----------------------------------------------------------
-
-    def _record_broadcast(self, seq: SeqNum, message: Any) -> None:
-        self.ctx.record("bcast", seq=seq, value=message)
-
-    def _record_delivery(self, sender: ProcessId, seq: SeqNum, message: Any) -> None:
-        self.ctx.record("bcast_deliver", sender=sender, seq=seq, value=message)
-        self.on_deliver(sender, seq, message)
 
 
 @dataclass(slots=True)

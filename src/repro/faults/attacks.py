@@ -5,9 +5,10 @@ The omission-fault layers (:mod:`~repro.faults.adversaries`,
 module makes the *processes* adversarial. Each :class:`Attack` is a small
 stateful strategy mounted on an unmodified correct replica via
 :class:`AttackerProcess` (a :class:`~repro.sim.byzantine.ByzantineWrapper`
-that keeps its attack across crash/restart): the attacker follows the
-protocol except where the attack intervenes, so everything it sends passes
-syntactic validation — the strongest realistic process-level adversary.
+that a restart factory rebuilds around the same attack): the attacker
+follows the protocol except where the attack intervenes, so everything it
+sends passes syntactic validation — the strongest realistic process-level
+adversary.
 
 Two tiers, mirroring the paper's classification:
 
@@ -120,25 +121,16 @@ class Attack:
 class AttackerProcess(ByzantineWrapper):
     """A correct replica driven by an :class:`Attack`.
 
-    Non-underscore attribute access falls through to the inner replica, so
-    stats collection (``consensus_stats``) and harness plumbing that
-    duck-types replica attributes keep working; restart rebinds the same
-    attack object around the inner replica's own ``remake``.
+    The replica is reached as ``inner`` (or through
+    :func:`~repro.sim.process.bare` from any hosting stack). A restart
+    keeps the attack when its factory wraps the fresh replica in a new
+    ``AttackerProcess`` around the *same* attack object, which rebinds it.
     """
 
     def __init__(self, inner: Process, attack: Attack) -> None:
         super().__init__(inner, attack.outgoing)
         self.attack = attack
         attack.bind(inner)
-
-    def __getattr__(self, name: str) -> Any:
-        inner = self.__dict__.get("inner")
-        if inner is None or name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(inner, name)
-
-    def remake(self) -> "AttackerProcess":
-        return type(self)(self.inner.remake(), self.attack)
 
 
 # ---------------------------------------------------------------------------

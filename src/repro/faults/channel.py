@@ -42,12 +42,12 @@ to derive the per-attempt base from measured round-trip times instead —
 ack RTTs are fed to the policy for never-retransmitted sends only (Karn's
 algorithm: a retransmitted frame's ack is ambiguous).
 
-:class:`ReliableProcess` wraps an *unmodified* protocol process behind the
-channel, the same interposition pattern as
+:class:`ReliableProcess` hosts an *unmodified* protocol process behind the
+channel, an :class:`~repro.sim.process.Interposer` like
 :class:`~repro.sim.byzantine.ByzantineWrapper`: the inner process keeps
 calling ``ctx.send`` / ``ctx.broadcast`` and never learns the network is
-lossy. Unframed messages from unwrapped peers pass straight through, so
-mixed deployments work.
+lossy; a wrapper hosted inside filters before framing. Unframed messages
+from unwrapped peers pass straight through, so mixed deployments work.
 
 Crash-recovery note: the channel's buffers are volatile. A crash kills all
 pending retransmissions; after a restart the fresh channel's dedup table
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..errors import ConfigurationError
-from ..sim.process import Context, Process
+from ..sim.process import Context, Interposer, Process, RelayContext
 from ..types import ProcessId, Time
 from .timeouts import TimeoutPolicy, derive_jitter_rng
 
@@ -300,62 +300,14 @@ class ReliableChannel:
         return len(self._pending)
 
 
-class _ReliableContext:
-    """Duck-typed Context routing sends through a :class:`ReliableChannel`.
+class _ReliableContext(RelayContext):
+    """Relay context routing sends through a :class:`ReliableChannel`."""
 
-    Everything except ``send``/``broadcast`` passes through to the real
-    context, so timers, shared memory, and trace records are unchanged.
-    """
+    __slots__ = ("_channel",)
 
     def __init__(self, real: Context, channel: ReliableChannel) -> None:
-        self._real = real
+        super().__init__(real)
         self._channel = channel
-
-    # pass-throughs -----------------------------------------------------------
-    @property
-    def pid(self) -> ProcessId:
-        return self._real.pid
-
-    @property
-    def n(self) -> int:
-        return self._real.n
-
-    @property
-    def now(self):
-        return self._real.now
-
-    @property
-    def alive(self) -> bool:
-        return self._real.alive
-
-    @property
-    def incarnation(self) -> int:
-        return self._real.incarnation
-
-    @property
-    def rng(self):
-        return self._real.rng
-
-    @property
-    def seed(self) -> int:
-        return self._real.seed
-
-    def set_timer(self, delay: float, tag: Any):
-        return self._real.set_timer(delay, tag)
-
-    def cancel_timer(self, timer_id: int) -> None:
-        self._real.cancel_timer(timer_id)
-
-    def invoke(self, object_name: str, op: str, *args: Any):
-        return self._real.invoke(object_name, op, *args)
-
-    def decide(self, value: Any) -> None:
-        self._real.decide(value)
-
-    def record(self, kind: str, **fields: Any) -> None:
-        self._real.record(kind, **fields)
-
-    # routed through the channel ------------------------------------------------
 
     def send(self, dst: ProcessId, msg: Any) -> None:
         if not self._real.alive:
@@ -368,7 +320,7 @@ class _ReliableContext:
         self._channel.broadcast(msg, include_self=include_self)
 
 
-class ReliableProcess(Process):
+class ReliableProcess(Interposer):
     """Host an unmodified protocol process behind a :class:`ReliableChannel`.
 
     The inner process's sends are framed and retransmitted; its receives
@@ -378,18 +330,13 @@ class ReliableProcess(Process):
     """
 
     def __init__(self, inner: Process, **channel_kwargs: Any) -> None:
-        super().__init__()
-        self.inner = inner
+        super().__init__(inner)
         self._channel_kwargs = channel_kwargs
         self.channel: Optional[ReliableChannel] = None
 
-    def _attach(self, ctx: Context) -> None:
-        super()._attach(ctx)
+    def _relay(self, ctx: Context) -> _ReliableContext:
         self.channel = ReliableChannel(ctx, **self._channel_kwargs)
-        self.inner._ctx = _ReliableContext(ctx, self.channel)  # type: ignore[assignment]
-
-    def on_start(self) -> None:
-        self.inner.on_start()
+        return _ReliableContext(ctx, self.channel)
 
     def on_message(self, src: ProcessId, msg: Any) -> None:
         assert self.channel is not None
@@ -400,9 +347,6 @@ class ReliableProcess(Process):
         assert self.channel is not None
         if not self.channel.handle_timer(tag):
             self.inner.on_timer(tag)
-
-    def on_op_result(self, object_name: str, op: str, handle: int, result: Any) -> None:
-        self.inner.on_op_result(object_name, op, handle, result)
 
 
 def wrap_reliable(

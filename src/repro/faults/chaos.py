@@ -45,6 +45,7 @@ from ..core.rounds import MessagePassingRoundTransport
 from ..core.srb import SRBLivenessChecker, SRBStreamChecker, check_srb
 from ..core.srb_from_uni import SRBFromUnidirectional, build_mp_srb_system
 from ..errors import ConfigurationError, PropertyViolation
+from ..sim.process import bare
 from ..types import ProcessId, Time
 from .adversaries import ChaosAdversary, GSTAdversary
 from .attacks import ATTACKS, AttackerProcess, TraitorReplica, get_attack
@@ -522,6 +523,7 @@ def run_srb_chaos(
             pid, cls(transport, 0, t, scheme, signer)
         ),
     )
+    procs = [bare(p) for p in procs]
     for i in range(n_messages):
         sim.at(1.0 + 0.8 * i,
                lambda i=i: procs[0].broadcast(f"chaos-{i}-"),

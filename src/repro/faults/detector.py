@@ -225,17 +225,16 @@ class RecoverySupervisor(TraceObserver):
     supervisor entry) already revived it, or revived-and-recrashed it,
     this entry is stale and acting on it would double-boot the process.
 
-    ``factory`` maps ``pid`` to a fresh process instance; ``None`` falls
-    back to :meth:`~repro.sim.process.Process.remake`. ``max_restarts``
+    ``factory`` maps ``pid`` to a fresh process instance. ``max_restarts``
     caps supervised restarts per pid (``None`` = unlimited).
     """
 
     def __init__(
         self,
         sim: Simulation,
+        factory: Callable[[ProcessId], Process],
         restart_delay: float = 10.0,
         pids: Optional[Iterable[ProcessId]] = None,
-        factory: Optional[Callable[[ProcessId], Process]] = None,
         max_restarts: Optional[int] = None,
     ) -> None:
         if restart_delay < 0:
@@ -279,6 +278,5 @@ class RecoverySupervisor(TraceObserver):
         ):
             self.suppressed_stale += 1
             return
-        fresh = self.factory(pid) if self.factory is not None else None
-        self.sim.restart(pid, (lambda: fresh) if fresh is not None else None)
+        self.sim.restart(pid, lambda: self.factory(pid))
         self.performed += 1

@@ -34,7 +34,7 @@ from .byzantine import (
 )
 from .liveness import DeadlineMonitor, LivenessReport, Obligation
 from .partition import split, srb_separation_sets, weak_agreement_sets
-from .process import Context, Process
+from .process import Context, Interposer, Process, RelayContext, bare
 from .runner import Simulation
 from .scheduler import RunStats, Scheduler
 from .shared_memory import Op, SharedMemorySystem, SharedObject, Sleep, SMProgram
@@ -47,6 +47,7 @@ __all__ = [
     "Context",
     "DeadlineMonitor",
     "DuplicatingAsynchronous",
+    "Interposer",
     "LinkRule",
     "LivenessReport",
     "LockStepSynchronous",
@@ -55,6 +56,7 @@ __all__ = [
     "PartiallySynchronous",
     "PartitionAdversary",
     "Process",
+    "RelayContext",
     "ReliableAsynchronous",
     "RunStats",
     "Scheduler",
@@ -69,6 +71,7 @@ __all__ = [
     "TraceObserver",
     "TraceStore",
     "WITHHELD",
+    "bare",
     "drop_to",
     "equivocate_by_destination",
     "mutate_kind",

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..types import ProcessId
-from .process import Context, Process
+from .process import Context, Interposer, Process, RelayContext
 
 
 class SilentProcess(Process):
@@ -68,65 +68,20 @@ general shape active attacks need for replay and multi-destination
 equivocation."""
 
 
-class _InterceptingContext:
-    """Duck-typed Context that applies a filter to outgoing messages.
+class _InterceptingContext(RelayContext):
+    """Relay context that applies a filter to outgoing messages.
 
-    Wraps the real :class:`~repro.sim.process.Context`; everything except
-    ``send``/``broadcast`` passes through. ``broadcast`` is decomposed into
-    per-destination sends so a filter can equivocate (send different bodies
-    to different destinations) — the attack the paper's hardware exists to
-    prevent.
+    ``broadcast`` is decomposed into per-destination sends so a filter can
+    equivocate (send different bodies to different destinations) — the
+    attack the paper's hardware exists to prevent. Every send of a
+    wrapped process passes through :meth:`send`.
     """
 
+    __slots__ = ("_filter",)
+
     def __init__(self, real: Context, filt: MessageFilter) -> None:
-        self._real = real
+        super().__init__(real)
         self._filter = filt
-
-    # pass-throughs -----------------------------------------------------------
-    @property
-    def pid(self) -> ProcessId:
-        return self._real.pid
-
-    @property
-    def n(self) -> int:
-        return self._real.n
-
-    @property
-    def now(self):
-        return self._real.now
-
-    @property
-    def alive(self) -> bool:
-        return self._real.alive
-
-    @property
-    def incarnation(self) -> int:
-        return self._real.incarnation
-
-    @property
-    def seed(self) -> int:
-        return self._real.seed
-
-    @property
-    def rng(self):
-        return self._real.rng
-
-    def set_timer(self, delay: float, tag: Any):
-        return self._real.set_timer(delay, tag)
-
-    def cancel_timer(self, timer_id: int) -> None:
-        self._real.cancel_timer(timer_id)
-
-    def invoke(self, object_name: str, op: str, *args: Any):
-        return self._real.invoke(object_name, op, *args)
-
-    def decide(self, value: Any) -> None:
-        self._real.decide(value)
-
-    def record(self, kind: str, **fields: Any) -> None:
-        self._real.record(kind, **fields)
-
-    # intercepted -----------------------------------------------------------------
 
     def send(self, dst: ProcessId, msg: Any) -> None:
         out = self._filter(self._real.pid, dst, msg)
@@ -145,53 +100,24 @@ class _InterceptingContext:
             self.send(dst, msg)
 
 
-class ByzantineWrapper(Process):
+class ByzantineWrapper(Interposer):
     """Run ``inner`` (an unmodified protocol process) under a message filter.
 
-    The wrapper's context slot is a property: *whatever* context is
-    installed — the simulation's own at attach, a
-    :class:`~repro.faults.channel._ReliableContext` when a
-    :class:`~repro.faults.channel.ReliableProcess` hosts the wrapper, or a
-    fresh context from ``sim.restart`` — is re-wrapped in the intercepting
-    context before the inner process sees it. That keeps the attack in
-    force across restarts and under any host-side interposition, with the
-    filter applied *before* reliable-channel framing (the attack mutates
-    protocol messages, not retransmission frames).
+    The inner process is attached to an intercepting relay around whatever
+    context the wrapper is attached to: the simulation's own, or the
+    reliable relay of a :class:`~repro.faults.channel.ReliableProcess`
+    hosting the wrapper — so the filter runs *before* reliable-channel
+    framing (the attack mutates protocol messages, not retransmission
+    frames). A restart keeps the attack in force when its factory builds
+    the replacement wrapped, with the same (stateful) filter.
     """
 
     def __init__(self, inner: Process, message_filter: MessageFilter) -> None:
-        super().__init__()
-        self.inner = inner
+        super().__init__(inner)
         self._message_filter = message_filter
 
-    @property
-    def _ctx(self) -> Optional[Context]:
-        return self.__dict__.get("_real_ctx")
-
-    @_ctx.setter
-    def _ctx(self, ctx: Optional[Context]) -> None:
-        self.__dict__["_real_ctx"] = ctx
-        # Process.__init__ assigns self._ctx = None before ``inner`` exists
-        inner = self.__dict__.get("inner")
-        if inner is not None and ctx is not None:
-            inner._ctx = _InterceptingContext(ctx, self._message_filter)
-
-    def remake(self) -> "ByzantineWrapper":
-        """Restart support: the replacement comes back *wrapped*, with the
-        same (stateful) filter, around the inner process's own remake."""
-        return type(self)(self.inner.remake(), self._message_filter)
-
-    def on_start(self) -> None:
-        self.inner.on_start()
-
-    def on_message(self, src: ProcessId, msg: Any) -> None:
-        self.inner.on_message(src, msg)
-
-    def on_timer(self, tag: Any) -> None:
-        self.inner.on_timer(tag)
-
-    def on_op_result(self, object_name: str, op: str, handle: int, result: Any) -> None:
-        self.inner.on_op_result(object_name, op, handle, result)
+    def _relay(self, ctx: Context) -> _InterceptingContext:
+        return _InterceptingContext(ctx, self._message_filter)
 
 
 # -- common filters -----------------------------------------------------------------

@@ -149,6 +149,67 @@ class Context:
         self._alive = False
 
 
+class RelayContext:
+    """The :class:`Context` surface, forwarded to ``real``: what an
+    :class:`Interposer` hands its inner process. A subclass overrides
+    ``send`` / ``broadcast`` to put its layer (an attack filter, a reliable
+    channel) between the inner process and ``real``."""
+
+    __slots__ = ("_real",)
+
+    def __init__(self, real: Context) -> None:
+        self._real = real
+
+    @property
+    def pid(self) -> ProcessId:
+        return self._real.pid
+
+    @property
+    def n(self) -> int:
+        return self._real.n
+
+    @property
+    def now(self) -> Time:
+        return self._real.now
+
+    @property
+    def alive(self) -> bool:
+        return self._real.alive
+
+    @property
+    def incarnation(self) -> int:
+        return self._real.incarnation
+
+    @property
+    def seed(self) -> int:
+        return self._real.seed
+
+    @property
+    def rng(self) -> random.Random:
+        return self._real.rng
+
+    def send(self, dst: ProcessId, msg: Any) -> None:
+        self._real.send(dst, msg)
+
+    def broadcast(self, msg: Any, include_self: bool = True) -> None:
+        self._real.broadcast(msg, include_self)
+
+    def set_timer(self, delay: float, tag: Any) -> Optional[int]:
+        return self._real.set_timer(delay, tag)
+
+    def cancel_timer(self, timer_id: int) -> None:
+        self._real.cancel_timer(timer_id)
+
+    def invoke(self, object_name: str, op: str, *args: Any) -> Optional[int]:
+        return self._real.invoke(object_name, op, *args)
+
+    def decide(self, value: Any) -> None:
+        self._real.decide(value)
+
+    def record(self, kind: str, **fields: Any) -> None:
+        self._real.record(kind, **fields)
+
+
 class Process:
     """Base class for event-driven processes.
 
@@ -181,23 +242,6 @@ class Process:
             )
         self._ctx = ctx
 
-    # -- crash recovery ------------------------------------------------------
-
-    def remake(self) -> "Process":
-        """Build the replacement instance for a crash-recovery restart.
-
-        Called by :meth:`~repro.sim.runner.Simulation.restart` when no
-        explicit factory is given. The replacement starts with fresh
-        *volatile* state; durable state (trusted hardware, shared-memory
-        objects) lives outside the process and is re-wired by the override.
-        The default refuses: most protocols need constructor arguments the
-        simulation cannot guess.
-        """
-        raise SimulationError(
-            f"{type(self).__name__} does not implement remake(); pass a "
-            "factory to Simulation.restart"
-        )
-
     # -- event hooks ------------------------------------------------------------
 
     def on_start(self) -> None:
@@ -211,3 +255,43 @@ class Process:
 
     def on_op_result(self, object_name: str, op: str, handle: int, result: Any) -> None:
         """Called when a shared-memory invocation completes."""
+
+
+class Interposer(Process):
+    """Host ``inner``, an unmodified process, behind a layer of its own.
+
+    Attaching attaches ``inner`` to ``self._relay(ctx)``, and the ``on_*``
+    hooks forward to ``inner``; a subclass overrides ``_relay`` and the
+    hooks whose events it consumes. Interposers nest through this attach
+    chain: each layer relays the context of the layer around it.
+    """
+
+    def __init__(self, inner: Process) -> None:
+        super().__init__()
+        self.inner = inner
+
+    def _relay(self, ctx: Context) -> RelayContext:
+        return RelayContext(ctx)
+
+    def _attach(self, ctx: Context) -> None:
+        super()._attach(ctx)
+        self.inner._attach(self._relay(ctx))  # type: ignore[arg-type]
+
+    def on_start(self) -> None:
+        self.inner.on_start()
+
+    def on_message(self, src: ProcessId, msg: Any) -> None:
+        self.inner.on_message(src, msg)
+
+    def on_timer(self, tag: Any) -> None:
+        self.inner.on_timer(tag)
+
+    def on_op_result(self, object_name: str, op: str, handle: int, result: Any) -> None:
+        self.inner.on_op_result(object_name, op, handle, result)
+
+
+def bare(proc: Process) -> Process:
+    """The process hosted inside every :class:`Interposer` around ``proc``."""
+    while isinstance(proc, Interposer):
+        proc = proc.inner
+    return proc

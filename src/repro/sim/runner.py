@@ -35,7 +35,7 @@ from .events import (
     is_choice,
 )
 from .network import Network
-from .process import Context, Process
+from .process import Context, Process, bare
 from .scheduler import RunStats, Scheduler
 from .shared_memory import SharedMemorySystem
 from .trace import (
@@ -228,22 +228,20 @@ class Simulation:
             ),
         )
 
-    def restart(
-        self, pid: ProcessId, factory: Callable[[], Process] | None = None
-    ) -> Process:
+    def restart(self, pid: ProcessId, factory: Callable[[], Process]) -> Process:
         """Reboot a crashed process with fresh volatile state.
 
-        ``factory`` builds the replacement instance (falling back to the old
-        instance's :meth:`~repro.sim.process.Process.remake`). The
-        replacement loses everything the old incarnation held in memory —
-        protocol state, timers, unacked channel buffers — but *durable*
-        state survives by construction: trusted-hardware objects (TrInc
-        trinkets, A2M logs, USIGs) and registered shared-memory objects live
-        outside the process, so a factory that re-wires the same hardware
-        models exactly the paper's setting where the trusted component's
-        state is what outlasts the host. Messages still in flight when the
-        reboot completes are delivered to the new incarnation; messages that
-        arrived during the outage were dropped.
+        ``factory`` builds the replacement instance (for a hosted process,
+        its whole stack of interposers). The replacement loses everything
+        the old incarnation held in memory — protocol state, timers, unacked
+        channel buffers — but *durable* state survives by construction:
+        trusted-hardware objects (TrInc trinkets, A2M logs, USIGs) and
+        registered shared-memory objects live outside the process, so a
+        factory that re-wires the same hardware models exactly the paper's
+        setting where the trusted component's state is what outlasts the
+        host. Messages still in flight when the reboot completes are
+        delivered to the new incarnation; messages that arrived during the
+        outage were dropped.
 
         Returns the new process instance (also reachable via
         :meth:`process`).
@@ -253,9 +251,8 @@ class Simulation:
             raise ConfigurationError(
                 f"pid {pid} is not crashed; restart must follow a crash"
             )
-        old = self._processes[pid]
-        fresh = factory() if factory is not None else old.remake()
-        if fresh is old:
+        fresh = factory()
+        if fresh is self._processes[pid]:
             raise ConfigurationError(
                 f"restart of pid {pid} must build a new instance; the old "
                 "incarnation's volatile state is gone"
@@ -284,7 +281,7 @@ class Simulation:
         self,
         pid: ProcessId,
         time: Time,
-        factory: Callable[[], Process] | None = None,
+        factory: Callable[[], Process],
     ) -> None:
         """Schedule a restart of ``pid`` at virtual ``time``."""
         self._check_pid(pid)
@@ -473,8 +470,8 @@ class Simulation:
     def collect_consensus_stats(self) -> Optional[dict]:
         """Merge replication-pipeline counters over hosted processes.
 
-        Any process (or :class:`~repro.faults.channel.ReliableProcess`
-        inner) exposing ``consensus_stats() -> dict`` contributes; numeric
+        Any hosted process (:func:`~repro.sim.process.bare`, under every
+        interposer) exposing ``consensus_stats() -> dict`` contributes; numeric
         values are summed key-wise and nested dicts (the batch-size
         histogram) are merged key-wise. Returns ``None`` when no hosted
         process exports pipeline counters, so non-consensus runs pay
@@ -494,8 +491,7 @@ class Simulation:
     def _merge_stats(self, exporter: str) -> Optional[dict]:
         total: Optional[dict] = None
         for proc in self._processes:
-            inner = getattr(proc, "inner", proc)
-            stats_fn = getattr(inner, exporter, None)
+            stats_fn = getattr(bare(proc), exporter, None)
             if stats_fn is None:
                 continue
             if total is None:

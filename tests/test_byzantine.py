@@ -112,3 +112,25 @@ class TestWrapper:
         sim.run_to_quiescence()
         assert collectors[0].got == [(0, Message("VALUE", "v-1"))]
         assert collectors[1].got == [(0, Message("VALUE", "v-2"))]
+
+
+class TestHostedStats:
+    def test_wrapper_behind_channel_still_counts_in_consensus_stats(self):
+        """A plain wrapper hosted in a reliable channel is two interposers
+        deep; the merged pipeline counters must still reach its replica."""
+        from repro.consensus import build_minbft_system
+        from repro.faults.chaos import DEFAULT_CHANNEL
+        from repro.sim import bare
+
+        sim, replicas, _ = build_minbft_system(
+            f=1, n_clients=1, ops_per_client=3, seed=0,
+            reliable=dict(DEFAULT_CHANNEL),
+            replica_wrapper=lambda pid, r: (
+                ByzantineWrapper(r, lambda s, d, m: m) if pid == 1 else r
+            ),
+        )
+        sim.run(until=300.0)
+        assert bare(sim.process(1)) is replicas[1]
+        own = sum(r.consensus_stats()["commits_executed"] for r in replicas)
+        assert own == 9
+        assert sim.collect_consensus_stats()["commits_executed"] == own

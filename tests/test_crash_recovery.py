@@ -7,7 +7,7 @@ import pytest
 from repro.core import build_sm_srb_system, check_srb
 from repro.core.rounds import SharedMemoryRoundTransport
 from repro.core.srb_from_uni import SRBFromUnidirectional
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.hardware.trinc import TrincAuthority
 from repro.sim import Process, ReliableAsynchronous, Simulation
 
@@ -34,9 +34,6 @@ class Recv(Process):
 
     def on_message(self, src, msg):
         self.received.append((self.ctx.now, msg))
-
-    def remake(self):
-        return Recv()
 
 
 class Pinger(Process):
@@ -77,15 +74,7 @@ class TestRestartAPI:
     def test_restart_requires_crashed(self):
         sim, _ = self._sim()
         with pytest.raises(ConfigurationError, match="not crashed"):
-            sim.restart(1)
-
-    def test_restart_without_factory_needs_remake(self):
-        procs = [Pinger(1), Recv()]
-        sim = Simulation(procs, ReliableAsynchronous(), seed=2)
-        sim.crash_at(0, 1.5)
-        sim.run(until=2.0)
-        with pytest.raises(SimulationError, match="remake"):
-            sim.restart(0)  # Pinger has no remake()
+            sim.restart(1, factory=Recv)
 
     def test_factory_must_build_fresh_instance(self):
         sim, procs = self._sim()
@@ -122,23 +111,12 @@ class TestRestartAPI:
         ]
         assert len(restarts) == 1 and restarts[0].field("incarnation") == 1
 
-    def test_remake_used_when_no_factory(self):
-        sim, procs = self._sim()
-        sim.crash_at(1, 1.5)
-        sim.restart_at(1, 3.5)  # Recv.remake()
-        sim.run(until=30.0)
-        assert isinstance(sim.processes[1], Recv)
-        assert sim.processes[1] is not procs[1]
-        assert [m for _, m in sim.processes[1].received] == [
-            ("ping", i) for i in (4, 5, 6)
-        ]
-
     def test_double_restart_counts_incarnations(self):
         sim, _ = self._sim()
         sim.crash_at(1, 1.5)
-        sim.restart_at(1, 2.5)
+        sim.restart_at(1, 2.5, factory=Recv)
         sim.crash_at(1, 3.5)
-        sim.restart_at(1, 4.5)
+        sim.restart_at(1, 4.5, factory=Recv)
         sim.run(until=30.0)
         assert sim.incarnation_of(1) == 2
         assert sim.processes[1].ctx.incarnation == 2
@@ -271,27 +249,22 @@ class Chatter(Process):
         if i < self.count:
             self.ctx.set_timer(1.0, i + 1)
 
-    def remake(self):
-        return Chatter(self.count)
-
 
 class TestByzantineWrapperRestart:
     def test_filter_survives_restart(self):
-        """Regression: ``sim.restart`` installs a fresh Context on the
-        replacement process. The wrapper's context slot is a property that
-        re-wraps whatever is installed, and ``remake()`` returns the
-        replacement *wrapped*; before that fix, a restarted Byzantine
-        process silently reverted to correct behavior mid-campaign."""
+        """Regression: ``sim.restart`` attaches the factory's replacement to a
+        fresh Context. A factory that rebuilds the wrapper around the fresh
+        process, with the same filter, keeps the attack in force: the
+        wrapper attaches its inner process to an intercepting relay around
+        the new context. A restarted Byzantine process must not silently
+        revert to correct behavior mid-campaign."""
         from repro.sim.byzantine import ByzantineWrapper, drop_to
 
-        procs = [
-            ByzantineWrapper(Chatter(8), drop_to(1)),
-            Recv(),
-            Recv(),
-        ]
+        filt = drop_to(1)
+        procs = [ByzantineWrapper(Chatter(8), filt), Recv(), Recv()]
         sim = Simulation(procs, ReliableAsynchronous(0.01, 0.02), seed=3)
         sim.crash_at(0, 3.5)
-        sim.restart_at(0, 4.5)
+        sim.restart_at(0, 4.5, factory=lambda: ByzantineWrapper(Chatter(8), filt))
         sim.run(until=60.0)
 
         reborn = sim.processes[0]
@@ -304,3 +277,39 @@ class TestByzantineWrapperRestart:
         times = [t for t, _ in procs[2].received]
         assert any(t < 3.5 for t in times), "pre-crash sends missing"
         assert any(t > 4.5 for t in times), "post-restart sends missing"
+
+    def test_nested_interposers_survive_restart(self):
+        """An attack hosted inside a reliable channel: the restart factory
+        rebuilds the whole stack, and the attach chain hands the fresh
+        wrapper the fresh channel's relay. The filter runs before framing:
+        dropped sends never reach the channel, so each incarnation's
+        ``channel.sent`` counts only its sends to the non-victim."""
+        from repro.faults import LossyAsynchronous, ReliableProcess
+        from repro.sim.byzantine import ByzantineWrapper, drop_to
+
+        filt = drop_to(1)
+
+        def host():
+            return ReliableProcess(
+                ByzantineWrapper(Chatter(8), filt), base_timeout=1.0
+            )
+
+        procs = [host(), ReliableProcess(Recv()), ReliableProcess(Recv())]
+        adversary = LossyAsynchronous(
+            drop_probability=0.3, min_delay=0.01, max_delay=0.2
+        )
+        sim = Simulation(procs, adversary, seed=3)
+        sim.crash_at(0, 3.5)
+        sim.restart_at(0, 4.5, factory=host)
+        sim.run(until=200.0)
+
+        reborn = sim.processes[0]
+        assert reborn is not procs[0]
+        assert procs[1].inner.received == []
+        heard = procs[2].inner.received
+        assert [m for t, m in heard if t < 3.5] == [("hi", i) for i in (1, 2, 3)]
+        assert sorted(m for t, m in heard if t > 4.5) == [
+            ("hi", i) for i in range(1, 9)
+        ]
+        assert reborn.channel.sent == 8
+        assert procs[0].channel.sent == 3

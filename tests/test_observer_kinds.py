@@ -66,7 +66,8 @@ INSTANCES = {
     ),
     DirectionalityStreamChecker: lambda: DirectionalityStreamChecker([0, 1]),
     RecoverySupervisor: lambda: RecoverySupervisor(
-        SimpleNamespace(incarnation_of=lambda pid: 0, at=lambda *a, **k: None)
+        SimpleNamespace(incarnation_of=lambda pid: 0, at=lambda *a, **k: None),
+        factory=lambda pid: None,
     ),
     ReplicationLivenessChecker: lambda: ReplicationLivenessChecker(
         gst=0.0, request_bound=5.0, fault_free_replicas=[0, 1],

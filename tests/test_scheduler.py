@@ -307,9 +307,6 @@ class TestPendingUnderRestartStorms:
             def on_message(self, src, msg):
                 pass
 
-            def remake(self):
-                return Noisy()
-
         procs = [Noisy() for _ in range(4)]
         sim = Simulation(procs, ReliableAsynchronous(0.05, 0.4), seed=31)
         # a storm: every process cycles through crash/restart repeatedly,
@@ -317,7 +314,7 @@ class TestPendingUnderRestartStorms:
         for pid in range(4):
             for k in range(5):
                 sim.crash_at(pid, 3.0 + 7.0 * k + pid)
-                sim.restart_at(pid, 6.0 + 7.0 * k + pid)
+                sim.restart_at(pid, 6.0 + 7.0 * k + pid, factory=Noisy)
         sim.run(until=60.0)
         assert sim.scheduler.pending == self._recount(sim)
         # every process ended alive: its repeating timers must be pending
@@ -331,14 +328,11 @@ class TestPendingUnderRestartStorms:
             def on_start(self):
                 self.ctx.set_timer(100.0, "slow")  # outlives every crash below
 
-            def remake(self):
-                return SlowTimer()
-
         procs = [SlowTimer(), SlowTimer()]
         sim = Simulation(procs, ReliableAsynchronous(), seed=32)
         for k in range(3):
             sim.crash_at(0, 1.0 + 2.0 * k)
-            sim.restart_at(0, 2.0 + 2.0 * k)
+            sim.restart_at(0, 2.0 + 2.0 * k, factory=SlowTimer)
         sim.run(until=10.0)
         # pid 0's slow timer was re-armed by its 3rd incarnation only; the
         # three dead incarnations' copies are cancelled, not pending
