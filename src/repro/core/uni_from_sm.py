@@ -11,7 +11,8 @@ over the other hardware:
 
 - :class:`SWMRRoundTransport` — plain single-writer multi-reader registers;
   the owner rewrites its register with its full entry history (the classic
-  encoding of a log in a register);
+  encoding of a log in a register), as a :class:`History` value that names
+  a prefix of the writer's one list, so a write copies nothing;
 - :class:`PEATSRoundTransport` — one policy-enforced tuple space; the
   policy only lets process *i* insert tuples tagged with *i* and forbids
   removal, which is exactly the "modify own / read all" shape;
@@ -37,13 +38,46 @@ from ..types import ProcessId
 from .rounds import SharedMemoryRoundTransport
 
 
+class History:
+    """The first ``n`` entries of a writer's append-only list, as one value.
+
+    The writer only ever appends, so the prefix a ``History`` names never
+    changes: it reads like ``tuple(entries[:n])`` (and compares equal to
+    it), but taking one is O(1) and every snapshot shares the one list.
+    """
+
+    __slots__ = ("_entries", "_n")
+
+    def __init__(self, entries: list, n: int) -> None:
+        self._entries = entries
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def since(self, start: int) -> list:
+        return self._entries[start:self._n]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, History):
+            other = tuple(other.since(0))
+        return isinstance(other, tuple) and tuple(self.since(0)) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.since(0)))
+
+    def __repr__(self) -> str:
+        return f"History({tuple(self.since(0))!r})"
+
+
 class SWMRRoundTransport(SharedMemoryRoundTransport):
     """Write-then-scan rounds over plain SWMR registers.
 
-    The register of process ``i`` always holds the tuple of *all* entries
-    ``i`` has published (a register is overwritten, so the history must be
-    carried — this is the standard register encoding of an append-only
-    log and keeps reads atomic snapshots).
+    The register of process ``i`` always holds *all* entries ``i`` has
+    published (a register is overwritten, so the history must be carried —
+    this is the standard register encoding of an append-only log and keeps
+    reads atomic snapshots). The value is a :class:`History` of ``i``'s one
+    entry list, so the k-th write stores k entries without copying them.
     """
 
     def __init__(self, reg_prefix: str = "swmr", **kwargs: Any) -> None:
@@ -57,9 +91,8 @@ class SWMRRoundTransport(SharedMemoryRoundTransport):
     def _publish(self, entry: tuple) -> Optional[int]:
         assert self.host is not None
         self._my_history.append(entry)
-        return self.host.ctx.invoke(
-            self._log_name(self.host.pid), "write", tuple(self._my_history)
-        )
+        history = History(self._my_history, len(self._my_history))
+        return self.host.ctx.invoke(self._log_name(self.host.pid), "write", history)
 
     def _scan_one(self, p: ProcessId) -> Optional[int]:
         assert self.host is not None
@@ -69,13 +102,19 @@ class SWMRRoundTransport(SharedMemoryRoundTransport):
         return object_name.startswith(self.log_prefix) and op == "write"
 
     def _ingest(self, src: ProcessId, result: Any) -> None:
-        if not isinstance(result, tuple):
-            return
+        # a correct owner writes a History; a Byzantine one may write a
+        # tuple (read like one) or anything else (ignored)
         start = self._seen_lengths[src]
-        if len(result) > start:
+        if type(result) is History:
+            fresh = result.since(start)
+        elif isinstance(result, tuple):
+            fresh = result[start:]
+        else:
+            return
+        if fresh:
             self._new_data = True
-            self._seen_lengths[src] = len(result)
-            for entry in result[start:]:
+            self._seen_lengths[src] = start + len(fresh)
+            for entry in fresh:
                 if isinstance(entry, tuple) and len(entry) == 2:
                     self._deliver(entry[0], src, entry[1])
 

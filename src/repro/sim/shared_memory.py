@@ -91,6 +91,7 @@ class SharedMemorySystem:
         self._objects: dict[str, SharedObject] = {}
         self._next_handle = 0
         self._pending: dict[int, PendingOp] = {}
+        self._resp_delay: dict[int, float] = {}  # handle -> response delay
         self.ops_invoked = 0
         self.ops_linearized = 0
 
@@ -128,7 +129,6 @@ class SharedMemorySystem:
         payload = OpLinearize(pid=pid, handle=handle, object_name=object_name, op=op, args=args)
         sim.scheduler.schedule(max(d_lin, 0.0), payload)
         # response delay is resolved at linearization time; stash it
-        self._resp_delay = getattr(self, "_resp_delay", {})
         self._resp_delay[handle] = max(d_resp, 0.0)
         return handle
 

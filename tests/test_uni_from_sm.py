@@ -8,13 +8,15 @@ from repro.core.directionality import check_directionality
 from repro.core.rounds import RoundProcess
 from repro.core.uni_from_sm import (
     ALL_SM_TRANSPORTS,
+    History,
     PEATSRoundTransport,
     StickyChainRoundTransport,
     SWMRRoundTransport,
     build_objects_for,
 )
 from repro.errors import ConfigurationError
-from repro.sim import ReliableAsynchronous, Simulation
+from repro.sim import Process, ReliableAsynchronous, Simulation
+from repro.workloads.load import OrderHasher
 
 TRANSPORT_NAMES = sorted(ALL_SM_TRANSPORTS)
 
@@ -112,6 +114,113 @@ class TestObjectSpecifics:
     def test_unknown_transport_name(self):
         with pytest.raises(ConfigurationError):
             build_objects_for("nope", 3)
+
+
+class _TupleSWMR(SWMRRoundTransport):
+    """The register encoding before :class:`History`: a fresh tuple per write."""
+
+    def _publish(self, entry):
+        self._my_history.append(entry)
+        return self.host.ctx.invoke(
+            self._log_name(self.host.pid), "write", tuple(self._my_history)
+        )
+
+
+def _run_swmr(cls, n, seed, nrounds=40):
+    procs = [Chat(cls(), nrounds) for _ in range(n)]
+    hasher = OrderHasher()
+    sim = Simulation(procs, ReliableAsynchronous(0.0, 3.0), seed=seed,
+                     observers=(hasher,))
+    for obj in SWMRRoundTransport.build_objects(n):
+        sim.memory.register(obj)
+    sim.run(until=2_000.0)
+    return sim, hasher
+
+
+class TestSWMRHistory:
+    """The register holds a shared-prefix :class:`History`, not a copy; the
+    runs it gives are the runs the tuple encoding gave."""
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_history_encoding_matches_tuple_encoding(self, n, seed):
+        sim_t, hash_t = _run_swmr(_TupleSWMR, n, seed)
+        sim_h, hash_h = _run_swmr(SWMRRoundTransport, n, seed)
+        recv = [
+            [(e.pid, e.field("round"), e.field("src"))
+             for e in sim.trace.events("round_recv")]
+            for sim in (sim_t, sim_h)
+        ]
+        assert len(sim_h.trace.events("round_end")) == n * 40
+        assert hash_h.hexdigest() == hash_t.hexdigest()
+        assert recv[1] == recv[0]
+        # a History is a value: it equals the tuple it stands for
+        assert sim_h.trace.views_equal(sim_t.trace, range(n))
+
+    def test_read_history_is_a_snapshot(self):
+        procs = [Chat(SWMRRoundTransport(), 8) for _ in range(3)]
+        sim = Simulation(procs, ReliableAsynchronous(0.01, 1.5), seed=6)
+        for obj in build_objects_for("swmr", 3):
+            sim.memory.register(obj)
+        reg0 = sim.memory.get("swmr0")
+        while reg0.write_count < 3:
+            sim.run(max_events=1)
+        snap = reg0.execute(1, "read", ())
+        assert type(snap) is History and len(snap) == 3
+        entries = snap.since(0)
+        sim.run(until=2_000.0)
+        assert len(reg0.execute(1, "read", ())) == 8
+        assert len(snap) == 3
+        assert snap.since(0) == entries
+        assert snap.since(1) == entries[1:]
+        assert snap == tuple(entries)
+        assert hash(snap) == hash(tuple(entries))
+        assert repr(snap) == f"History({tuple(entries)!r})"
+
+
+class _WriteOnce(Process):
+    """A Byzantine register owner: writes one arbitrary value, then idles."""
+
+    def __init__(self, value):
+        super().__init__()
+        self.value = value
+
+    def on_start(self):
+        self.ctx.invoke(f"swmr{self.pid}", "write", self.value)
+
+
+class _HistorySubclass(History):
+    __slots__ = ()
+
+
+class TestSWMRByzantineValues:
+    """Whatever a Byzantine owner writes, readers neither crash nor accept
+    a value that is neither a :class:`History` nor a tuple."""
+
+    def _recv_from_1(self, value):
+        procs = [Chat(SWMRRoundTransport(), 1), _WriteOnce(value),
+                 Chat(SWMRRoundTransport(), 1)]
+        sim = Simulation(procs, ReliableAsynchronous(0.01, 0.5), seed=9)
+        for obj in build_objects_for("swmr", 3):
+            sim.memory.register(obj)
+        sim.run(until=200.0)
+        assert {e.pid for e in sim.trace.events("round_end")} == {0, 2}
+        return [(e.pid, e.field("round"), e.field("payload"))
+                for e in sim.trace.events("round_recv") if e.field("src") == 1]
+
+    forged = [(("r", 1), "forged")]
+
+    @pytest.mark.parametrize("value", [
+        _HistorySubclass(forged, 1),
+        list(forged),
+        None,
+    ], ids=["history-subclass", "list", "none"])
+    def test_non_history_non_tuple_is_ignored(self, value):
+        assert self._recv_from_1(value) == []
+
+    def test_tuple_of_entries_is_still_delivered(self):
+        recv = self._recv_from_1(tuple(self.forged) + ("junk", (1, 2, 3)))
+        assert sorted(recv) == [(0, ("r", 1), "forged"), (2, ("r", 1), "forged")]
 
 
 class TestAlgorithmOneOverOtherObjects:
