@@ -86,10 +86,12 @@ class EnclaveUSIGVerifier:
     def verify_ui(self, ui: Any, message: Any, replica: ProcessId) -> bool:
         if not isinstance(ui, EnclaveUI):
             return False
-        if ui.replica != replica:
-            return False
         out = ui.attestation
         if not isinstance(out, EnclaveOutput):
+            return False
+        if not type(ui.replica) is type(ui.counter) is type(out.seq) is int:
+            return False
+        if ui.replica != replica:
             return False
         # the enclave's invocation number IS the counter: sequential, no gaps
         if out.seq != ui.counter:

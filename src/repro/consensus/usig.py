@@ -119,10 +119,14 @@ class USIGVerifier:
         """
         if not isinstance(ui, UI):
             return False
-        if ui.replica != replica:
-            return False
         a = ui.attestation
         if not isinstance(a, Attestation):
+            return False
+        # exact ints before any comparison: a subclass answers != and - itself
+        if not (type(ui.replica) is type(ui.counter) is type(a.seq)
+                is type(a.prev) is int):
+            return False
+        if ui.replica != replica:
             return False
         if a.seq != ui.counter or a.prev != ui.counter - 1:
             return False

@@ -222,7 +222,6 @@ class Explorer:
         """Drain glue and out-of-bound choices; return the branching set."""
         while True:
             sim.drain_forced()
-            forced_choice: Optional[Event] = None
             eligible: list[Event] = []
             for ev in sim.choice_events():
                 payload = ev.payload
@@ -232,13 +231,11 @@ class Explorer:
                     self._focus is not None
                     and choice_target(payload) not in self._focus
                 ):
-                    if forced_choice is None:
-                        forced_choice = ev
-                    continue
+                    sim.step_event(ev)  # the first out-of-bound choice
+                    break
                 eligible.append(ev)
-            if forced_choice is None:
+            else:
                 return eligible
-            sim.step_event(forced_choice)
 
     @staticmethod
     def _creation_clock(

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from ..errors import SimulationError
 from ..types import Time
-from .events import Event, Payload
+from .events import Event, Payload, is_choice
 from .scheduler import RunStats
 
 
@@ -120,6 +120,15 @@ class HeapOnlyScheduler:
         ]
         out.sort()
         return out
+
+    def enable_controlled(self) -> None:
+        self.controlled = True
+
+    def choice_events(self) -> list[Event]:
+        return [ev for ev in self.co_enabled() if is_choice(ev.payload)]
+
+    def next_forced(self) -> Event | None:
+        return next((e for e in self.co_enabled() if not is_choice(e.payload)), None)
 
     def step(self, ev: Event) -> None:
         if self.dispatch is None:

@@ -136,8 +136,8 @@ class Event:
     compaction, controlled-mode ``step`` — so ``Scheduler.cancel`` can
     distinguish a pending event from one that already fired and keep its
     live/tombstone counters exact under cancel-after-fire. A ``queued``
-    event sits in the scheduler's heap; a non-``queued`` one may linger
-    there as a tombstone until lazily swept."""
+    event sits in the heap (a controlled-mode choice: the choice dict); a
+    non-``queued`` one may linger in the heap until lazily swept."""
     fired: bool = field(default=False, compare=False)
     """Actually dispatched (as opposed to cancelled and swept). ``after``
     chains block on this: a successor is enabled only once its predecessor

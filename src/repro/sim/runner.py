@@ -32,7 +32,6 @@ from .events import (
     OpRespond,
     TimerFire,
     choice_target,
-    is_choice,
 )
 from .network import Network
 from .process import Context, Process, bare
@@ -203,8 +202,8 @@ class Simulation:
             # delivery to a crashed process is a no-op forever — cancel it
             # rather than let the model checker enumerate interleavings of
             # transitions that cannot change any state.
-            for ev in self.scheduler.co_enabled():
-                if is_choice(ev.payload) and choice_target(ev.payload) == pid:
+            for ev in self.scheduler.choice_events():
+                if choice_target(ev.payload) == pid:
                     self.scheduler.cancel(ev)
         self.trace.record(self.now, CUSTOM, pid, event="crash")
 
@@ -344,7 +343,7 @@ class Simulation:
             raise ConfigurationError(
                 "enable_controlled() must precede the first event"
             )
-        self.scheduler.controlled = True
+        self.scheduler.enable_controlled()
         return self
 
     def choice_events(self) -> list[Event]:
@@ -356,7 +355,7 @@ class Simulation:
         next; the set is sorted so schedule enumeration is bit-identical
         across processes and Python versions.
         """
-        return [ev for ev in self.scheduler.co_enabled() if is_choice(ev.payload)]
+        return self.scheduler.choice_events()
 
     def step_event(self, ev: Event) -> None:
         """Dispatch exactly ``ev`` (controlled mode)."""
@@ -375,19 +374,8 @@ class Simulation:
         """
         self.start()
         drained = 0
-        while True:
-            # one at a time: a dispatch may create forced events that sort
-            # before the rest, and the canonical order must reflect that
-            forced = next(
-                (
-                    ev
-                    for ev in self.scheduler.co_enabled()
-                    if not is_choice(ev.payload)
-                ),
-                None,
-            )
-            if forced is None:
-                return drained
+        # the top is re-read after each dispatch: new ones may sort first
+        while (forced := self.scheduler.next_forced()) is not None:
             self.scheduler.step(forced)
             drained += 1
             if drained >= limit:
@@ -395,6 +383,7 @@ class Simulation:
                     f"drain_forced dispatched {drained} events without "
                     "reaching a choice point; forced-event livelock?"
                 )
+        return drained
 
     # -- main loop -----------------------------------------------------------------
 

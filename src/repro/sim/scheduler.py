@@ -16,8 +16,11 @@ Removal is by marking. ``cancel`` flags the event and leaves it in the
 heap as a tombstone that :meth:`Scheduler.run` pops and skips when it
 reaches the top; once tombstones outnumber live entries the heap is
 compacted in place. Controlled-schedule mode (bounded model checking)
-uses the same heap: :meth:`Scheduler.step` dispatches an event out of
-order by marking it, leaving it to be swept the same way.
+classifies each event once, when it is enqueued: *forced* events stay in
+the heap, *choice* events go to a dict keyed by ``seq``, so neither
+:meth:`Scheduler.next_forced` nor :meth:`Scheduler.choice_events`
+rescans the other set, and :meth:`Scheduler.step` removes what it
+dispatches.
 
 An :class:`~repro.sim.events.Event` handle names one event for good:
 cancelling a handle whose event already fired is inert, whatever has
@@ -32,11 +35,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from ..errors import SimulationError
 from ..types import Time
-from .events import Event, Payload
+from .events import Event, Payload, is_choice
 
 _INF = math.inf
 
@@ -63,6 +66,14 @@ class RunStats:
     the deterministic fields."""
 
 
+def _canonical(events: Iterable[Event]) -> list[Event]:
+    """The unblocked ``events`` by ``(time, seq)``, in a C tuple sort."""
+    out = [(ev.time, ev.seq, ev) for ev in events
+           if ev.after is None or ev.after.fired]
+    out.sort()
+    return [entry[2] for entry in out]
+
+
 class Scheduler:
     """Event queue with virtual time.
 
@@ -84,6 +95,7 @@ class Scheduler:
         # heap entries are (time, seq, Event): seq is unique, so heap
         # comparisons stay in C and never call Event.__lt__
         self._heap: list[tuple[float, int, Event]] = []
+        self._choices: dict[int, Event] = {}  # controlled mode, by seq
         self._seq = 0
         self._now: Time = 0.0
         self._live = 0
@@ -92,12 +104,12 @@ class Scheduler:
         self._running = False
         self.dispatch: Optional[Callable[[Event], None]] = None
         self.controlled = False
-        """Controlled-schedule mode (bounded model checking): the owner
-        picks events with :meth:`step` instead of :meth:`run` popping heap
-        order. The clock only moves forward (``max`` over dispatched event
-        times) and :meth:`schedule_at` clamps past times to *now* — an
-        event dispatched "early" relative to its timestamp may leave the
-        clock ahead of producers that compute absolute times."""
+        """Controlled-schedule mode (bounded model checking), switched on by
+        :meth:`enable_controlled`: the owner picks events with :meth:`step`.
+        The clock only moves forward (``max`` over dispatched event times)
+        and :meth:`schedule_at` clamps past times to *now* — an event
+        dispatched "early" relative to its timestamp may leave the clock
+        ahead of producers that compute absolute times."""
 
     @property
     def now(self) -> Time:
@@ -121,6 +133,7 @@ class Scheduler:
         for _t, _s, ev in self._heap:
             if ev.queued and not ev.cancelled:
                 yield ev
+        yield from self._choices.values()
 
     # -- intake ------------------------------------------------------------
 
@@ -129,7 +142,10 @@ class Scheduler:
         seq = self._seq
         self._seq = seq + 1
         ev = Event(time=time, seq=seq, payload=payload, after=after)
-        heapq.heappush(self._heap, (time, seq, ev))
+        if self.controlled and is_choice(payload):
+            self._choices[seq] = ev
+        else:
+            heapq.heappush(self._heap, (time, seq, ev))
         self._live += 1
         return ev
 
@@ -174,6 +190,9 @@ class Scheduler:
             # already decremented the live counter
             return
         self._live -= 1
+        if self.controlled and self._choices.pop(event.seq, None) is not None:
+            event.queued = False  # a choice leaves its dict at once
+            return
         self._dead_in_heap += 1
         if (
             len(self._heap) > self.COMPACT_MIN_HEAP
@@ -203,12 +222,30 @@ class Scheduler:
 
     def close(self) -> None:
         """Drop the dispatch hook and every queued event (controlled-mode
-        tombstones too): payloads close over the owner. Counters survive."""
+        choices too): payloads close over the owner. Counters survive."""
         self.dispatch = None
         self._heap.clear()
+        self._choices.clear()
         self._live = self._dead_in_heap = 0
 
     # -- choice-point API (controlled-schedule mode) -----------------------
+
+    def enable_controlled(self) -> None:
+        """Switch to controlled mode: pending choices move to the choice
+        dict, forced events stay in the heap, tombstones are dropped."""
+        self.controlled = True
+        forced = []
+        for entry in self._heap:
+            ev = entry[2]
+            if ev.cancelled or not ev.queued:
+                ev.queued = False
+            elif is_choice(ev.payload):
+                self._choices[ev.seq] = ev
+            else:
+                forced.append(entry)
+        self._heap[:] = forced
+        heapq.heapify(self._heap)
+        self._dead_in_heap = 0
 
     @property
     def next_seq(self) -> int:
@@ -223,11 +260,12 @@ class Scheduler:
     def co_enabled(self) -> list[Event]:
         """Every pending, unblocked event, sorted by ``(time, seq)``.
 
-        The *choice set* of controlled-schedule mode: any of these could be
-        dispatched next. Sorting (with the explicit seq tie-break events
-        already carry) makes the enumeration bit-identical across
-        processes and Python versions — schedule ids index into this
-        canonical order, so replay determinism depends on it.
+        The forced events and the choice events of controlled-schedule
+        mode, merged: any of these could be dispatched next. Sorting (with
+        the explicit seq tie-break events already carry) makes the
+        enumeration bit-identical across processes and Python versions —
+        schedule ids index into this canonical order, so replay
+        determinism depends on it.
 
         An event chained behind a predecessor (``after``) is excluded
         until the predecessor has *fired*. A predecessor cancelled before
@@ -240,15 +278,27 @@ class Scheduler:
         which cancels the successors too; blocked-forever is the safe
         default for any future producer that cancels mid-chain.)
         """
-        out = [
-            entry
-            for entry in self._heap
-            if entry[2].queued
-            and not entry[2].cancelled
-            and not (entry[2].after is not None and not entry[2].after.fired)
-        ]
-        out.sort()  # C tuple sort; never reaches the Event
-        return [entry[2] for entry in out]
+        return _canonical(self.iter_pending())
+
+    def choice_events(self) -> list[Event]:
+        """The choice events of :meth:`co_enabled`, in its order, read
+        without touching the forced heap."""
+        return _canonical(self._choices.values())
+
+    def next_forced(self) -> Event | None:
+        """The first forced event of :meth:`co_enabled`, or ``None``: the
+        heap's top once its tombstones are popped."""
+        heap = self._heap
+        while heap and (heap[0][2].cancelled or not heap[0][2].queued):
+            heapq.heappop(heap)[2].queued = False
+            self._dead_in_heap -= 1
+        if not heap:
+            return None
+        ev = heap[0][2]
+        if ev.after is None or ev.after.fired:
+            return ev
+        # no producer chains forced events; a blocked top takes the full scan
+        return next((e for e in self.co_enabled() if not is_choice(e.payload)), None)
 
     def step(self, ev: Event) -> None:
         """Dispatch exactly ``ev``, out of heap order (controlled mode).
@@ -259,19 +309,21 @@ class Scheduler:
         adversary is not bound by the delays the producers happened to
         draw).
 
-        Mark-and-skip: the event is flagged dispatched and left in place
-        as a tombstone for lazy sweeping, replacing the old
-        ``heap.remove`` + full ``heapify`` pair that made deep controlled
-        explorations quadratic in heap size.
+        A choice leaves its dict and the heap's top is popped; only a
+        forced event stepped from below the top stays as a tombstone.
         """
         if self.dispatch is None:
             raise SimulationError("no dispatch function installed")
         if ev.cancelled or not ev.queued:
             raise SimulationError(f"cannot step a non-pending event {ev!r}")
+        if self._choices.pop(ev.seq, None) is None:
+            if self._heap and self._heap[0][2] is ev:
+                heapq.heappop(self._heap)
+            else:
+                self._dead_in_heap += 1
         ev.queued = False
         ev.fired = True
         self._live -= 1
-        self._dead_in_heap += 1
         self._now = max(self._now, ev.time)
         self.dispatch(ev)
 

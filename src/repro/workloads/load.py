@@ -40,18 +40,35 @@ from .generator import open_loop_arrivals
 
 
 class OrderHasher(TraceObserver):
-    """Replay witness: SHA-256 over every event's (index, time, kind, pid)."""
+    """Replay witness: SHA-256 over every event's (index, time, kind, pid).
+
+    Hashed ``FLUSH`` records at a time, with ``repr(time)`` memoized by
+    identity (one dispatch's events share the clock's float): by equality,
+    ``0.0 == -0.0`` and ``nan`` differs from itself.
+    """
+
+    FLUSH = 2048
 
     def __init__(self) -> None:
         self._h = hashlib.sha256()
+        self._buf: list[str] = []
+        self._t, self._t_repr = None, repr(None)
 
     def on_event(self, ev: TraceEvent) -> None:
+        t = ev.time
+        if t is not self._t:
+            self._t, self._t_repr = t, repr(t)
         # byte-identical to repr((index, time, kind, pid)), without the tuple
-        self._h.update(
-            f"({ev.index!r}, {ev.time!r}, {ev.kind!r}, {ev.pid!r})".encode()
-        )
+        self._buf.append(f"({ev.index!r}, {self._t_repr}, {ev.kind!r}, {ev.pid!r})")
+        if len(self._buf) >= self.FLUSH:
+            self._flush()
+
+    def _flush(self) -> None:
+        self._h.update("".join(self._buf).encode())
+        self._buf.clear()
 
     def hexdigest(self) -> str:
+        self._flush()
         return self._h.hexdigest()
 
 

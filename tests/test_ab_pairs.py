@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,9 +16,10 @@ ab_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ab_pairs)
 
 
-def _run(monkeypatch, tmp_path, ops_per_s, argv):
+def _run(monkeypatch, tmp_path, ops_per_s, argv, witness=None):
     """``main(argv)`` with the benchmark replaced by ``ops_per_s[workload][side]``,
-    a per-run jitter on top so the parent has a spread to clear."""
+    a per-run jitter on top so the parent has a spread to clear, and the
+    witness line by ``witness[side]`` (none printed without it)."""
     (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     jitter = itertools.cycle([0.0, 1.0, 2.0])
 
@@ -26,7 +28,8 @@ def _run(monkeypatch, tmp_path, ops_per_s, argv):
         value = {"setup_s": 1.0, "peak_rss_mb": 100.0,
                  "ops_per_s": ops_per_s[workload][side] + next(jitter)}
         return {"correct": True, "attempted": 10, "failed": 0,
-                "metrics": {k: {"value": v} for k, v in value.items()}}
+                "metrics": {k: {"value": v} for k, v in value.items()},
+                "witness": (witness or {}).get(side)}
 
     monkeypatch.setattr(ab_pairs, "run_once", run_once)
     return ab_pairs.main([str(tmp_path / "parent"), str(tmp_path), *argv])
@@ -67,6 +70,38 @@ def test_claim_must_name_a_row_of_this_run(monkeypatch, tmp_path):
     for claim in ("ops_per_s:srb_sm_burst", "wall_s:pbft_load", "ops_per_s"):
         with pytest.raises(SystemExit):
             _run(monkeypatch, tmp_path, FASTER, [*ARGS, "--claim", claim])
+
+
+SAME = "witness pbft_load/0/10: same as committed"
+CHANGED = "witness pbft_load/0/10: BEHAVIOUR CHANGED - committed {} now {}"
+
+
+def test_witness_note_shown_once_per_side(monkeypatch, tmp_path, capsys):
+    argv = ["--workload", "pbft_load", "--pairs", "10", "--claim", "ops_per_s:pbft_load"]
+    assert _run(monkeypatch, tmp_path, FASTER, argv,
+                witness={"parent": SAME, "change": SAME}) == 0
+    out = capsys.readouterr().out
+    assert out.count(f"parent {SAME}") == out.count(f"change {SAME}") == 1
+    assert "witness notes: same on both sides" in out
+
+
+def test_a_witness_note_that_differs_fails_the_run(monkeypatch, tmp_path, capsys):
+    for argv in (ARGS, [*ARGS, "--claim", "ops_per_s:pbft_load"]):
+        assert _run(monkeypatch, tmp_path, FASTER, argv,
+                    witness={"parent": SAME, "change": CHANGED}) == 1
+        out = capsys.readouterr().out
+        assert "pbft_load: BEHAVIOUR DIFFERS between parent and change" in out
+        assert "witness notes: BEHAVIOUR DIFFERS on pbft_load, minbft_load" in out
+
+
+def test_run_once_reads_the_witness_line(monkeypatch, tmp_path):
+    stdout = f"cell size\n{SAME}\n" + json.dumps({"correct": True, "metrics": {}})
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run",
+                        lambda *a, **k: SimpleNamespace(stdout=stdout))
+    manifest = {"command": ["true"], "run_seconds": 1}
+    result = ab_pairs.run_once(tmp_path, manifest, "pbft_load", 0)
+    assert result["witness"] == SAME and result["correct"] is True
 
 
 def test_manifest_metrics_are_the_ones_faked_here():

@@ -15,6 +15,18 @@ from repro.errors import ConfigurationError
 from repro.hardware.enclave import EnclaveAuthority, EnclaveProgram
 
 
+class _LyingCounter(int):
+    """Equal to everything it is compared with."""
+
+    def __eq__(self, other):
+        return True
+
+    def __ne__(self, other):
+        return False
+
+    __hash__ = int.__hash__
+
+
 @pytest.fixture
 def parts():
     auth = EnclaveAuthority(2, seed=21)
@@ -41,6 +53,14 @@ class TestEnclaveUSIG:
         ui = usig.create_ui("m")
         forged = EnclaveUI(replica=0, counter=9, attestation=ui.attestation)
         assert not verifier.verify_ui(forged, "m", 0)
+
+    def test_counter_must_be_an_exact_int(self, parts):
+        _, usig, verifier = parts
+        ui = usig.create_ui("m")
+        lying = EnclaveUI(replica=0, counter=_LyingCounter(9),
+                          attestation=ui.attestation)
+        assert not verifier.verify_ui(lying, "m", 0)
+        assert verifier.verify_ui(ui, "m", 0)
 
     def test_wrong_program_rejected(self):
         auth = EnclaveAuthority(1, seed=22)

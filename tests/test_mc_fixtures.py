@@ -10,6 +10,8 @@ obligations over the full DPOR-reduced schedule space at their bounds.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.agreement.worlds import run_vwa_rb_impossibility_exhaustive
@@ -20,6 +22,24 @@ from repro.mc import Explorer, parse_schedule_id, replay_schedule
 from repro.mc.fixtures import SYSTEMS, get_system, sampled_verdicts
 
 
+#: Per system: schedules, transitions, sleep_pruned, max_depth, truncated,
+#: the number of violations, the first of the sorted violation schedule ids,
+#: and the first 16 hex digits of SHA-256 over all of them, one per line.
+#: Schedule ids index into the canonical choice order, so a scheduler change
+#: that moved any event in that order moves these.
+EXPLORATION_PINS = {
+    "minbft-cloned-trinket": (108, 630, 0, 6, 0, 108,
+                              "mc1:11-16-22-26-33-36:19071a400be5",
+                              "4b77b327643ace2c"),
+    "minbft-equivocation": (2520, 17640, 0, 7, 0, 0, None, "e3b0c44298fc1c14"),
+    "minbft-stalling": (1, 3, 0, 3, 0, 1, "mc1:0-1-2:cfba31bf84c4",
+                        "687d4e37725a30ee"),
+    "srb-eager": (2, 3, 0, 2, 1, 1, "mc1:6:6c58ce5ec004", "9125bbbaf8b9707c"),
+    "srb-echo-gap": (5, 24, 0, 6, 0, 2, "mc1:2-4-6:e1c886fece1f",
+                     "d188c783c506c32f"),
+}
+
+
 class TestPlantedFixtures:
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     def test_fixture_convicted_with_replayable_counterexample(self, name):
@@ -27,6 +47,12 @@ class TestPlantedFixtures:
         res = Explorer(s.factory, check=s.check, **s.options).run()
         assert res.complete
         assert bool(res.violations) == s.expect_violation
+        ids = sorted(v.schedule for v in res.violations)
+        assert (
+            res.schedules, res.transitions, res.sleep_pruned, res.max_depth,
+            res.truncated, len(ids), ids[0] if ids else None,
+            hashlib.sha256("\n".join(ids).encode()).hexdigest()[:16],
+        ) == EXPLORATION_PINS[name], ids
         for v in res.violations[:2]:
             parsed = parse_schedule_id(v.schedule)  # well-formed id
             assert v.depth >= parsed.depth

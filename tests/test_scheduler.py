@@ -281,6 +281,31 @@ class TestHeapCompaction:
         assert stats.events_processed == 2_000 - len(cancelled)
 
 
+class TestControlledModeLeavesNoTombstones:
+    """Controlled mode keeps forced events in the heap and choices in a dict;
+    stepping or cancelling either leaves nothing behind to rescan."""
+
+    def test_stepped_and_cancelled_events_leave_both_sets(self):
+        s = Scheduler()
+        s.dispatch = lambda ev: None
+        early = [s.schedule(float(i), TimerFire(pid=0, tag=i, timer_id=i))
+                 for i in range(20)]
+        s.cancel(early[0])
+        s.enable_controlled()
+        assert len(s._heap) == 0 and len(s._choices) == 19
+        forced = [s.schedule(float(i), Callback(fn=lambda: None))
+                  for i in range(20)]
+        s.cancel(forced[5])
+        s.cancel(early[1])
+        while (ev := s.next_forced()) is not None:
+            s.step(ev)
+        assert s._heap == [] and s._dead_in_heap == 0
+        while choices := s.choice_events():
+            s.step(choices[-1])
+        assert s._choices == {} and s.pending == 0
+        assert sum(ev.fired for ev in early + forced) == 40 - 3
+
+
 class TestPendingUnderRestartStorms:
     """``pending`` is an O(1) live counter; crash/restart cycles cancel
     timers wholesale and must keep it consistent with the heap."""

@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 from repro.core.srb_from_uni import build_mp_srb_system
 from repro.faults.chaos import DEFAULT_CHANNEL
 from repro.sim._reference import HeapOnlyScheduler
-from repro.sim.events import TimerFire
+from repro.sim.events import Callback, TimerFire
 from repro.sim.scheduler import Scheduler
 from repro.workloads import OrderHasher, open_loop_arrivals
 
@@ -194,6 +194,141 @@ class TestControlledModeGoldenDeterminism:
             "replay differently"
         )
         assert new_log == ref_log, "controlled dispatch order diverged"
+
+
+_KINDS = ("timer", "choice_cb", "forced_cb")
+
+
+def _noop():
+    pass
+
+
+def _payload(kind, i):
+    if kind == "timer":
+        return TimerFire(pid=0, tag="m", timer_id=i)
+    return Callback(fn=_noop, label=str(i), choice=kind == "choice_cb")
+
+
+_mixed_setup = st.lists(
+    st.one_of(
+        # (op, delay, kind, handle index; -1 = not chained)
+        st.tuples(st.just("sched"), st.floats(0.0, 50.0),
+                  st.sampled_from(_KINDS), st.integers(-1, 63)),
+        st.tuples(st.just("cancel"), st.just(0.0), st.just(""),
+                  st.integers(0, 63)),
+    ),
+    max_size=16,
+)
+_mixed_tape = st.lists(
+    st.tuples(st.sampled_from(["drain", "choice", "any", "cancel"]),
+              st.integers(0, 1_000)),
+    min_size=1,
+    max_size=24,
+)
+
+
+def _interpret_mixed(sched_cls, before, after, tape):
+    """Forced and choice events, some queued before controlled mode is
+    switched on, stepped the way ``Simulation`` steps them.
+
+    ``drain`` is ``Simulation.drain_forced`` (step ``next_forced()`` until
+    it is ``None``), ``choice`` steps one of ``choice_events()``, ``any``
+    one of ``co_enabled()``, ``cancel`` cancels a live handle. Every third
+    dispatched seq schedules one more event (at most eight), so forced
+    events created by a dispatch can sort before the rest. Records, at
+    every round, the three enumerations and the pending set.
+    """
+    s = sched_cls()
+    log: list = []
+    handles: list = []
+    gone: set = set()
+    budget = [8]
+
+    def dispatch(ev):
+        log.append((ev.seq, ev.time))
+        gone.add(ev.seq)
+        if budget[0] and ev.seq % 3 == 0:
+            budget[0] -= 1
+            kind = _KINDS[ev.seq % len(_KINDS)]
+            handles.append(s.schedule(float(ev.seq % 2),
+                                      _payload(kind, len(handles))))
+
+    s.dispatch = dispatch
+
+    def apply(ops):
+        for op, delay, kind, idx in ops:
+            live = [ev for ev in handles if ev.seq not in gone]
+            if op == "cancel":
+                if live:
+                    victim = live[idx % len(live)]
+                    s.cancel(victim)
+                    gone.add(victim.seq)
+                continue
+            chain = live[idx % len(live)] if idx >= 0 and live else None
+            handles.append(
+                s.schedule(delay, _payload(kind, len(handles)), after=chain))
+
+    apply(before)
+    s.enable_controlled()
+    apply(after)
+    rounds = []
+    i = 0
+    while True:
+        enabled = s.co_enabled()
+        choices = s.choice_events()
+        forced = s.next_forced()
+        rounds.append((
+            [ev.seq for ev in enabled], [ev.seq for ev in choices],
+            None if forced is None else forced.seq, s.pending,
+            sorted(ev.seq for ev in s.iter_pending()),
+        ))
+        if not enabled:
+            break
+        op, n = tape[i % len(tape)]
+        i += 1
+        live = [ev for ev in handles if ev.seq not in gone]
+        if op == "drain" and forced is not None:
+            while (forced := s.next_forced()) is not None:
+                s.step(forced)
+        elif op == "choice" and choices:
+            s.step(choices[n % len(choices)])
+        elif op == "cancel" and live:
+            victim = live[n % len(live)]
+            s.cancel(victim)
+            gone.add(victim.seq)
+        else:
+            s.step(enabled[n % len(enabled)])
+    return log, rounds
+
+
+class TestControlledChoiceSetMatchesReference:
+    """The forced heap and the choice dict against the oracle's filters over
+    its own ``co_enabled()``: same enumerations at every round, same
+    dispatch log."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(before=_mixed_setup, after=_mixed_setup, tape=_mixed_tape)
+    def test_matches_reference_filters(self, before, after, tape):
+        new = _interpret_mixed(Scheduler, before, after, tape)
+        ref = _interpret_mixed(HeapOnlyScheduler, before, after, tape)
+        assert new[1] == ref[1], "choice-set enumeration diverged"
+        assert new[0] == ref[0], "controlled dispatch order diverged"
+
+    def test_events_queued_before_the_switch_are_partitioned(self):
+        for cls in (Scheduler, HeapOnlyScheduler):
+            s = cls()
+            s.dispatch = lambda ev: None
+            t = s.schedule(2.0, _payload("timer", 0))
+            f = s.schedule(3.0, _payload("forced_cb", 1))
+            c = s.schedule(1.0, _payload("choice_cb", 2))
+            dead = s.schedule(0.5, _payload("forced_cb", 3))
+            s.cancel(dead)
+            s.enable_controlled()
+            assert s.choice_events() == [c, t]
+            assert s.next_forced() is f
+            assert s.co_enabled() == [c, t, f]
+            s.step(f)
+            assert s.next_forced() is None and s.pending == 2
 
 
 class TestCancelledPredecessorBlocksForever:

@@ -10,6 +10,21 @@ from repro.consensus.usig import UI, UIOrderEnforcer, USIG, USIGVerifier
 from repro.hardware.trinc import TrincAuthority
 
 
+class _LyingCounter(int):
+    """Equal to everything, and one above whatever it is compared with."""
+
+    def __eq__(self, other):
+        return True
+
+    def __ne__(self, other):
+        return False
+
+    def __sub__(self, other):
+        return 0
+
+    __hash__ = int.__hash__
+
+
 @pytest.fixture
 def parts():
     auth = TrincAuthority(2, seed=3)
@@ -51,6 +66,18 @@ class TestUSIG:
                                            fromlist=["content_hash"]).content_hash("m"))
         gapped = UI(replica=1, counter=5, attestation=att)
         assert not verifier.verify_ui(gapped, "m", 1)
+
+    def test_counter_must_be_an_exact_int(self, parts):
+        """An ``int`` subclass that answers ``!=`` and ``-`` for itself must
+        not lift one genuine attestation for counter 1 to counter 5."""
+        _, usig, verifier = parts
+        ui = usig.create_ui("m")
+        lying = UI(replica=0, counter=_LyingCounter(5), attestation=ui.attestation)
+        assert not verifier.verify_ui(lying, "m", 0)
+        assert not verifier.verify_ui(UI(0, True, ui.attestation), "m", 0)
+        assert not verifier.verify_ui(
+            UI(_LyingCounter(0), 1, ui.attestation), "m", 0)
+        assert verifier.verify_ui(ui, "m", 0)  # the genuine UI still verifies
 
     def test_junk_rejected(self, parts):
         _, _, verifier = parts

@@ -31,8 +31,15 @@ co-tenant moves the calibrated ``setup_s`` of an untouched builder by tens
 of percent, so a verdict resting on noisy pairs is to be re-run, not
 reported.
 
-Nothing is imported from either checkout; the benchmark's last stdout line
-(``{"correct", "attempted", "failed", "metrics"}``) is the only interface.
+Each workload's block also shows the ``witness …`` line the benchmark prints
+(``same as committed``, ``BEHAVIOUR CHANGED …``) once per side. If any run
+of the change prints another note than the parent's first run, the workload
+is marked ``BEHAVIOUR DIFFERS`` and the exit status is non-zero: "no
+behaviour change" is part of the same command as the speed verdict.
+
+Nothing is imported from either checkout; the benchmark's stdout is the only
+interface: its last line (``{"correct", "attempted", "failed", "metrics"}``)
+and the ``witness …`` line before it.
 """
 
 from __future__ import annotations
@@ -60,7 +67,12 @@ def run_once(checkout: Path, manifest: dict, workload: str, seed: int) -> dict:
     done = subprocess.run(
         cmd, cwd=checkout, capture_output=True, text=True, check=True
     )
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    lines = done.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    result["witness"] = next(
+        (line for line in lines if line.startswith("witness ")), None
+    )
+    return result
 
 
 def spread(values: list[float]) -> float:
@@ -100,9 +112,10 @@ def summarize(metric: dict, parent: list[float],
 
 
 def measure(sides: dict[str, Path], manifest: dict, workload: str,
-            pairs: int, seed: int) -> tuple[dict[str, tuple], bool]:
-    """Run one workload's pairs; its :func:`summarize` rows by metric name and
-    whether the change failed more operations, or any check, than the parent."""
+            pairs: int, seed: int) -> tuple[dict[str, tuple], bool, bool]:
+    """Run one workload's pairs; its :func:`summarize` rows by metric name,
+    whether the change failed more operations, or any check, than the parent,
+    and whether a run of the change printed another witness note."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     noisy: list[int] = []
     for pair in range(1, pairs + 1):
@@ -141,11 +154,19 @@ def measure(sides: dict[str, Path], manifest: dict, workload: str,
     print(f"failed operations: parent {failed['parent']}, change {failed['change']}; "
           f"runs with a failed check: parent {incorrect['parent']}, "
           f"change {incorrect['change']}")
+    notes = {side: [r.get("witness") for r in rs] for side, rs in runs.items()}
+    for side, side_notes in notes.items():
+        for note in dict.fromkeys(side_notes):  # each distinct note once
+            print(f"{side:<6} {note or 'no witness line'}")
+    differs = any(note != notes["parent"][0] for note in notes["change"])
+    if differs:
+        print(f"{workload}: BEHAVIOUR DIFFERS between parent and change")
     print(f"noisy pairs (a side started with load > {BUSY_LOAD:g}): "
           f"{', '.join(map(str, noisy)) if noisy else 'none'}"
           f"{' - re-run on an idle box before reporting' if noisy else ''}\n",
           flush=True)
-    return rows, failed["change"] > failed["parent"] or bool(incorrect["change"])
+    worse = failed["change"] > failed["parent"] or bool(incorrect["change"])
+    return rows, worse, differs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -175,14 +196,20 @@ def main(argv: list[str] | None = None) -> int:
     sides = {"parent": args.parent, "change": args.change}
     table: dict[tuple[str, str], tuple] = {}
     bad = False
+    differ = []
     for workload in workloads:
-        rows, worse = measure(sides, manifest, workload, args.pairs, args.seed)
+        rows, worse, differs = measure(
+            sides, manifest, workload, args.pairs, args.seed)
         table.update({(name, workload): row for name, row in rows.items()})
-        bad = bad or worse
+        bad = bad or worse or differs
+        if differs:
+            differ.append(workload)
     if len(workloads) > 1:
         print(f"summary, seed {args.seed}, {args.pairs} pairs per workload:")
         print("\n".join(f"{workload:<16} {text}"
                         for (_, workload), (text, _, _) in table.items()))
+    print("witness notes: " + (f"BEHAVIOUR DIFFERS on {', '.join(differ)}"
+                               if differ else "same on both sides"))
     if claim is not None:
         worse_rows = [f"{name}:{workload}" for (name, workload), row
                       in table.items() if row[1] == "worse"]
