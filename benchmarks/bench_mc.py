@@ -35,7 +35,7 @@ import time
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from repro.agreement.worlds import _build_world, split
+from repro.agreement.worlds import vwa_rb_impossibility
 from repro.analysis import format_table
 from repro.faults.chaos import exhaustive_sweep
 from repro.mc import explore
@@ -71,8 +71,7 @@ def _micro_factory():
 
 
 def _world5_factory():
-    sets = split(4, [2, 2], ["P", "Q"])
-    return _build_world(5, 2, sets, 0)[0]
+    return vwa_rb_impossibility(f=2).worlds[4].build(0)  # "world5"
 
 
 def _reduction_workloads(quick: bool) -> list[dict[str, Any]]:

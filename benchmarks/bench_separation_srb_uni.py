@@ -13,20 +13,22 @@ from __future__ import annotations
 from _bench_util import report
 
 from repro.analysis import format_table
-from repro.core.separations import run_srb_separation
+from repro.core.directionality import check_directionality
+from repro.core.separations import srb_separation
 
 
 def test_separation_sweep(once):
     def experiment():
         rows = []
         for n, f in [(6, 2), (7, 2), (8, 3), (9, 3), (11, 4)]:
-            out = run_srb_separation(n=n, f=f, seed=0)
+            out = srb_separation(n, f).run(seed=0)
+            report3 = check_directionality(out.worlds["scenario3"].trace, range(n))
             rows.append([
                 n, f,
-                "yes" if out.indistinguishable_q else "NO",
-                "yes" if out.indistinguishable_c1 and out.indistinguishable_c2 else "NO",
-                len(out.directionality3.unidirectional_violations),
-                "holds" if out.separation_holds else "FAILED",
+                "NO" if "Q" in out.distinguished else "yes",
+                "NO" if out.distinguished & {"C1", "C2"} else "yes",
+                len(report3.unidirectional_violations),
+                "holds" if out.holds else "FAILED",
             ])
             out.assert_holds()
         return rows
@@ -43,7 +45,6 @@ def test_separation_sweep(once):
 def test_f1_corner_is_the_boundary(once):
     """At f = 1 the same adversarial structure cannot violate the corner-case
     construction — run the Appendix-B transport through the hostile schedule."""
-    from repro.core.directionality import check_directionality
     from repro.core.rounds import RoundProcess
     from repro.core.srb_oracle import SRBOracle
     from repro.core.uni_from_rb_corner import CornerCaseRoundTransport

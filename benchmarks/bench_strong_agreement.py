@@ -18,9 +18,11 @@ from repro.agreement import (
     STRONG,
     build_strong_agreement_system,
     check_agreement,
-    run_strong_validity_impossibility,
+    commits,
+    strong_validity_impossibility,
 )
 from repro.analysis import format_table
+from repro.core.directionality import check_directionality
 
 
 def sync_run(n, f, byz_count, seed):
@@ -60,14 +62,15 @@ def test_strong_validity_impossible_over_uni(once):
     def experiment():
         rows = []
         for seed in range(4):
-            out = run_strong_validity_impossibility(seed=seed)
+            out = strong_validity_impossibility().run(seed)
             out.assert_holds()
+            w1, w2, w3 = (out.worlds[f"world{w}"] for w in (1, 2, 3))
             rows.append([
                 seed,
-                f"{out.world1.commits}",
-                f"{out.world2.commits}",
-                f"{out.world3.commits}",
-                out.directionality3.classify(),
+                f"{commits(w1)}",
+                f"{commits(w2)}",
+                f"{commits(w3)}",
+                check_directionality(w3.trace, [0, 1]).classify(),
                 "demonstrated",
             ])
         return rows

@@ -14,7 +14,13 @@ from __future__ import annotations
 
 from _bench_util import report
 
-from repro.agreement import VERY_WEAK, VeryWeakAgreement, check_agreement, run_vwa_rb_impossibility
+from repro.agreement import (
+    VERY_WEAK,
+    VeryWeakAgreement,
+    check_agreement,
+    commits,
+    vwa_rb_impossibility,
+)
 from repro.analysis import format_table
 from repro.broadcast.definitions import BOT
 from repro.core.rounds import SharedMemoryRoundTransport
@@ -65,14 +71,18 @@ def test_vwa_rb_impossibility_worlds(once):
     def experiment():
         rows = []
         for f in (2, 3):
-            out = run_vwa_rb_impossibility(f=f, seed=f)
+            out = vwa_rb_impossibility(f).run(seed=f)
             out.assert_holds()
-            w5 = out.worlds[5].report
+            w5 = out.worlds["world5"]
+            inputs = {pid: (0 if pid in out.sets["P"] else 1) for pid in range(2 * f)}
+            violations = check_agreement(
+                w5.trace, VERY_WEAK, inputs, range(2 * f), all_correct=True
+            ).agreement_violations
             rows.append([
                 2 * f, f,
-                "P→0, Q→1" if out.world5_agreement_violated else "none",
-                len(w5.agreement_violations),
-                "yes" if (out.ind_p_w2_w5 and out.ind_q_w4_w5) else "NO",
+                "P→0, Q→1" if commits(w5) == inputs else "none",
+                len(violations),
+                "NO" if out.distinguished else "yes",
                 "demonstrated",
             ])
         return rows

@@ -10,7 +10,7 @@ The library simulates the trusted-hardware landscape the paper classifies:
   SWMR registers, sticky bits, PEATS, all ACL-guarded.
 - ``repro.core`` — the paper's contribution: unidirectional rounds,
   sequenced reliable broadcast, the constructions between them, the
-  separation scenarios, and the executable Figure-1 classification.
+  separation argument, and the executable Figure-1 classification.
 - ``repro.broadcast`` / ``repro.agreement`` — the problem zoo the
   classification is measured against.
 - ``repro.consensus`` — MinBFT (trusted-hardware BFT, n ≥ 2f+1) and a
@@ -34,7 +34,7 @@ from .core import (  # noqa: E402
     check_srb,
     render_figure,
     run_classification,
-    run_srb_separation,
+    srb_separation,
 )
 from .consensus import build_minbft_system, build_pbft_system, check_replication  # noqa: E402
 from .faults import ChaosAdversary, chaos_sweep, run_chaos, wrap_reliable  # noqa: E402
@@ -54,5 +54,5 @@ __all__ = [
     "render_figure",
     "run_chaos",
     "run_classification",
-    "run_srb_separation",
+    "srb_separation",
 ]

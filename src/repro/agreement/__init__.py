@@ -21,35 +21,26 @@ from .definitions import (
     check_agreement,
 )
 from .strong_sync import StrongAgreementProcess, build_strong_agreement_system
-from .strong_worlds import (
-    MajorityCandidate,
-    StrongWorldsOutcome,
-    run_strong_validity_impossibility,
-)
+from .strong_worlds import MajorityCandidate, strong_validity_impossibility
 from .very_weak_uni import VeryWeakAgreement
 from .weak_uni import WeakAgreementProcess, build_weak_agreement_system
-from .worlds import (
-    QuorumVWA,
-    VWAImpossibilityOutcome,
-    run_vwa_rb_impossibility,
-)
+from .worlds import QuorumVWA, commits, vwa_rb_impossibility
 
 __all__ = [
     "AgreementReport",
     "AgreementStreamChecker",
     "MajorityCandidate",
     "QuorumVWA",
-    "StrongWorldsOutcome",
-    "run_strong_validity_impossibility",
     "STRONG",
     "StrongAgreementProcess",
     "VERY_WEAK",
-    "VWAImpossibilityOutcome",
     "VeryWeakAgreement",
     "WEAK",
     "WeakAgreementProcess",
     "build_strong_agreement_system",
     "build_weak_agreement_system",
     "check_agreement",
-    "run_vwa_rb_impossibility",
+    "commits",
+    "strong_validity_impossibility",
+    "vwa_rb_impossibility",
 ]

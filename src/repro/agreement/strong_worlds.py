@@ -7,12 +7,14 @@ n ≥ 2f+1 via Dolev–Strong) this separates **bidirectional** from
 
 Executable form, at n = 3, f = 1 against the canonical candidate
 (exchange inputs in one unidirectional round, commit the majority of
-values seen):
+values seen), declared by :func:`strong_validity_impossibility` as an
+:class:`~repro.core.argument.Argument`. In every world the link p0 → p1 is
+withheld, so the round obligation is met in one direction only:
 
-- **World 1** — p2 Byzantine claims input 0; correct p0, p1 both hold 0.
+- **World 1** — p1 Byzantine (input 1); correct p0, p2 both hold 0.
   Strong validity forces both to commit **0**.
-- **World 2** — p0 Byzantine claims input 1; correct p1, p2 both hold 1.
-  Strong validity forces commitment of **1**.
+- **World 2** — p0 Byzantine (input 0); correct p1, p2 both hold 1.
+  Strong validity forces both to commit **1**.
 - **World 3** — p1 and p0 correct with inputs 0 and 1; p2 Byzantine
   *equivocates*: shows input 0 to p0 and input 1 to p1. The schedule
   delivers p1's message to p0 (so the round is unidirectional for the
@@ -31,16 +33,15 @@ exactly why Dolev–Strong survives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
-from ..core.directionality import DirectionalityReport, check_directionality
+from ..core.argument import Argument, World
+from ..core.directionality import check_directionality
 from ..core.rounds import Label, RoundProcess, TimedRoundTransport, ROUND_MSG
-from ..errors import PropertyViolation
 from ..sim.adversary import LinkRule, ScriptedAdversary
 from ..sim.runner import Simulation
 from ..types import ProcessId
-from .definitions import AgreementReport, STRONG, check_agreement
+from .definitions import STRONG, check_agreement
 
 ROUND_LABEL = "sva"
 
@@ -94,96 +95,59 @@ class EquivocatingInput(RoundProcess):
         self.ctx.send(1, (ROUND_MSG, ROUND_LABEL, 1))
 
 
-@dataclass(slots=True)
-class StrongWorldsOutcome:
-    world1: AgreementReport
-    world2: AgreementReport
-    world3: AgreementReport
-    directionality3: DirectionalityReport
-    p0_view_matches_w1: bool
-    p1_view_matches_w2: bool
-
-    @property
-    def impossibility_demonstrated(self) -> bool:
-        return (
-            self.world1.ok
-            and self.world2.ok
-            and bool(self.world3.agreement_violations)
-            and self.directionality3.is_unidirectional
-            and self.p0_view_matches_w1
-            and self.p1_view_matches_w2
-        )
-
-    def assert_holds(self) -> None:
-        if not self.impossibility_demonstrated:
-            raise PropertyViolation(
-                "strong-validity-uni-impossibility",
-                f"w1_ok={self.world1.ok} w2_ok={self.world2.ok} "
-                f"w3_violated={bool(self.world3.agreement_violations)} "
-                f"uni_in_w3={self.directionality3.is_unidirectional} "
-                f"views={self.p0_view_matches_w1}/{self.p1_view_matches_w2}",
-            )
-
-
-def _run_world(world: int, seed: int, wait: float = 2.0,
-               horizon: float = 60.0):
-    """Build one of the three worlds; returns (sim, correct, inputs)."""
-    # Messages between p0 and p1: the round obligation needs only ONE
-    # direction; withhold p0 -> p1 in every world so the views line up.
-    adversary = ScriptedAdversary(base_delay=0.05).add_rule(
-        LinkRule([0], [1], None)
-    )
-    t = lambda: TimedRoundTransport(wait=wait)
-    if world == 1:
-        # p2 Byzantine but *claims 0 consistently*; correct p0, p1 hold 0…
-        # except p1's view must match world 3, where p1 believes it holds 1.
-        # The forced-decision world for p0 is: inputs p0=0, p1(Byz)=1, p2=0.
-        procs = [MajorityCandidate(t(), 0), MajorityCandidate(t(), 1),
-                 MajorityCandidate(t(), 0)]
-        byz = [1]
-        inputs = {0: 0, 1: 1, 2: 0}
-    elif world == 2:
-        # forced-decision world for p1: inputs p0(Byz)=0, p1=1, p2=1.
-        procs = [MajorityCandidate(t(), 0), MajorityCandidate(t(), 1),
-                 MajorityCandidate(t(), 1)]
-        byz = [0]
-        inputs = {0: 0, 1: 1, 2: 1}
-    else:
-        procs = [MajorityCandidate(t(), 0), MajorityCandidate(t(), 1),
-                 EquivocatingInput(t())]
-        byz = [2]
-        inputs = {0: 0, 1: 1, 2: None}
-    sim = Simulation(procs, adversary, seed=seed)
-    for pid in byz:
-        sim.declare_byzantine(pid)
-    sim.run(until=horizon)
-    correct = [p for p in range(3) if p not in byz]
-    return sim, correct, inputs
-
-
-def run_strong_validity_impossibility(seed: int = 0) -> StrongWorldsOutcome:
-    """Execute the three worlds at n = 3, f = 1 and verify the contradiction.
+def strong_validity_impossibility() -> Argument:
+    """The three worlds at n = 3, f = 1.
 
     World 1 forces p0's commit to 0 (strong validity binds the correct set
     {p0, p2}, both holding 0); World 2 forces p1's to 1; World 3 is
     indistinguishable to p0 from World 1 and to p1 from World 2, satisfies
-    unidirectionality, and splits them.
+    unidirectionality, and splits them. An input of ``None`` is the
+    equivocating Byzantine p2 of World 3.
     """
-    sim1, correct1, inputs1 = _run_world(1, seed)
-    rep1 = check_agreement(sim1.trace, STRONG, inputs1, correct1,
-                           all_correct=False)
-    sim2, correct2, inputs2 = _run_world(2, seed)
-    rep2 = check_agreement(sim2.trace, STRONG, inputs2, correct2,
-                           all_correct=False)
-    sim3, correct3, inputs3 = _run_world(3, seed)
-    rep3 = check_agreement(sim3.trace, STRONG, inputs3, correct3,
-                           all_correct=False, expect_termination=True)
-    dir3 = check_directionality(sim3.trace, correct3)
-    return StrongWorldsOutcome(
-        world1=rep1,
-        world2=rep2,
-        world3=rep3,
-        directionality3=dir3,
-        p0_view_matches_w1=sim3.trace.local_view(0) == sim1.trace.local_view(0),
-        p1_view_matches_w2=sim3.trace.local_view(1) == sim2.trace.local_view(1),
+
+    def world(number: int, inputs: tuple, byzantine: ProcessId) -> World:
+        correct = [p for p in range(3) if p != byzantine]
+        claims = dict(enumerate(inputs))
+
+        def build(seed: int) -> Simulation:
+            # the round obligation needs only ONE direction between p0 and
+            # p1: withhold p0 -> p1 in every world so the views line up
+            adversary = ScriptedAdversary(base_delay=0.05).add_rule(
+                LinkRule([0], [1], None)
+            )
+            procs = [
+                EquivocatingInput(TimedRoundTransport(wait=2.0)) if v is None
+                else MajorityCandidate(TimedRoundTransport(wait=2.0), v)
+                for v in inputs
+            ]
+            sim = Simulation(procs, adversary, seed=seed)
+            sim.declare_byzantine(byzantine)
+            return sim
+
+        def check(sim: Simulation) -> list[str]:
+            report = check_agreement(sim.trace, STRONG, claims, correct,
+                                     all_correct=False)
+            if number < 3:
+                return report.all_violations()
+            failed = []
+            if not report.agreement_violations:
+                failed.append("no agreement violation")
+            if not check_directionality(sim.trace, correct).is_unidirectional:
+                failed.append("rounds not unidirectional")
+            return failed
+
+        return World(f"world{number}", build, check)
+
+    return Argument(
+        "strong-validity-uni-impossibility",
+        worlds=(
+            world(1, (0, 1, 0), byzantine=1),
+            world(2, (0, 1, 1), byzantine=0),
+            world(3, (0, 1, None), byzantine=2),
+        ),
+        indistinguishable=(
+            ("p0", (0,), "world3", "world1"),
+            ("p1", (1,), "world3", "world2"),
+        ),
+        horizon=60.0,
     )

@@ -2,8 +2,10 @@
 
 The draft proves *"reliable broadcast cannot solve very weak Byzantine
 agreement with n ≤ 2f"* by a five-world partitioning argument. As with the
-§4.1 separation, we execute the worlds against a concrete candidate and
-audit both the forced commits and the indistinguishabilities.
+§4.1 separation, :func:`vwa_rb_impossibility` declares the worlds as an
+:class:`~repro.core.argument.Argument` against a concrete candidate, whose
+``run(seed)`` / ``explore()`` audit both the forced commits and the
+indistinguishabilities.
 
 The candidate (:class:`QuorumVWA`) is the canonical fault-tolerant design:
 exchange inputs over reliable broadcast, wait for values from ``n - f``
@@ -19,24 +21,24 @@ decision rule is exactly the draft's correct protocol — here, over RB at
 - **World 5**: P has 0, Q has 1, cross-messages delayed ⇒ P sees World 2,
   Q sees World 4 ⇒ P commits 0, Q commits 1 — **agreement violated**.
 
-(The candidate cannot dodge by committing ⊥ "when it hears nobody else":
-in Worlds 2 and 4 everyone is correct and shares an input, so weak
-validity forbids ⊥ — the runner asserts that too.)
+So in every world each correct process is forced to commit its own input,
+and that is the one obligation each world checks. (The candidate cannot
+dodge by committing ⊥ "when it hears nobody else": in Worlds 2 and 4
+everyone is correct and shares an input, so weak validity forbids ⊥.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterable, Mapping, Optional
 
-from ..broadcast.definitions import BOT
-from ..errors import ConfigurationError, PropertyViolation
+from ..broadcast.definitions import BOT, collect_commits
+from ..core.argument import Argument, World
+from ..core.srb_oracle import SRBOracle, SRBSenderHandle
+from ..errors import ConfigurationError
 from ..sim.partition import split
 from ..sim.process import Process
 from ..sim.runner import Simulation
-from ..types import ProcessId, ProcessSet
-from .definitions import AgreementReport, VERY_WEAK, check_agreement
-from ..core.srb_oracle import SRBOracle, SRBSenderHandle
+from ..types import ProcessId
 
 IMMEDIATE = 0.05
 
@@ -77,278 +79,68 @@ class QuorumVWA(Process):
             self.ctx.decide(vals[0] if unanimous else BOT)
 
 
-@dataclass(slots=True)
-class WorldResult:
-    name: str
-    sim: Simulation
-    report: AgreementReport
-
-    def view(self, pid: ProcessId) -> tuple:
-        return self.sim.trace.local_view(pid)
+def commits(sim: Simulation) -> dict[ProcessId, Any]:
+    """First commit of every process that stayed correct, in decision order."""
+    return collect_commits(sim.trace, sim.fault_free_pids)
 
 
-@dataclass(slots=True)
-class VWAImpossibilityOutcome:
-    """All five worlds plus the verdicts the proof requires."""
-
-    f: int
-    sets: dict[str, ProcessSet]
-    worlds: dict[int, WorldResult]
-    p_commits_0_in_w2: bool
-    q_commits_1_in_w4: bool
-    world5_agreement_violated: bool
-    ind_p_w2_w5: bool
-    ind_q_w4_w5: bool
-    ind_p_w1_w2: bool
-    ind_q_w3_w4: bool
-
-    @property
-    def impossibility_demonstrated(self) -> bool:
-        return (
-            self.p_commits_0_in_w2
-            and self.q_commits_1_in_w4
-            and self.world5_agreement_violated
-            and self.ind_p_w2_w5
-            and self.ind_q_w4_w5
-            and self.ind_p_w1_w2
-            and self.ind_q_w3_w4
-        )
-
-    def assert_holds(self) -> None:
-        if not self.impossibility_demonstrated:
-            raise PropertyViolation(
-                "vwa-rb-impossibility",
-                f"p0_w2={self.p_commits_0_in_w2} q1_w4={self.q_commits_1_in_w4} "
-                f"w5_violation={self.world5_agreement_violated} "
-                f"ind={self.ind_p_w2_w5}/{self.ind_q_w4_w5}/"
-                f"{self.ind_p_w1_w2}/{self.ind_q_w3_w4}",
-            )
-
-
-def _world_config(world: int, f: int, sets: dict[str, ProcessSet]):
-    """Inputs, crash set, and delay policy of one world — shared by the
-    seeded runner and the exhaustive one."""
-    n = 2 * f
-    p_set, q_set = sets["P"], sets["Q"]
-
-    def cross_delayed(s: ProcessId, r: ProcessId) -> bool:
-        return (s in p_set) != (r in p_set)
-
-    def policy(s, r, seq, now):
-        if world in (2, 4, 5) and cross_delayed(s, r):
-            return None  # "arbitrarily delayed" for the whole run
-        return IMMEDIATE
-
-    if world in (1, 2):
-        inputs = {pid: 0 for pid in range(n)}
-    elif world in (3, 4):
-        inputs = {pid: 1 for pid in range(n)}
-    elif world == 5:
-        inputs = {pid: (0 if pid in p_set else 1) for pid in range(n)}
-    else:  # pragma: no cover
-        raise ConfigurationError(f"no world {world}")
-
-    crashed: set[ProcessId] = set()
-    if world == 1:
-        crashed = set(q_set)
-    elif world == 3:
-        crashed = set(p_set)
-    return inputs, crashed, policy
-
-
-def _build_world(
-    world: int, f: int, sets: dict[str, ProcessSet], seed: int
-) -> tuple[Simulation, dict[ProcessId, Any], set[ProcessId]]:
-    n = 2 * f
-    inputs, crashed, policy = _world_config(world, f, sets)
-    oracle = SRBOracle(policy=policy, seed=seed)
-    procs = [QuorumVWA(oracle, f, inputs[pid]) for pid in range(n)]
-    sim = Simulation(procs, seed=seed)
-    oracle.bind(sim)
-    for pid in crashed:
-        sim.declare_byzantine(pid)
-        sim.crash(pid)
-    return sim, inputs, crashed
-
-
-def _run_world(
-    world: int,
-    f: int,
-    sets: dict[str, ProcessSet],
-    seed: int,
-    horizon: float,
-) -> WorldResult:
-    n = 2 * f
-    sim, inputs, crashed = _build_world(world, f, sets, seed)
-    sim.run(until=horizon)
-    correct = [pid for pid in range(n) if pid not in crashed]
-    report = check_agreement(
-        sim.trace,
-        VERY_WEAK,
-        inputs,
-        correct,
-        all_correct=not crashed,
-        expect_termination=False,  # audited explicitly below
-    )
-    return WorldResult(name=f"world{world}", sim=sim, report=report)
-
-
-def run_vwa_rb_impossibility(
-    f: int = 2, seed: int = 0, horizon: float = 200.0
-) -> VWAImpossibilityOutcome:
-    """Execute the five worlds at ``n = 2f`` and verify the contradiction."""
-    if f < 1:
-        raise ConfigurationError(f"f must be >= 1, got {f}")
-    n = 2 * f
-    sets = split(n, [f, f], ["P", "Q"])
-    worlds = {w: _run_world(w, f, sets, seed, horizon) for w in (1, 2, 3, 4, 5)}
-    p_set, q_set = sets["P"], sets["Q"]
-
-    w1, w2, w3, w4, w5 = (worlds[i] for i in (1, 2, 3, 4, 5))
-    p_commits_0 = all(w2.report.commits.get(pid) == 0 for pid in p_set)
-    q_commits_1 = all(w4.report.commits.get(pid) == 1 for pid in q_set)
-    w5_p = [w5.report.commits.get(pid) for pid in p_set]
-    w5_q = [w5.report.commits.get(pid) for pid in q_set]
-    violated = any(v == 0 for v in w5_p) and any(v == 1 for v in w5_q)
-
-    return VWAImpossibilityOutcome(
-        f=f,
-        sets=sets,
-        worlds=worlds,
-        p_commits_0_in_w2=p_commits_0,
-        q_commits_1_in_w4=q_commits_1,
-        world5_agreement_violated=violated,
-        ind_p_w2_w5=all(w5.view(pid) == w2.view(pid) for pid in p_set),
-        ind_q_w4_w5=all(w5.view(pid) == w4.view(pid) for pid in q_set),
-        ind_p_w1_w2=all(w1.view(pid) == w2.view(pid) for pid in p_set),
-        ind_q_w3_w4=all(w3.view(pid) == w4.view(pid) for pid in q_set),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive (model-checked) five-world argument
-# ---------------------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class ExhaustiveVWAOutcome:
-    """The five-world contradiction checked over every delivery order.
-
-    ``explorations`` maps world number to its
-    :class:`~repro.mc.explorer.ExplorationResult`; ``problems`` lists every
-    failed obligation with the replayable schedule id of the leaf.
-    """
-
-    f: int
-    sets: dict[str, ProcessSet]
-    explorations: dict[int, Any]
-    problems: list[str]
-
-    @property
-    def schedules(self) -> int:
-        return sum(r.schedules for r in self.explorations.values())
-
-    @property
-    def complete(self) -> bool:
-        return all(r.complete for r in self.explorations.values())
-
-    @property
-    def impossibility_demonstrated(self) -> bool:
-        return not self.problems
-
-    def assert_holds(self) -> None:
-        if self.problems:
-            raise PropertyViolation(
-                "vwa-rb-impossibility-exhaustive", "; ".join(self.problems)
-            )
-
-
-def run_vwa_rb_impossibility_exhaustive(
-    f: int = 2,
-    seed: int = 0,
-    *,
-    dpor: bool = True,
-    max_schedules: Optional[int] = None,
-    max_reported: int = 4,
-) -> ExhaustiveVWAOutcome:
-    """The five worlds at ``n = 2f``, quantified over all delivery orders.
-
-    Each world is model-checked to quiescence (the candidate's deliveries
-    are the only choices; with ``dpor`` the per-receiver orders factor out,
-    e.g. 16 schedules for world 5 at ``f = 2`` instead of 2520 naive). At
-    every leaf the forced commits hold — P commits 0 wherever the proof
-    forces it, Q commits 1, world 5 violates agreement — and across worlds
-    the per-process view *sets* coincide per the indistinguishability
-    pairs (P: world 1≡2≡5, Q: world 3≡4≡5).
-    """
-    from ..mc.explorer import explore
-    from ..mc.schedule import schedule_id as _sid
-
+def vwa_rb_impossibility(f: int = 2) -> Argument:
+    """The five worlds at ``n = 2f`` (P, Q of size f each)."""
     if f < 1:
         raise ConfigurationError(f"f must be >= 1, got {f}")
     n = 2 * f
     sets = split(n, [f, f], ["P", "Q"])
     p_set, q_set = sets["P"], sets["Q"]
 
-    expected: dict[int, dict[ProcessId, Any]] = {
-        1: {pid: 0 for pid in p_set},
-        2: {pid: 0 for pid in range(n)},
-        3: {pid: 1 for pid in q_set},
-        4: {pid: 1 for pid in range(n)},
-        5: {pid: (0 if pid in p_set else 1) for pid in range(n)},
-    }
-    views: dict[int, dict[ProcessId, set]] = {
-        w: {p: set() for p in range(n)} for w in (1, 2, 3, 4, 5)
-    }
-    explorations: dict[int, Any] = {}
-    problems: list[str] = []
+    def world(
+        number: int,
+        inputs: Mapping[ProcessId, Any],
+        crashed: Iterable[ProcessId],
+        cross_delayed: bool,
+    ) -> World:
+        def policy(s, r, seq, now):
+            if cross_delayed and (s in p_set) != (r in p_set):
+                return None  # "arbitrarily delayed" for the whole run
+            return IMMEDIATE
 
-    for world in (1, 2, 3, 4, 5):
-        inputs, crashed, _policy = _world_config(world, f, sets)
-        correct = [pid for pid in range(n) if pid not in crashed]
-        reported = [0]
+        def build(seed: int) -> Simulation:
+            oracle = SRBOracle(policy=policy, seed=seed)
+            procs = [QuorumVWA(oracle, f, inputs[pid]) for pid in range(n)]
+            sim = Simulation(procs, seed=seed)
+            oracle.bind(sim)
+            for pid in crashed:
+                sim.declare_byzantine(pid)
+                sim.crash(pid)
+            return sim
 
-        def on_leaf(state, schedule, _w=world, _inputs=inputs,
-                    _crashed=crashed, _correct=correct, _rep=reported):
-            sim = state
-            report = check_agreement(
-                sim.trace, VERY_WEAK, _inputs, _correct,
-                all_correct=not _crashed, expect_termination=False,
-            )
+        def check(sim: Simulation) -> list[str]:
+            made = commits(sim)
             bad = {
-                pid: report.commits.get(pid)
-                for pid, want in expected[_w].items()
-                if report.commits.get(pid) != want
+                pid: made.get(pid)
+                for pid in sim.fault_free_pids
+                if made.get(pid) != inputs[pid]
             }
-            if bad and _rep[0] < max_reported:
-                _rep[0] += 1
-                problems.append(
-                    f"world{_w}: forced commits violated ({bad}) in "
-                    f"schedule {_sid(schedule)}"
-                )
-            for pid in range(n):
-                views[_w][pid].add(sim.trace.local_view(pid))
+            return [f"forced commits violated ({bad})"] if bad else []
 
-        explorations[world] = explore(
-            lambda _w=world: _build_world(_w, f, sets, seed)[0],
-            on_leaf=on_leaf,
-            dpor=dpor,
-            max_schedules=max_schedules,
-        )
+        return World(f"world{number}", build, check)
 
-    if all(r.complete for r in explorations.values()):
-        # view-set comparisons need the whole space; capped runs cover
-        # different prefixes per world
-        pairs = [
-            ("P views distinguish world 2 from world 5", p_set, 2, 5),
-            ("Q views distinguish world 4 from world 5", q_set, 4, 5),
-            ("P views distinguish world 1 from world 2", p_set, 1, 2),
-            ("Q views distinguish world 3 from world 4", q_set, 3, 4),
-        ]
-        for message, members, wa, wb in pairs:
-            if not all(views[wa][pid] == views[wb][pid] for pid in members):
-                problems.append(message)
-
-    return ExhaustiveVWAOutcome(
-        f=f, sets=sets, explorations=explorations, problems=problems
+    zeros = {pid: 0 for pid in range(n)}
+    ones = {pid: 1 for pid in range(n)}
+    mixed = {pid: (0 if pid in p_set else 1) for pid in range(n)}
+    return Argument(
+        "vwa-rb-impossibility",
+        worlds=(
+            world(1, zeros, crashed=q_set, cross_delayed=False),
+            world(2, zeros, crashed=(), cross_delayed=True),
+            world(3, ones, crashed=p_set, cross_delayed=False),
+            world(4, ones, crashed=(), cross_delayed=True),
+            world(5, mixed, crashed=(), cross_delayed=True),
+        ),
+        indistinguishable=(
+            ("P", p_set, "world2", "world5"),
+            ("Q", q_set, "world4", "world5"),
+            ("P", p_set, "world1", "world2"),
+            ("Q", q_set, "world3", "world4"),
+        ),
+        sets=sets,
     )

@@ -74,7 +74,8 @@ class AgreementReport:
             raise PropertyViolation(self.variant, "; ".join(self.all_violations()[:3]))
 
 
-def _collect_commits(trace: TraceStore, correct: Iterable[ProcessId]) -> dict[ProcessId, Any]:
+def collect_commits(trace: TraceStore, correct: Iterable[ProcessId]) -> dict[ProcessId, Any]:
+    """The first decision of every process in ``correct``, in decision order."""
     commits: dict[ProcessId, Any] = {}
     for d in trace.decisions():
         if d.pid in commits:
@@ -93,7 +94,7 @@ def check_nonequivocating_broadcast(
     """Audit agreement-up-to-⊥ and correct-sender validity/termination."""
     correct = sorted(set(correct))
     report = AgreementReport(variant="non-equivocating-broadcast")
-    report.commits = _collect_commits(trace, correct)
+    report.commits = collect_commits(trace, correct)
 
     # values may be unhashable; compare pairwise instead of via a set
     committed = [(p, v) for p, v in sorted(report.commits.items()) if v is not BOT]
@@ -128,7 +129,7 @@ def check_reliable_broadcast(
     """Non-equivocating checks plus all-or-nothing termination; no ⊥ commits."""
     correct = sorted(set(correct))
     report = AgreementReport(variant="reliable-broadcast")
-    report.commits = _collect_commits(trace, correct)
+    report.commits = collect_commits(trace, correct)
 
     committed = sorted(report.commits.items())
     for i in range(len(committed)):

@@ -352,10 +352,13 @@ def check_replication_liveness(
 def check_replication(
     trace: TraceStore,
     correct_replicas: Iterable[ProcessId],
-    clients: Iterable[ProcessId] = (),
     expected_ops: dict[ProcessId, int] | None = None,
 ) -> ReplicationReport:
-    """Audit executed logs across the correct replicas (and client liveness)."""
+    """Audit executed logs across the correct replicas.
+
+    Client liveness is audited only when ``expected_ops`` names how many
+    operations each client must have completed.
+    """
     return (
         ReplicationStreamChecker(correct_replicas)
         .consume(trace)

@@ -11,10 +11,13 @@
 - :mod:`~repro.core.srb_oracle` — idealized SRB for constructions above it.
 - :mod:`~repro.core.uni_from_sm` — §3.2 over SWMR / PEATS / sticky bits.
 - :mod:`~repro.core.uni_from_rb_corner` — Appendix B (f = 1 corner case).
-- :mod:`~repro.core.separations` — §4.1's three scenarios, executed.
+- :mod:`~repro.core.argument` — one engine for indistinguishability
+  arguments: worlds, run once or model-checked.
+- :mod:`~repro.core.separations` — §4.1's three scenarios, declared.
 - :mod:`~repro.core.classification` — Figure 1 as runnable arrows.
 """
 
+from .argument import Argument, ArgumentOutcome, World
 from .classification import (
     ARROWS,
     Arrow,
@@ -42,11 +45,7 @@ from .rounds import (
     SharedMemoryRoundTransport,
     TimedRoundTransport,
 )
-from .separations import (
-    CandidateSRBRound,
-    SeparationOutcome,
-    run_srb_separation,
-)
+from .separations import CandidateSRBRound, round_finishers, srb_separation
 from .srb import (
     SRBLivenessChecker,
     SRBReport,
@@ -76,6 +75,8 @@ from .uni_from_sm import (
 __all__ = [
     "ALL_SM_TRANSPORTS",
     "ARROWS",
+    "Argument",
+    "ArgumentOutcome",
     "Arrow",
     "ArrowEvidence",
     "BIDIRECTIONAL",
@@ -100,12 +101,12 @@ __all__ = [
     "SRBSenderHandle",
     "SRBTrincVerifier",
     "SRBTrinket",
-    "SeparationOutcome",
     "SharedMemoryRoundTransport",
     "StickyChainRoundTransport",
     "SWMRRoundTransport",
     "TimedRoundTransport",
     "UNIDIRECTIONAL",
+    "World",
     "ZERO_DIRECTIONAL",
     "build_objects_for",
     "build_mp_srb_system",
@@ -119,6 +120,7 @@ __all__ = [
     "deliveries_by_process",
     "render_figure",
     "run_classification",
-    "run_srb_separation",
+    "round_finishers",
+    "srb_separation",
     "validate_l2",
 ]

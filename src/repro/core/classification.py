@@ -38,7 +38,7 @@ from .srb import check_srb
 from .srb_from_trinc import SRBFromTrInc
 from .srb_from_uni import build_sm_srb_system
 from .srb_oracle import SRBOracle
-from .separations import run_srb_separation
+from .separations import srb_separation
 from .trinc_from_srb import SRBTrincVerifier, SRBTrinket
 from .uni_from_rb_corner import CornerCaseRoundTransport
 from .uni_from_sm import ALL_SM_TRANSPORTS, build_objects_for
@@ -244,13 +244,14 @@ def _arrow_logs_srb(seed: int) -> ArrowEvidence:
 
 def _arrow_srb_not_uni(seed: int) -> ArrowEvidence:
     """§4.1: SRB cannot implement unidirectionality (n > 2f, f > 1)."""
-    out = run_srb_separation(n=6, f=2, seed=seed)
+    out = srb_separation(n=6, f=2).run(seed)
+    report3 = check_directionality(out.worlds["scenario3"].trace, correct=range(6))
+    q, c1, c2 = (label not in out.distinguished for label in ("Q", "C1", "C2"))
     return ArrowEvidence(
-        out.separation_holds,
+        out.holds,
         f"n=6, f=2: scenario-3 unidirectionality violations="
-        f"{len(out.directionality3.unidirectional_violations)}, "
-        f"views indistinguishable (Q/C1/C2)="
-        f"{out.indistinguishable_q}/{out.indistinguishable_c1}/{out.indistinguishable_c2}",
+        f"{len(report3.unidirectional_violations)}, "
+        f"views indistinguishable (Q/C1/C2)={q}/{c1}/{c2}",
     )
 
 
@@ -296,7 +297,7 @@ def _arrow_uni_not_sync(seed: int) -> ArrowEvidence:
     solvable under lock-step rounds at n >= 2f+1 (Dolev–Strong per input),
     impossible over unidirectional rounds at n <= 3f (three-world demo)."""
     from ..agreement.strong_sync import build_strong_agreement_system
-    from ..agreement.strong_worlds import run_strong_validity_impossibility
+    from ..agreement.strong_worlds import strong_validity_impossibility
     from ..agreement.definitions import STRONG, check_agreement
 
     # positive half: synchrony solves strong validity at n = 3, f = 1
@@ -307,13 +308,13 @@ def _arrow_uni_not_sync(seed: int) -> ArrowEvidence:
     sync_ok = rep.ok and all(v == "v" for v in rep.commits.values())
 
     # negative half: the same problem defeats unidirectionality at n = 3f
-    out = run_strong_validity_impossibility(seed=seed)
+    out = strong_validity_impossibility().run(seed)
+    p0, p1 = ("p0" not in out.distinguished, "p1" not in out.distinguished)
     return ArrowEvidence(
-        sync_ok and out.impossibility_demonstrated,
+        sync_ok and out.holds,
         f"synchrony solves strong validity at n=3,f=1: {sync_ok}; "
         f"unidirectional candidate splits 0/1 in world 3 "
-        f"(views match forced worlds: {out.p0_view_matches_w1}/"
-        f"{out.p1_view_matches_w2})",
+        f"(views match forced worlds: {p0}/{p1})",
     )
 
 

@@ -251,45 +251,40 @@ class SharedMemoryRoundTransport(RoundTransport):
     """
 
     SCAN_TAG = "__sm_round_scan__"
+    LOG_PREFIX = "roundlog"
+    """Object ``f"{LOG_PREFIX}{i}"`` is process ``i``'s; a subclass names its own."""
+    FIRST_SCAN_DELAY = 0.05
+    IDLE_BACKOFF = 1.6
+    MAX_INTERVAL = 30.0
 
-    def __init__(
-        self,
-        log_prefix: str = "roundlog",
-        first_scan_delay: float = 0.05,
-        idle_backoff: float = 1.6,
-        max_interval: float = 30.0,
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.log_prefix = log_prefix
-        self.first_scan_delay = first_scan_delay
-        self.idle_backoff = idle_backoff
-        self.max_interval = max_interval
         self._append_handle: Optional[int] = None
         self._append_done_label: Optional[Label] = None
         self._scan_handles: dict[int, ProcessId] = {}
         self._scan_counts_label: Optional[Label] = None
         self._scan_running = False
         self._seen_lengths: dict[ProcessId, int] = {}
-        self._interval = first_scan_delay
+        self._interval = self.FIRST_SCAN_DELAY
         self._new_data = False
         self.scans_completed = 0
 
     # -- setup helper ------------------------------------------------------------
 
-    @staticmethod
-    def build_logs(n: int, prefix: str = "roundlog") -> list[AppendOnlyRegister]:
+    @classmethod
+    def build_logs(cls, n: int) -> list[AppendOnlyRegister]:
         """The per-process append-only objects; register them on the simulation."""
-        return [AppendOnlyRegister(f"{prefix}{i}", owner=i) for i in range(n)]
+        return [AppendOnlyRegister(f"{cls.LOG_PREFIX}{i}", owner=i) for i in range(n)]
 
     def _log_name(self, pid: ProcessId) -> str:
-        return f"{self.log_prefix}{pid}"
+        return f"{self.LOG_PREFIX}{pid}"
 
     # -- round mechanics ------------------------------------------------------------
 
     def start(self) -> None:
         assert self.host is not None
         self._seen_lengths = {p: 0 for p in range(self.host.ctx.n)}
-        self.host.ctx.set_timer(self.first_scan_delay, self.SCAN_TAG)
+        self.host.ctx.set_timer(self.FIRST_SCAN_DELAY, self.SCAN_TAG)
 
     # -- object-specific hooks (overridden by the SWMR / PEATS / sticky
     # variants in repro.core.uni_from_sm; the unidirectionality argument only
@@ -311,7 +306,7 @@ class SharedMemoryRoundTransport(RoundTransport):
 
     def _is_own_publish(self, object_name: str, op: str) -> bool:
         """Whether an op response belongs to a fire-and-forget publish."""
-        return object_name.startswith(self.log_prefix) and op == "append"
+        return object_name.startswith(self.LOG_PREFIX) and op == "append"
 
     def _send(self, label: Label, payload: Any) -> None:
         self._append_done_label = None
@@ -323,7 +318,7 @@ class SharedMemoryRoundTransport(RoundTransport):
 
     def _poke(self) -> None:
         """Make sure scanning resumes promptly after new local activity."""
-        self._interval = self.first_scan_delay
+        self._interval = self.FIRST_SCAN_DELAY
 
     def handle_op_result(self, object_name, op, handle, result) -> bool:
         assert self.host is not None
@@ -386,9 +381,9 @@ class SharedMemoryRoundTransport(RoundTransport):
             self._complete(counted)
         # keep watching: rescan soon while things move, back off when idle
         if self._new_data or self.active_label is not None or self._append_handle is not None:
-            self._interval = self.first_scan_delay
+            self._interval = self.FIRST_SCAN_DELAY
         else:
-            self._interval = min(self._interval * self.idle_backoff, self.max_interval)
+            self._interval = min(self._interval * self.IDLE_BACKOFF, self.MAX_INTERVAL)
         self.host.ctx.set_timer(self._interval, self.SCAN_TAG)
 
 

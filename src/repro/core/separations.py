@@ -1,9 +1,7 @@
 """Executable separation: SRB cannot implement unidirectionality (§4.1).
 
-An impossibility theorem cannot be *proven* by running code, but its proof
-is a recipe for three concrete executions, and those we can run and audit.
 The paper's argument (n > 2f, f > 1; sets Q of size n-f, C1 = {p}, C2 of
-size f-1):
+size f-1) is three concrete executions:
 
 - **Scenario 1** — p ∈ C1 crashed from the start; C2→Q messages arbitrarily
   delayed; everything else immediate. Q and C2 must finish the round
@@ -16,35 +14,30 @@ size f-1):
   C1 from Scenario 2, to C2 from Scenario 1 — so C1 and C2 both finish the
   round having heard nothing from each other: **unidirectionality fails**.
 
-:func:`run_srb_separation` executes all three against a *candidate*
-round-over-SRB protocol and verifies (a) the required round completions,
-(b) the pairwise view-indistinguishabilities, (c) the unidirectionality
-violation in Scenario 3. The default candidate waits for round messages
-from ``n - f`` distinct SRB streams — the most a fault-tolerant protocol
-can wait for without risking waiting on the faulty set forever; the runner
-accepts any :class:`RoundProcess`-compatible candidate factory so stronger
-heuristics (e.g. two-phase forwarding, which rescues only ``f = 1``) can be
-plugged in and shown to fail too.
-
-:func:`run_srb_separation_exhaustive` strengthens the quantifier: instead
-of one seeded delivery order per scenario, it model-checks every order of
-the deliveries *to the corner sets* C1 ∪ C2 (the processes the argument is
-about; deliveries to Q are deterministic glue under the focus bound) and
-asserts the proof obligations at every quiescent leaf, with view-**set**
-equality replacing per-seed view equality across scenarios.
+:func:`srb_separation` declares them as an
+:class:`~repro.core.argument.Argument` against a *candidate*
+round-over-SRB protocol: each scenario's survivors must finish the round,
+Scenario 3 must violate unidirectionality, and the views must line up as
+above. ``srb_separation(n, f).run(seed)`` runs one timed execution per
+scenario; ``.explore()`` checks every order of the deliveries *to the
+corner sets* C1 ∪ C2 (deliveries to Q drain canonically), comparing the
+sets of views each process can have. The default candidate waits for round
+messages from ``n - f`` distinct SRB streams — the most a fault-tolerant
+protocol can wait for without risking waiting on the faulty set forever;
+any :class:`RoundProcess`-compatible candidate factory can be plugged in
+and shown to fail too (two-phase forwarding rescues only ``f = 1``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
-from ..errors import ConfigurationError, PropertyViolation
 from ..sim.partition import srb_separation_sets
 from ..sim.process import Process
 from ..sim.runner import Simulation
-from ..types import ProcessId, ProcessSet, Time
-from .directionality import DirectionalityReport, check_directionality
+from ..types import ProcessId
+from .argument import Argument, World
+from .directionality import check_directionality
 from .srb_oracle import SRBOracle, SRBSenderHandle
 
 IMMEDIATE = 0.05
@@ -93,338 +86,80 @@ class CandidateSRBRound(Process):
 CandidateFactory = Callable[[SRBOracle, int], Process]
 
 
-@dataclass(slots=True)
-class ScenarioResult:
-    """One scenario's simulation plus which processes finished the round."""
-
-    name: str
-    sim: Simulation
-    finished: frozenset[ProcessId]
-
-    def view(self, pid: ProcessId) -> tuple:
-        return self.sim.trace.local_view(pid)
-
-
-@dataclass(slots=True)
-class SeparationOutcome:
-    """Everything :func:`run_srb_separation` verified, for reporting."""
-
-    n: int
-    f: int
-    sets: dict[str, ProcessSet]
-    scenario1: ScenarioResult
-    scenario2: ScenarioResult
-    scenario3: ScenarioResult
-    directionality3: DirectionalityReport
-    indistinguishable_q: bool
-    indistinguishable_c1: bool
-    indistinguishable_c2: bool
-
-    @property
-    def separation_holds(self) -> bool:
-        return (
-            not self.directionality3.is_unidirectional
-            and self.indistinguishable_q
-            and self.indistinguishable_c1
-            and self.indistinguishable_c2
-        )
-
-    def assert_holds(self) -> None:
-        if not self.separation_holds:
-            problems = []
-            if self.directionality3.is_unidirectional:
-                problems.append("no unidirectionality violation in Scenario 3")
-            if not self.indistinguishable_q:
-                problems.append("Q distinguishes the scenarios")
-            if not self.indistinguishable_c1:
-                problems.append("C1 distinguishes Scenario 3 from Scenario 2")
-            if not self.indistinguishable_c2:
-                problems.append("C2 distinguishes Scenario 3 from Scenario 1")
-            raise PropertyViolation("srb-uni-separation", "; ".join(problems))
-
-
-def _policy_for(
-    scenario: int, sets: dict[str, ProcessSet]
-) -> Callable[[ProcessId, ProcessId, int, Time], Optional[float]]:
-    q, c1, c2 = sets["Q"], sets["C1"], sets["C2"]
-
-    def in_(ps: ProcessSet, pid: ProcessId) -> bool:
-        return pid in ps
-
-    def policy(s: ProcessId, r: ProcessId, seq: int, now: Time) -> Optional[float]:
-        if scenario == 1:
-            # C1 crashed (sends nothing anyway); C2 -> Q arbitrarily delayed
-            if in_(c2, s) and in_(q, r):
-                return None
-        elif scenario == 2:
-            # C2 silent; C1 -> Q arbitrarily delayed
-            if in_(c1, s) and in_(q, r):
-                return None
-        elif scenario == 3:
-            # everything out of C1 / C2 to *other* sets arbitrarily delayed
-            if in_(c1, s) and not in_(c1, r):
-                return None
-            if in_(c2, s) and not in_(c2, r):
-                return None
-        else:  # pragma: no cover
-            raise ConfigurationError(f"unknown scenario {scenario}")
-        return IMMEDIATE
-
-    return policy
-
-
-def _run_scenario(
-    scenario: int,
-    n: int,
-    f: int,
-    sets: dict[str, ProcessSet],
-    factory: CandidateFactory,
-    seed: int,
-    horizon: float,
-) -> ScenarioResult:
-    oracle = SRBOracle(policy=_policy_for(scenario, sets), seed=seed)
-    processes = [factory(oracle, f) for _ in range(n)]
-    sim = Simulation(processes, seed=seed)
-    oracle.bind(sim)
-    if scenario == 1:
-        for pid in sets["C1"]:
-            sim.declare_byzantine(pid)
-            sim.crash(pid)  # crashes at the very beginning, sends nothing
-    elif scenario == 2:
-        for pid in sets["C2"]:
-            sim.declare_byzantine(pid)
-            sim.crash(pid)
-    sim.run(until=horizon)
-    finished = frozenset(
+def round_finishers(sim: Simulation) -> frozenset[ProcessId]:
+    """The processes that finished the candidate's round in ``sim``."""
+    return frozenset(
         ev.pid
         for ev in sim.trace.events(
             "custom", predicate=lambda e: e.field("event") == "next_round_started"
         )
     )
-    return ScenarioResult(name=f"scenario{scenario}", sim=sim, finished=finished)
 
 
-def run_srb_separation(
-    n: int,
-    f: int,
-    factory: CandidateFactory = CandidateSRBRound,
-    seed: int = 0,
-    horizon: float = 200.0,
-) -> SeparationOutcome:
-    """Execute the three scenarios of §4.1 against a candidate protocol.
+def srb_separation(
+    n: int, f: int, factory: CandidateFactory = CandidateSRBRound
+) -> Argument:
+    """The three scenarios of §4.1 against a candidate protocol.
 
-    Requires ``n > 2f`` and ``f > 1`` (the regime of the claim). Raises
-    :class:`~repro.errors.PropertyViolation` via
-    :meth:`SeparationOutcome.assert_holds` when the candidate *survives*
-    (e.g. run it with f=1 and a corner-case-style candidate to see the
-    separation fail to apply — see tests).
+    Requires ``n > 2f`` and ``f > 1`` (the regime of the claim).
+    ``assert_holds`` on the outcome raises
+    :class:`~repro.errors.PropertyViolation` when the candidate *survives*
+    or deadlocks.
     """
     sets = srb_separation_sets(n, f)
-    s1 = _run_scenario(1, n, f, sets, factory, seed, horizon)
-    s2 = _run_scenario(2, n, f, sets, factory, seed, horizon)
-    s3 = _run_scenario(3, n, f, sets, factory, seed, horizon)
-
     q, c1, c2 = sets["Q"], sets["C1"], sets["C2"]
 
-    # The proof's obligations on scenarios 1 and 2: the "surviving" sides
-    # must have started their next round.
-    for pid in q:
-        if pid not in s1.finished or pid not in s2.finished or pid not in s3.finished:
-            raise PropertyViolation(
-                "srb-uni-separation",
-                f"candidate deadlocked: Q member {pid} did not finish in some scenario "
-                "(a round protocol must tolerate f absent processes)",
-            )
+    def scenario(
+        number: int,
+        crashed: Iterable[ProcessId],
+        survivors: frozenset[ProcessId],
+        delayed: Callable[[ProcessId, ProcessId], bool],
+    ) -> World:
+        def policy(s: ProcessId, r: ProcessId, seq: int, now: float) -> Optional[float]:
+            return None if delayed(s, r) else IMMEDIATE
 
-    # Indistinguishability checks (content+order of each process's view).
-    ind_q = all(
-        s3.view(pid) == s1.view(pid) == s2.view(pid) for pid in q
-    )
-    ind_c1 = all(s3.view(pid) == s2.view(pid) for pid in c1)
-    ind_c2 = all(s3.view(pid) == s1.view(pid) for pid in c2)
+        def build(seed: int) -> Simulation:
+            oracle = SRBOracle(policy=policy, seed=seed)
+            sim = Simulation([factory(oracle, f) for _ in range(n)], seed=seed)
+            oracle.bind(sim)
+            for pid in crashed:  # crashed at the very beginning, sends nothing
+                sim.declare_byzantine(pid)
+                sim.crash(pid)
+            return sim
 
-    report3 = check_directionality(s3.sim.trace, correct=range(n))
+        def check(sim: Simulation) -> list[str]:
+            failed = []
+            missing = survivors - round_finishers(sim)
+            if missing:
+                failed.append(f"processes {sorted(missing)} never finished")
+            if number == 3 and check_directionality(
+                sim.trace, correct=range(n)
+            ).is_unidirectional:
+                failed.append("no unidirectionality violation")
+            return failed
 
-    return SeparationOutcome(
-        n=n,
-        f=f,
+        return World(f"scenario{number}", build, check)
+
+    return Argument(
+        "srb-uni-separation",
+        worlds=(
+            # C1 crashed; C2 -> Q arbitrarily delayed
+            scenario(1, c1, frozenset(q) | frozenset(c2),
+                     lambda s, r: s in c2 and r in q),
+            # C2 crashed; C1 -> Q arbitrarily delayed
+            scenario(2, c2, frozenset(q) | frozenset(c1),
+                     lambda s, r: s in c1 and r in q),
+            # nobody faulty; everything out of C1 / C2 to other sets delayed
+            scenario(3, (), frozenset(range(n)),
+                     lambda s, r: (s in c1 and r not in c1)
+                     or (s in c2 and r not in c2)),
+        ),
+        indistinguishable=(
+            ("Q", q, "scenario3", "scenario1"),
+            ("Q", q, "scenario3", "scenario2"),
+            ("C1", c1, "scenario3", "scenario2"),
+            ("C2", c2, "scenario3", "scenario1"),
+        ),
         sets=sets,
-        scenario1=s1,
-        scenario2=s2,
-        scenario3=s3,
-        directionality3=report3,
-        indistinguishable_q=ind_q,
-        indistinguishable_c1=ind_c1,
-        indistinguishable_c2=ind_c2,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive (model-checked) separation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class ExhaustiveSeparationOutcome:
-    """The separation verified over *every* schedule at the configured bound.
-
-    ``explorations`` maps ``scenario1``/``scenario2``/``scenario3`` to
-    their :class:`~repro.mc.explorer.ExplorationResult`; ``problems``
-    collects every failed proof obligation (capped per category), each
-    tagged with the replayable schedule id of the offending leaf.
-    """
-
-    n: int
-    f: int
-    sets: dict[str, ProcessSet]
-    explorations: dict[str, Any]
-    problems: list[str]
-
-    @property
-    def schedules(self) -> int:
-        return sum(r.schedules for r in self.explorations.values())
-
-    @property
-    def complete(self) -> bool:
-        return all(r.complete for r in self.explorations.values())
-
-    @property
-    def separation_holds(self) -> bool:
-        return not self.problems
-
-    def assert_holds(self) -> None:
-        if self.problems:
-            raise PropertyViolation(
-                "srb-uni-separation-exhaustive", "; ".join(self.problems)
-            )
-
-
-def _scenario_factory(
-    scenario: int,
-    n: int,
-    f: int,
-    sets: dict[str, ProcessSet],
-    factory: CandidateFactory,
-    seed: int,
-) -> Callable[[], Simulation]:
-    def build() -> Simulation:
-        oracle = SRBOracle(policy=_policy_for(scenario, sets), seed=seed)
-        processes = [factory(oracle, f) for _ in range(n)]
-        sim = Simulation(processes, seed=seed)
-        oracle.bind(sim)
-        crashed = sets["C1"] if scenario == 1 else (
-            sets["C2"] if scenario == 2 else ()
-        )
-        for pid in crashed:
-            sim.declare_byzantine(pid)
-            sim.crash(pid)
-        return sim
-
-    return build
-
-
-def run_srb_separation_exhaustive(
-    n: int,
-    f: int,
-    factory: CandidateFactory = CandidateSRBRound,
-    seed: int = 0,
-    *,
-    dpor: bool = True,
-    max_steps: Optional[int] = None,
-    max_schedules: Optional[int] = None,
-    max_reported: int = 4,
-) -> ExhaustiveSeparationOutcome:
-    """§4.1 with the schedule quantifier made real: check *all* orders.
-
-    Each scenario is explored with focus ``choice_targets = C1 ∪ C2``:
-    every interleaving of the deliveries to the corner processes branches,
-    while deliveries inside Q — which the argument never reorders — drain
-    canonically. At every quiescent leaf the proof obligations hold or the
-    leaf's schedule id is recorded as a problem:
-
-    - the scenario's surviving processes all finished the round;
-    - in Scenario 3, directionality is violated (C1 and C2 both finished
-      without hearing each other);
-
-    and across scenarios, the *sets* of per-process local views must
-    coincide exactly as the indistinguishability argument demands — Q
-    cannot tell any scenario apart, C1 cannot tell 3 from 2, C2 cannot
-    tell 3 from 1. ``max_steps`` / ``max_schedules`` bound quick runs
-    (``complete`` reports whether the bound cut anything off).
-    """
-    from ..mc.explorer import explore
-    from ..mc.schedule import schedule_id as _sid
-
-    sets = srb_separation_sets(n, f)
-    q, c1, c2 = sets["Q"], sets["C1"], sets["C2"]
-    corners = tuple(sorted(set(c1) | set(c2)))
-    required = {
-        1: frozenset(q) | frozenset(c2),
-        2: frozenset(q) | frozenset(c1),
-        3: frozenset(range(n)),
-    }
-    views: dict[int, dict[ProcessId, set]] = {
-        s: {p: set() for p in range(n)} for s in (1, 2, 3)
-    }
-    explorations: dict[str, Any] = {}
-    problems: list[str] = []
-
-    for scenario in (1, 2, 3):
-        name = f"scenario{scenario}"
-        reported = [0, 0]  # [unfinished, directionality] caps per scenario
-
-        def on_leaf(state, schedule, _s=scenario, _name=name, _rep=reported):
-            sim = state
-            finished = frozenset(
-                ev.pid
-                for ev in sim.trace.events(
-                    "custom",
-                    predicate=lambda e: e.field("event") == "next_round_started",
-                )
-            )
-            missing = required[_s] - finished
-            if missing and _rep[0] < max_reported:
-                _rep[0] += 1
-                problems.append(
-                    f"{_name}: processes {sorted(missing)} never finished "
-                    f"in schedule {_sid(schedule)}"
-                )
-            for pid in range(n):
-                views[_s][pid].add(sim.trace.local_view(pid))
-            if _s == 3:
-                report = check_directionality(sim.trace, correct=range(n))
-                if report.is_unidirectional and _rep[1] < max_reported:
-                    _rep[1] += 1
-                    problems.append(
-                        "scenario3: no unidirectionality violation in "
-                        f"schedule {_sid(schedule)}"
-                    )
-
-        explorations[name] = explore(
-            _scenario_factory(scenario, n, f, sets, factory, seed),
-            on_leaf=on_leaf,
-            dpor=dpor,
-            choice_targets=corners,
-            max_steps=max_steps,
-            max_schedules=max_schedules,
-        )
-
-    if all(r.complete for r in explorations.values()):
-        # view-SET equality is a statement about the whole schedule space;
-        # capped quick runs cover different prefixes per scenario, where
-        # comparing the partial sets would only manufacture noise
-        v1, v2, v3 = views[1], views[2], views[3]
-        if not all(v3[p] == v1[p] == v2[p] for p in q):
-            problems.append("Q view sets distinguish the scenarios")
-        if not all(v3[p] == v2[p] for p in c1):
-            problems.append(
-                "C1 view sets distinguish Scenario 3 from Scenario 2"
-            )
-        if not all(v3[p] == v1[p] for p in c2):
-            problems.append(
-                "C2 view sets distinguish Scenario 3 from Scenario 1"
-            )
-
-    return ExhaustiveSeparationOutcome(
-        n=n, f=f, sets=sets, explorations=explorations, problems=problems
+        choice_targets=tuple(sorted(set(c1) | set(c2))),
     )

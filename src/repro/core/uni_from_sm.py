@@ -80,13 +80,18 @@ class SWMRRoundTransport(SharedMemoryRoundTransport):
     entry list, so the k-th write stores k entries without copying them.
     """
 
-    def __init__(self, reg_prefix: str = "swmr", **kwargs: Any) -> None:
-        super().__init__(log_prefix=reg_prefix, **kwargs)
+    LOG_PREFIX = "swmr"
+
+    def __init__(self) -> None:
+        super().__init__()
         self._my_history: list[tuple] = []
 
-    @staticmethod
-    def build_objects(n: int, prefix: str = "swmr") -> list[SWMRRegister]:
-        return [SWMRRegister(f"{prefix}{i}", owner=i, initial=()) for i in range(n)]
+    @classmethod
+    def build_objects(cls, n: int) -> list[SWMRRegister]:
+        return [
+            SWMRRegister(f"{cls.LOG_PREFIX}{i}", owner=i, initial=())
+            for i in range(n)
+        ]
 
     def _publish(self, entry: tuple) -> Optional[int]:
         assert self.host is not None
@@ -99,7 +104,7 @@ class SWMRRoundTransport(SharedMemoryRoundTransport):
         return self.host.ctx.invoke(self._log_name(p), "read")
 
     def _is_own_publish(self, object_name: str, op: str) -> bool:
-        return object_name.startswith(self.log_prefix) and op == "write"
+        return object_name.startswith(self.LOG_PREFIX) and op == "write"
 
     def _ingest(self, src: ProcessId, result: Any) -> None:
         # a correct owner writes a History; a Byzantine one may write a
@@ -129,26 +134,27 @@ class PEATSRoundTransport(SharedMemoryRoundTransport):
     scan of "all objects".
     """
 
-    def __init__(self, space_name: str = "roundspace", **kwargs: Any) -> None:
-        super().__init__(log_prefix=space_name, **kwargs)
-        self.space_name = space_name
-        self._my_count = 0
-        self._scan_handle: Optional[int] = None
+    LOG_PREFIX = "roundspace"
+    """The one space's whole name."""
 
-    @staticmethod
-    def build_objects(n: int, space_name: str = "roundspace") -> list[PEATS]:
-        return [PEATS(space_name, policy=single_inserter_per_slot(0), arity=4)]
+    def __init__(self) -> None:
+        super().__init__()
+        self._my_count = 0
+
+    @classmethod
+    def build_objects(cls, n: int) -> list[PEATS]:
+        return [PEATS(cls.LOG_PREFIX, policy=single_inserter_per_slot(0), arity=4)]
 
     def _publish(self, entry: tuple) -> Optional[int]:
         assert self.host is not None
         self._my_count += 1
         label, payload = entry
         return self.host.ctx.invoke(
-            self.space_name, "out", (self.host.pid, self._my_count, label, payload)
+            self.LOG_PREFIX, "out", (self.host.pid, self._my_count, label, payload)
         )
 
     def _is_own_publish(self, object_name: str, op: str) -> bool:
-        return object_name == self.space_name and op == "out"
+        return object_name == self.LOG_PREFIX and op == "out"
 
     # one rdall is the whole scan: issue it for "process 0" and skip the rest
     def _scan_one(self, p: ProcessId) -> Optional[int]:
@@ -156,7 +162,7 @@ class PEATSRoundTransport(SharedMemoryRoundTransport):
         if p != 0:
             return None
         return self.host.ctx.invoke(
-            self.space_name, "rdall", (WILDCARD, WILDCARD, WILDCARD, WILDCARD)
+            self.LOG_PREFIX, "rdall", (WILDCARD, WILDCARD, WILDCARD, WILDCARD)
         )
 
     def _ingest(self, src: ProcessId, result: Any) -> None:
@@ -185,8 +191,10 @@ class StickyChainRoundTransport(SharedMemoryRoundTransport):
     each chain (sticky registers must be pre-allocated).
     """
 
-    def __init__(self, capacity: int = 64, reg_prefix: str = "sticky", **kwargs: Any) -> None:
-        super().__init__(log_prefix=reg_prefix, **kwargs)
+    LOG_PREFIX = "sticky"
+
+    def __init__(self, capacity: int = 64) -> None:
+        super().__init__()
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
@@ -194,17 +202,16 @@ class StickyChainRoundTransport(SharedMemoryRoundTransport):
         self._chain_ptr: dict[ProcessId, int] = {}
         self._chain_done: set[ProcessId] = set()
 
-    @staticmethod
-    def build_objects(n: int, capacity: int = 64,
-                      prefix: str = "sticky") -> list[StickyRegister]:
+    @classmethod
+    def build_objects(cls, n: int, capacity: int = 64) -> list[StickyRegister]:
         return [
-            StickyRegister(f"{prefix}_{i}_{k}", owner=i)
+            StickyRegister(f"{cls.LOG_PREFIX}_{i}_{k}", owner=i)
             for i in range(n)
             for k in range(capacity)
         ]
 
     def _cell(self, p: ProcessId, k: int) -> str:
-        return f"{self.log_prefix}_{p}_{k}"
+        return f"{self.LOG_PREFIX}_{p}_{k}"
 
     def _publish(self, entry: tuple) -> Optional[int]:
         assert self.host is not None
@@ -220,7 +227,7 @@ class StickyChainRoundTransport(SharedMemoryRoundTransport):
         return handle
 
     def _is_own_publish(self, object_name: str, op: str) -> bool:
-        return object_name.startswith(self.log_prefix) and op == "write"
+        return object_name.startswith(self.LOG_PREFIX) and op == "write"
 
     def _begin_scan(self) -> None:  # fresh chain-progress bookkeeping per scan
         self._chain_done = set()

@@ -268,8 +268,8 @@ def caching_disabled() -> Iterator[None]:
         set_caching(previous)
 
 
-def reset_crypto_caches(reset_stats: bool = True) -> None:
-    """Drop all cached encodings/digests (and by default zero :data:`STATS`).
+def reset_crypto_caches() -> None:
+    """Drop all cached encodings/digests and zero :data:`STATS`.
 
     The chaos harness calls this at the start of every run so per-run cache
     counters — and therefore whole ``ChaosResult``s — are identical whether
@@ -277,8 +277,7 @@ def reset_crypto_caches(reset_stats: bool = True) -> None:
     """
     _ENCODING_CACHE.clear()
     _DIGEST_CACHE.clear()
-    if reset_stats:
-        STATS.reset()
+    STATS.reset()
 
 
 def crypto_stats() -> CryptoStats:

@@ -151,7 +151,6 @@ def make_schedule(
     seed: int,
     crashable: Sequence[ProcessId],
     horizon: Time = DEFAULT_HORIZON,
-    crash_recovery: bool = True,
 ) -> FaultSchedule:
     """Derive a fault schedule deterministically from ``seed``.
 
@@ -165,7 +164,7 @@ def make_schedule(
     rng = _schedule_rng(seed)
     active_until = horizon * 0.4
     crashes: list[CrashEvent] = []
-    if crashable and crash_recovery and rng.random() < 0.85:
+    if crashable and rng.random() < 0.85:
         pid = rng.choice(list(crashable))
         at = rng.uniform(10.0, active_until * 0.5)
         if rng.random() < 0.8:
@@ -752,9 +751,7 @@ def _run_replication_chaos(
         expected_ops = {n + c: len(clients[c].ops) for c in range(n_clients)}
         if streaming:
             return checker.finish(expected_ops=expected_ops)
-        return check_replication(
-            sim.trace, correct, clients=client_pids, expected_ops=expected_ops
-        )
+        return check_replication(sim.trace, correct, expected_ops=expected_ops)
 
     return cell.run(
         protocol if cell.attack is None else f"{cell.spec.protocol}+{cell.attack}",

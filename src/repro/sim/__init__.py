@@ -33,7 +33,7 @@ from .byzantine import (
     mutate_kind,
 )
 from .liveness import DeadlineMonitor, LivenessReport, Obligation
-from .partition import split, srb_separation_sets, weak_agreement_sets
+from .partition import split, srb_separation_sets
 from .process import Context, Interposer, Process, RelayContext, bare
 from .runner import Simulation
 from .scheduler import RunStats, Scheduler
@@ -77,5 +77,4 @@ __all__ = [
     "mutate_kind",
     "split",
     "srb_separation_sets",
-    "weak_agreement_sets",
 ]

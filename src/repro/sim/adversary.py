@@ -189,20 +189,16 @@ class LinkRule:
 class ScriptedAdversary(Adversary):
     """Rule-list adversary used by scenario scripts.
 
-    Rules are consulted in order; the first matching rule decides the fate
-    of a message. Messages matching no rule fall through to ``fallback``
-    (default: immediate-ish delivery with ``base_delay``). This is how the
+    Rules, added with :meth:`add_rule` / :meth:`withhold`, are consulted in
+    order; the first matching rule decides the fate of a message. Messages
+    matching no rule are delivered after ``base_delay``. This is how the
     separation scenarios say "messages from C2 to Q are arbitrarily delayed;
     all other messages are received immediately".
     """
 
-    def __init__(
-        self,
-        rules: Iterable[LinkRule] = (),
-        base_delay: float = 0.01,
-    ) -> None:
+    def __init__(self, base_delay: float = 0.01) -> None:
         super().__init__(min_delay=base_delay, max_delay=base_delay)
-        self.rules: list[LinkRule] = list(rules)
+        self.rules: list[LinkRule] = []
         self.base_delay = base_delay
 
     def add_rule(self, rule: LinkRule) -> "ScriptedAdversary":

@@ -1,7 +1,7 @@
 """Helpers for the process-set partitions the paper's proofs use.
 
 Every separation argument starts by splitting ``range(n)`` into named sets
-(Q/C1/C2 in Section 4.1; P/Q/R/S in the draft's weak-agreement argument).
+(Q/C1/C2 in Section 4.1; P/Q in the draft's very-weak-agreement worlds).
 :func:`split` builds those sets positionally and validates coverage, so
 scenario scripts stay declarative.
 """
@@ -54,14 +54,3 @@ def srb_separation_sets(n: int, f: int) -> dict[str, ProcessSet]:
         raise ConfigurationError(f"the separation needs n > 2f (got n={n}, f={f})")
     return split(n, [n - f, 1, f - 1], ["Q", "C1", "C2"])
 
-
-def weak_agreement_sets(n: int, f: int) -> dict[str, ProcessSet]:
-    """The P/Q/R/S split of the draft's weak-validity argument at n=2f.
-
-    |P| = n-f-1, |Q| = 1, |R| = n-f-1, |S| = 1; requires n = 2f.
-    """
-    if n != 2 * f:
-        raise ConfigurationError(
-            f"the weak-agreement worlds are constructed at n = 2f (got n={n}, f={f})"
-        )
-    return split(n, [n - f - 1, 1, n - f - 1, 1], ["P", "Q", "R", "S"])

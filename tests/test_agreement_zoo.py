@@ -12,8 +12,9 @@ from repro.agreement import (
     build_strong_agreement_system,
     build_weak_agreement_system,
     check_agreement,
-    run_vwa_rb_impossibility,
+    vwa_rb_impossibility,
 )
+from repro.agreement.worlds import commits as world_commits
 from repro.broadcast.definitions import BOT
 from repro.core.rounds import SharedMemoryRoundTransport
 from repro.core.uni_from_sm import build_objects_for
@@ -127,25 +128,31 @@ class TestVeryWeakOverUni:
 
 class TestVWAImpossibilityWorlds:
     def test_f2_demonstration(self):
-        out = run_vwa_rb_impossibility(f=2, seed=0)
+        out = vwa_rb_impossibility(f=2).run(seed=0)
         out.assert_holds()
 
     def test_f3_demonstration(self):
-        out = run_vwa_rb_impossibility(f=3, seed=1)
+        out = vwa_rb_impossibility(f=3).run(seed=1)
         out.assert_holds()
 
     def test_worlds_2_and_4_respect_validity(self):
-        out = run_vwa_rb_impossibility(f=2, seed=2)
-        assert all(v == 0 for v in out.worlds[2].report.commits.values())
-        assert all(v == 1 for v in out.worlds[4].report.commits.values())
+        out = vwa_rb_impossibility(f=2).run(seed=2)
+        w2, w4 = (world_commits(out.worlds[w]) for w in ("world2", "world4"))
+        assert len(w2) == len(w4) == 4
+        assert all(v == 0 for v in w2.values())
+        assert all(v == 1 for v in w4.values())
 
     def test_world5_is_the_contradiction(self):
-        out = run_vwa_rb_impossibility(f=2, seed=3)
-        assert out.worlds[5].report.agreement_violations
+        out = vwa_rb_impossibility(f=2).run(seed=3)
+        report = check_agreement(
+            out.worlds["world5"].trace, VERY_WEAK, {0: 0, 1: 0, 2: 1, 3: 1},
+            range(4), all_correct=True,
+        )
+        assert report.agreement_violations
 
     def test_invalid_f(self):
         with pytest.raises(ConfigurationError):
-            run_vwa_rb_impossibility(f=0)
+            vwa_rb_impossibility(f=0)
 
 
 class TestWeakAgreement:

@@ -359,3 +359,63 @@ class TestHardenedHandlers:
         ui = replicas[0].usig.create_ui(message)
         target.on_message(0, ("USIG", message, ui))
         assert target.consensus_stats()["convicted_rejects"] > 0
+
+    @staticmethod
+    def _quiet_pbft():
+        reset_crypto_caches()
+        sim, replicas, _clients = build_pbft_system(
+            f=1, n_clients=1, ops_per_client=1, seed=0
+        )
+        sim.run(until=50.0)
+        assert all(r.view == 0 and r.in_view_change is None for r in replicas)
+        return sim, replicas
+
+    @staticmethod
+    def _convictions(sim, pid):
+        return [
+            ev.field("culprit")
+            for ev in sim.trace.events("custom", pid=pid)
+            if ev.field("event") == "convict"
+        ]
+
+    def test_pbft_convicting_the_primary_skips_convicted_views(self):
+        sim, replicas = self._quiet_pbft()
+        target = replicas[2]
+        target.convict(1)  # a backup: the view stays
+        assert target.in_view_change is None
+        target.convict(0)  # the primary of view 0; view 1's is convicted too
+        assert target.in_view_change == 2
+        starts = [
+            ev.field("new_view")
+            for ev in sim.trace.events("custom", pid=2)
+            if ev.field("event") == "view_change_start"
+        ]
+        assert starts == [2]
+        assert self._convictions(sim, 2) == [1, 0]
+
+    def test_pbft_convicted_backup_rejects_signed_messages(self):
+        from repro.consensus.pbft import PREPARE, prep_domain
+        from repro.crypto.serialize import content_hash
+
+        _sim, replicas = self._quiet_pbft()
+        target, culprit = replicas[1], replicas[3]
+        digest = content_hash(("op",))
+        sig = culprit.signer.sign(prep_domain(0, 99, digest, 3))
+        message = (PREPARE, 0, 99, digest, 3, sig)
+        target.on_message(3, message)
+        assert target.consensus_stats()["convicted_rejects"] == 0
+        target.convict(3)
+        assert target.in_view_change is None  # 3 does not lead view 0
+        target.on_message(3, message)
+        assert target.consensus_stats()["convicted_rejects"] == 1
+
+    def test_pbft_self_and_repeat_convictions_do_nothing(self):
+        sim, replicas = self._quiet_pbft()
+        primary, backup = replicas[0], replicas[1]
+        primary.convict(0)
+        assert self._convictions(sim, 0) == []
+        assert primary.in_view_change is None
+        backup.convict(0)
+        backup.convict(0)
+        assert self._convictions(sim, 1) == [0]
+        assert backup.in_view_change == 1

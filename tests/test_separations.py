@@ -5,9 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.classification import ARROWS, render_figure, run_classification
-from repro.core.separations import run_srb_separation
-from repro.errors import ConfigurationError
-from repro.sim.partition import srb_separation_sets, split, weak_agreement_sets
+from repro.core.directionality import check_directionality
+from repro.core.separations import (
+    CandidateSRBRound,
+    round_finishers,
+    srb_separation,
+)
+from repro.errors import ConfigurationError, PropertyViolation
+from repro.sim.partition import srb_separation_sets, split
 
 
 class TestPartitionHelpers:
@@ -33,39 +38,57 @@ class TestPartitionHelpers:
         with pytest.raises(ConfigurationError, match="n > 2f"):
             srb_separation_sets(4, 2)
 
-    def test_weak_agreement_sets(self):
-        sets = weak_agreement_sets(4, 2)
-        assert [len(sets[k]) for k in ("P", "Q", "R", "S")] == [1, 1, 1, 1]
-        with pytest.raises(ConfigurationError):
-            weak_agreement_sets(5, 2)
-
 
 class TestSRBSeparation:
     @pytest.mark.parametrize("n,f", [(6, 2), (7, 2), (9, 3)])
     def test_separation_holds(self, n, f):
-        out = run_srb_separation(n=n, f=f, seed=0)
+        out = srb_separation(n, f).run(seed=0)
         out.assert_holds()
 
     def test_scenario_obligations(self):
-        out = run_srb_separation(n=6, f=2, seed=1)
+        out = srb_separation(6, 2).run(seed=1)
         q = set(out.sets["Q"])
         c1, c2 = set(out.sets["C1"]), set(out.sets["C2"])
+        finished = {
+            name: round_finishers(sim) for name, sim in out.worlds.items()
+        }
         # scenario 1: Q and C2 finish; scenario 2: Q and C1 finish
-        assert q <= out.scenario1.finished and c2 <= out.scenario1.finished
-        assert q <= out.scenario2.finished and c1 <= out.scenario2.finished
+        assert q <= finished["scenario1"] and c2 <= finished["scenario1"]
+        assert q <= finished["scenario2"] and c1 <= finished["scenario2"]
         # scenario 3: everyone finishes (all correct)
-        assert out.scenario3.finished == frozenset(range(6))
+        assert finished["scenario3"] == frozenset(range(6))
 
     def test_violating_pair_is_c1_c2(self):
-        out = run_srb_separation(n=6, f=2, seed=2)
-        v = out.directionality3.unidirectional_violations[0]
+        out = srb_separation(6, 2).run(seed=2)
+        report = check_directionality(out.worlds["scenario3"].trace, range(6))
+        v = report.unidirectional_violations[0]
         pair = {v.p, v.q}
         assert pair & set(out.sets["C1"]) and pair & set(out.sets["C2"])
 
     def test_deterministic_across_repeats(self):
-        a = run_srb_separation(n=6, f=2, seed=3)
-        b = run_srb_separation(n=6, f=2, seed=3)
-        assert a.scenario3.view(0) == b.scenario3.view(0)
+        a = srb_separation(6, 2).run(seed=3)
+        b = srb_separation(6, 2).run(seed=3)
+        view = [out.worlds["scenario3"].trace.local_view(0) for out in (a, b)]
+        assert view[0] == view[1]
+
+    def test_both_modes_report_a_deadlocked_candidate(self):
+        """A candidate that waits for every stream never finishes where a
+        process is crashed. A sampled run reports that as a failed
+        obligation instead of raising, and an exploration reports the same
+        obligation, tagged with its schedule."""
+        argument = srb_separation(
+            5, 2, factory=lambda oracle, f: CandidateSRBRound(oracle, 0)
+        )
+        sampled = argument.run(seed=0)
+        assert not sampled.holds
+        assert sampled.problems[0] == "scenario1: processes [0, 1, 2, 4] never finished"
+        explored = argument.explore(max_schedules=2)
+        assert not explored.complete
+        assert explored.problems[0].startswith(
+            "scenario1: processes [0, 1, 2, 4] never finished in schedule mc1:"
+        )
+        with pytest.raises(PropertyViolation, match="srb-uni-separation"):
+            sampled.assert_holds()
 
 
 class TestClassification:

@@ -4,41 +4,41 @@ from __future__ import annotations
 
 import pytest
 
-from repro.agreement import run_strong_validity_impossibility
-from repro.errors import PropertyViolation
+from repro.agreement import commits, strong_validity_impossibility
+from repro.core.directionality import check_directionality
 
 
 class TestStrongValidityWorlds:
     def test_demonstration_holds(self):
-        out = run_strong_validity_impossibility(seed=0)
+        out = strong_validity_impossibility().run(seed=0)
         out.assert_holds()
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_deterministic_across_seeds(self, seed):
-        out = run_strong_validity_impossibility(seed=seed)
+        out = strong_validity_impossibility().run(seed=seed)
         out.assert_holds()
 
     def test_forced_world_decisions(self):
-        out = run_strong_validity_impossibility(seed=4)
+        out = strong_validity_impossibility().run(seed=4)
         # world 1: correct {p0, p2} share input 0 -> both commit 0
-        assert out.world1.commits == {0: 0, 2: 0}
+        assert commits(out.worlds["world1"]) == {0: 0, 2: 0}
         # world 2: correct {p1, p2} share input 1 -> both commit 1
-        assert out.world2.commits == {1: 1, 2: 1}
+        assert commits(out.worlds["world2"]) == {1: 1, 2: 1}
 
     def test_world3_is_the_contradiction(self):
-        out = run_strong_validity_impossibility(seed=5)
-        assert out.world3.commits[0] == 0 and out.world3.commits[1] == 1
-        assert out.world3.agreement_violations
+        out = strong_validity_impossibility().run(seed=5)
+        assert commits(out.worlds["world3"]) == {0: 0, 1: 1}
 
     def test_world3_satisfies_unidirectionality(self):
         """The violation is NOT an artifact of breaking the round contract."""
-        out = run_strong_validity_impossibility(seed=6)
-        assert out.directionality3.is_unidirectional
-        assert not out.directionality3.is_bidirectional  # p0->p1 withheld
+        out = strong_validity_impossibility().run(seed=6)
+        report = check_directionality(out.worlds["world3"].trace, [0, 1])
+        assert report.is_unidirectional
+        assert not report.is_bidirectional  # p0->p1 withheld
 
     def test_indistinguishability(self):
-        out = run_strong_validity_impossibility(seed=7)
-        assert out.p0_view_matches_w1 and out.p1_view_matches_w2
+        out = strong_validity_impossibility().run(seed=7)
+        assert out.holds and not out.distinguished
 
 
 class TestContrastWithSynchrony:
