@@ -94,8 +94,9 @@ class CryptoStats:
     of the run (identical between serial and parallel sweeps).
 
     ``hmac_ops`` counts every HMAC-SHA256 actually computed — signature
-    signing and verification misses, plus TrInc attestations and checks —
-    which is the hardware-cost proxy the hot-path bench reports.
+    signing and verification misses, plus the attestations and checks of
+    the trusted hardware (TrInc, A2M, enclaves) — the hardware-cost proxy
+    behind the benchmark's ``crypto.signatures.hmac_per_op``.
     """
 
     serialize_hits: int = 0
@@ -249,8 +250,8 @@ def set_caching(enabled: bool) -> bool:
     """Enable/disable all crypto caches; returns the previous setting.
 
     Disabling restores the uncached reference behavior (every call
-    serializes and HMACs from scratch) — the baseline the hot-path bench
-    measures against. Existing entries are kept but not consulted.
+    serializes and HMACs from scratch) — the reference the cached paths are
+    tested against. Existing entries are kept but not consulted.
     """
     global _caching_enabled
     previous = _caching_enabled
@@ -336,7 +337,7 @@ def _unencodable(v: Any) -> SignatureError:
     outside the domain like any foreign type, and reachable from the wire."""
     return SignatureError(
         f"cannot canonically serialize this {type(v).__name__}: "
-        + ("too many digits" if isinstance(v, int) else ascii(v))
+        + ("too many digits" if isinstance(v, int) else ascii(str.__str__(v)))
     )
 
 
@@ -352,7 +353,10 @@ def _encode(value: Any, out: bytearray) -> bool:
     and go through nested :func:`_encode` calls. The exact types nearly
     every protocol value is made of (short ``str`` / ``bytes``, ``int``,
     ``tuple``) are tested first, by ``type``; subclass instances take the
-    ``isinstance`` half of the same branches.
+    ``issubclass`` half of the same branches and are read through their
+    base type's own slots (``int.__repr__``, ``str.encode``,
+    ``tuple.__iter__``, ``dict.items``, …), never through a method the
+    value can override, so a subclass encodes exactly like its base value.
     """
     caching = _caching_enabled
     frames: list = []  # (children, container, start, immutable) of the enclosing ones
@@ -372,29 +376,33 @@ def _encode(value: Any, out: bytearray) -> bool:
                     out += _TAG_BYTES
                 out += _LENGTH[len(v)]
                 out += v
-            elif tp is int or (tp is not bool and isinstance(v, int)):
+            elif tp is int or (tp is not bool and issubclass(tp, int)):
                 small = _SMALL_INT.get(v) if tp is int else None
                 if small is not None:
                     out += small
                     continue
                 try:
-                    body = b"%d" % v if tp is int else str(v).encode("ascii")
+                    body = b"%d" % v if tp is int else int.__repr__(v).encode("ascii")
                 except ValueError:
                     raise _unencodable(v) from None
                 n = len(body)
                 out += _TAG_INT
                 out += _LENGTH[n] if n < 256 else _pack_length(n)
                 out += body
-            elif tp is tuple or tp is list or isinstance(v, (tuple, list)):
+            elif tp is tuple or tp is list or issubclass(tp, (tuple, list)):
                 if caching:
                     cached = _cached_encoding(v)
                     if cached is not None:
                         out += cached
                         continue
                 frames.append((children, container, start, immutable))
-                children, container, start = iter(v), v, len(out)
-                immutable = tp is tuple or not isinstance(v, list)
-                n = len(v)
+                if tp is tuple or tp is list:
+                    children, n = iter(v), len(v)
+                else:
+                    base = tuple if issubclass(tp, tuple) else list
+                    children, n = base.__iter__(v), base.__len__(v)
+                container, start = v, len(out)
+                immutable = tp is tuple or not issubclass(tp, list)
                 out += _TAG_SEQ
                 out += _LENGTH[n] if n < 256 else _pack_length(n)
                 break
@@ -404,28 +412,29 @@ def _encode(value: Any, out: bytearray) -> bool:
                 out += _TAG_TRUE
             elif v is False:
                 out += _TAG_FALSE
-            elif isinstance(v, float):
+            elif issubclass(tp, float):
                 out += _TAG_FLOAT
                 out += _pack_float(v)
-            elif isinstance(v, (str, bytes, bytearray)):
+            elif issubclass(tp, (str, bytes, bytearray)):
                 # long strings are worth an identity-cache entry of their
                 # own: payloads embedded in relayed proofs re-encode at every
                 # signature check otherwise (str and bytes are immutable)
-                soft = isinstance(v, bytearray)
-                big = caching and not soft and len(v) >= _SCALAR_CACHE_MIN
+                soft = issubclass(tp, bytearray)
+                base = str if issubclass(tp, str) else bytearray if soft else bytes
+                big = caching and not soft and base.__len__(v) >= _SCALAR_CACHE_MIN
                 if big:
                     cached = _cached_encoding(v)
                     if cached is not None:
                         out += cached
                         continue
-                if isinstance(v, str):
+                if base is str:
                     try:
-                        body = v.encode("utf-8")
+                        body = str.encode(v, "utf-8")
                     except ValueError:
                         raise _unencodable(v) from None
                     encoded = _TAG_STR
                 else:
-                    body = bytes(v)
+                    body = base.__getitem__(v, slice(None))
                     encoded = _TAG_BYTES
                 n = len(body)
                 encoded += (_LENGTH[n] if n < 256 else _pack_length(n)) + body
@@ -434,7 +443,7 @@ def _encode(value: Any, out: bytearray) -> bool:
                     _ENCODING_CACHE.put(id(v), (v, encoded))
                 if soft:
                     immutable = False
-            elif isinstance(v, frozenset):
+            elif issubclass(tp, frozenset):
                 if caching:
                     cached = _cached_encoding(v)
                     if cached is not None:
@@ -443,7 +452,7 @@ def _encode(value: Any, out: bytearray) -> bool:
                 mark = len(out)
                 hard = True
                 items = []
-                for item in v:
+                for item in frozenset.__iter__(v):
                     body = bytearray()
                     hard &= _encode(item, body)
                     items.append(bytes(body))
@@ -457,12 +466,12 @@ def _encode(value: Any, out: bytearray) -> bool:
                     immutable = False
                 elif caching:
                     _ENCODING_CACHE.put(id(v), (v, bytes(out[mark:])))
-            elif isinstance(v, dict):
+            elif issubclass(tp, dict):
                 # dicts are mutable: encode (through the cache for the
                 # elements) but neither store nor allow any enclosing
                 # container to be stored
                 pairs = []
-                for key, val in v.items():
+                for key, val in dict.items(v):
                     kbody = bytearray()
                     _encode(key, kbody)
                     vbody = bytearray()

@@ -26,6 +26,7 @@ import hmac
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from ..crypto.serialize import STATS as _CRYPTO_STATS
 from ..crypto.serialize import canonical_bytes, content_hash
 from ..errors import AttestationError, ConfigurationError
 from ..types import ProcessId, SeqNum
@@ -89,6 +90,7 @@ class A2MAuthority:
         body = canonical_bytes(
             ("a2m", pid, kind, log_id, index, content_hash(value), content_hash(nonce))
         )
+        _CRYPTO_STATS.hmac_ops += 1
         return hmac.new(self._keys[pid], body, hashlib.sha256).digest()
 
     def check(self, statement: Any, q: ProcessId) -> bool:

@@ -22,6 +22,7 @@ import hmac
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from ..crypto.serialize import STATS as _CRYPTO_STATS
 from ..crypto.serialize import canonical_bytes, content_hash
 from ..errors import AttestationError, ConfigurationError
 from ..types import ProcessId, SeqNum
@@ -106,6 +107,7 @@ class EnclaveAuthority:
         body = canonical_bytes(
             ("enclave", pid, measurement, seq, input_hash, content_hash(output))
         )
+        _CRYPTO_STATS.hmac_ops += 1
         return hmac.new(self._keys[pid], body, hashlib.sha256).digest()
 
     def check(self, out: Any, q: ProcessId,

@@ -1,4 +1,4 @@
-"""Structured execution traces: indexed store, observer bus, JSONL replay.
+"""Structured execution traces: columnar store, observer bus, JSONL replay.
 
 A :class:`TraceStore` is an append-only log of everything observable that
 happened in a run. Property checkers (`repro.core.directionality`,
@@ -8,12 +8,11 @@ validates any implementation of a primitive.
 
 Three capabilities beyond a plain list:
 
-- **Lazy indexes.** :meth:`TraceStore.record` is the hot path of every
-  simulated event and maintains no index. ``events(kind=...)``,
-  ``events(pid=...)``, ``decisions()`` and ``local_view()`` first catch the
-  per-kind / per-pid indexes up with the rows recorded since the previous
-  query, then cost O(matching events) instead of O(full trace); a run nobody
-  queries (streaming checkers over a retention ring) never builds them.
+- **Columnar rows, one read path.** :meth:`TraceStore.record` is the hot
+  path of every simulated event and appends to five parallel columns, nothing
+  else. Every read (iteration, ``events(kind=..., pid=...)``,
+  ``decisions()``, ``local_view()``, :meth:`~TraceStore.replay_into`, JSONL
+  export) is one walk over the retained rows, O(retained trace).
 - **Observer bus.** :class:`TraceObserver` subscribers receive the events of
   the kinds they declare (:attr:`TraceObserver.kinds`; every kind by default)
   as they are recorded, enabling *online* checkers that maintain incremental
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from collections import Counter, defaultdict, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
 
@@ -299,7 +298,7 @@ def _decode_event(line: str) -> TraceEvent:
 
 
 class TraceStore:
-    """Append-only event log with lazy indexes and a kind-routed observer bus.
+    """Append-only columnar event log with a kind-routed observer bus.
 
     ``retention`` bounds the number of events kept in memory: ``None``
     (default) keeps everything; ``N`` keeps the most recent ``N`` events in
@@ -311,18 +310,14 @@ class TraceStore:
     Cost contract: :meth:`record` does five column appends, one routed
     dispatch and, on a full ring, an O(1) eviction — it pays only for what
     is observed. Storage is *columnar* (five parallel lists: index, time,
-    kind, pid, fields), a :class:`TraceEvent` is built only for a record
+    kind, pid, fields), and a :class:`TraceEvent` is built only for a record
     some subscriber's :attr:`~TraceObserver.kinds` cover or for a reader
-    that asks for one, and the per-kind / per-pid indexes are built by the
-    queries that use them: a query first indexes the rows recorded since
-    the previous query (``_indexed`` is the watermark; one that eviction
-    overtook restarts from the live window), then walks only the matching
-    positions. The indexes hold *logical positions* into the columns, so
-    they are immune to the amortized front-eviction that keeps bounded
-    stores O(retention): an evicted row is first only marked dead at the
-    front of the columns (its fields released), and the dead prefix is
-    deleted, and its kinds and pids added to the evicted-prefix counters,
-    in one batch once it reaches half the column length.
+    that asks for one. Every query is one walk over the retained rows,
+    filtering on the columns before it builds an event. Eviction is
+    amortized: an evicted row is first only marked dead at the front of the
+    columns (its fields released), and the dead prefix is deleted, and its
+    kinds and pids added to the evicted-prefix counters, in one batch once
+    it reaches half the column length.
     """
 
     #: dead column prefixes shorter than this ride for free (and below
@@ -339,11 +334,8 @@ class TraceStore:
         self._c_kind: list[str] = []
         self._c_pid: list[ProcessId] = []
         self._c_fields: list[dict[str, Any]] = []
-        self._offset = 0  # logical position of physical row 0
+        self._offset = 0  # rows _compact has deleted (they count as evicted)
         self._dead = 0  # evicted rows not yet physically deleted (front)
-        self._by_kind: defaultdict[str, deque[int]] = defaultdict(deque)
-        self._by_pid: defaultdict[ProcessId, deque[int]] = defaultdict(deque)
-        self._indexed = 0  # logical position the indexes are caught up to
         self._observers: list[TraceObserver] = []
         self._routes: dict[str, tuple] = {}  # kind -> _route(observers, kind)
         self._next_index = 0
@@ -373,27 +365,6 @@ class TraceStore:
             del column[:n]
         self._offset += n
         self._dead = 0
-
-    def _catch_up(self) -> None:
-        """Bring the indexes up to date with the columns (query entry)."""
-        off = self._offset
-        first = off + self._dead  # logical position of the oldest live row
-        lo = self._indexed
-        by_kind, by_pid = self._by_kind, self._by_pid
-        if lo < first:  # every indexed row has been evicted since
-            by_kind.clear()
-            by_pid.clear()
-            lo = first
-        else:  # the oldest row leads its kind's and its pid's positions
-            for positions in (*by_kind.values(), *by_pid.values()):
-                while positions and positions[0] < first:
-                    positions.popleft()
-        self._indexed = off + len(self._c_time)
-        for pos, kind, pid in zip(
-            range(lo, self._indexed), self._c_kind[lo - off:], self._c_pid[lo - off:]
-        ):
-            by_kind[kind].append(pos)
-            by_pid[pid].append(pos)
 
     # -- recording -------------------------------------------------------
 
@@ -479,28 +450,16 @@ class TraceStore:
     ) -> list[TraceEvent]:
         """All retained events matching the given filters, in trace order.
 
-        Index-backed: filtering by ``kind`` and/or ``pid`` walks only the
-        smaller matching index, not the whole trace — and the secondary
-        filter of a combined query reads one column, never a full event.
+        One walk over the retained rows: the ``kind`` and ``pid`` filters
+        each read one column, and only a row that passes both becomes a
+        :class:`TraceEvent` (and is offered to ``predicate``).
         """
-        if kind is not None or pid is not None:
-            self._catch_up()
-        off = self._offset
-        if kind is not None and pid is not None:
-            by_kind = self._by_kind.get(kind, ())
-            by_pid = self._by_pid.get(pid, ())
-            if len(by_kind) <= len(by_pid):
-                pid_col = self._c_pid
-                rows = (p - off for p in by_kind if pid_col[p - off] == pid)
-            else:
-                kind_col = self._c_kind
-                rows = (p - off for p in by_pid if kind_col[p - off] == kind)
-        elif kind is not None:
-            rows = (p - off for p in self._by_kind.get(kind, ()))
-        elif pid is not None:
-            rows = (p - off for p in self._by_pid.get(pid, ()))
-        else:
-            rows = iter(self._live_rows())
+        kind_col, pid_col = self._c_kind, self._c_pid
+        rows = (
+            phys for phys in self._live_rows()
+            if (kind is None or kind_col[phys] == kind)
+            and (pid is None or pid_col[phys] == pid)
+        )
         mat = self._materialize
         if predicate is None:
             return [mat(phys) for phys in rows]
@@ -552,22 +511,19 @@ class TraceStore:
     def local_view(self, pid: ProcessId) -> tuple[tuple, ...]:
         """Ordered content of everything ``pid`` observed in this run.
 
-        Index-backed: walks only ``pid``'s events. On a bounded store the
-        view covers the retained window only (evicted events are gone);
+        One walk over the retained rows. On a bounded store the view covers
+        the retained window only (evicted events are gone);
         indistinguishability comparisons should use unbounded stores.
         """
-        self._catch_up()
-        off = self._offset
-        kind_col = self._c_kind
-        fields_col = self._c_fields
+        kind_col, pid_col, fields_col = self._c_kind, self._c_pid, self._c_fields
         # view_key without materializing: (kind, sorted field items)
         return tuple(
             (
-                kind_col[p - off],
-                tuple(sorted(fields_col[p - off].items(), key=lambda kv: kv[0])),
+                kind_col[phys],
+                tuple(sorted(fields_col[phys].items(), key=lambda kv: kv[0])),
             )
-            for p in self._by_pid.get(pid, ())
-            if kind_col[p - off] in _LOCAL_VIEW_KINDS
+            for phys in self._live_rows()
+            if pid_col[phys] == pid and kind_col[phys] in _LOCAL_VIEW_KINDS
         )
 
     def views_equal(self, other: "TraceStore", pids: Iterable[ProcessId]) -> bool:

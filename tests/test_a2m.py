@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.crypto.serialize import crypto_stats
 from repro.errors import AttestationError, ConfigurationError
 from repro.hardware.a2m import A2MAuthority, A2MStatement, END, LOOKUP
 from repro.hardware.a2m_from_trinc import (
@@ -72,6 +73,14 @@ class TestNativeA2M:
         wrong_kind = A2MStatement(s.device_id, END, s.log_id, s.index, s.value,
                                   s.nonce, s.tag)
         assert not auth.check(wrong_kind, 0)
+
+    def test_attest_and_check_count_two_hmacs(self, authority_and_device):
+        auth, d = authority_and_device
+        log = d.create_log()
+        d.append(log, "a")
+        before = crypto_stats().hmac_ops
+        assert auth.check(d.lookup(log, 1, nonce="z"), 0)
+        assert crypto_stats().hmac_ops - before == 2
 
     def test_wrong_device_rejected(self, authority_and_device):
         auth, d = authority_and_device

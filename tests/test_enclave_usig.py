@@ -11,6 +11,7 @@ from repro.consensus.enclave_usig import (
     USIG_MEASUREMENT,
     usig_program,
 )
+from repro.crypto.serialize import crypto_stats
 from repro.errors import ConfigurationError
 from repro.hardware.enclave import EnclaveAuthority, EnclaveProgram
 
@@ -78,6 +79,12 @@ class TestEnclaveUSIG:
     def test_junk(self, parts):
         _, _, verifier = parts
         assert not verifier.verify_ui("junk", "m", 0)
+
+    def test_create_and_check_count_two_hmacs(self, parts):
+        _, usig, verifier = parts
+        before = crypto_stats().hmac_ops
+        assert verifier.verify_ui(usig.create_ui("m"), "m", 0)
+        assert crypto_stats().hmac_ops - before == 2
 
 
 class TestMinBFTOnEnclaves:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.serialize import canonical_bytes, content_hash
+from repro.crypto.serialize import caching_disabled, canonical_bytes, content_hash
 from repro.errors import SignatureError
 
 
@@ -103,6 +103,121 @@ class TestBoundaryConfusion:
 
     def test_str_that_looks_like_int(self):
         assert canonical_bytes("1") != canonical_bytes(1)
+
+
+# Built-in subclasses that override every method an encoder could read
+# them through: each must still encode exactly like its base value.
+class LyingInt(int):
+    __str__ = __repr__ = lambda self: "5"
+
+
+class LyingStr(str):
+    def encode(self, *args, **kwargs):
+        return b"evil"
+
+    def __len__(self):
+        return 0
+
+    def __repr__(self):
+        raise RuntimeError("read through an override")
+
+
+class LyingBytes(bytes):
+    def __bytes__(self):
+        return b"evil"
+
+    def __len__(self):
+        return 0
+
+
+class LyingBytearray(bytearray):
+    def __bytes__(self):
+        return b"evil"
+
+
+class LyingTuple(tuple):
+    def __iter__(self):
+        return iter((5,))
+
+    def __len__(self):
+        return 1
+
+
+class LyingList(list):
+    def __iter__(self):
+        return iter((5,))
+
+    def __len__(self):
+        return 1
+
+
+class LyingFrozenset(frozenset):
+    def __iter__(self):
+        return iter((5,))
+
+
+class LyingDict(dict):
+    def items(self):
+        return [(5, 5)]
+
+
+class Spoof:
+    """No subclass of anything, but claims ``base`` as its ``__class__``."""
+
+    def __init__(self, base):
+        self.base = base
+
+    __class__ = property(lambda self: self.base)
+    __str__ = lambda self: "5"
+    __float__ = lambda self: 5.0
+
+
+LOOK_ALIKES = [
+    (LyingInt(1), 1),
+    (LyingInt(2 ** 70), 2 ** 70),
+    (LyingStr("ok"), "ok"),
+    (LyingStr("ok" * 40), "ok" * 40),
+    (LyingBytes(b"ok"), b"ok"),
+    (LyingBytes(b"ok" * 40), b"ok" * 40),
+    (LyingBytearray(b"ok"), bytearray(b"ok")),
+    (LyingTuple((1, 2)), (1, 2)),
+    (LyingList([1, 2]), [1, 2]),
+    (LyingFrozenset({1, 2}), frozenset({1, 2})),
+    (LyingDict({1: 2}), {1: 2}),
+]
+
+
+class TestSubclassesEncodeAsTheirBase:
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
+    @pytest.mark.parametrize(
+        "look, base", LOOK_ALIKES, ids=[type(v).__name__ for v, _ in LOOK_ALIKES]
+    )
+    def test_encodes_like_base_value(self, look, base, cached):
+        def encodings(value):
+            return canonical_bytes(value), canonical_bytes(("x", value))
+
+        if cached:
+            assert encodings(look) == encodings(base)
+            assert encodings(look) == encodings(base)  # and from the cache
+        else:
+            with caching_disabled():
+                assert encodings(look) == encodings(base)
+
+    @pytest.mark.parametrize(
+        "value",
+        [LyingInt(10 ** 5000), LyingStr("lone \ud800")],
+        ids=["huge-int", "surrogate"],
+    )
+    def test_unencodable_subclass_raises_the_encoders_error(self, value):
+        with pytest.raises(SignatureError):
+            canonical_bytes(value)
+
+    @pytest.mark.parametrize("base", [int, float, str, tuple])
+    def test_class_spoof_rejected(self, base):
+        # isinstance() believes a __class__ property; the encoder must not
+        assert isinstance(Spoof(base), base)
+        with pytest.raises(SignatureError):
+            canonical_bytes(Spoof(base))
 
 
 values = st.recursive(

@@ -10,6 +10,12 @@ from repro.crypto import Signature, SignatureScheme
 from repro.errors import SignatureError
 
 
+class Lying(int):
+    """Prints as 5 whatever its value."""
+
+    __str__ = __repr__ = lambda self: "5"
+
+
 class TestSignVerify:
     def test_roundtrip(self, scheme4):
         signer = scheme4.signer(0)
@@ -72,6 +78,11 @@ class TestSignVerify:
             assert scheme4.verify_signed((value, sig)) is False
             with pytest.raises(SignatureError):
                 signer.sign(value)
+
+    def test_int_subclass_cannot_borrow_another_values_signature(self, scheme4):
+        sig = scheme4.signer(0).sign(("SRB-VAL", 0, 5, "m"))
+        assert not scheme4.verify_from(0, ("SRB-VAL", 0, Lying(1), "m"), sig)
+        assert scheme4.verify_from(0, ("SRB-VAL", 0, Lying(5), "m"), sig)
 
 
 class TestCapabilityDiscipline:
