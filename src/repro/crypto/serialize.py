@@ -331,12 +331,17 @@ def _proven_immutable(value: Any) -> bool:
     return _cached_encoding(value) is not None
 
 
+_type_name = type.__dict__["__name__"].__get__
+"""The name of a type, read from its own slot: a metaclass cannot
+override this read the way it can override ``tp.__name__``."""
+
+
 def _unencodable(v: Any) -> SignatureError:
     """A ``str`` UTF-8 cannot carry (a lone surrogate) or an ``int`` past the
     interpreter's ``str()`` digit limit (whose ``repr`` raises as well):
     outside the domain like any foreign type, and reachable from the wire."""
     return SignatureError(
-        f"cannot canonically serialize this {type(v).__name__}: "
+        f"cannot canonically serialize this {_type_name(type(v))}: "
         + ("too many digits" if isinstance(v, int) else ascii(str.__str__(v)))
     )
 
@@ -504,9 +509,9 @@ def _encode(value: Any, out: bytearray) -> bool:
                 out += _pack_length(len(fields))
                 break
             else:
+                # named, not shown: a foreign value's repr is its own code
                 raise SignatureError(
-                    "cannot canonically serialize value of type "
-                    f"{tp.__name__}: {v!r}"
+                    f"cannot canonically serialize value of type {_type_name(tp)}"
                 )
         else:
             # ``children`` ran out: the open container is complete

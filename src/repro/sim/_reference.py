@@ -58,8 +58,8 @@ class HeapOnlyScheduler:
 
     def schedule(self, delay: float, payload: Payload,
                  after: Event | None = None) -> Event:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        if not delay >= 0:  # a NaN fails it too
+            raise SimulationError(f"cannot schedule at delay {delay}")
         ev = Event(time=self._now + delay, seq=self._seq, payload=payload,
                    after=after)
         self._seq += 1
@@ -69,10 +69,10 @@ class HeapOnlyScheduler:
 
     def schedule_at(self, time: Time, payload: Payload,
                     after: Event | None = None) -> Event:
-        if time < self._now:
-            if not self.controlled:
+        if not time >= self._now:
+            if not (self.controlled and time < self._now):  # NaN raises
                 raise SimulationError(
-                    f"cannot schedule at {time} before current time {self._now}"
+                    f"cannot schedule at {time} (current time {self._now})"
                 )
             time = self._now
         ev = Event(time=time, seq=self._seq, payload=payload, after=after)

@@ -5,18 +5,20 @@ memory operation reaching its linearization point, a response arriving back
 at its invoker — is an :class:`Event` on the scheduler's heap. Events are
 ordered by ``(time, seq)``; ``seq`` is a global creation counter that makes
 tie-breaking deterministic and FIFO for same-time events.
+
+A payload is a named tuple, built positionally on the event path: a third
+of a frozen dataclass's ``__init__``, once per scheduled event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from ..types import ProcessId, Time
 
 
-@dataclass(frozen=True, slots=True)
-class MessageDeliver:
+class MessageDeliver(NamedTuple):
     """Deliver ``msg`` from ``src`` to ``dst`` (calls ``dst.on_message``).
 
     ``duplicate`` marks adversary-injected extra copies of an already
@@ -31,8 +33,7 @@ class MessageDeliver:
     duplicate: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class TimerFire:
+class TimerFire(NamedTuple):
     """Fire timer ``tag`` at process ``pid`` (calls ``on_timer``)."""
 
     pid: ProcessId
@@ -40,19 +41,23 @@ class TimerFire:
     timer_id: int
 
 
-@dataclass(frozen=True, slots=True)
-class OpLinearize:
-    """A shared-memory operation reaches its atomic linearization point."""
+class OpLinearize(NamedTuple):
+    """A shared-memory operation reaches its atomic linearization point.
+
+    ``resp_delay`` is the response delay the adversary drew when the
+    operation was invoked: the response is scheduled that long after this
+    event dispatches.
+    """
 
     pid: ProcessId
     handle: int
     object_name: str
     op: str
     args: tuple
+    resp_delay: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class OpRespond:
+class OpRespond(NamedTuple):
     """The response of a linearized shared-memory operation reaches its invoker."""
 
     pid: ProcessId
@@ -62,8 +67,7 @@ class OpRespond:
     result: Any
 
 
-@dataclass(frozen=True, slots=True)
-class Callback:
+class Callback(NamedTuple):
     """Run an arbitrary zero-argument function (used by scenario scripts).
 
     ``pid`` attributes the callback to a process (the crash target, the
@@ -124,11 +128,21 @@ class Event:
     comparison, and heap sift operations run one comparison per level — on
     10^6-event runs the tuple churn alone was a measurable slice of the
     loop. Semantics are identical to the old ``order=True`` pair.
+
+    ``after`` follows ``payload``: the scheduler builds events positionally.
     """
 
     time: Time
     seq: int
     payload: Payload = field(compare=False)
+    after: "Event | None" = field(default=None, compare=False)
+    """Program-order predecessor: this event must not dispatch before
+    ``after`` has. The heap run loop never needs it (producers encode order
+    in timestamps, ties break by seq), but controlled-schedule mode ignores
+    timestamps, so producers with an ordering *guarantee* — the SRB
+    oracle's per-(sender, receiver) sequencing — chain their events
+    explicitly and the model checker treats chained events as blocked until
+    the predecessor fires."""
     cancelled: bool = field(default=False, compare=False)
     queued: bool = field(default=True, compare=False)
     """Logically pending (scheduled, not yet dispatched or drained).
@@ -143,14 +157,6 @@ class Event:
     chains block on this: a successor is enabled only once its predecessor
     *fired* — a predecessor cancelled before firing blocks its successors
     forever (see :meth:`repro.sim.scheduler.Scheduler.co_enabled`)."""
-    after: "Event | None" = field(default=None, compare=False)
-    """Program-order predecessor: this event must not dispatch before
-    ``after`` has. The heap run loop never needs it (producers encode order
-    in timestamps, ties break by seq), but controlled-schedule mode ignores
-    timestamps, so producers with an ordering *guarantee* — the SRB
-    oracle's per-(sender, receiver) sequencing — chain their events
-    explicitly and the model checker treats chained events as blocked until
-    the predecessor fires."""
 
     def __lt__(self, other: "Event") -> bool:
         if self.time != other.time:

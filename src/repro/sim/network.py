@@ -48,6 +48,9 @@ class Network:
     def __init__(self, sim: "Simulation", adversary: Adversary) -> None:
         self._sim = sim
         self.adversary = adversary
+        # at-least-once adversaries inject extra copies; resolved once, as
+        # nothing rebinds the adversary after construction
+        self._extra_deliveries = getattr(adversary, "extra_deliveries", None)
         self.withheld: list[WithheldMessage] = []
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -59,10 +62,11 @@ class Network:
     def submit(self, src: ProcessId, dst: ProcessId, msg: Any) -> None:
         """Accept a message from ``src`` addressed to ``dst``."""
         sim = self._sim
-        now = sim.now
+        scheduler = sim.scheduler
+        now = scheduler.now
         sim.trace.record(now, SEND, src, dst=dst, msg=msg)
         self.messages_sent += 1
-        if sim.scheduler.controlled and dst in sim.crashed_pids:
+        if scheduler.controlled and dst in sim._crashed:
             # controlled mode has no restarts: a delivery to a crashed
             # process is a guaranteed no-op, and keeping it as a choice
             # point would multiply the explored state space for nothing
@@ -74,18 +78,13 @@ class Network:
             return
         if delay < 0:
             delay = 0.0
-        sim.scheduler.schedule(
-            delay, MessageDeliver(src=src, dst=dst, msg=msg, send_time=now)
-        )
-        # at-least-once adversaries inject extra copies
-        extra = getattr(self.adversary, "extra_deliveries", None)
+        scheduler.schedule(delay, MessageDeliver(src, dst, msg, now))
+        extra = self._extra_deliveries
         if extra is not None:
             for extra_delay in extra(src, dst, msg, now):
-                sim.scheduler.schedule(
+                scheduler.schedule(
                     max(extra_delay, 0.0),
-                    MessageDeliver(
-                        src=src, dst=dst, msg=msg, send_time=now, duplicate=True
-                    ),
+                    MessageDeliver(src, dst, msg, now, True),
                 )
 
     def note_delivered(self, duplicate: bool = False) -> None:

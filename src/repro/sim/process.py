@@ -75,7 +75,7 @@ class Context:
 
     @property
     def now(self) -> Time:
-        return self._sim.now
+        return self._sim.scheduler.now
 
     @property
     def alive(self) -> bool:
@@ -135,13 +135,15 @@ class Context:
         """Record that this process commits/decides ``value``."""
         if not self._alive:
             return
-        self._sim.trace.record(self._sim.now, DECIDE, self._pid, value=value)
+        sim = self._sim
+        sim.trace.record(sim.scheduler.now, DECIDE, self._pid, value=value)
 
     def record(self, kind: str, **fields: Any) -> None:
         """Record a protocol-defined trace event attributed to this process."""
         if not self._alive:
             return
-        self._sim.trace.record(self._sim.now, kind, self._pid, **fields)
+        sim = self._sim
+        sim.trace.record(sim.scheduler.now, kind, self._pid, **fields)
 
     # -- lifecycle (simulation-internal) -------------------------------------------
 

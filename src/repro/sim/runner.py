@@ -308,10 +308,11 @@ class Simulation:
     def set_timer(self, pid: ProcessId, delay: float, tag: Any) -> int:
         timer_id = self._next_timer_id
         self._next_timer_id += 1
-        ev = self.scheduler.schedule(delay, TimerFire(pid=pid, tag=tag, timer_id=timer_id))
+        scheduler = self.scheduler
+        ev = scheduler.schedule(delay, TimerFire(pid, tag, timer_id))
         self._timers[timer_id] = ev
         self._timers_by_pid.setdefault(pid, set()).add(timer_id)
-        self.trace.record(self.now, TIMER_SET, pid, tag=tag, timer_id=timer_id)
+        self._record(scheduler.now, TIMER_SET, pid, tag=tag, timer_id=timer_id)
         return timer_id
 
     def cancel_timer(self, timer_id: int) -> None:
@@ -324,7 +325,7 @@ class Simulation:
 
     def at(self, time: Time, fn: Callable[[], None], label: str = "") -> None:
         """Run ``fn`` at virtual ``time`` (partition healing, fault injection…)."""
-        self.scheduler.schedule_at(time, Callback(fn=fn, label=label))
+        self.scheduler.schedule_at(time, Callback(fn, label))
 
     # -- controlled-schedule mode (bounded model checking) ---------------------------
 
@@ -497,11 +498,11 @@ class Simulation:
     # -- dispatch -----------------------------------------------------------------
     #
     # One handler per payload type, selected by an exact-type table built in
-    # __init__ (payload classes are frozen dataclasses — nothing subclasses
-    # them). The table lookup replaces a five-way isinstance chain that ran
-    # once per event; handlers take the payload directly and call the
-    # prebound ``self._record`` (= ``self.trace.record`` resolved once)
-    # instead of two attribute hops per trace record.
+    # __init__ (payload classes are named tuples — nothing subclasses them).
+    # The table lookup replaces a five-way isinstance chain that ran once
+    # per event; handlers take the payload directly, call the prebound
+    # ``self._record`` (= ``self.trace.record`` resolved once) and read the
+    # clock as the scheduler's attribute, not through the ``now`` property.
 
     def _dispatch(self, ev: Event) -> None:
         payload = ev.payload
@@ -511,42 +512,38 @@ class Simulation:
         handler(payload)
 
     def _on_deliver(self, payload: MessageDeliver) -> None:
-        if payload.dst in self._crashed:
+        src, dst, msg, _send_time, duplicate = payload
+        if dst in self._crashed:
             return
-        self.network.note_delivered(payload.duplicate)
-        self._record(
-            self.now, DELIVER, payload.dst, src=payload.src, msg=payload.msg
-        )
-        self._processes[payload.dst].on_message(payload.src, payload.msg)
+        self.network.note_delivered(duplicate)
+        self._record(self.scheduler.now, DELIVER, dst, src=src, msg=msg)
+        self._processes[dst].on_message(src, msg)
 
     def _on_timer_fire(self, payload: TimerFire) -> None:
-        if payload.timer_id not in self._timers:
+        pid, tag, timer_id = payload
+        if timer_id not in self._timers:
             return  # cancelled
-        del self._timers[payload.timer_id]
-        self._timers_by_pid.get(payload.pid, set()).discard(payload.timer_id)
-        if payload.pid in self._crashed:
+        del self._timers[timer_id]
+        # an armed timer is indexed under its pid (a purge drops both)
+        self._timers_by_pid[pid].discard(timer_id)
+        if pid in self._crashed:
             return
-        self._record(self.now, TIMER_FIRE, payload.pid, tag=payload.tag)
-        self._processes[payload.pid].on_timer(payload.tag)
+        self._record(self.scheduler.now, TIMER_FIRE, pid, tag=tag)
+        self._processes[pid].on_timer(tag)
 
     def _on_op_linearize(self, payload: OpLinearize) -> None:
         self.memory.linearize(payload)
 
     def _on_op_respond(self, payload: OpRespond) -> None:
-        self.memory.complete(payload.handle)
-        if payload.pid in self._crashed:
+        pid, handle, object_name, op, result = payload
+        self.memory.complete()
+        if pid in self._crashed:
             return
         self._record(
-            self.now,
-            OP_RESPOND,
-            payload.pid,
-            handle=payload.handle,
-            object=payload.object_name,
-            op=payload.op,
+            self.scheduler.now, OP_RESPOND, pid,
+            handle=handle, object=object_name, op=op,
         )
-        self._processes[payload.pid].on_op_result(
-            payload.object_name, payload.op, payload.handle, payload.result
-        )
+        self._processes[pid].on_op_result(object_name, op, handle, result)
 
     def _on_callback(self, payload: Callback) -> None:
         payload.fn()

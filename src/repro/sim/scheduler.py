@@ -97,7 +97,9 @@ class Scheduler:
         self._heap: list[tuple[float, int, Event]] = []
         self._choices: dict[int, Event] = {}  # controlled mode, by seq
         self._seq = 0
-        self._now: Time = 0.0
+        self.now: Time = 0.0
+        """The virtual clock, a plain attribute (read on every trace record
+        and send); only the scheduler advances it."""
         self._live = 0
         self._dead_in_heap = 0
         self.compactions = 0
@@ -110,10 +112,6 @@ class Scheduler:
         and :meth:`schedule_at` clamps past times to *now* — an event
         dispatched "early" relative to its timestamp may leave the clock
         ahead of producers that compute absolute times."""
-
-    @property
-    def now(self) -> Time:
-        return self._now
 
     @property
     def pending(self) -> int:
@@ -141,7 +139,7 @@ class Scheduler:
                  after: Event | None) -> Event:
         seq = self._seq
         self._seq = seq + 1
-        ev = Event(time=time, seq=seq, payload=payload, after=after)
+        ev = Event(time, seq, payload, after)
         if self.controlled and is_choice(payload):
             self._choices[seq] = ev
         else:
@@ -152,21 +150,23 @@ class Scheduler:
     def schedule(self, delay: float, payload: Payload,
                  after: Event | None = None) -> Event:
         """Enqueue ``payload`` to occur ``delay`` time units from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self._enqueue(self._now + delay, payload, after)
+        # a NaN fails this comparison too: it would sort arbitrarily in the
+        # heap and become the clock when dispatched (``inf`` passes)
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule at delay {delay}")
+        return self._enqueue(self.now + delay, payload, after)
 
     def schedule_at(self, time: Time, payload: Payload,
                     after: Event | None = None) -> Event:
         """Enqueue ``payload`` at absolute virtual time ``time``."""
-        if time < self._now:
-            if not self.controlled:
+        if not time >= self.now:
+            if not (self.controlled and time < self.now):  # NaN raises here
                 raise SimulationError(
-                    f"cannot schedule at {time} before current time {self._now}"
+                    f"cannot schedule at {time} (current time {self.now})"
                 )
             # controlled mode dispatched some event "late" in virtual time;
             # absolute-time producers are clamped to now instead of rejected
-            time = self._now
+            time = self.now
         return self._enqueue(time, payload, after)
 
     # -- cancellation ------------------------------------------------------
@@ -324,7 +324,7 @@ class Scheduler:
         ev.queued = False
         ev.fired = True
         self._live -= 1
-        self._now = max(self._now, ev.time)
+        self.now = max(self.now, ev.time)
         self.dispatch(ev)
 
     # -- main loop ---------------------------------------------------------
@@ -372,7 +372,7 @@ class Scheduler:
                 ev.queued = False
                 ev.fired = True
                 self._live -= 1
-                self._now = t
+                self.now = t
                 dispatch(ev)
                 processed += 1
         finally:
@@ -381,6 +381,6 @@ class Scheduler:
         if until is not None and stats.exhausted:
             # Quiescent before the horizon: advance the clock to the horizon so
             # 'run until T' always ends at T regardless of queue contents.
-            self._now = max(self._now, until)
-        stats.end_time = self._now
+            self.now = max(self.now, until)
+        stats.end_time = self.now
         return stats

@@ -72,28 +72,22 @@ class SharedObject:
         return method(pid, *args)
 
 
-@dataclass(frozen=True, slots=True)
-class PendingOp:
-    """An invoked-but-not-responded operation, tracked by the registry."""
-
-    handle: int
-    pid: ProcessId
-    object_name: str
-    op: str
-    args: tuple
-
-
 class SharedMemorySystem:
-    """Named-object registry plus asynchronous op scheduling."""
+    """Named-object registry plus asynchronous op scheduling.
+
+    An operation in flight lives only in its events: the ``OpLinearize``
+    payload carries everything linearization needs, the response delay
+    the adversary drew at invocation included, and the ``OpRespond``
+    payload everything the invoker is handed.
+    """
 
     def __init__(self, sim: "Simulation") -> None:
         self._sim = sim
         self._objects: dict[str, SharedObject] = {}
         self._next_handle = 0
-        self._pending: dict[int, PendingOp] = {}
-        self._resp_delay: dict[int, float] = {}  # handle -> response delay
         self.ops_invoked = 0
         self.ops_linearized = 0
+        self.ops_responded = 0
 
     # -- registry -----------------------------------------------------------------
 
@@ -118,18 +112,19 @@ class SharedMemorySystem:
         """Begin an operation; returns its handle. Effects happen later."""
         self.get(object_name)  # fail fast on unknown objects
         sim = self._sim
+        scheduler = sim.scheduler
+        now = scheduler.now
         handle = self._next_handle
-        self._next_handle += 1
-        self._pending[handle] = PendingOp(handle, pid, object_name, op, args)
+        self._next_handle = handle + 1
         self.ops_invoked += 1
         sim.trace.record(
-            sim.now, OP_INVOKE, pid, handle=handle, object=object_name, op=op, args=args
+            now, OP_INVOKE, pid, handle=handle, object=object_name, op=op, args=args
         )
-        d_lin, d_resp = sim.network.adversary.op_delays(pid, object_name, op, sim.now)
-        payload = OpLinearize(pid=pid, handle=handle, object_name=object_name, op=op, args=args)
-        sim.scheduler.schedule(max(d_lin, 0.0), payload)
-        # response delay is resolved at linearization time; stash it
-        self._resp_delay[handle] = max(d_resp, 0.0)
+        d_lin, d_resp = sim.network.adversary.op_delays(pid, object_name, op, now)
+        scheduler.schedule(
+            max(d_lin, 0.0),
+            OpLinearize(pid, handle, object_name, op, args, max(d_resp, 0.0)),
+        )
         return handle
 
     def linearize(self, payload: OpLinearize) -> None:
@@ -141,41 +136,32 @@ class SharedMemorySystem:
         dispatcher.
         """
         sim = self._sim
-        obj = self.get(payload.object_name)
+        pid, handle, object_name, op, args, resp_delay = payload
+        obj = self.get(object_name)
         try:
-            result: Any = obj.execute(payload.pid, payload.op, payload.args)
+            result: Any = obj.execute(pid, op, args)
             ok = True
         except AccessDeniedError as exc:
             result = exc
             ok = False
         self.ops_linearized += 1
+        scheduler = sim.scheduler
         sim.trace.record(
-            sim.now,
-            OP_LINEARIZE,
-            payload.pid,
-            handle=payload.handle,
-            object=payload.object_name,
-            op=payload.op,
-            ok=ok,
+            scheduler.now, OP_LINEARIZE, pid,
+            handle=handle, object=object_name, op=op, ok=ok,
         )
-        delay = self._resp_delay.pop(payload.handle, 0.0)
-        sim.scheduler.schedule(
-            delay,
-            OpRespond(
-                pid=payload.pid,
-                handle=payload.handle,
-                object_name=payload.object_name,
-                op=payload.op,
-                result=result,
-            ),
+        scheduler.schedule(
+            resp_delay, OpRespond(pid, handle, object_name, op, result)
         )
 
-    def complete(self, handle: int) -> None:
-        self._pending.pop(handle, None)
+    def complete(self) -> None:
+        """Count a response dispatched (its invoker may have crashed)."""
+        self.ops_responded += 1
 
     @property
     def pending_count(self) -> int:
-        return len(self._pending)
+        """Operations invoked whose response has not been dispatched."""
+        return self.ops_invoked - self.ops_responded
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import Callback, TimerFire
+from repro.sim.events import (
+    Callback,
+    MessageDeliver,
+    OpLinearize,
+    OpRespond,
+    TimerFire,
+)
 from repro.sim.scheduler import Scheduler
+
+NAN = math.nan
 
 
 def make_scheduler(log):
@@ -364,3 +374,156 @@ class TestPendingUnderRestartStorms:
         assert sim.scheduler.pending == self._recount(sim) == 2
         live = list(sim.scheduler.iter_pending())
         assert sorted(ev.payload.pid for ev in live) == [0, 1]
+
+
+class TestNaNTimesRejected:
+    """A NaN compares false with everything: let into the heap it sorts
+    arbitrarily, and dispatched it becomes the clock. Every entry point
+    rejects it; ``inf`` stays legal."""
+
+    def test_schedule_rejects_nan_and_keeps_the_order(self):
+        log = []
+        s = make_scheduler(log)
+        with pytest.raises(SimulationError):
+            s.schedule(NAN, Callback(fn=lambda: None, label="nan"))
+        s.schedule(5.0, Callback(fn=lambda: None, label="five"))
+        s.schedule(1.0, Callback(fn=lambda: None, label="one"))
+        s.run()
+        assert log == [(1.0, "one"), (5.0, "five")]
+        assert s.now == 5.0
+        s.schedule(100.0, Callback(fn=lambda: None, label="late"))
+        stats = s.run(until=50.0)
+        # the event 100 units on stays queued, and the clock stays a number
+        assert stats.events_processed == 0 and stats.end_time == 5.0
+        assert s.pending == 1
+
+    def test_schedule_at_rejects_nan(self):
+        s = Scheduler()
+        s.dispatch = lambda ev: None
+        with pytest.raises(SimulationError):
+            s.schedule_at(NAN, Callback(fn=lambda: None))
+        assert s.pending == 0
+
+    def test_controlled_mode_clamps_the_past_but_rejects_nan(self):
+        s = Scheduler()
+        s.dispatch = lambda ev: None
+        s.enable_controlled()
+        s.step(s.schedule(3.0, TimerFire(pid=0, tag="t", timer_id=0)))
+        assert s.now == 3.0
+        assert s.schedule_at(1.0, Callback(fn=lambda: None)).time == 3.0
+        with pytest.raises(SimulationError):
+            s.schedule_at(NAN, Callback(fn=lambda: None))
+        with pytest.raises(SimulationError):
+            s.schedule(NAN, Callback(fn=lambda: None))
+
+    def test_infinite_delay_is_legal(self):
+        log = []
+        s = make_scheduler(log)
+        s.schedule(math.inf, Callback(fn=lambda: None, label="never"))
+        s.schedule_at(math.inf, Callback(fn=lambda: None, label="never"))
+        assert s.run(until=1e9).events_processed == 0
+        assert s.pending == 2 and log == []
+
+    def test_reference_loop_rejects_nan_too(self):
+        from repro.sim._reference import HeapOnlyScheduler
+
+        s = HeapOnlyScheduler()
+        with pytest.raises(SimulationError):
+            s.schedule(NAN, Callback(fn=lambda: None))
+        with pytest.raises(SimulationError):
+            s.schedule_at(NAN, Callback(fn=lambda: None))
+
+    def _sim(self, adversary):
+        from repro.sim import Process, Simulation
+
+        class Sender(Process):
+            def on_start(self):
+                self.ctx.send(1, "m")
+
+        return Simulation([Sender(), Process()], adversary, seed=0)
+
+    def test_adversary_nan_message_delay_raises(self):
+        from repro.sim import ReliableAsynchronous
+
+        class NaNDelays(ReliableAsynchronous):
+            def message_delay(self, src, dst, msg, now):
+                return NAN
+
+        sim = self._sim(NaNDelays())
+        with pytest.raises(SimulationError):
+            sim.run(until=10.0)
+        assert sim.scheduler.pending == 0
+
+    def test_adversary_nan_duplicate_delay_raises(self):
+        from repro.sim import ReliableAsynchronous
+
+        class NaNCopies(ReliableAsynchronous):
+            def extra_deliveries(self, src, dst, msg, now):
+                return [NAN]
+
+        sim = self._sim(NaNCopies())
+        with pytest.raises(SimulationError):
+            sim.run(until=10.0)
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["linearize", "respond"])
+    def test_adversary_nan_op_delay_raises(self, which):
+        from repro.sim import Process, ReliableAsynchronous, SharedObject, Simulation
+
+        class NaNOps(ReliableAsynchronous):
+            def op_delays(self, pid, object_name, op, now):
+                return (NAN, 1.0) if which == 0 else (1.0, NAN)
+
+        class Invoker(Process):
+            def on_start(self):
+                self.ctx.invoke("o", "noop")
+
+        class Obj(SharedObject):
+            def op_noop(self, pid):
+                return None
+
+        sim = Simulation([Invoker()], NaNOps(), seed=0)
+        sim.memory.register(Obj("o"))
+        with pytest.raises(SimulationError):
+            sim.run(until=10.0)
+
+
+PAYLOADS = [
+    (MessageDeliver, (0, 1, "m", 2.5, True),
+     dict(src=0, dst=1, msg="m", send_time=2.5, duplicate=True)),
+    (MessageDeliver, (0, 1, "m", 2.5),
+     dict(src=0, dst=1, msg="m", send_time=2.5, duplicate=False)),
+    (TimerFire, (3, "tag", 7), dict(pid=3, tag="tag", timer_id=7)),
+    (OpLinearize, (1, 4, "reg", "write", ("v",), 0.25),
+     dict(pid=1, handle=4, object_name="reg", op="write", args=("v",),
+          resp_delay=0.25)),
+    (OpLinearize, (1, 4, "reg", "read", ()),
+     dict(pid=1, handle=4, object_name="reg", op="read", args=(),
+          resp_delay=0.0)),
+    (OpRespond, (1, 4, "reg", "read", "v"),
+     dict(pid=1, handle=4, object_name="reg", op="read", result="v")),
+    (Callback, (print, "lbl", 2, True),
+     dict(fn=print, label="lbl", pid=2, choice=True)),
+    (Callback, (print,), dict(fn=print, label="", pid=None, choice=False)),
+]
+
+
+class TestPayloadContract:
+    """An event's payload is one small immutable tuple, built positionally
+    on the hot path and by keyword in tests and scripts."""
+
+    @pytest.mark.parametrize("cls,args,kwargs", PAYLOADS)
+    def test_positional_and_keyword_build_the_same_value(self, cls, args, kwargs):
+        positional, keyword = cls(*args), cls(**kwargs)
+        assert positional == keyword and type(positional) is cls
+        assert {f: getattr(keyword, f) for f in kwargs} == kwargs
+        assert isinstance(positional, tuple) and not hasattr(positional, "__dict__")
+
+    @pytest.mark.parametrize("cls,args,kwargs", PAYLOADS)
+    def test_payloads_reject_attribute_assignment(self, cls, args, kwargs):
+        payload = cls(*args)
+        for name in kwargs:
+            with pytest.raises(AttributeError):
+                setattr(payload, name, None)
+        with pytest.raises(AttributeError):
+            payload.extra = 1  # type: ignore[attr-defined]
+        assert payload == cls(**kwargs)

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.consensus.usig import USIG, USIGVerifier
+from repro.crypto import SignatureScheme
 from repro.crypto.serialize import caching_disabled, canonical_bytes, content_hash
 from repro.errors import SignatureError
+from repro.hardware.trinc import TrincAuthority
 
 
 @dataclass(frozen=True)
@@ -252,3 +256,81 @@ class TestProperties:
         import hashlib
 
         assert content_hash(v) == hashlib.sha256(canonical_bytes(v)).digest()
+
+
+# Foreign values whose own code raises when it is run: rejecting one must
+# run none of it, so the rejection is a SignatureError every caller catches.
+class RaisingRepr:
+    def __repr__(self):
+        raise RuntimeError("repr ran")
+
+
+class RaisingStr:
+    def __str__(self):
+        raise RuntimeError("str ran")
+
+    __repr__ = __str__
+
+
+class RaisingNameMeta(type):
+    armed = False  # only inside ``armed()``: pytest's reports read __name__
+
+    @property
+    def __name__(cls):
+        if RaisingNameMeta.armed:
+            raise RuntimeError("metaclass __name__ ran")
+        return type.__dict__["__name__"].__get__(cls)
+
+
+class RaisingName(metaclass=RaisingNameMeta):
+    pass
+
+
+class RaisingNameStr(str, metaclass=RaisingNameMeta):
+    """Outside the domain the way a lone surrogate is."""
+
+
+@contextmanager
+def armed():
+    RaisingNameMeta.armed = True
+    try:
+        yield
+    finally:
+        RaisingNameMeta.armed = False
+
+
+FOREIGN = [RaisingRepr, RaisingStr, RaisingName]
+
+
+class TestForeignValueRejection:
+    @pytest.mark.parametrize("cls", FOREIGN)
+    def test_canonical_bytes_raises_signature_error(self, cls):
+        for value in (cls(), ("x", cls()), {"k": (1, cls())}):
+            with armed(), pytest.raises(SignatureError):
+                canonical_bytes(value)
+        with armed(), caching_disabled(), pytest.raises(SignatureError):
+            canonical_bytes(("x", cls()))
+
+    def test_rejection_names_the_type(self):
+        with armed(), pytest.raises(SignatureError, match="RaisingName"):
+            canonical_bytes(RaisingName())
+        with armed(), pytest.raises(SignatureError, match="RaisingNameStr"):
+            canonical_bytes(RaisingNameStr("\ud800"))
+
+    @pytest.mark.parametrize("cls", FOREIGN)
+    def test_verify_and_verify_from_return_false(self, cls):
+        scheme = SignatureScheme(2, seed=0)
+        sig = scheme.signer(0).sign(("x", 1))
+        for value in (cls(), ("x", cls())):
+            with armed():
+                assert scheme.verify(value, sig) is False
+                assert scheme.verify_from(0, value, sig) is False
+
+    @pytest.mark.parametrize("cls", FOREIGN)
+    def test_verify_ui_returns_false(self, cls):
+        auth = TrincAuthority(2, seed=3)
+        ui = USIG(auth.trinket(0)).create_ui("m")
+        verifier = USIGVerifier(auth)
+        for message in (cls(), ("m", cls())):
+            with armed():
+                assert verifier.verify_ui(ui, message, 0) is False

@@ -168,3 +168,79 @@ class TestTraceRecords:
         assert sim.memory.ops_invoked == 2
         assert sim.memory.ops_linearized == 2
         assert sim.memory.pending_count == 0
+
+
+class Invoker(Process):
+    """Invokes one read on start and keeps what comes back."""
+
+    def __init__(self):
+        super().__init__()
+        self.results = []
+
+    def on_start(self):
+        self.ctx.invoke("r", "read")
+
+    def on_op_result(self, object_name, op, handle, result):
+        self.results.append(result)
+
+
+class FixedOpDelays(ReliableAsynchronous):
+    def __init__(self, d_lin, d_resp):
+        super().__init__()
+        self.d_lin, self.d_resp = d_lin, d_resp
+
+    def op_delays(self, pid, object_name, op, now):
+        return (self.d_lin, self.d_resp)
+
+
+class TestOpsInFlight:
+    """An operation in flight lives only in its two events: nothing else
+    tracks it, and ``pending_count`` is invoked minus responded."""
+
+    def _sim(self, adversary):
+        p = Invoker()
+        sim = Simulation([p], adversary, seed=0)
+        sim.memory.register(Register("r", initial="v"))
+        return p, sim
+
+    def test_pending_counts_an_op_not_yet_linearized(self):
+        p, sim = self._sim(FixedOpDelays(2.0, 3.0))
+        sim.run(until=1.0)
+        assert sim.memory.pending_count == 1 and sim.memory.ops_linearized == 0
+        sim.run(until=4.0)  # linearized at 2.0, response due at 5.0
+        assert sim.memory.pending_count == 1 and sim.memory.ops_linearized == 1
+        sim.run_to_quiescence()
+        assert sim.memory.pending_count == 0 and p.results == ["v"]
+
+    def test_pending_returns_to_zero_when_the_invoker_crashed(self):
+        p, sim = self._sim(FixedOpDelays(2.0, 3.0))
+        sim.crash_at(0, 1.0)  # between invoke and response
+        sim.run_to_quiescence()
+        # the response is suppressed, but the operation completed
+        assert p.results == []
+        assert sim.memory.ops_linearized == sim.memory.ops_responded == 1
+        assert sim.memory.pending_count == 0
+        assert not [ev for ev in sim.trace if ev.kind == "op_respond"]
+
+    def test_response_arrives_at_linearization_plus_the_drawn_delay(self):
+        drawn = []
+
+        class Recording(ReliableAsynchronous):
+            def op_delays(self, pid, object_name, op, now):
+                delays = super().op_delays(pid, object_name, op, now)
+                drawn.append(delays)
+                return delays
+
+        p = WriteThenRead("r", 1)
+        sim = Simulation([p], Recording(0.1, 2.0), seed=11)
+        sim.memory.register(Register("r"))
+        sim.run_to_quiescence()
+        times = {}
+        for ev in sim.trace:
+            if ev.kind in ("op_invoke", "op_linearize", "op_respond"):
+                times.setdefault(ev.fields["handle"], {})[ev.kind] = ev.time
+        assert len(drawn) == len(times) == 2
+        for handle, (d_lin, d_resp) in enumerate(drawn):
+            t = times[handle]
+            assert t["op_linearize"] == t["op_invoke"] + d_lin
+            assert t["op_respond"] == t["op_linearize"] + d_resp
