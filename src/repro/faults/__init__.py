@@ -11,9 +11,11 @@ Five layers, composable with every protocol in the library:
   policies shared by the channel and the consensus timers;
 - :mod:`~repro.faults.detector` — phi-accrual failure detection and
   supervised crash recovery;
-- :mod:`~repro.faults.chaos` — seeded protocol × fault-schedule sweeps
-  with deterministic failure reproduction, plus crash-recovery scripts
-  that exercise the durable-hardware/volatile-host split.
+- :mod:`~repro.faults.chaos` — seeded cell × fault-schedule sweeps with
+  deterministic failure reproduction, plus crash-recovery scripts that
+  exercise the durable-hardware/volatile-host split. Every cell — a
+  protocol, a variant, or an :mod:`~repro.faults.attacks` entry on its
+  target — is one declaration in ``chaos.CELLS``.
 """
 
 from .attacks import (

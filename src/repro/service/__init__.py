@@ -20,8 +20,8 @@ machinery keeps it from collapsing?* Four modules:
   streaming service-liveness auditor.
 
 Everything is a pure function of the run seed (jitter streams derive
-from it); the chaos registry gains ``service`` / ``service-storm``
-protocols so the same sweep/replay tooling applies.
+from it); the chaos registry declares the ``service`` /
+``service-storm`` cells, so the same sweep/replay tooling applies.
 """
 
 from .admission import (

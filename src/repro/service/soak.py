@@ -37,9 +37,10 @@ degenerate "reject everything" strategy.
 
 Everything is a pure function of the seed: the planted burst is placed
 relative to the schedule's GST, tenant jitter streams derive from
-``(seed, "tenant", pid)``, and :func:`run_service_chaos` registers as
-chaos protocols ``service`` / ``service-storm`` so the standard sweep /
-replay tooling (and its serial ≡ parallel bit-identity) applies.
+``(seed, "tenant", pid)``, and :func:`run_service_chaos` runs the chaos
+cells ``service`` / ``service-storm`` (declared in
+:data:`repro.faults.chaos.PROTOCOLS`), so the standard sweep / replay
+tooling (and its serial ≡ parallel bit-identity) applies.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .ingress import IngressProcess, TenantClient
 __all__ = [
     "PlantedBurstGST",
     "ServiceLivenessAuditor",
+    "ServiceFixture",
     "ServiceProfile",
     "build_service_system",
     "protected_profile",
@@ -458,55 +460,54 @@ def build_service_system(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
+class ServiceFixture:
+    """The fixed part of a serving-layer chaos cell: the answer bound the
+    liveness auditor holds it to, and whether its network is the
+    schedule's composed chaos or the planted storm on a quiet one."""
+
+    bound: float
+    storm: bool = False
+
+
 def run_service_chaos(
-    schedule: Any,
-    n_tenants: Optional[int] = None,
-    ops_per_tenant: Optional[int] = None,
-    protected: bool = True,
-    storm: bool = False,
-    app: str = "bank",
-    profile: Optional[ServiceProfile] = None,
+    cell: Any, n_tenants: int, ops_per_tenant: int, protected: bool = True
 ) -> Any:
     """The serving layer under one fault schedule; a standard ChaosResult.
 
-    Two modes share this runner:
+    ``cell.spec.config`` is the cell's :class:`ServiceFixture`; its row
+    supplies the fleet size. Two cells share this runner:
 
-    - ``storm=False`` (protocol ``service``): generic seeded chaos —
-      loss, duplication, bursts, partitions, replica crash/recovery —
-      against a modestly loaded protected service. The robustness
-      regression: composed faults must not break the answer contract.
-    - ``storm=True`` (protocol ``service-storm``): the planted
-      metastable retry-storm fixture on an otherwise quiet network,
-      sized so the unprotected arm's duplicate rate exceeds the pump
-      rate. ``protected=True`` must come back clean; ``protected=False``
-      must be convicted by the liveness auditor — both are asserted by
-      ``tests/test_service_soak.py`` on every quick-sweep seed.
+    - ``service``: generic seeded chaos — loss, duplication, bursts,
+      partitions, replica crash/recovery — against a modestly loaded
+      protected service. The robustness regression: composed faults must
+      not break the answer contract.
+    - ``service-storm``: the planted metastable retry-storm fixture on an
+      otherwise quiet network, sized so the unprotected arm's duplicate
+      rate exceeds the pump rate. ``protected=True`` must come back clean;
+      ``protected=False`` must be convicted by the liveness auditor — both
+      are asserted by ``tests/test_service_soak.py`` on every quick-sweep
+      seed.
 
     Safety (replica execution order) is audited by the standard
     :class:`~repro.consensus.safety.ReplicationStreamChecker` in both
     arms — overload collapse is a *liveness* failure; consensus safety
     must hold even mid-storm.
     """
-    from ..faults.chaos import DEFAULT_CHANNEL, ChaosCell, reboot_replica
+    from ..faults.chaos import reboot_replica
 
-    cell = ChaosCell(schedule)
-    if n_tenants is None:
-        n_tenants = 32 if storm else 6
-    if ops_per_tenant is None:
-        ops_per_tenant = 60 if storm else 6
-    prof = profile if profile is not None else (
-        protected_profile() if protected else unprotected_profile()
-    )
+    fixture, schedule = cell.spec.config, cell.schedule
+    prof = protected_profile() if protected else unprotected_profile()
+    app = "bank"
     f = 1
     n = 2 * f + 1
     total = n + 1 + n_tenants
-    if storm:
+    if fixture.storm:
         adversary: Adversary = storm_adversary(
             total, gst=schedule.gst, delta=schedule.delta
         )
     else:
         adversary = schedule.make_adversary(total)
-    channel_kwargs = dict(DEFAULT_CHANNEL)
     sim, replicas, _ingress, _tenants = build_service_system(
         profile=prof,
         n_tenants=n_tenants,
@@ -515,7 +516,7 @@ def run_service_chaos(
         app=app,
         seed=schedule.seed,
         adversary=adversary,
-        reliable=channel_kwargs,
+        reliable=cell.channel,
         # the auditors stream; full retention of a storm run's millions of
         # events would dominate memory without ever being read back
         trace_retention=50_000,
@@ -523,13 +524,12 @@ def run_service_chaos(
     checker = ReplicationStreamChecker(cell.correct(n), fail_fast=True)
     live = ServiceLivenessAuditor(
         gst=schedule.gst,
-        bound=150.0 if storm else 300.0,
+        bound=fixture.bound,
         tenants=range(n + 1, n + 1 + n_tenants),
         ingress=n,
     )
 
     return cell.run(
-        "service-storm" if storm else "service",
         sim, adversary, replicas,
         # a served replica reboots with the serving configuration
         # build_service_system gave it
@@ -537,7 +537,6 @@ def run_service_chaos(
             old, app, _replica_vc_policy(old.req_timeout),
             dict(checkpoint_interval=old.checkpoint_interval, batching=True),
         ),
-        channel=channel_kwargs,
         checker=checker,
         live=live,
         audit=checker.finish,

@@ -55,12 +55,12 @@ class TestAttackRegistry:
             get_attack("no-such-attack")
 
     def test_attack_on_wrong_protocol_runner_rejected(self):
-        from repro.faults.chaos import make_schedule, run_minbft_chaos
+        # an attack cell is declared on its target's runner only: there is
+        # no "minbft+pbft-equivocate" cell to run
+        from repro.faults.chaos import run_chaos
 
-        with pytest.raises(ConfigurationError, match="targets"):
-            run_minbft_chaos(
-                make_schedule(0, crashable=()), attack="pbft-equivocate"
-            )
+        with pytest.raises(ConfigurationError, match="targets pbft"):
+            run_chaos("minbft+pbft-equivocate", 0)
 
 
 class TestAttackMatrix:

@@ -123,6 +123,13 @@ class TestReplayHint:
         # ... and a default cell's hint stays the bare (protocol, seed)
         assert run_chaos("srb-uni", 4).replay_hint().endswith("('srb-uni', 4)")
 
+    def test_runner_keyword_keeps_the_cell_name(self):
+        # a keyword never renames the cell, so its hint names a cell that
+        # takes the keyword again
+        r = run_chaos("minbft", 0, pipelined=True)
+        assert r.protocol == "minbft"
+        assert replay_from_hint(r.replay_hint()) == r
+
     def test_hint_with_a_non_literal_argument_rejected(self):
         with pytest.raises(ConfigurationError, match="not literals"):
             replay_from_hint(

@@ -192,6 +192,23 @@ class TestLockStepTransport:
         assert procs[0].completed == [1]
         assert ("x") in [p for (_l, _s, p) in procs[1].received]
 
+    def test_round_queued_mid_round_is_sent_at_the_next_boundary(self):
+        procs = [Recorder(LockStepRoundTransport(period=2.0), ()) for _ in range(2)]
+        sim = Simulation(procs, LockStepSynchronous(delta=1.0), seed=9)
+        for p in procs:
+            sim.at(0.5, lambda p=p: p.rounds.begin_round(("a", p.pid)))
+            # round 1 is active from t=2 to t=4
+            sim.at(2.5, lambda p=p: p.rounds.begin_round_queued(("b", p.pid)))
+        sim.run(until=20.0)
+        for p in procs:
+            assert p.completed == [1, 2]
+            assert not p.rounds._queue
+            assert sorted(
+                (label, payload) for (label, _src, payload) in p.received
+            ) == [(1, ("a", 0)), (1, ("a", 1)), (2, ("b", 0)), (2, ("b", 1))]
+        with pytest.raises(ConfigurationError):
+            procs[0].rounds.begin_round_queued("c", label="custom")
+
     def test_custom_labels_rejected(self):
         t = LockStepRoundTransport()
         p = Recorder(t, ())
