@@ -91,7 +91,7 @@ class NonEquivocatingBroadcast(RoundProcess):
         if self._adopted is None:
             self._adopted = (value, sig)
             # echo the signed value in the unidirectional round
-            self.rounds.begin_round_queued(payload, self.ROUND_LABEL)
+            self.rounds.begin_round(payload, self.ROUND_LABEL)
         elif self._adopted[0] != value:
             self._saw_conflict = True
 

@@ -30,6 +30,13 @@ labels like ``("copy", sender, seq)`` — which is exactly what Algorithm 1
 needs. ``begin_round(payload)`` without a label uses this process's round
 count (1, 2, …), matching the classic numbered-round reading.
 
+**Rounds are per label.** A process may have any number of rounds in
+flight, and each label completes on its own end condition. The
+directionality definitions quantify over one label and the pairs that send
+in it, so nothing in them asks a process to finish one round before it
+begins the next; protocols with independent instances (Algorithm 1, one
+per sequence number) run them side by side.
+
 Besides rounds, every transport offers :meth:`RoundTransport.post` — a
 plain eventually-delivered "send to all" with no round obligation (in the
 shared-memory world: append without waiting for a scan). Protocols use it
@@ -65,17 +72,15 @@ class RoundTransport:
     host forwards simulator events to the ``handle_*`` hooks; a hook returns
     True when it consumed the event.
 
-    Rounds are sequential per process: at most one active at a time.
-    :meth:`begin_round_queued` defers a round until the active one
-    completes, which is what multi-phase protocols (Algorithm 1) use.
+    Rounds are per label: ``active_labels`` holds every round this process
+    has begun and not yet completed, and each completes on its own.
     """
 
     def __init__(self) -> None:
         self.host: Optional["RoundProcess"] = None
-        self.active_label: Optional[Label] = None
+        self.active_labels: set[Label] = set()
         self.rounds_begun = 0
         self._labels_used: set[Label] = set()
-        self._queue: deque[tuple[Label | None, Any]] = deque()
         self._delivered: set[tuple[ProcessId, Label, Any]] = set()
 
     # -- wiring ---------------------------------------------------------------
@@ -94,26 +99,12 @@ class RoundTransport:
     def begin_round(self, payload: Any, label: Label | None = None) -> Label:
         """Send ``payload`` in a new round; returns the round's label.
 
-        Raises if a round is already active (use :meth:`begin_round_queued`)
-        or if the label was used before by this process.
+        Other rounds of this process may still be in flight. Raises if the
+        label was used before by this process.
         """
         if self.host is None:
             raise SimulationError("transport not attached")
-        if self.active_label is not None:
-            raise SimulationError(
-                f"process {self.host.pid}: round {self.active_label!r} still "
-                f"active; queue the new round instead"
-            )
         return self._begin(payload, label)
-
-    def begin_round_queued(self, payload: Any, label: Label | None = None) -> None:
-        """Begin the round now if idle, else after active/queued rounds end."""
-        if self.host is None:
-            raise SimulationError("transport not attached")
-        if self.active_label is None and not self._queue:
-            self._begin(payload, label)
-        else:
-            self._queue.append((label, payload))
 
     def post(self, payload: Any) -> None:
         """Eventually-delivered send-to-all with no round semantics."""
@@ -146,7 +137,7 @@ class RoundTransport:
                 f"process {self.host.pid}: round label {label!r} reused"
             )
         self._labels_used.add(label)
-        self.active_label = label
+        self.active_labels.add(label)
         ctx = self.host.ctx
         ctx.record("round_begin", round=label)
         ctx.record("round_sent", round=label, payload=payload)
@@ -169,14 +160,11 @@ class RoundTransport:
 
     def _complete(self, label: Label) -> None:
         assert self.host is not None
-        if label != self.active_label:
+        if label not in self.active_labels:
             return
-        self.active_label = None
+        self.active_labels.remove(label)
         self.host.ctx.record("round_end", round=label)
         self.host.on_round_complete(label)
-        if self._queue and self.active_label is None:
-            next_label, payload = self._queue.popleft()
-            self._begin(payload, next_label)
 
 
 class RoundProcess(Process):
@@ -241,7 +229,8 @@ class SharedMemoryRoundTransport(RoundTransport):
     correct processes that both send in a round, the later appender's
     counted scan must see the earlier appender's entry — unidirectionality.
     The argument never uses the label, so it holds per label, concurrent or
-    not.
+    not: every round whose append has linearized joins the labels counted
+    by the next scan to start, and all of them complete when it ends.
 
     The transport keeps rescanning (with exponential backoff once nothing
     changes) so entries appended later are still delivered — shared-memory
@@ -259,10 +248,13 @@ class SharedMemoryRoundTransport(RoundTransport):
 
     def __init__(self) -> None:
         super().__init__()
-        self._append_handle: Optional[int] = None
-        self._append_done_label: Optional[Label] = None
+        # own appends in flight (handle -> label, POST for a post); the
+        # appended rounds the next scan to start counts; those the running
+        # scan counts
+        self._appends: dict[int, Label] = {}
+        self._appended: list[Label] = []
+        self._counted: list[Label] = []
         self._scan_handles: dict[int, ProcessId] = {}
-        self._scan_counts_label: Optional[Label] = None
         self._scan_running = False
         self._seen_lengths: dict[ProcessId, int] = {}
         self._interval = self.FIRST_SCAN_DELAY
@@ -304,16 +296,17 @@ class SharedMemoryRoundTransport(RoundTransport):
             self._log_name(p), "read_from", self._seen_lengths[p]
         )
 
-    def _is_own_publish(self, object_name: str, op: str) -> bool:
-        """Whether an op response belongs to a fire-and-forget publish."""
-        return object_name.startswith(self.LOG_PREFIX) and op == "append"
-
     def _send(self, label: Label, payload: Any) -> None:
-        self._append_done_label = None
-        self._append_handle = self._publish((label, payload))
+        self._appends[self._publish((label, payload))] = label
+
+    def _appended_round(self, label: Label) -> None:
+        """``label``'s entry is readable: the next scan to *start* counts it."""
+        self._appended.append(label)
+        if not self._scan_running:
+            self._begin_scan()
 
     def post(self, payload: Any) -> None:
-        self._publish((POST, payload))
+        self._send(POST, payload)
         self._poke()
 
     def _poke(self) -> None:
@@ -321,23 +314,23 @@ class SharedMemoryRoundTransport(RoundTransport):
         self._interval = self.FIRST_SCAN_DELAY
 
     def handle_op_result(self, object_name, op, handle, result) -> bool:
-        assert self.host is not None
-        if handle == self._append_handle:
-            self._append_handle = None
-            self._append_done_label = self.active_label
-            # the next scan to *start* counts toward completing this round
-            if not self._scan_running:
-                self._begin_scan()
-            return True
         if handle in self._scan_handles:
             src = self._scan_handles.pop(handle)
             self._ingest(src, result)
             if not self._scan_handles:
                 self._finish_scan()
             return True
-        if self._is_own_publish(object_name, op):
-            return True  # a post's publish response: nothing to do
-        return False
+        return self._publish_landed(handle)
+
+    def _publish_landed(self, handle: int) -> bool:
+        """Whether ``handle`` was an own publish; its round, if any, is
+        counted by the next scan."""
+        label = self._appends.pop(handle, None)
+        if label is None:
+            return False
+        if label != POST:
+            self._appended_round(label)
+        return True
 
     def handle_timer(self, tag: Any) -> bool:
         if tag != self.SCAN_TAG:
@@ -350,8 +343,9 @@ class SharedMemoryRoundTransport(RoundTransport):
         assert self.host is not None
         self._scan_running = True
         self._new_data = False
-        # a scan "counts" for the active round iff its append already linearized
-        self._scan_counts_label = self._append_done_label
+        # a scan counts exactly the rounds whose append linearized before it
+        if self._appended:
+            self._counted, self._appended = self._appended, []
         for p in range(self.host.ctx.n):
             handle = self._scan_one(p)
             if handle is not None:
@@ -372,15 +366,13 @@ class SharedMemoryRoundTransport(RoundTransport):
         assert self.host is not None
         self._scan_running = False
         self.scans_completed += 1
-        counted = self._scan_counts_label
-        if (
-            self.active_label is not None
-            and counted is not None
-            and counted == self.active_label
-        ):
-            self._complete(counted)
+        counted = self._counted
+        if counted:
+            self._counted = []
+            for label in counted:
+                self._complete(label)
         # keep watching: rescan soon while things move, back off when idle
-        if self._new_data or self.active_label is not None or self._append_handle is not None:
+        if self._new_data or self.active_labels:
             self._interval = self.FIRST_SCAN_DELAY
         else:
             self._interval = min(self._interval * self.IDLE_BACKOFF, self.MAX_INTERVAL)
@@ -444,11 +436,7 @@ class MessagePassingRoundTransport(BroadcastRoundTransport):
         heard = self._senders.setdefault(label, set())
         heard.add(src)
         assert self.host is not None
-        if (
-            self.active_label is not None
-            and label == self.active_label
-            and len(heard) >= self.host.ctx.n - self.f
-        ):
+        if label in self.active_labels and len(heard) >= self.host.ctx.n - self.f:
             self._complete(label)
 
 
@@ -458,9 +446,10 @@ class LockStepRoundTransport(BroadcastRoundTransport):
     Under a :class:`~repro.sim.adversary.LockStepSynchronous` adversary with
     ``delta <= period``, every message sent at a round boundary arrives
     before the round's closing boundary — **bidirectional** rounds (classic
-    lock-step synchrony). Payloads begun or queued mid-round are sent at
-    the next free boundary; custom labels are rejected because lock-step
-    round identity *is* the global boundary index.
+    lock-step synchrony). A boundary opens at most one round: payloads
+    begun mid-round wait in the transport's own boundary queue and are
+    sent at the next free boundary; custom labels are rejected because
+    lock-step round identity *is* the global boundary index.
     """
 
     BOUNDARY_TAG = "__lockstep_boundary__"
@@ -487,19 +476,13 @@ class LockStepRoundTransport(BroadcastRoundTransport):
         self._pending.append(payload)
         return self._boundary + 1  # the earliest boundary that could carry it
 
-    def begin_round_queued(self, payload: Any, label: Label | None = None) -> None:
-        # every round already waits for a boundary: _pending is the queue
-        if self.host is None:
-            raise SimulationError("transport not attached")
-        self._begin(payload, label)
-
     def handle_timer(self, tag: Any) -> bool:
         if tag != self.BOUNDARY_TAG:
             return False
         assert self.host is not None
         # close the finishing round…
-        if self.active_label is not None:
-            self._complete(self.active_label)
+        for label in tuple(self.active_labels):
+            self._complete(label)
         self._boundary += 1
         # …and open the next one if a payload is waiting
         if self._pending:

@@ -18,6 +18,11 @@ with ``n >= 2t+1``:
   expected sequence number, forwarding the proof so everyone else
   eventually delivers too (relay).
 
+The instances pipeline: each sequence number runs copy → L1 → L2 on its
+own rounds, so instance k+1's copy round runs while k's L1 round is still
+open — nothing in the argument below relates two sequence numbers. Only
+delivery is sequenced: ``(k, m)`` is delivered after ``k-1``.
+
 Why unidirectionality is exactly what's needed (paper's key argument): two
 correct processes that copied *conflicting* values both send in the same
 ``("copy", sender, k)`` round; at least one receives the other's copy —
@@ -57,10 +62,6 @@ from .rounds import (
     RoundTransport,
     SharedMemoryRoundTransport,
 )
-
-WAIT_SENDER = "WaitForSender"
-WAIT_L1 = "WaitForL1Proof"
-WAIT_L2 = "WaitForL2Proof"
 
 # -- signature domains -------------------------------------------------------------
 
@@ -227,7 +228,6 @@ class SRBFromUnidirectional(RoundProcess):
         self.my_seq: SeqNum = 0
         # receiver side
         self.next_seq: SeqNum = 1
-        self.state = WAIT_SENDER
         self._vals: dict[SeqNum, tuple[Any, Signature]] = {}
         self._conflict: set[SeqNum] = set()
         self._copies: dict[SeqNum, dict[ProcessId, Signature]] = {}
@@ -274,6 +274,7 @@ class SRBFromUnidirectional(RoundProcess):
             _, k, m, sig_s = payload
             if not self._note_val(k, m, sig_s):
                 self.proof_rejects += 1
+                return
         elif kind == "COPY" and len(payload) == 5:
             _, k, m, sig_s, sig_copier = payload
             if not self._note_val(k, m, sig_s):
@@ -309,16 +310,17 @@ class SRBFromUnidirectional(RoundProcess):
                 self.proof_rejects += 1
         elif kind == "L2" and len(payload) == 5:
             checked = validate_l2(self.scheme, self.sender, payload, self.t)
-            if checked is not None:
-                k, _m = checked
-                self._l2s.setdefault(k, payload)
-            else:
+            if checked is None:
                 self.proof_rejects += 1
+                return
+            self._l2s.setdefault(checked[0], payload)
+            self._maybe_deliver()
+            return
         else:
             # unknown kind or wrong arity: Byzantine babble
             self.malformed_rejects += 1
-        self._maybe_deliver()
-        self._advance()
+            return
+        self._advance(k)
 
     def _note_val(self, k: Any, m: Any, sig_s: Any) -> bool:
         """Register a sender-signed value; returns True when the signature is valid.
@@ -343,68 +345,50 @@ class SRBFromUnidirectional(RoundProcess):
     # -- round completion -------------------------------------------------------------
 
     def on_round_complete(self, label: Label) -> None:
-        if isinstance(label, tuple) and len(label) == 3:
-            phase, sender, k = label
-            if sender == self.sender and isinstance(k, int):
-                if phase == "copy":
-                    self._copy_round_done.add(k)
-                elif phase == "l1":
-                    self._l1_round_done.add(k)
-        self._maybe_deliver()
-        self._advance()
+        phase, _sender, k = label  # this process's own ("copy" | "l1", sender, k)
+        (self._copy_round_done if phase == "copy" else self._l1_round_done).add(k)
+        self._advance(k)
 
-    # -- the state machine -------------------------------------------------------------
+    # -- one instance per sequence number ---------------------------------------------
 
-    def _advance(self) -> None:
-        """Drive participation in the pipeline for the current ``next_seq``."""
-        progressed = True
-        while progressed:
-            progressed = False
-            k = self.next_seq
-            if self.state == WAIT_SENDER:
-                adopted = self._vals.get(k)
-                if adopted is not None and k not in self._copied:
-                    m, sig_s = adopted
-                    self._copied.add(k)
-                    my_sig = self.signer.sign(copy_domain(self.sender, k, m))
-                    self.rounds.begin_round_queued(
-                        ("COPY", k, m, sig_s, my_sig), ("copy", self.sender, k)
-                    )
-                    self.state = WAIT_L1
-                    progressed = True
-            elif self.state == WAIT_L1:
-                if (
-                    k in self._copy_round_done
-                    and k not in self._conflict
-                    and len(self._copies.get(k, {})) >= self.t + 1
-                    and k not in self._sent_l1
-                ):
-                    m, sig_s = self._vals[k]
-                    copies = tuple(sorted(self._copies[k].items()))
-                    my_sig = self.signer.sign(l1_domain(self.sender, k, m))
-                    self._sent_l1.add(k)
-                    self.rounds.begin_round_queued(
-                        ("L1", k, m, sig_s, copies, my_sig), ("l1", self.sender, k)
-                    )
-                    self.state = WAIT_L2
-                    progressed = True
-            elif self.state == WAIT_L2:
-                if (
-                    k in self._l1_round_done
-                    and len(self._l1s.get(k, {})) >= self.t + 1
-                    and k not in self._sent_l2
-                ):
-                    m, sig_s = self._vals[k]
-                    l1items = tuple(
-                        self._l1s[k][b] for b in sorted(self._l1s[k])
-                    )[: self.t + 1]
-                    l2 = ("L2", k, m, sig_s, tuple(l1items))
-                    self._sent_l2.add(k)
-                    self._l2s.setdefault(k, l2)
-                    self.rounds.post(l2)
-                    self._forwarded.add(k)
-                    self._maybe_deliver()
-                    progressed = True
+    def _advance(self, k: SeqNum) -> None:
+        """Drive instance ``k`` through copy → L1 → L2, independently of the
+        others: only an event about ``k`` (its messages, its rounds) can
+        move it, so an event advances the one instance it names."""
+        adopted = self._vals.get(k)
+        if adopted is None or k < self.next_seq:
+            return  # nothing to copy yet, or already delivered
+        m, sig_s = adopted
+        if k not in self._copied:
+            self._copied.add(k)
+            my_sig = self.signer.sign(copy_domain(self.sender, k, m))
+            self.rounds.begin_round(
+                ("COPY", k, m, sig_s, my_sig), ("copy", self.sender, k)
+            )
+        elif (
+            k in self._copy_round_done
+            and k not in self._sent_l1
+            and k not in self._conflict
+            and len(self._copies.get(k, ())) >= self.t + 1
+        ):
+            copies = tuple(sorted(self._copies[k].items()))
+            my_sig = self.signer.sign(l1_domain(self.sender, k, m))
+            self._sent_l1.add(k)
+            self.rounds.begin_round(
+                ("L1", k, m, sig_s, copies, my_sig), ("l1", self.sender, k)
+            )
+        elif (
+            k in self._l1_round_done
+            and k not in self._sent_l2
+            and len(self._l1s.get(k, ())) >= self.t + 1
+        ):
+            l1s = self._l1s[k]
+            l2 = ("L2", k, m, sig_s, tuple(l1s[b] for b in sorted(l1s))[: self.t + 1])
+            self._sent_l2.add(k)
+            self._l2s.setdefault(k, l2)
+            self.rounds.post(l2)
+            self._forwarded.add(k)
+            self._maybe_deliver()
 
     def _maybe_deliver(self) -> None:
         """The paper's ``maybeDeliver``: drain valid L2 proofs in order."""
@@ -424,7 +408,6 @@ class SRBFromUnidirectional(RoundProcess):
             self.ctx.record("bcast_deliver", sender=self.sender, seq=k, value=m)
             self.on_deliver(self.sender, k, m)
             self.next_seq = k + 1
-            self.state = WAIT_SENDER
 
     # -- counters ---------------------------------------------------------------
 

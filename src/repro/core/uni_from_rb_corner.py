@@ -152,9 +152,5 @@ class CornerCaseRoundTransport(RoundTransport):
                 assert self._handle is not None
                 self._handle.broadcast(("P2", label, bundle))
         # Phase 2 completion: n-1 distinct valid bundles
-        if (
-            self.active_label is not None
-            and label == self.active_label
-            and len(self._p2.get(label, set())) >= n - 1
-        ):
+        if label in self.active_labels and len(self._p2.get(label, ())) >= n - 1:
             self._complete(label)

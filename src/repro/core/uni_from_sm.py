@@ -23,6 +23,14 @@ over the other hardware:
 All three inherit the scan/round-accounting skeleton, so the
 unidirectionality argument (publish linearizes before the counted scan's
 reads) is common; each subclass only redefines how to publish and read.
+
+Rounds run concurrently (see :mod:`repro.core.rounds`), so a process may
+have several publishes in flight, and the adversary may linearize them out
+of order. An append-only log and a tuple space keep every entry whatever
+the order; a register and a sticky chain do not, so those two transports
+count a round only once its entry *stays* readable: the SWMR transport
+keeps one write in flight, and the sticky transport waits until every
+earlier cell of its chain is written.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from ..hardware.registers import SWMRRegister
 from ..hardware.sticky import StickyRegister, UNSET
 from ..sim.shared_memory import SharedObject
 from ..types import ProcessId
-from .rounds import SharedMemoryRoundTransport
+from .rounds import POST, Label, SharedMemoryRoundTransport
 
 
 class History:
@@ -78,6 +86,11 @@ class SWMRRoundTransport(SharedMemoryRoundTransport):
     this is the standard register encoding of an append-only log and keeps
     reads atomic snapshots). The value is a :class:`History` of ``i``'s one
     entry list, so the k-th write stores k entries without copying them.
+
+    A write that linearized after a longer one would hide entries a round
+    already counted, so the owner keeps one write in flight: entries
+    published meanwhile are held and ride on the next write, and a round
+    counts once a write carrying its entry has landed.
     """
 
     LOG_PREFIX = "swmr"
@@ -85,6 +98,9 @@ class SWMRRoundTransport(SharedMemoryRoundTransport):
     def __init__(self) -> None:
         super().__init__()
         self._my_history: list[tuple] = []
+        self._write: Optional[int] = None  # the one own write in flight
+        self._carried: list[tuple] = []  # the entries it adds
+        self._held: list[tuple] = []  # entries waiting for it to land
 
     @classmethod
     def build_objects(cls, n: int) -> list[SWMRRegister]:
@@ -99,12 +115,31 @@ class SWMRRoundTransport(SharedMemoryRoundTransport):
         history = History(self._my_history, len(self._my_history))
         return self.host.ctx.invoke(self._log_name(self.host.pid), "write", history)
 
+    def _send(self, label: Label, payload: Any) -> None:
+        self._held.append((label, payload))
+        if self._write is None:
+            self._write_held()
+
+    def _write_held(self) -> None:
+        self._carried, self._held = self._held, []
+        self._my_history.extend(self._carried[:-1])
+        self._write = self._publish(self._carried[-1])  # writes the whole history
+
+    def _publish_landed(self, handle: int) -> bool:
+        if handle != self._write:
+            return False
+        landed = self._carried
+        self._write = None
+        if self._held:
+            self._write_held()
+        for label, _payload in landed:
+            if label != POST:
+                self._appended_round(label)
+        return True
+
     def _scan_one(self, p: ProcessId) -> Optional[int]:
         assert self.host is not None
         return self.host.ctx.invoke(self._log_name(p), "read")
-
-    def _is_own_publish(self, object_name: str, op: str) -> bool:
-        return object_name.startswith(self.LOG_PREFIX) and op == "write"
 
     def _ingest(self, src: ProcessId, result: Any) -> None:
         # a correct owner writes a History; a Byzantine one may write a
@@ -153,9 +188,6 @@ class PEATSRoundTransport(SharedMemoryRoundTransport):
             self.LOG_PREFIX, "out", (self.host.pid, self._my_count, label, payload)
         )
 
-    def _is_own_publish(self, object_name: str, op: str) -> bool:
-        return object_name == self.LOG_PREFIX and op == "out"
-
     # one rdall is the whole scan: issue it for "process 0" and skip the rest
     def _scan_one(self, p: ProcessId) -> Optional[int]:
         assert self.host is not None
@@ -189,6 +221,10 @@ class StickyChainRoundTransport(SharedMemoryRoundTransport):
     ``sticky_{i}_{k}``; scanning a process means following its chain from
     the last known set cell until the first unset one. ``capacity`` bounds
     each chain (sticky registers must be pre-allocated).
+
+    A scan stops at the first unset cell, so an entry is readable only once
+    every earlier cell of its chain is written too: a round counts when its
+    cell and all before it have landed.
     """
 
     LOG_PREFIX = "sticky"
@@ -199,6 +235,10 @@ class StickyChainRoundTransport(SharedMemoryRoundTransport):
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._my_count = 0
+        self._cell_labels: list[Label] = []  # the label in each own cell
+        self._writes: dict[int, int] = {}  # own write in flight: handle -> cell
+        self._cells_landed: set[int] = set()
+        self._chain_landed = 0  # own cells 0 .. _chain_landed-1 are all written
         self._chain_ptr: dict[ProcessId, int] = {}
         self._chain_done: set[ProcessId] = set()
 
@@ -226,8 +266,10 @@ class StickyChainRoundTransport(SharedMemoryRoundTransport):
         self._my_count += 1
         return handle
 
-    def _is_own_publish(self, object_name: str, op: str) -> bool:
-        return object_name.startswith(self.LOG_PREFIX) and op == "write"
+    def _send(self, label: Label, payload: Any) -> None:
+        handle = self._publish((label, payload))
+        self._writes[handle] = len(self._cell_labels)
+        self._cell_labels.append(label)
 
     def _begin_scan(self) -> None:  # fresh chain-progress bookkeeping per scan
         self._chain_done = set()
@@ -256,7 +298,20 @@ class StickyChainRoundTransport(SharedMemoryRoundTransport):
             if not self._scan_handles:
                 self._finish_scan()
             return True
-        return super().handle_op_result(object_name, op, handle, result)
+        return self._publish_landed(handle)
+
+    def _publish_landed(self, handle: int) -> bool:
+        cell = self._writes.pop(handle, None)
+        if cell is None:
+            return False
+        self._cells_landed.add(cell)
+        while self._chain_landed in self._cells_landed:
+            self._cells_landed.remove(self._chain_landed)
+            label = self._cell_labels[self._chain_landed]
+            self._chain_landed += 1
+            if label != POST:
+                self._appended_round(label)
+        return True
 
     def _ingest(self, src: ProcessId, result: Any) -> None:  # pragma: no cover
         raise AssertionError("sticky transport ingests inline in handle_op_result")

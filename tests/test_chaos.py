@@ -34,13 +34,9 @@ class TestProtocolsSurviveChaos:
         assert all(r.stats["executions"] > 0 for r in results
                    if r.protocol == "minbft")
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="Algorithm 1 stalls after a crash (ROADMAP P0): srb-uni seed "
-        "29021's broadcast #4 (t=3.4) is delivered by no fault-free process "
-        "- three validity and three liveness violations",
-    )
     def test_srb_uni_seed_29021_delivers_every_broadcast(self):
+        # once a head-of-line block: pid 0's L1 round for k=1 can never
+        # complete after a crash, and its later rounds used to queue behind it
         r = replay("srb-uni", 29021)
         assert r.ok, format_failures([r])
 

@@ -48,10 +48,14 @@ LOAD_CRYPTO_WORK = {
     "minbft": (2046, 400, 400, 5873, 2206, 0),
     "pbft": (3316, 1728, 1588, 563, 208, 0),
 }
-# Re-pinned three times, each time because bookkeeping inside the stats
-# moved, never behaviour: twice ``stats["crypto"]``'s counters, once the
-# ``simcore`` key's removal. ``CHAOS_CRYPTO_WORK`` below was computed at the
-# first parent and holds at every commit since. (1) The
+# The chaos and attack cells are pinned per protocol stack (srb, minbft,
+# pbft, service: the name before any "-" or "+" in ``ChaosResult.protocol``),
+# so a behaviour change in one stack re-pins only that stack's digests.
+#
+# Re-pinned three times before the split, each time because bookkeeping
+# inside the stats moved, never behaviour: twice ``stats["crypto"]``'s
+# counters, once the ``simcore`` key's removal. ``CHAOS_CRYPTO_WORK`` below
+# was computed at the first parent and held at every commit since. (1) The
 # verdict memos stopped serializing their keys (USIG memo on the carried
 # digest, proof / proposal memos on object identity, ``type_fingerprint``
 # deleted): over the 21 cells ``serialize_misses`` 12,895 -> 7,526,
@@ -66,22 +70,52 @@ LOAD_CRYPTO_WORK = {
 # ``hmac_ops``, ``signs`` and ``cheap_rejects`` as before. (3) The event
 # loop lost its timer wheel and event free-list, and with them the
 # ``simcore`` key of every cell's stats (their counters: 9,489 wheel hits,
-# 8,629 free-list reuses, 1 wheel compaction over the 21 cells). This value
-# is the previous parent's digest of the stats minus ``simcore``; nothing
-# else in them moved.
-CHAOS_STATS_HASH = (
-    "68fc547d9e735752dc1468ab843c71f5a29e8841ff742725e8cd668fb40e987b"
-)
+# 8,629 free-list reuses, 1 wheel compaction over the 21 cells).
+#
+# The srb digests were re-pinned once after the split, for a behaviour
+# change: rounds became per label, and Algorithm 1 runs each sequence
+# number's copy, L1 and L2 rounds side by side instead of one sequence
+# number at a time, so its cells send, sign and deliver at other times.
+# The minbft, pbft and service digests were computed before that change and
+# did not move with it.
+CHAOS_STATS_HASH = {
+    "srb": (
+        "a403c4a85d6479e69d5dcbf32542fa44e41cb508c5f5646f45d2afc0cc673f63"
+    ),
+    "minbft": (
+        "d8c3428505eebcffe5aef15204ed2469f76abd504a3706eaf327ea6ded709562"
+    ),
+    "pbft": (
+        "7b059d35cf08d55d2bf686b99dc50df68c956163218a715f8f6fac3fc24130b1"
+    ),
+    "service": (
+        "424ac8b974584cdac3c232dd1e21d7e9a7b0ada11cc0e329999ddedef0cd753d"
+    ),
+}
 # the same cells with the ``crypto`` key removed from each ``stats``:
-# behaviour, separate from crypto bookkeeping. Re-pinned once, with (3)
-# above: it is the previous parent's digest of the stats minus ``crypto``
-# *and* ``simcore`` (event-loop bookkeeping, not behaviour).
-CHAOS_BEHAVIOUR_HASH = (
-    "1dc0ef8f770a1f5e61d0ad5b9307d1ba652b23f600b5a81d6990f50f45423934"
-)
+# behaviour, separate from crypto bookkeeping
+CHAOS_BEHAVIOUR_HASH = {
+    "srb": (
+        "f41b252431f0e927648bfd1c2bade5b7000c3919713ba2462cdb020cc2f8c7f7"
+    ),
+    "minbft": (
+        "9afbee89437c8864bb7a626341a9de24e25d4c542f871347424f67489717d352"
+    ),
+    "pbft": (
+        "4ffb5b265ce1191afd8aef206af5af7d648201e0caa98519de0df54a3d6e8128"
+    ),
+    "service": (
+        "531c9886def9cab364b8d943917b5e5145b2f20d47a9fd4a245c0bebf8119bd0"
+    ),
+}
 # ... and the crypto counters that are work, not bookkeeping, summed over
-# the cells: (hmac_ops, signs, verify_misses, cheap_rejects)
-CHAOS_CRYPTO_WORK = (2493, 639, 554, 0)
+# each stack's cells: (hmac_ops, signs, verify_misses, cheap_rejects)
+CHAOS_CRYPTO_WORK = {
+    "srb": (354, 177, 177, 0),
+    "minbft": (825, 86, 81, 0),
+    "pbft": (510, 267, 243, 0),
+    "service": (852, 133, 77, 0),
+}
 
 
 @pytest.mark.parametrize("protocol", sorted(ORDER_HASH))
@@ -118,6 +152,24 @@ def test_pipeline_load_across_view_changes_is_pinned(protocol):
     ) == VIEW_CHANGE_CATCH_UP[protocol]
 
 
+def _stack(cell) -> str:
+    """The protocol stack a chaos cell runs: srb, minbft, pbft or service."""
+    return cell.protocol.split("+")[0].split("-")[0]
+
+
+def _digests(cells, fields) -> dict[str, str]:
+    """Per stack, the sha256 of ``fields(cell)`` over its cells, in order."""
+    rows: dict[str, list] = {}
+    for r in cells:
+        rows.setdefault(_stack(r), []).append(fields(r))
+    return {
+        stack: hashlib.sha256(
+            json.dumps(cell_rows, sort_keys=True, default=repr).encode()
+        ).hexdigest()
+        for stack, cell_rows in rows.items()
+    }
+
+
 def test_chaos_and_attack_cell_stats_are_pinned():
     cells = chaos_sweep(
         ("srb-uni", "minbft", "minbft-pipelined", "pbft", "service"),
@@ -125,21 +177,19 @@ def test_chaos_and_attack_cell_stats_are_pinned():
     ) + attack_sweep(seeds=range(1))
     assert len(cells) == 21 and all(r.ok for r in cells)
 
-    def digest(stats_of):
-        blob = json.dumps(
-            [(r.protocol, r.seed, r.ok, stats_of(r)) for r in cells],
-            sort_keys=True, default=repr,
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    assert digest(
-        lambda r: {k: v for k, v in r.stats.items() if k != "crypto"}
-    ) == CHAOS_BEHAVIOUR_HASH
-    assert tuple(
-        sum(r.stats["crypto"][k] for r in cells)
-        for k in ("hmac_ops", "signs", "verify_misses", "cheap_rejects")
-    ) == CHAOS_CRYPTO_WORK
-    assert digest(lambda r: r.stats) == CHAOS_STATS_HASH
+    assert _digests(cells, lambda r: (
+        r.protocol, r.seed, r.ok,
+        {k: v for k, v in r.stats.items() if k != "crypto"},
+    )) == CHAOS_BEHAVIOUR_HASH
+    work: dict[str, list[int]] = {}
+    for r in cells:
+        sums = work.setdefault(_stack(r), [0, 0, 0, 0])
+        for i, k in enumerate(("hmac_ops", "signs", "verify_misses", "cheap_rejects")):
+            sums[i] += r.stats["crypto"][k]
+    assert {stack: tuple(sums) for stack, sums in work.items()} == CHAOS_CRYPTO_WORK
+    assert _digests(
+        cells, lambda r: (r.protocol, r.seed, r.ok, r.stats)
+    ) == CHAOS_STATS_HASH
 
 
 # Every registered chaos cell, computed before protocols, variants and
@@ -149,9 +199,21 @@ def test_chaos_and_attack_cell_stats_are_pinned():
 # docs set. Covers what the
 # cell-stats pin above does not: the broken and stalling variants, the
 # storm, verdicts, abort indexes, rendered schedules and replay hints.
-CHAOS_CELL_DIGEST = (
-    "10a06a1632835c31c446b16e3f334874492a10e0d0465225ec2de970babd6e0c"
-)
+# Per stack, as above; the srb digest was re-pinned with rounds per label.
+CHAOS_CELL_DIGEST = {
+    "srb": (
+        "cf0a525615426130f138e102c2394981cbef2af3b010306c9565de6331caf6a8"
+    ),
+    "minbft": (
+        "a245e50014253b1f3300ef6e0c3e1fea450fe5085fc0bb30cbf5d64870f29489"
+    ),
+    "pbft": (
+        "70ec701faee9bdc85230ce53cc3b25ef76c5c3dcc96f8381897781fa790bd466"
+    ),
+    "service": (
+        "e50e5ad85303cfc9c7b1893e04d538c1c38945b352d69c1ba3ff6de3069bf662"
+    ),
+}
 
 
 def test_every_chaos_cell_is_pinned():
@@ -169,15 +231,10 @@ def test_every_chaos_cell_is_pinned():
         run_attack("equivocate-prepare", 0, pipelined=True, ops_per_client=6),
     ]
     assert len(cells) == 15 + 22 + 5
-    blob = json.dumps(
-        [
-            (r.protocol, r.ok, r.violations, r.liveness_violations,
-             r.abort_index, r.stats, r.schedule, r.replay_hint())
-            for r in cells
-        ],
-        sort_keys=True, default=repr,
-    )
-    assert hashlib.sha256(blob.encode()).hexdigest() == CHAOS_CELL_DIGEST
+    assert _digests(cells, lambda r: (
+        r.protocol, r.ok, r.violations, r.liveness_violations,
+        r.abort_index, r.stats, r.schedule, r.replay_hint(),
+    )) == CHAOS_CELL_DIGEST
 
 
 # Pinned at the parent of the client / checkpoint-path / verify_from
@@ -189,9 +246,37 @@ SERVICE_ORDER_HASH = (
 )
 # (results, failures, rejections, retransmissions) summed over the tenants
 SERVICE_TENANT_COUNTS = (36, 44, 93, 20)
+# Re-pinned once, when rounds became per label: Algorithm 1's four
+# broadcasts now run their copy / L1 / L2 rounds side by side instead of
+# one sequence number at a time (the parent's value was 8873b7e1...0722).
 SM_SRB_ORDER_HASH = (
-    "8873b7e16bb2efad3d7fea22d63175a61d10b6eddcc20a3ead96da64bf1a0722"
+    "72666a071c8af676808cf8f8fd351099e7b93f1ae74ec56cdbf0c6ba0845a062"
 )
+# ``srb_sm_burst``'s behaviour witness at seeds 0 and 7, as
+# ``benchmarks/e2e/run.py --workload srb_sm_burst --seed S --seconds 10
+# --trace 0`` prints it. Rounds per label moved it (at seed 0: 218,710 ->
+# 37,095 events, 102,511 -> 17,761 memory ops), and
+# ``benchmarks/e2e/witnesses.json`` is re-recorded only with the benchmark
+# itself, so until then CI's behaviour-witness job holds the workload to
+# this pin, exactly.
+SRB_SM_BURST_WITNESS = {
+    0: {
+        "order_hash": (
+            "24fd4604910bbafed615a0f47fe9a4d7a1cd6a4aeae83b601fa7172528dd8ddd"
+        ),
+        "events": 37095,
+        "memory_ops": 17761,
+        "delivered": 3150,
+    },
+    7: {
+        "order_hash": (
+            "073094ed607feacead3b90f90a331263ee9098139c7860b7c9727d177adadd66"
+        ),
+        "events": 37110,
+        "memory_ops": 17768,
+        "delivered": 3150,
+    },
+}
 SWMR_ROUNDS_ORDER_HASH = (
     "7050343d87220f37817be97a0d649557c0359183ea994462a0543a50ab6e1bf9"
 )

@@ -13,7 +13,10 @@ from repro.core.rounds import (
     SharedMemoryRoundTransport,
     TimedRoundTransport,
 )
+from repro.core.srb_oracle import SRBOracle
+from repro.core.uni_from_rb_corner import CornerCaseRoundTransport
 from repro.core.uni_from_sm import build_objects_for
+from repro.crypto import SignatureScheme
 from repro.sim import LockStepSynchronous, ReliableAsynchronous, Simulation
 
 
@@ -52,33 +55,97 @@ def run_sm(n=3, labels=("r1",), seed=0, until=200.0, cls=SharedMemoryRoundTransp
 
 class TestEngineContract:
     def test_labels_unique_per_process(self):
-        sim, procs = run_sm(n=1, labels=("r1",))
-        with pytest.raises(SimulationError, match="reused"):
-            procs[0].rounds._begin(("x",), "r1")
-
-    def test_concurrent_begin_rejected(self):
-        sim, procs = run_sm(n=1, labels=())
+        """Reusing a label raises, its round in flight or completed."""
+        sim, procs = run_sm(n=1, labels=("done",))
         p = procs[0]
-        p.rounds.begin_round("a", "l1")
-        with pytest.raises(SimulationError, match="still"):
-            p.rounds.begin_round("b", "l2")
+        assert p.completed == ["done"]
+        p.rounds.begin_round("a", "open")
+        for label in ("open", "done"):
+            with pytest.raises(SimulationError, match="reused"):
+                p.rounds.begin_round("b", label)
 
-    def test_begin_round_queued_defers(self):
+    def test_labels_in_flight_complete_independently_over_shared_memory(self):
+        """Process 0's append for ``a`` lands late, so ``b``, begun after it,
+        completes first while ``a`` is still in flight; ``a`` then completes
+        on its own."""
+
+        class SlowFirstAppend(ReliableAsynchronous):
+            slowed = False
+
+            def op_delays(self, pid, object_name, op, now):
+                if op == "append" and not self.slowed:
+                    self.slowed = True
+                    return (5.0, 0.1)
+                return (0.1, 0.1)
+
         procs = [Recorder(SharedMemoryRoundTransport(), ()) for _ in range(2)]
-        sim = Simulation(procs, ReliableAsynchronous(0.01, 0.2), seed=1)
+        sim = Simulation(procs, SlowFirstAppend(), seed=1)
         for obj in build_objects_for("append-log", 2):
             sim.memory.register(obj)
+        seen = []
+        p0 = procs[0]
+        p0.on_round_complete = lambda label: seen.append(
+            (label, set(p0.rounds.active_labels))
+        )
+        sim.at(1.0, lambda: [p0.rounds.begin_round(x, x) for x in "ab"])
+        sim.run(until=50.0)
+        assert seen == [("b", {"a"}), ("a", set())]
 
-        def kickoff():
-            procs[0].rounds.begin_round_queued("a", "l1")
-            procs[0].rounds.begin_round_queued("b", "l2")
-            procs[1].rounds.begin_round_queued("c", "l1")
-            procs[1].rounds.begin_round_queued("d", "l2")
+    @pytest.mark.parametrize("transport", ["message-passing", "corner-case"])
+    def test_labels_in_flight_complete_independently_over_messages(self, transport):
+        """Only process 0 begins ``a``, so ``a`` never gathers its quorum;
+        ``b``, begun by everyone after it, completes regardless."""
+        n = 3
+        if transport == "message-passing":
+            procs = [Recorder(MessagePassingRoundTransport(f=1), ()) for _ in range(n)]
+            sim = Simulation(procs, ReliableAsynchronous(0.01, 0.5), seed=3)
+        else:
+            scheme = SignatureScheme(n, seed=3)
+            oracle = SRBOracle(seed=3)
+            procs = [
+                Recorder(CornerCaseRoundTransport(oracle, scheme, scheme.signer(p)), ())
+                for p in range(n)
+            ]
+            sim = Simulation(procs, ReliableAsynchronous(0.01, 0.5), seed=3)
+            oracle.bind(sim)
+        sim.at(0.5, lambda: procs[0].rounds.begin_round("x", "a"))
+        sim.at(0.6, lambda: [p.rounds.begin_round(("y", p.pid), "b") for p in procs])
+        sim.run(until=100.0)
+        assert [p.completed for p in procs] == [["b"]] * n
+        assert procs[0].rounds.active_labels == {"a"}
 
-        sim.at(0.1, kickoff)
-        sim.run(until=200.0)
-        assert procs[0].completed == ["l1", "l2"]
-        assert ("l2", 0, "b") in procs[1].received
+    def test_append_landing_during_a_scan_waits_for_the_next_scan(self):
+        """The counted scan must *start* after the append linearized: an
+        append that lands while a scan is running is not counted by it."""
+
+        class SlowReads(ReliableAsynchronous):
+            def op_delays(self, pid, object_name, op, now):
+                return (1.0, 1.0) if op == "read_from" else (0.1, 0.1)
+
+        class ScanLog(SharedMemoryRoundTransport):
+            def __init__(self):
+                super().__init__()
+                self.scans = []  # [start, end] per scan
+
+            def _begin_scan(self):
+                self.scans.append([self.host.ctx.now, None])
+                super()._begin_scan()
+
+            def _finish_scan(self):
+                self.scans[-1][1] = self.host.ctx.now
+                super()._finish_scan()
+
+        t = ScanLog()
+        sim = Simulation([Recorder(t, ())], SlowReads(), seed=2)
+        for obj in build_objects_for("append-log", 1):
+            sim.memory.register(obj)
+        sim.at(0.5, lambda: t.begin_round("x", "r"))
+        sim.run(until=20.0)
+        landed = 0.5 + 0.1 + 0.1  # the append's response reaches the process
+        running = next(s for s in t.scans if s[0] < landed < s[1])
+        counted = next(s for s in t.scans if s[0] >= landed)
+        (end,) = sim.trace.events("round_end", pid=0)
+        assert end.time == counted[1] > running[1]
 
     def test_auto_labels_are_counters(self):
         procs = [Recorder(MessagePassingRoundTransport(f=0), ()) for _ in range(2)]
@@ -198,16 +265,16 @@ class TestLockStepTransport:
         for p in procs:
             sim.at(0.5, lambda p=p: p.rounds.begin_round(("a", p.pid)))
             # round 1 is active from t=2 to t=4
-            sim.at(2.5, lambda p=p: p.rounds.begin_round_queued(("b", p.pid)))
+            sim.at(2.5, lambda p=p: p.rounds.begin_round(("b", p.pid)))
         sim.run(until=20.0)
         for p in procs:
             assert p.completed == [1, 2]
-            assert not p.rounds._queue
+            assert not p.rounds._pending
             assert sorted(
                 (label, payload) for (label, _src, payload) in p.received
             ) == [(1, ("a", 0)), (1, ("a", 1)), (2, ("b", 0)), (2, ("b", 1))]
         with pytest.raises(ConfigurationError):
-            procs[0].rounds.begin_round_queued("c", label="custom")
+            procs[0].rounds.begin_round("c", label="custom")
 
     def test_custom_labels_rejected(self):
         t = LockStepRoundTransport()

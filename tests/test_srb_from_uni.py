@@ -58,6 +58,29 @@ class TestHappyPath:
         check_srb(sim.trace, 0, range(5)).assert_ok()
 
 
+class TestPipelining:
+    def test_latency_stays_flat_under_a_burst(self):
+        """Instances pipeline per sequence number, so a broadcast's latency
+        is a constant number of rounds, not a place in a queue: 40
+        broadcasts 0.5 apart, and the last is delivered everywhere within
+        3x the first's latency (a one-instance-at-a-time engine grows it
+        with every broadcast queued ahead)."""
+        n, count = 4, 40
+        sim, procs, _ = build_sm_srb_system(n=n, t=1, sender=0, seed=0)
+        for i in range(count):
+            sim.at(0.5 * i, lambda i=i: procs[0].broadcast(("v", i)))
+        sim.run(until=2_000.0)
+        rep = check_srb(sim.trace, 0, range(n))
+        rep.assert_ok()
+        assert len(rep.deliveries) == n * count
+        sent = {e.field("seq"): e.time for e in sim.trace.events("bcast")}
+        done: dict = {}
+        for e in sim.trace.events("bcast_deliver"):
+            done[e.field("seq")] = max(done.get(e.field("seq"), 0.0), e.time)
+        first, last = (done[k] - sent[k] for k in (1, count))
+        assert last <= 3 * first, (first, last)
+
+
 class TestCrashFaults:
     def test_one_crash_at_t2(self):
         sim, procs, _ = run_happy(5, 2, ["a", "b"], seed=4, crash=(4, 1.0))

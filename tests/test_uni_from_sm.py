@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.directionality import check_directionality
-from repro.core.rounds import RoundProcess
+from repro.core.directionality import (
+    ZERO_DIRECTIONAL,
+    DirectionalityStreamChecker,
+    check_directionality,
+)
+from repro.core.rounds import MessagePassingRoundTransport, RoundProcess
 from repro.core.uni_from_sm import (
     ALL_SM_TRANSPORTS,
     History,
@@ -76,6 +80,91 @@ class TestUnidirectionality:
         # the survivors still finish their rounds (reads don't block on 3)
         ends = {e.pid for e in sim.trace.events("round_end")}
         assert {0, 1, 2} <= ends
+
+
+class Window(RoundProcess):
+    """Keeps ``width`` labelled rounds in flight until ``nrounds`` are done."""
+
+    def __init__(self, transport, nrounds=12, width=3):
+        super().__init__(transport)
+        self.nrounds = nrounds
+        self.width = width
+        self.peak = 0
+
+    def _begin(self, r):
+        self.rounds.begin_round(("m", self.pid, r), label=("r", r))
+        self.peak = max(self.peak, len(self.rounds.active_labels))
+
+    def on_round_start(self):
+        for r in range(1, self.width + 1):
+            self._begin(r)
+
+    def on_round_complete(self, label):
+        if label[1] + self.width <= self.nrounds:
+            self._begin(label[1] + self.width)
+
+
+class _SlowLink(ReliableAsynchronous):
+    """Messages between processes 0 and 1 take 50 time units."""
+
+    def message_delay(self, src, dst, msg, now):
+        if {src, dst} == {0, 1}:
+            return 50.0
+        return super().message_delay(src, dst, msg, now)
+
+
+class TestConcurrentRounds:
+    """§3.2's claim in the form the per-label engine relies on: the
+    write-then-scan argument holds for each label with several rounds of a
+    process in flight at once."""
+
+    @pytest.mark.parametrize("name", TRANSPORT_NAMES)
+    def test_sm_rounds_in_flight_stay_unidirectional(self, name):
+        n, nrounds = 4, 12
+        for seed in range(20):
+            cls = ALL_SM_TRANSPORTS[name]
+            procs = [Window(cls(), nrounds) for _ in range(n)]
+            checker = DirectionalityStreamChecker(range(n))
+            sim = Simulation(procs, ReliableAsynchronous(0.0, 3.0), seed=seed,
+                             observers=(checker,))
+            for obj in build_objects_for(name, n):
+                sim.memory.register(obj)
+            sim.run(until=2_000.0)
+            rep = checker.finish()
+            # unidirectional at least (a lucky trace may look bidirectional)
+            assert rep.is_unidirectional, (seed, rep.unidirectional_violations)
+            assert rep.rounds_checked == nrounds
+            assert len(sim.trace.events("round_end")) == n * nrounds
+            assert all(p.peak >= 3 for p in procs)
+
+    def test_sticky_round_waits_for_its_chain_prefix(self):
+        """Both processes' first cells land late, their second ones early:
+        a scan stops at the unset first cell, so counting round 2 on its own
+        cell's landing would end it at both without either's message."""
+
+        class LateFirstCell(ReliableAsynchronous):
+            def op_delays(self, pid, object_name, op, now):
+                late = op == "write" and object_name.endswith("_0")
+                return (10.0 if late else 0.1, 0.1)
+
+        procs = [Window(StickyChainRoundTransport(), 2, width=2) for _ in range(2)]
+        checker = DirectionalityStreamChecker(range(2))
+        sim = Simulation(procs, LateFirstCell(), seed=0, observers=(checker,))
+        for obj in build_objects_for("sticky", 2):
+            sim.memory.register(obj)
+        sim.run(until=100.0)
+        checker.finish().assert_unidirectional()
+        ends = sim.trace.events("round_end")
+        assert len(ends) == 4 and all(e.time > 10.0 for e in ends)
+
+    def test_mp_rounds_in_flight_stay_zero_directional(self):
+        n, nrounds = 3, 6
+        procs = [Window(MessagePassingRoundTransport(f=1), nrounds) for _ in range(n)]
+        checker = DirectionalityStreamChecker(range(n))
+        sim = Simulation(procs, _SlowLink(0.01, 1.0), seed=0, observers=(checker,))
+        sim.run(until=40.0)
+        assert all(p.peak >= 3 for p in procs)
+        assert checker.finish().classify() == ZERO_DIRECTIONAL
 
 
 class TestObjectSpecifics:
