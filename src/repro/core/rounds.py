@@ -232,6 +232,16 @@ class SharedMemoryRoundTransport(RoundTransport):
     not: every round whose append has linearized joins the labels counted
     by the next scan to start, and all of them complete when it ends.
 
+    **One own publish in flight.** A process keeps at most one publish to
+    its own object outstanding: entries sent meanwhile are held and ride on
+    the next publish as one batch, and a round counts once a publish
+    carrying its entry has landed. Own publishes therefore land in the order
+    they were made, whatever the adversary does, and what one has made
+    readable stays readable — a register rewrite cannot hide it, and a
+    sticky chain has no gap before it. Subclasses say only how one batch is
+    stored (:meth:`_publish`) and read back (:meth:`_scan_one`,
+    :meth:`_ingest`).
+
     The transport keeps rescanning (with exponential backoff once nothing
     changes) so entries appended later are still delivered — shared-memory
     "reception" is reading, and readers poll. Polling frequency affects
@@ -248,10 +258,11 @@ class SharedMemoryRoundTransport(RoundTransport):
 
     def __init__(self) -> None:
         super().__init__()
-        # own appends in flight (handle -> label, POST for a post); the
-        # appended rounds the next scan to start counts; those the running
+        self._write: Optional[int] = None  # the one own publish in flight
+        self._carried: tuple = ()  # the batch it carries
+        self._held: list[tuple] = []  # entries waiting for it to land
+        # the landed rounds the next scan to start counts; those the running
         # scan counts
-        self._appends: dict[int, Label] = {}
         self._appended: list[Label] = []
         self._counted: list[Label] = []
         self._scan_handles: dict[int, ProcessId] = {}
@@ -264,8 +275,8 @@ class SharedMemoryRoundTransport(RoundTransport):
     # -- setup helper ------------------------------------------------------------
 
     @classmethod
-    def build_logs(cls, n: int) -> list[AppendOnlyRegister]:
-        """The per-process append-only objects; register them on the simulation."""
+    def build_objects(cls, n: int) -> list[AppendOnlyRegister]:
+        """The per-process objects; register them on the simulation."""
         return [AppendOnlyRegister(f"{cls.LOG_PREFIX}{i}", owner=i) for i in range(n)]
 
     def _log_name(self, pid: ProcessId) -> str:
@@ -282,11 +293,12 @@ class SharedMemoryRoundTransport(RoundTransport):
     # variants in repro.core.uni_from_sm; the unidirectionality argument only
     # needs "publish to own object, then scan all objects") -------------------
 
-    def _publish(self, entry: tuple) -> Optional[int]:
-        """Make ``entry = (label, payload)`` readable by everyone; returns handle."""
+    def _publish(self, batch: tuple) -> Optional[int]:
+        """Make ``batch``, a tuple of ``(label, payload)`` entries, readable
+        by everyone; returns the handle."""
         assert self.host is not None
         return self.host.ctx.invoke(
-            self._log_name(self.host.pid), "append", entry
+            self._log_name(self.host.pid), "append", batch
         )
 
     def _scan_one(self, p: ProcessId) -> Optional[int]:
@@ -296,14 +308,50 @@ class SharedMemoryRoundTransport(RoundTransport):
             self._log_name(p), "read_from", self._seen_lengths[p]
         )
 
-    def _send(self, label: Label, payload: Any) -> None:
-        self._appends[self._publish((label, payload))] = label
+    def _ingest(self, src: ProcessId, result: Any) -> None:
+        """Deliver what a scan's read of ``src``'s object returned."""
+        if not isinstance(result, tuple):
+            return
+        if result:
+            self._seen_lengths[src] += len(result)
+            self._new_data = True
+        for batch in result:
+            self._deliver_batch(src, batch)
 
-    def _appended_round(self, label: Label) -> None:
-        """``label``'s entry is readable: the next scan to *start* counts it."""
-        self._appended.append(label)
-        if not self._scan_running:
-            self._begin_scan()
+    def _deliver_batch(self, src: ProcessId, batch: Any) -> None:
+        """Deliver each ``(label, payload)`` entry of one publish's batch;
+        whatever else a Byzantine owner stored is skipped."""
+        if isinstance(batch, (tuple, list)):
+            for entry in batch:
+                if isinstance(entry, tuple) and len(entry) == 2:
+                    self._deliver(entry[0], src, entry[1])
+
+    # -- own publishes ----------------------------------------------------------------
+
+    def _send(self, label: Label, payload: Any) -> None:
+        self._held.append((label, payload))
+        if self._write is None:
+            self._write_held()
+
+    def _write_held(self) -> None:
+        self._carried, self._held = tuple(self._held), []
+        self._write = self._publish(self._carried)
+
+    def _publish_landed(self, handle: int) -> bool:
+        """Whether ``handle`` was the own publish in flight; the held entries
+        go out next, and each landed round is counted by the next scan."""
+        if handle != self._write:
+            return False
+        landed = self._carried
+        self._write = None
+        if self._held:
+            self._write_held()
+        for label, _payload in landed:
+            if label != POST:
+                self._appended.append(label)
+                if not self._scan_running:
+                    self._begin_scan()
+        return True
 
     def post(self, payload: Any) -> None:
         self._send(POST, payload)
@@ -321,16 +369,6 @@ class SharedMemoryRoundTransport(RoundTransport):
                 self._finish_scan()
             return True
         return self._publish_landed(handle)
-
-    def _publish_landed(self, handle: int) -> bool:
-        """Whether ``handle`` was an own publish; its round, if any, is
-        counted by the next scan."""
-        label = self._appends.pop(handle, None)
-        if label is None:
-            return False
-        if label != POST:
-            self._appended_round(label)
-        return True
 
     def handle_timer(self, tag: Any) -> bool:
         if tag != self.SCAN_TAG:
@@ -350,17 +388,6 @@ class SharedMemoryRoundTransport(RoundTransport):
             handle = self._scan_one(p)
             if handle is not None:
                 self._scan_handles[handle] = p
-
-    def _ingest(self, src: ProcessId, result: Any) -> None:
-        if not isinstance(result, tuple):
-            return
-        start = self._seen_lengths[src]
-        self._seen_lengths[src] = start + len(result)
-        if result:
-            self._new_data = True
-        for entry in result:
-            if isinstance(entry, tuple) and len(entry) == 2:
-                self._deliver(entry[0], src, entry[1])
 
     def _finish_scan(self) -> None:
         assert self.host is not None

@@ -460,7 +460,7 @@ def build_sm_srb_system(
         processes.append(proc)
     adversary = adversary if adversary is not None else ReliableAsynchronous(0.01, 1.0)
     sim = Simulation(processes, adversary, seed=seed)
-    for log in SharedMemoryRoundTransport.build_logs(n):
+    for log in SharedMemoryRoundTransport.build_objects(n):
         sim.memory.register(log)
     return sim, processes, scheme
 

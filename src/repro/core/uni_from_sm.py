@@ -17,20 +17,14 @@ over the other hardware:
   policy only lets process *i* insert tuples tagged with *i* and forbids
   removal, which is exactly the "modify own / read all" shape;
 - :class:`StickyChainRoundTransport` — per-process chains of write-once
-  sticky registers; entry ``k`` of process ``i`` lives in sticky register
+  sticky registers; publish ``k`` of process ``i`` lives in sticky register
   ``(i, k)``, and a scan follows each chain until the first unset cell.
 
-All three inherit the scan/round-accounting skeleton, so the
-unidirectionality argument (publish linearizes before the counted scan's
-reads) is common; each subclass only redefines how to publish and read.
-
-Rounds run concurrently (see :mod:`repro.core.rounds`), so a process may
-have several publishes in flight, and the adversary may linearize them out
-of order. An append-only log and a tuple space keep every entry whatever
-the order; a register and a sticky chain do not, so those two transports
-count a round only once its entry *stays* readable: the SWMR transport
-keeps one write in flight, and the sticky transport waits until every
-earlier cell of its chain is written.
+All three inherit the scan/round-accounting skeleton and its one own
+publish in flight (see :class:`~repro.core.rounds.SharedMemoryRoundTransport`),
+so the unidirectionality argument (publish linearizes before the counted
+scan's reads) is common; each subclass only redefines how one batch of
+entries is published and read back.
 """
 
 from __future__ import annotations
@@ -40,10 +34,10 @@ from typing import Any, Optional
 from ..errors import ConfigurationError
 from ..hardware.peats import PEATS, WILDCARD, single_inserter_per_slot
 from ..hardware.registers import SWMRRegister
-from ..hardware.sticky import StickyRegister, UNSET
+from ..hardware.sticky import StickyRegister
 from ..sim.shared_memory import SharedObject
 from ..types import ProcessId
-from .rounds import POST, Label, SharedMemoryRoundTransport
+from .rounds import SharedMemoryRoundTransport
 
 
 class History:
@@ -85,12 +79,7 @@ class SWMRRoundTransport(SharedMemoryRoundTransport):
     published (a register is overwritten, so the history must be carried —
     this is the standard register encoding of an append-only log and keeps
     reads atomic snapshots). The value is a :class:`History` of ``i``'s one
-    entry list, so the k-th write stores k entries without copying them.
-
-    A write that linearized after a longer one would hide entries a round
-    already counted, so the owner keeps one write in flight: entries
-    published meanwhile are held and ride on the next write, and a round
-    counts once a write carrying its entry has landed.
+    entry list, so a write stores the whole history without copying it.
     """
 
     LOG_PREFIX = "swmr"
@@ -98,9 +87,6 @@ class SWMRRoundTransport(SharedMemoryRoundTransport):
     def __init__(self) -> None:
         super().__init__()
         self._my_history: list[tuple] = []
-        self._write: Optional[int] = None  # the one own write in flight
-        self._carried: list[tuple] = []  # the entries it adds
-        self._held: list[tuple] = []  # entries waiting for it to land
 
     @classmethod
     def build_objects(cls, n: int) -> list[SWMRRegister]:
@@ -109,33 +95,11 @@ class SWMRRoundTransport(SharedMemoryRoundTransport):
             for i in range(n)
         ]
 
-    def _publish(self, entry: tuple) -> Optional[int]:
+    def _publish(self, batch: tuple) -> Optional[int]:
         assert self.host is not None
-        self._my_history.append(entry)
+        self._my_history.extend(batch)
         history = History(self._my_history, len(self._my_history))
         return self.host.ctx.invoke(self._log_name(self.host.pid), "write", history)
-
-    def _send(self, label: Label, payload: Any) -> None:
-        self._held.append((label, payload))
-        if self._write is None:
-            self._write_held()
-
-    def _write_held(self) -> None:
-        self._carried, self._held = self._held, []
-        self._my_history.extend(self._carried[:-1])
-        self._write = self._publish(self._carried[-1])  # writes the whole history
-
-    def _publish_landed(self, handle: int) -> bool:
-        if handle != self._write:
-            return False
-        landed = self._carried
-        self._write = None
-        if self._held:
-            self._write_held()
-        for label, _payload in landed:
-            if label != POST:
-                self._appended_round(label)
-        return True
 
     def _scan_one(self, p: ProcessId) -> Optional[int]:
         assert self.host is not None
@@ -154,19 +118,18 @@ class SWMRRoundTransport(SharedMemoryRoundTransport):
         if fresh:
             self._new_data = True
             self._seen_lengths[src] = start + len(fresh)
-            for entry in fresh:
-                if isinstance(entry, tuple) and len(entry) == 2:
-                    self._deliver(entry[0], src, entry[1])
+            self._deliver_batch(src, fresh)
 
 
 class PEATSRoundTransport(SharedMemoryRoundTransport):
     """Write-then-scan rounds over one policy-enforced tuple space.
 
-    Entries are ``(owner, seq, label, payload)``; the policy admits an
-    ``out`` only when the entry's owner slot matches the inserting process,
-    and rejects every ``inp`` — the space behaves as a union of
-    per-process append-only logs. One ``rdall`` over the whole space is a
-    scan of "all objects".
+    Entries are ``(owner, seq, batch)``; the policy admits an ``out`` only
+    when the entry's owner slot matches the inserting process, and rejects
+    every ``inp`` — the space behaves as a union of per-process append-only
+    logs. One ``rdall`` over the whole space is a scan of "all objects".
+    A correct owner's ``out``s land in ``seq`` order, so a scan delivers
+    only the tuples above the highest ``seq`` it had seen of their owner.
     """
 
     LOG_PREFIX = "roundspace"
@@ -178,14 +141,13 @@ class PEATSRoundTransport(SharedMemoryRoundTransport):
 
     @classmethod
     def build_objects(cls, n: int) -> list[PEATS]:
-        return [PEATS(cls.LOG_PREFIX, policy=single_inserter_per_slot(0), arity=4)]
+        return [PEATS(cls.LOG_PREFIX, policy=single_inserter_per_slot(0), arity=3)]
 
-    def _publish(self, entry: tuple) -> Optional[int]:
+    def _publish(self, batch: tuple) -> Optional[int]:
         assert self.host is not None
         self._my_count += 1
-        label, payload = entry
         return self.host.ctx.invoke(
-            self.LOG_PREFIX, "out", (self.host.pid, self._my_count, label, payload)
+            self.LOG_PREFIX, "out", (self.host.pid, self._my_count, batch)
         )
 
     # one rdall is the whole scan: issue it for "process 0" and skip the rest
@@ -194,37 +156,37 @@ class PEATSRoundTransport(SharedMemoryRoundTransport):
         if p != 0:
             return None
         return self.host.ctx.invoke(
-            self.LOG_PREFIX, "rdall", (WILDCARD, WILDCARD, WILDCARD, WILDCARD)
+            self.LOG_PREFIX, "rdall", (WILDCARD, WILDCARD, WILDCARD)
         )
 
     def _ingest(self, src: ProcessId, result: Any) -> None:
         # ``src`` is the placeholder 0; true sources are inside the entries.
+        # Compare with what was seen before this scan, so the order rdall
+        # lists the tuples in does not matter.
         if not isinstance(result, tuple):
             return
+        top: dict[ProcessId, int] = {}
         for entry in result:
-            if not (isinstance(entry, tuple) and len(entry) == 4):
+            if not (isinstance(entry, tuple) and len(entry) == 3):
                 continue
-            owner, seq, label, payload = entry
-            if not isinstance(owner, int):
+            owner, seq, batch = entry
+            if not (isinstance(owner, int) and isinstance(seq, int)):
                 continue
-            key = owner
-            if isinstance(seq, int) and seq > self._seen_lengths.get(key, 0):
-                self._seen_lengths[key] = seq
-                self._new_data = True
-            self._deliver(label, owner, payload)
+            if seq > self._seen_lengths.get(owner, 0):
+                top[owner] = max(seq, top.get(owner, 0))
+                self._deliver_batch(owner, batch)
+        if top:
+            self._new_data = True
+            self._seen_lengths.update(top)
 
 
 class StickyChainRoundTransport(SharedMemoryRoundTransport):
     """Write-then-scan rounds over chains of write-once sticky registers.
 
-    Process ``i``'s k-th entry is written (once, ever) into sticky register
+    Process ``i``'s k-th batch is written (once, ever) into sticky register
     ``sticky_{i}_{k}``; scanning a process means following its chain from
-    the last known set cell until the first unset one. ``capacity`` bounds
-    each chain (sticky registers must be pre-allocated).
-
-    A scan stops at the first unset cell, so an entry is readable only once
-    every earlier cell of its chain is written too: a round counts when its
-    cell and all before it have landed.
+    the first cell not yet read until the first unset one. ``capacity``
+    bounds each chain (sticky registers must be pre-allocated).
     """
 
     LOG_PREFIX = "sticky"
@@ -235,12 +197,6 @@ class StickyChainRoundTransport(SharedMemoryRoundTransport):
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._my_count = 0
-        self._cell_labels: list[Label] = []  # the label in each own cell
-        self._writes: dict[int, int] = {}  # own write in flight: handle -> cell
-        self._cells_landed: set[int] = set()
-        self._chain_landed = 0  # own cells 0 .. _chain_landed-1 are all written
-        self._chain_ptr: dict[ProcessId, int] = {}
-        self._chain_done: set[ProcessId] = set()
 
     @classmethod
     def build_objects(cls, n: int, capacity: int = 64) -> list[StickyRegister]:
@@ -253,7 +209,7 @@ class StickyChainRoundTransport(SharedMemoryRoundTransport):
     def _cell(self, p: ProcessId, k: int) -> str:
         return f"{self.LOG_PREFIX}_{p}_{k}"
 
-    def _publish(self, entry: tuple) -> Optional[int]:
+    def _publish(self, batch: tuple) -> Optional[int]:
         assert self.host is not None
         if self._my_count >= self.capacity:
             raise ConfigurationError(
@@ -261,60 +217,29 @@ class StickyChainRoundTransport(SharedMemoryRoundTransport):
                 f"process {self.host.pid}"
             )
         handle = self.host.ctx.invoke(
-            self._cell(self.host.pid, self._my_count), "write", entry
+            self._cell(self.host.pid, self._my_count), "write", batch
         )
         self._my_count += 1
         return handle
 
-    def _send(self, label: Label, payload: Any) -> None:
-        handle = self._publish((label, payload))
-        self._writes[handle] = len(self._cell_labels)
-        self._cell_labels.append(label)
-
-    def _begin_scan(self) -> None:  # fresh chain-progress bookkeeping per scan
-        self._chain_done = set()
-        super()._begin_scan()
-
     def _scan_one(self, p: ProcessId) -> Optional[int]:
         assert self.host is not None
-        ptr = self._chain_ptr.setdefault(p, 0)
-        if ptr >= self.capacity:
-            self._chain_done.add(p)
+        k = self._seen_lengths[p]
+        if k >= self.capacity:
             return None
-        return self.host.ctx.invoke(self._cell(p, ptr), "read")
+        return self.host.ctx.invoke(self._cell(p, k), "read")
 
-    def handle_op_result(self, object_name, op, handle, result) -> bool:
-        # chain-following: a set cell triggers a read of the next cell within
-        # the same scan; an unset cell ends that process's chain for the scan.
-        if handle in self._scan_handles:
-            src = self._scan_handles.pop(handle)
-            if result is not UNSET and isinstance(result, tuple) and len(result) == 2:
-                self._new_data = True
-                self._chain_ptr[src] = self._chain_ptr.get(src, 0) + 1
-                self._deliver(result[0], src, result[1])
-                nxt = self._scan_one(src)
-                if nxt is not None:
-                    self._scan_handles[nxt] = src
-            if not self._scan_handles:
-                self._finish_scan()
-            return True
-        return self._publish_landed(handle)
-
-    def _publish_landed(self, handle: int) -> bool:
-        cell = self._writes.pop(handle, None)
-        if cell is None:
-            return False
-        self._cells_landed.add(cell)
-        while self._chain_landed in self._cells_landed:
-            self._cells_landed.remove(self._chain_landed)
-            label = self._cell_labels[self._chain_landed]
-            self._chain_landed += 1
-            if label != POST:
-                self._appended_round(label)
-        return True
-
-    def _ingest(self, src: ProcessId, result: Any) -> None:  # pragma: no cover
-        raise AssertionError("sticky transport ingests inline in handle_op_result")
+    def _ingest(self, src: ProcessId, result: Any) -> None:
+        # a set cell: deliver its batch and read the next cell within the
+        # same scan; an unset cell (or junk) ends the chain for this scan
+        if not isinstance(result, tuple):
+            return
+        self._seen_lengths[src] += 1
+        self._new_data = True
+        self._deliver_batch(src, result)
+        handle = self._scan_one(src)
+        if handle is not None:
+            self._scan_handles[handle] = src
 
 
 ALL_SM_TRANSPORTS = {
@@ -328,12 +253,6 @@ ALL_SM_TRANSPORTS = {
 
 def build_objects_for(name: str, n: int) -> list[SharedObject]:
     """Build the shared objects the named transport needs for ``n`` processes."""
-    if name == "append-log":
-        return list(SharedMemoryRoundTransport.build_logs(n))
-    if name == "swmr":
-        return list(SWMRRoundTransport.build_objects(n))
-    if name == "peats":
-        return list(PEATSRoundTransport.build_objects(n))
-    if name == "sticky":
-        return list(StickyChainRoundTransport.build_objects(n))
-    raise ConfigurationError(f"unknown shared-memory transport {name!r}")
+    if name not in ALL_SM_TRANSPORTS:
+        raise ConfigurationError(f"unknown shared-memory transport {name!r}")
+    return list(ALL_SM_TRANSPORTS[name].build_objects(n))

@@ -65,9 +65,10 @@ class TestEngineContract:
                 p.rounds.begin_round("b", label)
 
     def test_labels_in_flight_complete_independently_over_shared_memory(self):
-        """Process 0's append for ``a`` lands late, so ``b``, begun after it,
-        completes first while ``a`` is still in flight; ``a`` then completes
-        on its own."""
+        """Process 0's append for ``a`` lands late, and ``b``, begun after
+        it, rides on the publish after ``a``'s: ``a`` completes first, then
+        ``b``, each counted by a scan that started after its own batch
+        landed."""
 
         class SlowFirstAppend(ReliableAsynchronous):
             slowed = False
@@ -78,7 +79,16 @@ class TestEngineContract:
                     return (5.0, 0.1)
                 return (0.1, 0.1)
 
-        procs = [Recorder(SharedMemoryRoundTransport(), ()) for _ in range(2)]
+        class ScanStarts(SharedMemoryRoundTransport):
+            def __init__(self):
+                super().__init__()
+                self.starts = []
+
+            def _begin_scan(self):
+                self.starts.append(self.host.ctx.now)
+                super()._begin_scan()
+
+        procs = [Recorder(ScanStarts(), ()) for _ in range(2)]
         sim = Simulation(procs, SlowFirstAppend(), seed=1)
         for obj in build_objects_for("append-log", 2):
             sim.memory.register(obj)
@@ -89,7 +99,21 @@ class TestEngineContract:
         )
         sim.at(1.0, lambda: [p0.rounds.begin_round(x, x) for x in "ab"])
         sim.run(until=50.0)
-        assert seen == [("b", {"a"}), ("a", set())]
+        assert seen == [("a", {"b"}), ("b", set())]
+        invoked = {
+            e.field("handle"): (e.time, e.field("args"))
+            for e in sim.trace.events("op_invoke", pid=0) if e.field("op") == "append"
+        }
+        landed = {
+            e.field("handle"): e.time
+            for e in sim.trace.events("op_respond", pid=0) if e.field("handle") in invoked
+        }
+        (ha, hb) = sorted(invoked)
+        assert [invoked[h][1] for h in (ha, hb)] == [((("a", "a"),),), ((("b", "b"),),)]
+        assert invoked[hb][0] == landed[ha]  # b's batch goes out as a's lands
+        for h, end in zip((ha, hb), sim.trace.events("round_end", pid=0)):
+            counted_from = max(t for t in p0.rounds.starts if t < end.time)
+            assert counted_from >= landed[h]
 
     @pytest.mark.parametrize("transport", ["message-passing", "corner-case"])
     def test_labels_in_flight_complete_independently_over_messages(self, transport):

@@ -167,6 +167,59 @@ class TestConcurrentRounds:
         assert checker.finish().classify() == ZERO_DIRECTIONAL
 
 
+_OWN_WRITES = {"append", "write", "out"}
+
+
+class _SlowOwnWrites(ReliableAsynchronous):
+    """Every own publish takes 3 time units to land; a read takes 0.1."""
+
+    def op_delays(self, pid, object_name, op, now):
+        return (3.0, 0.5) if op in _OWN_WRITES else (0.1, 0.1)
+
+
+def _batch(name, args, before):
+    """The entries one own publish adds, from its invoke's ``args``;
+    ``before`` is how many its owner had published until then."""
+    (value,) = args
+    if name == "swmr":
+        return value.since(before)
+    if name == "peats":
+        return value[2]
+    return value
+
+
+class TestOneOwnPublishInFlight:
+    """Every shared-memory transport keeps at most one own publish
+    outstanding, and the entries sent meanwhile ride on the next one."""
+
+    @pytest.mark.parametrize("name", TRANSPORT_NAMES)
+    def test_each_publish_carries_what_was_held_while_one_was_in_flight(self, name):
+        n, nrounds = 3, 8
+        procs = [Window(ALL_SM_TRANSPORTS[name](), nrounds) for _ in range(n)]
+        sim = Simulation(procs, _SlowOwnWrites(), seed=0)
+        for obj in build_objects_for(name, n):
+            sim.memory.register(obj)
+        sim.run(until=500.0)
+        assert len(sim.trace.events("round_end")) == n * nrounds
+        for pid in range(n):
+            in_flight, held, published = None, [], 0
+            for ev in sim.trace:
+                if ev.pid != pid:
+                    continue
+                if ev.kind == "round_sent":
+                    held.append((ev.field("round"), ev.field("payload")))
+                elif ev.kind == "op_invoke" and ev.field("op") in _OWN_WRITES:
+                    assert in_flight is None, (pid, ev.index)
+                    in_flight = ev.field("handle")
+                    batch = list(_batch(name, ev.field("args"), published))
+                    assert batch == held, (pid, ev.index)
+                    published += len(batch)
+                    held = []
+                elif ev.kind == "op_respond" and ev.field("handle") == in_flight:
+                    in_flight = None
+            assert (in_flight, held, published) == (None, [], nrounds)
+
+
 class TestObjectSpecifics:
     def test_swmr_register_carries_history(self):
         sim, procs = run("swmr", nrounds=3, seed=6)
@@ -185,6 +238,28 @@ class TestObjectSpecifics:
         space = objs[0]
         with pytest.raises(AccessDeniedError):
             space.execute(0, "out", ((1, 1, ("r", 1), "spoof"),))
+
+    def test_peats_scan_delivers_each_entry_once(self):
+        """A scan offers only the tuples above what it had seen of their
+        owner, not the whole space again."""
+
+        class CountingPEATS(PEATSRoundTransport):
+            delivers = 0
+
+            def _deliver(self, label, src, payload):
+                self.delivers += 1
+                super()._deliver(label, src, payload)
+
+        n, nrounds = 3, 6
+        procs = [Window(CountingPEATS(), nrounds) for _ in range(n)]
+        sim = Simulation(procs, ReliableAsynchronous(0.0, 3.0), seed=0)
+        for obj in build_objects_for("peats", n):
+            sim.memory.register(obj)
+        sim.run(until=2_000.0)
+        published = len(sim.trace.events("round_sent"))
+        assert published == n * nrounds
+        assert [p.rounds.delivers for p in procs] == [published] * n
+        assert min(p.rounds.scans_completed for p in procs) > nrounds
 
     def test_sticky_capacity_enforced(self):
         t = StickyChainRoundTransport(capacity=1)
@@ -208,8 +283,8 @@ class TestObjectSpecifics:
 class _TupleSWMR(SWMRRoundTransport):
     """The register encoding before :class:`History`: a fresh tuple per write."""
 
-    def _publish(self, entry):
-        self._my_history.append(entry)
+    def _publish(self, batch):
+        self._my_history.extend(batch)
         return self.host.ctx.invoke(
             self._log_name(self.host.pid), "write", tuple(self._my_history)
         )
