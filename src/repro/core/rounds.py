@@ -219,6 +219,11 @@ class RoundProcess(Process):
 # ---------------------------------------------------------------------------
 
 
+_RESUMING = -1
+"""Stands for the own publish in flight until a reborn process's first scan
+ends; no invocation handle is negative."""
+
+
 class SharedMemoryRoundTransport(RoundTransport):
     """Unidirectional rounds from per-process append-only objects.
 
@@ -241,6 +246,11 @@ class SharedMemoryRoundTransport(RoundTransport):
     sticky chain has no gap before it. Subclasses say only how one batch is
     stored (:meth:`_publish`) and read back (:meth:`_scan_one`,
     :meth:`_ingest`).
+
+    **A reborn process continues its object.** A restarted process's fresh
+    transport holds its publishes until its first scan has read how far its
+    own object already goes (:meth:`_resume`), so what it writes next lies
+    beyond what its earlier incarnations made readable.
 
     The transport keeps rescanning (with exponential backoff once nothing
     changes) so entries appended later are still delivered — shared-memory
@@ -287,6 +297,8 @@ class SharedMemoryRoundTransport(RoundTransport):
     def start(self) -> None:
         assert self.host is not None
         self._seen_lengths = {p: 0 for p in range(self.host.ctx.n)}
+        if self.host.ctx.incarnation:
+            self._write = _RESUMING
         self.host.ctx.set_timer(self.FIRST_SCAN_DELAY, self.SCAN_TAG)
 
     # -- object-specific hooks (overridden by the SWMR / PEATS / sticky
@@ -317,6 +329,10 @@ class SharedMemoryRoundTransport(RoundTransport):
             self._new_data = True
         for batch in result:
             self._deliver_batch(src, batch)
+
+    def _resume(self) -> None:
+        """Continue own publishes after those the first scan read of this
+        process's object; an append lands after them by itself."""
 
     def _deliver_batch(self, src: ProcessId, batch: Any) -> None:
         """Deliver each ``(label, payload)`` entry of one publish's batch;
@@ -393,6 +409,11 @@ class SharedMemoryRoundTransport(RoundTransport):
         assert self.host is not None
         self._scan_running = False
         self.scans_completed += 1
+        if self._write == _RESUMING:
+            self._resume()
+            self._write = None
+            if self._held:
+                self._write_held()
         counted = self._counted
         if counted:
             self._counted = []

@@ -475,7 +475,6 @@ def build_mp_srb_system(
     process_factory=None,
     trace_retention: int | None = None,
     observers: tuple = (),
-    scheduler_factory=None,
 ) -> tuple[Simulation, list[SRBFromUnidirectional], SignatureScheme]:
     """An Algorithm-1 SRB system over message-passing rounds.
 
@@ -512,6 +511,5 @@ def build_mp_srb_system(
         hosted = wrap_reliable(processes, **kwargs)
     adversary = adversary if adversary is not None else ReliableAsynchronous(0.01, 1.0)
     sim = Simulation(hosted, adversary, seed=seed,
-                     trace_retention=trace_retention, observers=observers,
-                     scheduler_factory=scheduler_factory)
+                     trace_retention=trace_retention, observers=observers)
     return sim, processes, scheme

@@ -24,7 +24,8 @@ All three inherit the scan/round-accounting skeleton and its one own
 publish in flight (see :class:`~repro.core.rounds.SharedMemoryRoundTransport`),
 so the unidirectionality argument (publish linearizes before the counted
 scan's reads) is common; each subclass only redefines how one batch of
-entries is published and read back.
+entries is published and read back, and where a restarted process's next
+publish goes after what its first scan read of its own object.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from ..hardware.registers import SWMRRegister
 from ..hardware.sticky import StickyRegister
 from ..sim.shared_memory import SharedObject
 from ..types import ProcessId
-from .rounds import SharedMemoryRoundTransport
+from .rounds import _RESUMING, SharedMemoryRoundTransport
 
 
 class History:
@@ -118,6 +119,8 @@ class SWMRRoundTransport(SharedMemoryRoundTransport):
         if fresh:
             self._new_data = True
             self._seen_lengths[src] = start + len(fresh)
+            if self._write == _RESUMING and src == self.host.pid:
+                self._my_history.extend(fresh)
             self._deliver_batch(src, fresh)
 
 
@@ -142,6 +145,10 @@ class PEATSRoundTransport(SharedMemoryRoundTransport):
     @classmethod
     def build_objects(cls, n: int) -> list[PEATS]:
         return [PEATS(cls.LOG_PREFIX, policy=single_inserter_per_slot(0), arity=3)]
+
+    def _resume(self) -> None:
+        assert self.host is not None
+        self._my_count = self._seen_lengths[self.host.pid]
 
     def _publish(self, batch: tuple) -> Optional[int]:
         assert self.host is not None
@@ -208,6 +215,10 @@ class StickyChainRoundTransport(SharedMemoryRoundTransport):
 
     def _cell(self, p: ProcessId, k: int) -> str:
         return f"{self.LOG_PREFIX}_{p}_{k}"
+
+    def _resume(self) -> None:
+        assert self.host is not None
+        self._my_count = self._seen_lengths[self.host.pid]
 
     def _publish(self, batch: tuple) -> Optional[int]:
         assert self.host is not None

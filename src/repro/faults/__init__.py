@@ -9,8 +9,8 @@ Five layers, composable with every protocol in the library:
   the eventual-delivery assumption protocols were written against;
 - :mod:`~repro.faults.timeouts` — Jacobson/Karels adaptive timeout
   policies shared by the channel and the consensus timers;
-- :mod:`~repro.faults.detector` — phi-accrual failure detection and
-  supervised crash recovery;
+- :mod:`~repro.faults.detector` — phi-accrual failure detection (the
+  serving layer's backend-stall signal);
 - :mod:`~repro.faults.chaos` — seeded cell × fault-schedule sweeps with
   deterministic failure reproduction, plus crash-recovery scripts that
   exercise the durable-hardware/volatile-host split. Every cell — a
@@ -54,7 +54,7 @@ from .chaos import (
     run_srb_chaos,
     attack_sweep,
 )
-from .detector import AccrualFailureDetector, HeartbeatProcess, RecoverySupervisor
+from .detector import AccrualFailureDetector
 from .timeouts import (
     AdaptiveTimeout,
     FixedTimeout,
@@ -81,11 +81,9 @@ __all__ = [
     "FaultSchedule",
     "FixedTimeout",
     "GSTAdversary",
-    "HeartbeatProcess",
     "JitteredPolicy",
     "LossyAsynchronous",
     "PartitionBurst",
-    "RecoverySupervisor",
     "RetryBudget",
     "ReliableChannel",
     "ReliableProcess",

@@ -67,19 +67,13 @@ class Simulation:
         horizon: Time = float("inf"),
         trace_retention: int | None = None,
         observers: Iterable[TraceObserver] = (),
-        scheduler_factory: Callable[[], Scheduler] | None = None,
     ) -> None:
-        """``scheduler_factory`` swaps the event-loop implementation under
-        the same simulation — any object satisfying the ``Scheduler`` API.
-        Used by the golden-determinism tests to run identical workloads
-        over the production loop and the retained pre-refactor loop
-        (:mod:`repro.sim._reference`); leave it ``None`` everywhere else."""
         if not processes:
             raise ConfigurationError("a simulation needs at least one process")
         self.n = len(processes)
         self.seed = seed
         self.horizon = horizon
-        self.scheduler = Scheduler() if scheduler_factory is None else scheduler_factory()
+        self.scheduler = Scheduler()
         self.scheduler.dispatch = self._dispatch
         self.trace = TraceStore(retention=trace_retention)
         self._record = self.trace.record

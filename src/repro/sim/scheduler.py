@@ -26,8 +26,9 @@ An :class:`~repro.sim.events.Event` handle names one event for good:
 cancelling a handle whose event already fired is inert, whatever has
 been scheduled since.
 
-The pre-refactor loop is retained in :mod:`repro.sim._reference` as the
-golden-determinism oracle (``tests/test_simcore_determinism.py``).
+The pre-refactor loop is retained beside the tests that use it as the
+golden-determinism oracle (``tests/_reference_scheduler.py``, driven by
+``tests/test_simcore_determinism.py``).
 """
 
 from __future__ import annotations

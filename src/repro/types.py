@@ -2,13 +2,13 @@
 
 These are deliberately thin: plain ``int`` aliases for identifiers keep the
 simulator fast and hashable, while the dataclasses here give structure to
-values that travel between subsystems (messages, round labels, decisions).
+values that travel between subsystems (messages, deliveries, decisions).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from dataclasses import dataclass
+from typing import Any, Iterable
 
 ProcessId = int
 """Identifier of a process in a simulation, ``0..n-1``."""
@@ -38,19 +38,6 @@ class Message:
 
     def __repr__(self) -> str:  # keep traces compact
         return f"Message({self.kind!r}, {self.body!r})"
-
-
-@dataclass(frozen=True, slots=True)
-class RoundMessage:
-    """A payload tagged with the round in which it was sent.
-
-    Round-based protocols (Section "Unidirectional communication" of the
-    paper) exchange these; the directionality checkers key receipt events on
-    ``(sender, round)``.
-    """
-
-    round: RoundId
-    payload: Any
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,55 +114,3 @@ def validate_partition(n: int, sets: Iterable[ProcessSet]) -> None:
     if len(seen) != n:
         missing = sorted(set(range(n)) - seen)
         raise ConfigurationError(f"partition does not cover pids {missing}")
-
-
-@dataclass(frozen=True, slots=True)
-class Resilience:
-    """An ``(n, f)`` pair with named constructors for the paper's thresholds."""
-
-    n: int
-    f: int
-
-    def __post_init__(self) -> None:
-        from .errors import ConfigurationError
-
-        if self.n <= 0:
-            raise ConfigurationError(f"n must be positive, got {self.n}")
-        if self.f < 0:
-            raise ConfigurationError(f"f must be non-negative, got {self.f}")
-        if self.f >= self.n:
-            raise ConfigurationError(
-                f"f must be smaller than n, got n={self.n}, f={self.f}"
-            )
-
-    @property
-    def quorum_majority(self) -> int:
-        """Smallest set guaranteed to intersect all (n-f)-sets in one correct process: f+1."""
-        return self.f + 1
-
-    @property
-    def quorum_bft(self) -> int:
-        """Classic BFT quorum ``ceil((n+f+1)/2)`` — 2f+1 when n=3f+1."""
-        return (self.n + self.f) // 2 + 1
-
-    def satisfies(self, bound: str) -> bool:
-        """Whether this (n, f) meets a named bound from the paper.
-
-        Recognized bounds: ``"n>f"``, ``"n>=f+1"``, ``"n>=2f+1"``, ``"n>2f"``,
-        ``"n>=3f+1"``, ``"n>3f"``, ``"f=1"``.
-        """
-        n, f = self.n, self.f
-        table = {
-            "n>f": n > f,
-            "n>=f+1": n >= f + 1,
-            "n>=2f+1": n >= 2 * f + 1,
-            "n>2f": n > 2 * f,
-            "n>=3f+1": n >= 3 * f + 1,
-            "n>3f": n > 3 * f,
-            "f=1": f == 1,
-        }
-        from .errors import ConfigurationError
-
-        if bound not in table:
-            raise ConfigurationError(f"unknown resilience bound {bound!r}")
-        return table[bound]

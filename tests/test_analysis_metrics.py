@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.types import Decision, Delivery, Message, RoundMessage
+from repro.types import Decision, Delivery, Message
 
 
 class TestSharedTypes:
@@ -15,10 +15,6 @@ class TestSharedTypes:
         msg = Message("PING", 7)
         with pytest.raises(AttributeError):
             msg.kind = "PONG"
-
-    def test_round_message_fields(self):
-        rm = RoundMessage(round=3, payload=("x",))
-        assert rm.round == 3 and rm.payload == ("x",)
 
     def test_delivery_and_decision_are_value_types(self):
         assert Delivery(1, 0, 2, "v", 1.0) == Delivery(1, 0, 2, "v", 1.0)

@@ -1,17 +1,11 @@
-"""Tests for accrual failure detection and the recovery supervisor."""
+"""Tests for the phi-accrual failure detector."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults.detector import (
-    AccrualFailureDetector,
-    HeartbeatProcess,
-    RecoverySupervisor,
-)
-from repro.sim import ReliableAsynchronous, Simulation
-from repro.sim.trace import CUSTOM
+from repro.faults.detector import AccrualFailureDetector
 
 
 class TestAccrualFailureDetector:
@@ -61,94 +55,3 @@ class TestAccrualFailureDetector:
             AccrualFailureDetector(threshold=0.0)
         with pytest.raises(ConfigurationError):
             AccrualFailureDetector(alpha=0.0)
-
-
-class TestHeartbeatProcess:
-    def _run(self, crash_pid=None, crash_at=None, restart_at=None, until=200.0):
-        procs = [HeartbeatProcess(group=range(3), interval=2.0) for _ in range(3)]
-        sim = Simulation(procs, ReliableAsynchronous(0.01, 0.3), seed=11)
-        if crash_pid is not None:
-            sim.crash_at(crash_pid, crash_at)
-            if restart_at is not None:
-                sim.restart_at(
-                    crash_pid, restart_at,
-                    factory=lambda: HeartbeatProcess(group=range(3), interval=2.0),
-                )
-        sim.run(until=until)
-        return sim, procs
-
-    def test_healthy_group_never_suspects(self):
-        sim, procs = self._run()
-        assert all(p.suspect_events == 0 for p in procs)
-
-    def test_crash_is_suspected_by_all_peers(self):
-        sim, procs = self._run(crash_pid=2, crash_at=60.0)
-        for p in (procs[0], procs[1]):
-            assert 2 in p.suspected
-            assert p.suspect_events >= 1
-        suspects = list(sim.trace.events(CUSTOM, predicate=lambda e: e.field("event") == "suspect"))
-        assert {e.pid for e in suspects} == {0, 1}
-        assert all(e.field("peer") == 2 and e.time > 60.0 for e in suspects)
-
-    def test_restart_triggers_restore(self):
-        sim, procs = self._run(crash_pid=2, crash_at=60.0, restart_at=100.0)
-        for p in (procs[0], procs[1]):
-            assert 2 not in p.suspected
-            assert p.restore_events >= 1
-        restores = list(sim.trace.events(CUSTOM, predicate=lambda e: e.field("event") == "restore"))
-        assert restores and all(e.field("peer") == 2 for e in restores)
-
-
-class TestRecoverySupervisor:
-    def _system(self, **kw):
-        procs = [HeartbeatProcess(group=range(3), interval=2.0) for _ in range(3)]
-        sim = Simulation(procs, ReliableAsynchronous(0.01, 0.3), seed=5)
-        sup = RecoverySupervisor(
-            sim,
-            factory=lambda pid: HeartbeatProcess(group=range(3), interval=2.0),
-            **kw,
-        )
-        sim.attach_observer(sup)
-        return sim, procs, sup
-
-    def test_supervised_restart_revives_the_crashed_process(self):
-        sim, procs, sup = self._system(restart_delay=15.0)
-        sim.crash_at(1, 50.0)
-        sim.run(until=200.0)
-        assert sup.performed == 1
-        assert 1 not in sim.crashed_pids
-        assert sim.incarnation_of(1) == 1
-
-    def test_stale_entry_suppressed_when_already_restarted(self):
-        sim, procs, sup = self._system(restart_delay=30.0)
-        sim.crash_at(1, 50.0)
-        # the chaos script got there first
-        sim.restart_at(1, 60.0, factory=lambda: HeartbeatProcess(group=range(3), interval=2.0))
-        sim.run(until=200.0)
-        assert sup.performed == 0
-        assert sup.suppressed_stale == 1
-        assert sim.incarnation_of(1) == 1  # exactly one reboot, not two
-
-    def test_crash_storm_each_crash_gets_one_restart(self):
-        sim, procs, sup = self._system(restart_delay=5.0)
-        for k in range(4):
-            sim.crash_at(1, 20.0 + 30.0 * k)
-        sim.run(until=250.0)
-        assert sup.performed == 4
-        assert sim.incarnation_of(1) == 4
-        assert 1 not in sim.crashed_pids
-
-    def test_max_restarts_cap(self):
-        sim, procs, sup = self._system(restart_delay=5.0, max_restarts=2)
-        for k in range(4):
-            sim.crash_at(1, 20.0 + 30.0 * k)
-        sim.run(until=250.0)
-        assert sup.performed == 2
-        assert 1 in sim.crashed_pids  # third crash stayed down
-
-    def test_scoped_pids(self):
-        sim, procs, sup = self._system(restart_delay=5.0, pids=[0])
-        sim.crash_at(1, 50.0)
-        sim.run(until=200.0)
-        assert sup.performed == 0
-        assert 1 in sim.crashed_pids

@@ -16,7 +16,6 @@ import copy
 import importlib
 import pkgutil
 from collections import deque
-from types import SimpleNamespace
 
 import pytest
 
@@ -30,7 +29,6 @@ from repro.consensus.safety import (
 from repro.core.directionality import DirectionalityStreamChecker
 from repro.core.srb import SRBLivenessChecker, SRBStreamChecker
 from repro.faults.chaos import attack_sweep, chaos_sweep, run_chaos
-from repro.faults.detector import RecoverySupervisor
 from repro.service.soak import ServiceLivenessAuditor
 from repro.sim import trace as trace_module
 from repro.sim.runner import Simulation
@@ -65,10 +63,6 @@ INSTANCES = {
         WEAK, {0: "v", 1: "v"}, [0, 1], all_correct=True
     ),
     DirectionalityStreamChecker: lambda: DirectionalityStreamChecker([0, 1]),
-    RecoverySupervisor: lambda: RecoverySupervisor(
-        SimpleNamespace(incarnation_of=lambda pid: 0, at=lambda *a, **k: None),
-        factory=lambda pid: None,
-    ),
     ReplicationLivenessChecker: lambda: ReplicationLivenessChecker(
         gst=0.0, request_bound=5.0, fault_free_replicas=[0, 1],
         fault_free_clients=[0], f=0,

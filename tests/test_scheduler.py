@@ -425,7 +425,7 @@ class TestNaNTimesRejected:
         assert s.pending == 2 and log == []
 
     def test_reference_loop_rejects_nan_too(self):
-        from repro.sim._reference import HeapOnlyScheduler
+        from ._reference_scheduler import HeapOnlyScheduler
 
         s = HeapOnlyScheduler()
         with pytest.raises(SimulationError):

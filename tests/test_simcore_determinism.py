@@ -3,7 +3,7 @@
 The R7 rewrite (keyed-tuple heap + heap-tombstone compaction +
 mark-and-skip ``step``) claims *bit-identical* ``(time, seq)`` dispatch
 order. These tests drive :class:`repro.sim.scheduler.Scheduler` and the
-retained :class:`repro.sim._reference.HeapOnlyScheduler` through the same
+retained :class:`tests._reference_scheduler.HeapOnlyScheduler` through the same
 randomized command programs and assert the two implementations are
 observationally indistinguishable:
 
@@ -39,10 +39,11 @@ from hypothesis import strategies as st
 
 from repro.core.srb_from_uni import build_mp_srb_system
 from repro.faults.chaos import DEFAULT_CHANNEL
-from repro.sim._reference import HeapOnlyScheduler
 from repro.sim.events import Callback, TimerFire
 from repro.sim.scheduler import Scheduler
 from repro.workloads import OrderHasher, open_loop_arrivals
+
+from ._reference_scheduler import HeapOnlyScheduler
 
 FINAL_DRAIN = 1_000_000.0  # past any schedulable time the programs reach
 
@@ -387,15 +388,16 @@ class TestCancelledPredecessorBlocksForever:
 class TestFullStackGoldenDeterminism:
     """The two loops under a real system, not a command program: Algorithm-1
     SRB over retransmitting channels arms and cancels a timer per frame, so
-    the heap carries timer tombstones throughout."""
+    the heap carries timer tombstones throughout. The simulation is built
+    over each loop by swapping the ``Scheduler`` class the runner uses."""
 
-    def _run(self, scheduler_factory):
+    def _run(self, monkeypatch, scheduler_cls):
+        monkeypatch.setattr("repro.sim.runner.Scheduler", scheduler_cls)
         hasher = OrderHasher()
         sim, procs, _scheme = build_mp_srb_system(
             n=4, t=1, sender=0, seed=11,
             reliable=dict(DEFAULT_CHANNEL),
             observers=(hasher,),
-            scheduler_factory=scheduler_factory,
         )
         arrivals = open_loop_arrivals(12, seed=11, rate=3.0)
         for at, op in arrivals:
@@ -404,9 +406,11 @@ class TestFullStackGoldenDeterminism:
         delivered = len(sim.trace.events("bcast_deliver"))
         return hasher.hexdigest(), stats, delivered
 
-    def test_srb_system_replays_on_pre_refactor_scheduler(self):
-        new_hash, new_stats, new_delivered = self._run(None)
-        ref_hash, ref_stats, ref_delivered = self._run(HeapOnlyScheduler)
+    def test_srb_system_replays_on_pre_refactor_scheduler(self, monkeypatch):
+        new_hash, new_stats, new_delivered = self._run(monkeypatch, Scheduler)
+        ref_hash, ref_stats, ref_delivered = self._run(
+            monkeypatch, HeapOnlyScheduler
+        )
         assert new_hash == ref_hash, "full-stack dispatch order diverged"
         assert new_delivered == ref_delivered == 4 * 12
         assert (new_stats.events_processed, new_stats.end_time) == (

@@ -18,7 +18,6 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.analysis.tracefile import format_trace_summary, trace_summary
 from repro.errors import ConfigurationError
 from repro.sim.trace import (
     _LOCAL_VIEW_KINDS,
@@ -386,22 +385,6 @@ class TestJsonlRoundTrip:
 
 
 class TestOfflineAnalysis:
-    def test_trace_summary_counts(self):
-        t = build(random_events(11, count=120))
-        s = trace_summary(t)
-        assert s["retained"] == s["total_recorded"] == 120
-        assert s["evicted"] == 0
-        assert sum(s["kinds"].values()) == 120
-        assert sum(s["pids"].values()) == 120
-        assert s["t_first"] == 0.0 and s["t_last"] == 119.0
-
-    def test_format_trace_summary_renders_tables(self):
-        t = build(random_events(12, count=50))
-        out = format_trace_summary(t, title="my run")
-        assert "my run" in out
-        assert "events by kind" in out
-        assert "events by pid" in out
-
     def test_replay_observers_offline(self, tmp_path):
         seen = []
 

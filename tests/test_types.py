@@ -1,57 +1,11 @@
-"""Tests for shared types: Resilience bounds, process sets, partitions."""
+"""Tests for shared types: process sets, partitions."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.types import ProcessSet, Resilience, validate_partition
-
-
-class TestResilience:
-    def test_quorums_at_3f_plus_1(self):
-        r = Resilience(n=4, f=1)
-        assert r.quorum_bft == 3
-        assert r.quorum_majority == 2
-
-    def test_quorum_bft_7(self):
-        assert Resilience(n=7, f=2).quorum_bft == 5
-
-    @pytest.mark.parametrize(
-        "n,f,bound,expected",
-        [
-            (3, 1, "n>=2f+1", True),
-            (2, 1, "n>=2f+1", False),
-            (4, 1, "n>=3f+1", True),
-            (3, 1, "n>=3f+1", False),
-            (2, 1, "n>f", True),
-            (4, 2, "n>2f", False),
-            (5, 2, "n>2f", True),
-            (3, 1, "f=1", True),
-            (5, 2, "f=1", False),
-        ],
-    )
-    def test_bounds(self, n, f, bound, expected):
-        assert Resilience(n, f).satisfies(bound) is expected
-
-    def test_unknown_bound(self):
-        with pytest.raises(ConfigurationError):
-            Resilience(3, 1).satisfies("n>=42f")
-
-    @pytest.mark.parametrize("n,f", [(0, 0), (3, -1), (3, 3), (2, 5)])
-    def test_invalid_configs(self, n, f):
-        with pytest.raises(ConfigurationError):
-            Resilience(n, f)
-
-    @given(st.integers(1, 50), st.integers(0, 49))
-    def test_quorum_bft_intersects_in_correct(self, n, f):
-        """Two BFT quorums overlap in at least f+1 processes (so ≥1 correct)."""
-        if f >= n or n <= 3 * f:
-            return
-        q = Resilience(n, f).quorum_bft
-        assert 2 * q - n >= f + 1
+from repro.types import ProcessSet, validate_partition
 
 
 class TestProcessSets:

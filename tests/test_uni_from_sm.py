@@ -220,6 +220,59 @@ class TestOneOwnPublishInFlight:
             assert (in_flight, held, published) == (None, [], nrounds)
 
 
+class Ticker(RoundProcess):
+    """Begins a round every 5 time units until time 60; each payload names
+    the incarnation that sent it, so a reborn process's rounds are not
+    taken for its earlier ones."""
+
+    def on_round_start(self):
+        self._tick()
+
+    def _tick(self):
+        self.rounds.begin_round(("m", self.pid, self.ctx.incarnation, self.ctx.now))
+        if self.ctx.now < 60.0:
+            self.ctx.set_timer(5.0, "tick")
+
+    def on_timer(self, tag):
+        if tag == "tick":
+            self._tick()
+        else:
+            super().on_timer(tag)
+
+
+class TestRestartedProcess:
+    @pytest.mark.parametrize("name", TRANSPORT_NAMES)
+    def test_peers_hear_a_restarted_process(self, name):
+        """A reborn process's fresh transport continues its object after
+        what the earlier incarnation published there, so its new rounds
+        reach every peer and complete."""
+        n, cls = 3, ALL_SM_TRANSPORTS[name]
+        procs = [Ticker(cls()) for _ in range(n)]
+        checker = DirectionalityStreamChecker(range(n))
+        sim = Simulation(procs, ReliableAsynchronous(0.01, 1.0), seed=0,
+                         observers=(checker,))
+        for obj in build_objects_for(name, n):
+            sim.memory.register(obj)
+        sim.crash_at(2, 20.0)
+        sim.restart_at(2, 30.0, factory=lambda: Ticker(cls()))
+        sim.run(until=300.0)
+
+        def reborn(ev):
+            return ev.field("payload")[2] == 1
+
+        sent = [ev.field("payload") for ev in sim.trace.events("round_sent", pid=2)
+                if reborn(ev)]
+        assert len(sent) >= 6
+        for peer in (0, 1):
+            heard = [ev.field("payload")
+                     for ev in sim.trace.events("round_recv", pid=peer)
+                     if ev.field("src") == 2 and reborn(ev)]
+            assert sorted(heard) == sorted(sent), peer
+        ends = [ev for ev in sim.trace.events("round_end", pid=2) if ev.time > 30.0]
+        assert len(ends) == len(sent)
+        assert checker.finish().is_unidirectional
+
+
 class TestObjectSpecifics:
     def test_swmr_register_carries_history(self):
         sim, procs = run("swmr", nrounds=3, seed=6)

@@ -104,3 +104,77 @@ class TestPBFTViewChangeHardening:
         rep.assert_ok()
         # the real view change still happened and agreed
         assert all(r.view >= 1 for r in reps[1:])
+
+
+def lower_adoptions(trace, n):
+    """Every ``(replica, adopted, demanded)`` where a replica adopted a view
+    below one it demanded (``view_change_start``) since its last adoption."""
+    found = []
+    for pid in range(n):
+        demanded = 0
+        for ev in trace.events("custom", pid=pid):
+            tag = ev.field("event")
+            if tag == "view_change_start":
+                demanded = max(demanded, ev.field("new_view"))
+            elif tag == "view_adopted":
+                if ev.field("view") < demanded:
+                    found.append((pid, ev.field("view"), demanded))
+                demanded = 0
+    return found
+
+
+def fire_vc_timers(sim, reps, fires):
+    """Expire ``reps[pid]``'s view-change timer at each ``(time, pid)``."""
+    for at, pid in fires:
+        sim.at(at, lambda r=reps[pid]: r.on_timer(r.VC_TIMER), label="vc-expiry")
+
+
+def demands(sim, pid):
+    return [ev.field("new_view") for ev in sim.trace.events("custom", pid=pid)
+            if ev.field("event") == "view_change_start"]
+
+
+class TestNoNewViewBelowTheDemand:
+    """A replica that has demanded view v' accepts no NEW-VIEW below v'
+    (Castro–Liskov): its VIEW-CHANGE for v' was signed over what it had
+    prepared before, so adopting a lower view in between lets the NEW-VIEW
+    for v' miss slots prepared meanwhile (ROADMAP P0(b))."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP P0(b): PBFT's _on_new_view adopts NEW-VIEW 1 at a "
+        "replica already demanding view 2",
+    )
+    def test_pbft(self):
+        sim, reps, _clients = build_pbft_system(
+            f=1, n_clients=1, ops_per_client=30, seed=0,
+        )
+        # replica 3 demands views 1 and 2 at once, replica 2 view 1: replicas
+        # 0 and 1 join view 1 at f+1, and primary 1's NEW-VIEW 1 reaches
+        # replica 3 while it demands view 2
+        fire_vc_timers(sim, reps, [(1.0, 3), (1.0, 3), (1.0, 2)])
+        sim.run(until=500.0)
+        assert demands(sim, 3)[:2] == [1, 2]
+        assert [ev.pid for ev in sim.trace.events("custom")
+                if ev.field("event") == "view_adopted"
+                and ev.field("view") == 1][:1] == [2]
+        assert lower_adoptions(sim.trace, len(reps)) == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP P0(b): MinBFT's _on_new_view has PBFT's acceptance "
+        "test and adopts NEW-VIEW 1 at replicas already demanding view 2",
+    )
+    def test_minbft(self):
+        sim, reps, _clients = build_minbft_system(
+            f=1, n_clients=1, ops_per_client=30, seed=0,
+        )
+        # replicas 2 and 0 demand view 1 and, once all three change to it,
+        # view 2, before primary 1's NEW-VIEW 1 reaches them
+        fire_vc_timers(sim, reps, [(1.0, 2), (1.1, 0), (1.6, 2), (1.6, 0)])
+        sim.run(until=500.0)
+        assert demands(sim, 2)[:2] == [1, 2]
+        assert demands(sim, 0)[:2] == [1, 2]
+        assert lower_adoptions(sim.trace, len(reps)) == []
