@@ -37,7 +37,7 @@ from .safety import (
     check_replication_liveness,
 )
 from .usig import UI, UIOrderEnforcer, USIG, USIGVerifier
-from .viewchange import LogEntry, SlotCandidate, compute_reproposals, verify_log
+from .viewchange import LogEntry, SlotCandidate, compute_reproposals
 
 __all__ = [
     "APP_FACTORIES",
@@ -78,5 +78,4 @@ __all__ = [
     "make_batch_policy",
     "usig_program",
     "verify_proof",
-    "verify_log",
 ]

@@ -9,7 +9,7 @@ from repro.consensus.viewchange import (
     SlotCandidate,
     compute_reproposals,
     extract_candidates,
-    verify_log,
+    verify_log_from,
 )
 from repro.hardware.trinc import TrincAuthority
 
@@ -30,7 +30,7 @@ class TestVerifyLog:
     def test_full_log_verifies(self, env):
         usigs, verifier = env
         log = sent_log(usigs[0], [("PREPARE", 0, 1, "req"), ("COMMIT", 0, 2, "r", None)])
-        entries = verify_log(verifier, 0, log, end_counter=3)
+        entries = verify_log_from(verifier, 0, log, 1, 3)
         assert entries is not None and len(entries) == 2
 
     def test_omission_detected(self, env):
@@ -38,34 +38,34 @@ class TestVerifyLog:
         property MinBFT's n=2f+1 view change rests on."""
         usigs, verifier = env
         log = sent_log(usigs[0], ["m1", "m2", "m3"])
-        assert verify_log(verifier, 0, log[:2], end_counter=4) is None
-        assert verify_log(verifier, 0, (log[0], log[2]), end_counter=3) is None
+        assert verify_log_from(verifier, 0, log[:2], 1, 4) is None
+        assert verify_log_from(verifier, 0, (log[0], log[2]), 1, 3) is None
 
     def test_alteration_detected(self, env):
         usigs, verifier = env
         log = sent_log(usigs[0], ["m1", "m2"])
         tampered = ((log[0][0], log[0][1]), ("EVIL", log[1][1]))
-        assert verify_log(verifier, 0, tampered, end_counter=3) is None
+        assert verify_log_from(verifier, 0, tampered, 1, 3) is None
 
     def test_wrong_replica_detected(self, env):
         usigs, verifier = env
         log = sent_log(usigs[0], ["m1"])
-        assert verify_log(verifier, 1, log, end_counter=2) is None
+        assert verify_log_from(verifier, 1, log, 1, 2) is None
 
     def test_reordering_detected(self, env):
         usigs, verifier = env
         log = sent_log(usigs[0], ["m1", "m2"])
-        assert verify_log(verifier, 0, (log[1], log[0]), end_counter=3) is None
+        assert verify_log_from(verifier, 0, (log[1], log[0]), 1, 3) is None
 
     def test_end_counter_mismatch(self, env):
         usigs, verifier = env
         log = sent_log(usigs[0], ["m1"])
-        assert verify_log(verifier, 0, log, end_counter=5) is None
+        assert verify_log_from(verifier, 0, log, 1, 5) is None
 
     def test_junk_shapes(self, env):
         _, verifier = env
-        assert verify_log(verifier, 0, "junk", 1) is None
-        assert verify_log(verifier, 0, (("m",),), 2) is None
+        assert verify_log_from(verifier, 0, "junk", 1, 1) is None
+        assert verify_log_from(verifier, 0, (("m",),), 1, 2) is None
 
 
 class TestCandidateExtraction:
@@ -75,7 +75,7 @@ class TestCandidateExtraction:
 
         prep_ui_msg = ("PREPARE", 0, 1, "reqA")
         log = sent_log(usigs[0], [prep_ui_msg])
-        entries = verify_log(verifier, 0, log, 2)
+        entries = verify_log_from(verifier, 0, log, 1, 2)
         cands = extract_candidates(entries)
         assert cands[1].request == "reqA" and cands[1].view == 0
 
@@ -93,11 +93,11 @@ class TestCandidateExtraction:
     def test_compute_reproposals_merges_logs(self, env):
         usigs, verifier = env
         log0 = sent_log(usigs[0], [("PREPARE", 0, 1, "r1"), ("PREPARE", 0, 2, "r2")])
-        e0 = verify_log(verifier, 0, log0, 3)
+        e0 = verify_log_from(verifier, 0, log0, 1, 3)
         # replica 1's log carries a commit for slot 2 only
         prepare_ui = e0[1][1] if isinstance(e0[1], tuple) else e0[1].ui
         log1 = sent_log(usigs[1], [("COMMIT", 0, 2, "r2", e0[1].ui)])
-        e1 = verify_log(verifier, 1, log1, 2)
+        e1 = verify_log_from(verifier, 1, log1, 1, 2)
         merged = compute_reproposals({0: e0, 1: e1})
         assert set(merged) == {1, 2}
         assert merged[1].request == "r1" and merged[2].request == "r2"
