@@ -180,11 +180,13 @@ class AccountabilityChecker(TraceObserver):
             yield from self._harvest_cert(cert)
             yield from self._harvest_log(log)
         elif kind == NEW_VIEW and len(message) == 3:
-            bundle = message[2]
+            _, new_view, bundle = message
             if isinstance(bundle, tuple):
                 for item in bundle:
-                    if isinstance(item, tuple) and len(item) == 5:
-                        _r, _base, cert, _blob, log = item
+                    if isinstance(item, tuple) and len(item) == 6:
+                        _r, base, cert, blob, log, ui = item
+                        # each item re-binds its VIEW-CHANGE to that UI
+                        yield (VIEW_CHANGE, new_view, base, cert, blob, log), ui
                         yield from self._harvest_cert(cert)
                         yield from self._harvest_log(log)
 
