@@ -313,7 +313,8 @@ class TestPipelineLoad:
         reason="PBFT replicas diverge under load (ROADMAP P0): seed 18 at "
         "4,800 requests stops at event #338,324 (t=236.846) with 'slot 1280 "
         "position 1 diverges: replica 1 executed (6, 1085, ...) but replica "
-        "3 executed (4, 1092, ...)'",
+        "3 executed (4, 1092, ...)'; ReplicaCore._accepts_new_view takes a "
+        "NEW-VIEW below the view a replica demands (ROADMAP P0(b))",
     )
     def test_pbft_seed_18_replicas_agree(self):
         """Fault-free ``pbft_load``-shaped cell, red since it was found;
