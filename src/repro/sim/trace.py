@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
 
@@ -302,10 +301,10 @@ class TraceStore:
 
     ``retention`` bounds the number of events kept in memory: ``None``
     (default) keeps everything; ``N`` keeps the most recent ``N`` events in
-    a ring buffer while :meth:`kind_counts` / :meth:`pid_counts` continue to
-    cover the evicted prefix. Observers always see every event of their
-    kinds regardless of retention — streaming checkers are the intended
-    consumer for runs too long to hold in full.
+    a ring buffer (:attr:`total_recorded` and :attr:`evicted` still count
+    the evicted prefix). Observers always see every event of their kinds
+    regardless of retention — streaming checkers are the intended consumer
+    for runs too long to hold in full.
 
     Cost contract: :meth:`record` does five column appends, one routed
     dispatch and, on a full ring, an O(1) eviction — it pays only for what
@@ -315,9 +314,8 @@ class TraceStore:
     that asks for one. Every query is one walk over the retained rows,
     filtering on the columns before it builds an event. Eviction is
     amortized: an evicted row is first only marked dead at the front of the
-    columns (its fields released), and the dead prefix is deleted, and its
-    kinds and pids added to the evicted-prefix counters, in one batch once
-    it reaches half the column length.
+    columns (its fields released), and the dead prefix is deleted in one
+    batch once it reaches half the column length.
     """
 
     #: dead column prefixes shorter than this ride for free (and below
@@ -339,9 +337,6 @@ class TraceStore:
         self._observers: list[TraceObserver] = []
         self._routes: dict[str, tuple] = {}  # kind -> _route(observers, kind)
         self._next_index = 0
-        # kinds / pids of the rows already deleted from the columns
-        self._evicted_by_kind: Counter[str] = Counter()
-        self._evicted_by_pid: Counter[ProcessId] = Counter()
 
     # -- columnar plumbing -------------------------------------------------
 
@@ -357,9 +352,7 @@ class TraceStore:
         return range(self._dead, len(self._c_time))
 
     def _compact(self, n: int) -> None:
-        """Delete the first ``n`` rows (all evicted); the counts keep them."""
-        self._evicted_by_kind.update(self._c_kind[:n])
-        self._evicted_by_pid.update(self._c_pid[:n])
+        """Delete the first ``n`` rows (all evicted)."""
         for column in (self._c_index, self._c_time, self._c_kind,
                        self._c_pid, self._c_fields):
             del column[:n]
@@ -464,16 +457,6 @@ class TraceStore:
         if predicate is None:
             return [mat(phys) for phys in rows]
         return [ev for ev in map(mat, rows) if predicate(ev)]
-
-    # -- summaries (survive eviction) --------------------------------------
-
-    def kind_counts(self) -> dict[str, int]:
-        """Total events per kind, including evicted ones."""
-        return dict(self._evicted_by_kind + Counter(self._c_kind))
-
-    def pid_counts(self) -> dict[ProcessId, int]:
-        """Total events per pid, including evicted ones."""
-        return dict(self._evicted_by_pid + Counter(self._c_pid))
 
     # -- protocol-level conveniences --------------------------------------
 

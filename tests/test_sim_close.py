@@ -141,7 +141,7 @@ def test_closed_simulation_refuses_to_step_an_event():
 def test_closed_simulation_still_answers():
     sim = closed_sim()
     assert [ev.pid for ev in sim.trace.events("deliver")] == [0, 1]
-    assert sim.trace.kind_counts()["timer_set"] == 2
+    assert len(sim.trace.events("timer_set")) == 2
     assert sim.network.messages_sent == 2
     assert sim.network.messages_delivered == 2
     assert [type(p) for p in sim.processes] == [Pinger, Pinger]
