@@ -23,6 +23,10 @@ Without this path a replica wedged behind an execution hole (e.g. one
 that missed a slot across a view change) can only catch up via the next
 NEW-VIEW, and if its peers are idle that view change never completes:
 its view-change timer re-arms forever against a non-empty pending set.
+The fetch is PBFT's own; what a fetched blob must pass, and the
+re-announcement that adopts it as this replica's checkpoint, are the
+core's (:meth:`~repro.consensus.replica.ReplicaCore._adopt_checkpoint`),
+shared with MinBFT's restart RESYNC.
 """
 
 from __future__ import annotations
@@ -150,7 +154,8 @@ class PBFTReplica(ReplicaCore):
         elif kind == GET_STATE and len(msg) == 5:
             self._on_get_state(src, msg)
         elif kind == STATE and len(msg) == 3:
-            self._on_state(src, msg)
+            # a fetched blob from an untrusted sender: the core's rule
+            self._adopt_checkpoint(msg[1], msg[2])
         elif kind == VIEW_CHANGE and len(msg) == 8:
             self._on_view_change(src, msg)
         elif kind == NEW_VIEW and len(msg) == 4:
@@ -347,40 +352,6 @@ class PBFTReplica(ReplicaCore):
         blob = self._ckpt_blobs.get(seq)
         if blob is not None and content_hash(blob) == digest:
             self.ctx.send(src, (STATE, seq, blob))
-
-    def _on_state(self, src: ProcessId, msg: tuple) -> None:
-        """Install a fetched checkpoint blob. The sender is untrusted: the
-        blob is accepted only if it hashes to a digest we hold a local
-        2f+1 certificate for, exactly the check NEW-VIEW fast-forward
-        applies to blobs piggybacked on VIEW-CHANGE messages."""
-        _, seq, blob = msg
-        if not isinstance(seq, int) or seq < self.exec_next:
-            return  # already caught up past this checkpoint
-        try:
-            digest = content_hash(blob)
-        except Exception:
-            return
-        votes = self._ckpt_votes.get((seq, digest))
-        if votes is None or len(votes) < self.quorum:
-            return  # no local certificate pins this blob
-        if not (
-            isinstance(blob, tuple) and len(blob) == 4
-            and blob[0] == self.STATE_TAG and isinstance(blob[3], int)
-        ):
-            return
-        exec_next = blob[3]
-        if exec_next <= self.exec_next:
-            return
-        self.next_seq = max(self.next_seq, exec_next)
-        self.state_transfers += 1
-        self._install_state(seq, blob)
-        # adopt the checkpoint as our own: after the restore our state blob
-        # reproduces the certified digest bit-for-bit, so re-announcing it
-        # adds our vote to the certificate and stabilization (log GC, the
-        # window's low watermark) follows the normal _on_checkpoint path
-        self._emit_checkpoint(seq)
-        self._execute_ready()
-        self._pipeline_resume()
 
     def _before_vc_retry(self) -> None:
         """Core hook: a pending set stuck behind a certified-but-unfetched

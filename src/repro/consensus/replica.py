@@ -7,11 +7,12 @@ with 2f+1 quorums. :class:`ReplicaCore` holds, once, everything that is
 cached replies, pending set, view-change timer), the primary-side
 windowed/batched proposal engine, in-order execution of certified slots
 (apply, dedup record, latency feedback, REPLY, no-op slots, checkpoint
-trigger), the checkpoint state blob and its installation, the view-change
-machine (demand, join at f+1, NEW-VIEW once per view at the quorum, its
-acceptance test and bundle check) ending in the adoption of the view
-(fast-forward, slot-state reset, timers, re-proposal), and the escalation
-tail of the view-change timer and of a conviction.
+trigger), the checkpoint state blob, its installation and the adoption
+of a checkpoint a peer ships (:meth:`~ReplicaCore._adopt_checkpoint`), the
+view-change machine (demand, join at f+1, NEW-VIEW once per view at the
+quorum, its acceptance test and bundle check) ending in the adoption of the
+view (fast-forward, slot-state reset, timers, re-proposal), and the
+escalation tail of the view-change timer and of a conviction.
 :class:`~repro.consensus.minbft.MinBFTReplica` and
 :class:`~repro.consensus.pbft.PBFTReplica` add how a slot gets
 *certified* — a replica class defines **evidence and quorum**, the core
@@ -124,8 +125,9 @@ class ReplicaCore(Process):
     quorum vouches for it, and call :meth:`_pipeline_resume` whenever the
     window base may have moved (checkpoint stabilization, state transfer).
     They hand a verified demand to :meth:`_on_demand`, a verified VIEW-CHANGE
-    to :meth:`_on_evidence`, and an authentic NEW-VIEW that passes
-    :meth:`_accepts_new_view` to :meth:`_adopt_new_view`.
+    to :meth:`_on_evidence`, an authentic NEW-VIEW that passes
+    :meth:`_accepts_new_view` to :meth:`_adopt_new_view`, and a checkpoint
+    blob a peer shipped to :meth:`_adopt_checkpoint`.
     Options: ``window_size`` bounds in-flight slots (0 = unbounded);
     ``batch_policy`` is ``None``/"fixed" (the ``batch_delay`` timer) or
     "adaptive"; a ``None`` ``timeout_policy`` fixes ``req_timeout``.
@@ -552,15 +554,20 @@ class ReplicaCore(Process):
             self.exec_next,
         )
 
+    def _restore_state(self, blob: tuple) -> None:
+        """Restore app, dedup and execution frontier from a state blob."""
+        _tag, snapshot, dedup_image, exec_next = blob
+        self.app.restore(snapshot)
+        self._dedup.restore(dedup_image)
+        self.exec_next = exec_next
+
     def _install_state(self, stable_seq: SeqNum, blob: tuple) -> None:
         """Fast-forward to a checkpoint blob the caller has verified against
         a quorum-certified digest: restore app and dedup state, move the
         execution frontier, drop what the blob settles, and record the
         transfer (stream auditors treat the skipped slots as legitimate)."""
-        _tag, snapshot, dedup_image, exec_next = blob
-        self.app.restore(snapshot)
-        self._dedup.restore(dedup_image)
-        self.exec_next = exec_next
+        self._restore_state(blob)
+        exec_next = self.exec_next
         self._certified = {
             s: r for s, r in self._certified.items() if s >= exec_next
         }
@@ -595,6 +602,30 @@ class ReplicaCore(Process):
         else:
             self._on_checkpoint_ahead(seq, digest, votes)
 
+    def _adopt_checkpoint(self, seq: Any, blob: Any) -> None:
+        """Install a checkpoint blob an untrusted peer shipped, and adopt it
+        as our own: it must hash to a digest at or past our frontier that a
+        local ``quorum`` of votes pins, and move that frontier. Re-announcing
+        it adds our vote, so it stabilizes through :meth:`_on_ckpt_vote`."""
+        if not isinstance(seq, int) or seq < self.exec_next:
+            return  # already caught up past this checkpoint
+        try:
+            digest = content_hash(blob)
+        except Exception:  # attacker-controlled blob may not serialize
+            return
+        if len(self._ckpt_votes.get((seq, digest), ())) < self.quorum:
+            return  # no local certificate pins this blob
+        if not (isinstance(blob, tuple) and len(blob) == 4
+                and blob[0] == self.STATE_TAG and isinstance(blob[3], int)
+                and blob[3] > self.exec_next):
+            return
+        self.next_seq = max(self.next_seq, blob[3])
+        self.state_transfers += 1
+        self._install_state(seq, blob)
+        self._emit_checkpoint(seq)  # our state now hashes to the digest
+        self._execute_ready()
+        self._pipeline_resume()
+
     def _stabilize(self, seq: SeqNum, votes: dict[ProcessId, Any]) -> None:
         self.stable_seq = seq
         chosen = sorted(votes)[: self.quorum]
@@ -628,7 +659,8 @@ class ReplicaCore(Process):
         ``none_yet`` (the peer says it has no stable checkpoint) must come
         with an empty certificate and no blob; otherwise the certificate
         must hold a quorum and the blob must hash to the certified digest —
-        that is what makes the blob safe to install.
+        that is what makes the blob safe to install. Only VIEW-CHANGEs carry
+        such claims; a shipped checkpoint meets :meth:`_adopt_checkpoint`.
         """
         if none_yet:
             return (0, {}) if cert == () and blob is None else None
@@ -830,8 +862,8 @@ class ReplicaCore(Process):
             "window_peak": self._window_peak,
             "window_occupancy_sum": self._window_sum,
             "window_samples": self._window_samples,
-            # PBFT's proactive checkpoint fetch; MinBFT catches up via
-            # VIEW-CHANGE blobs instead and reports 0
+            # peer-shipped checkpoints adopted (_adopt_checkpoint: PBFT's
+            # STATE, MinBFT's RESYNC-INFO); a NEW-VIEW fast-forward is not one
             "state_transfers": self.state_transfers,
             # typed rejects of malformed/Byzantine input (babble hardening)
             # and of convicted-replica input (forensic quarantine)

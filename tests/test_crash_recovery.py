@@ -203,6 +203,88 @@ class TestMinBFTResync:
         assert transfers and transfers[0].field("stable_seq") == 6
         assert fresh.exec_next == 7  # all six committed ops covered
         assert fresh.app.digest() == reps[0].app.digest()
+        # adopted as its own checkpoint: re-announced, stable, and the
+        # reborn replica's VIEW-CHANGE evidence validates again
+        assert fresh.stable_seq == 6
+        assert fresh.state_transfers == 1
+        assert reborn_vc_valid(reps[0], fresh)
+
+    def test_own_pre_crash_vote_in_a_shipped_certificate_is_not_counted(self):
+        """A peer may ship a certificate holding the reborn replica's own
+        pre-crash CHECKPOINT. That vote pins a counter whose log the reboot
+        lost and a blob this incarnation does not hold, so counting it would
+        stabilize the checkpoint on the old counter and void the replica's
+        VIEW-CHANGE; the peers' votes alone adopt it."""
+        from repro.consensus import build_minbft_system
+        from repro.faults.chaos import reboot_replica
+
+        opts = dict(checkpoint_interval=2)
+        sim, reps, _clients = build_minbft_system(
+            f=1, n_clients=1, ops_per_client=6, seed=21, req_timeout=20.0,
+            retry_timeout=60.0, replica_options=opts,
+        )
+        sim.run(until=50.0)
+        old = reps[2]
+        assert [r.stable_seq for r in reps] == [6, 6, 6]
+        own_cert = old._stable_cert  # its own entry and one peer's
+        assert 2 in {entry[0] for entry in own_cert}
+        reps[1]._stable_cert = own_cert  # a valid certificate all the same
+        sim.crash(2)
+
+        def factory():
+            reps[2] = reboot_replica(old, "counter", None, opts)
+            return reps[2]
+
+        sim.restart_at(2, 60.0, factory=factory)
+        sim.run(until=200.0)
+        fresh = reps[2]
+        assert len(fresh._resynced) == 2
+        assert fresh.stable_seq == 6 and fresh.state_transfers == 1
+        assert fresh._log_base > max(entry[2].counter for entry in own_cert)
+        assert reborn_vc_valid(reps[0], fresh)
+
+
+def reborn_vc_valid(peer, reborn) -> bool:
+    """Whether ``peer`` accepts the VIEW-CHANGE evidence ``reborn`` would
+    send now (its next UI ends the log)."""
+    return peer._validate_vc(
+        reborn.pid, reborn._log_base, reborn._stable_cert,
+        reborn._stable_blob, tuple(reborn.sent_log), reborn.usig.counter + 1,
+    ) is not None
+
+
+class TestMinBFTRestartThenPrimaryCrash:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_restarted_backup_carries_the_view_change(self, seed):
+        """Replica 2 reboots early, then the primary crashes for good: the
+        view change needs the reborn replica's VIEW-CHANGE, which validates
+        only once it adopted the checkpoint RESYNC shipped as its own (and
+        processes its own USIG stream again). Run to a horizon, not to
+        quiescence: a view change that cannot complete retries forever."""
+        from repro.consensus import (
+            ReplicationStreamChecker,
+            build_minbft_system,
+        )
+        from repro.faults.chaos import reboot_replica
+
+        opts = dict(checkpoint_interval=4)
+        checker = ReplicationStreamChecker([1, 2])
+        sim, reps, clients = build_minbft_system(
+            f=1, n_clients=2, ops_per_client=40, seed=seed, req_timeout=10.0,
+            retry_timeout=15.0, replica_options=opts, observers=[checker],
+        )
+
+        def factory():
+            reps[2] = reboot_replica(reps[2], "counter", None, opts)
+            return reps[2]
+
+        sim.crash_at(2, 3.0)
+        sim.restart_at(2, 6.0, factory=factory)
+        sim.crash_at(0, 25.0)
+        sim.run(until=150.0)
+        assert [len(c.results) for c in clients] == [40, 40]
+        assert reps[1].view >= 1 and reps[2].view >= 1
+        checker.finish().assert_ok()
 
 
 class TestSharedMemorySRBRecovery:
