@@ -74,6 +74,8 @@ class RoundTransport:
 
     Rounds are per label: ``active_labels`` holds every round this process
     has begun and not yet completed, and each completes on its own.
+    :meth:`_deliver` does not deduplicate: it reports every call to the
+    host, so a transport whose medium repeats messages drops copies first.
     """
 
     def __init__(self) -> None:
@@ -81,7 +83,6 @@ class RoundTransport:
         self.active_labels: set[Label] = set()
         self.rounds_begun = 0
         self._labels_used: set[Label] = set()
-        self._delivered: set[tuple[ProcessId, Label, Any]] = set()
 
     # -- wiring ---------------------------------------------------------------
 
@@ -145,18 +146,10 @@ class RoundTransport:
         return label
 
     def _deliver(self, label: Label, src: ProcessId, payload: Any) -> None:
-        """Report a message once per (src, label, payload)."""
-        try:
-            key = (src, label, payload)
-            fresh = key not in self._delivered
-            if fresh:
-                self._delivered.add(key)
-        except TypeError:  # unhashable Byzantine payload: deliver, host validates
-            fresh = True
-        if fresh:
-            assert self.host is not None
-            self.host.ctx.record("round_recv", round=label, src=src, payload=payload)
-            self.host.on_round_message(label, src, payload)
+        """Report a message to the host, with no record of earlier ones."""
+        assert self.host is not None
+        self.host.ctx.record("round_recv", round=label, src=src, payload=payload)
+        self.host.on_round_message(label, src, payload)
 
     def _complete(self, label: Label) -> None:
         assert self.host is not None
@@ -256,7 +249,8 @@ class SharedMemoryRoundTransport(RoundTransport):
     changes) so entries appended later are still delivered — shared-memory
     "reception" is reading, and readers poll. Polling frequency affects
     only latency, never the unidirectionality argument. :meth:`post` is a
-    plain append: eventual delivery via everyone's scans.
+    plain append: eventual delivery via everyone's scans. Each published
+    entry is delivered once, by position; a repeated entry is heard again.
     """
 
     SCAN_TAG = "__sm_round_scan__"
@@ -434,9 +428,14 @@ class SharedMemoryRoundTransport(RoundTransport):
 
 class BroadcastRoundTransport(RoundTransport):
     """The message-passing transports' shared wire: a round message or a post
-    is one ``(ROUND_MSG, label, payload)`` broadcast to all, self included,
-    delivered once per ``(src, label, payload)`` on arrival. Subclasses
-    decide when a round ends (:meth:`_heard`, timers, boundaries)."""
+    is one ``(ROUND_MSG, label, payload)`` broadcast to all, self included.
+    The network may duplicate it, so the dedup lives here: it is delivered
+    once per ``(src, label, payload)`` on arrival. Subclasses decide when a
+    round ends (:meth:`_heard`, timers, boundaries)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._delivered: set[tuple[ProcessId, Label, Any]] = set()
 
     def _send(self, label: Label, payload: Any) -> None:
         assert self.host is not None
@@ -455,7 +454,13 @@ class BroadcastRoundTransport(RoundTransport):
             hash(label)
         except TypeError:
             return True  # malformed label from a Byzantine sender: drop
-        self._deliver(label, src, payload)
+        size = len(self._delivered)
+        try:  # one hash: a copy already seen leaves the size as it was
+            self._delivered.add((src, label, payload))
+        except TypeError:  # unhashable Byzantine payload: deliver, host validates
+            size = -1
+        if len(self._delivered) != size:
+            self._deliver(label, src, payload)
         if label != POST:
             self._heard(label, src)
         return True

@@ -49,7 +49,8 @@ class CornerCaseRoundTransport(RoundTransport):
 
     All correct processes must eventually begin every label they expect to
     complete (rounds are collective); with ``f = 1`` at most one process
-    may stay silent and the ``n-1`` waits still terminate.
+    may stay silent and the ``n-1`` waits still terminate. A phase-1 value
+    is delivered once per ``(label, signer)``, a post once per RB delivery.
     """
 
     def __init__(self, oracle: SRBOracle, scheme: SignatureScheme,

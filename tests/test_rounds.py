@@ -17,7 +17,12 @@ from repro.core.srb_oracle import SRBOracle
 from repro.core.uni_from_rb_corner import CornerCaseRoundTransport
 from repro.core.uni_from_sm import build_objects_for
 from repro.crypto import SignatureScheme
-from repro.sim import LockStepSynchronous, ReliableAsynchronous, Simulation
+from repro.sim import (
+    DuplicatingAsynchronous,
+    LockStepSynchronous,
+    ReliableAsynchronous,
+    Simulation,
+)
 
 
 class Recorder(RoundProcess):
@@ -182,6 +187,20 @@ class TestEngineContract:
         sim, procs = run_sm(n=2, labels=("r1",))
         keys = [(l, s) for (l, s, _p) in procs[0].received if l == "r1"]
         assert len(keys) == len(set(keys))
+
+    def test_duplicate_message_delivered_once(self):
+        """The message-passing twin: the network delivers copies, and the
+        wire hands each (src, label, payload) to the host once."""
+        adv = DuplicatingAsynchronous(dup_probability=0.9, max_copies=3)
+        procs = [Recorder(MessagePassingRoundTransport(f=0), ("r1", "r2"))
+                 for _ in range(3)]
+        sim = Simulation(procs, adv, seed=3)
+        sim.at(0.2, lambda: procs[0].rounds.post("news"))
+        sim.run(until=100.0)
+        assert sim.network.duplicates_delivered > 0
+        for p in procs:
+            assert p.completed == ["r1", "r2"]
+            assert len(p.received) == len(set(p.received)) == 3 * 2 + 1
 
     def test_transport_attach_once(self):
         t = SharedMemoryRoundTransport()

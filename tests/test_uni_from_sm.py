@@ -9,7 +9,11 @@ from repro.core.directionality import (
     DirectionalityStreamChecker,
     check_directionality,
 )
-from repro.core.rounds import MessagePassingRoundTransport, RoundProcess
+from repro.core.rounds import (
+    MessagePassingRoundTransport,
+    RoundProcess,
+    SharedMemoryRoundTransport,
+)
 from repro.core.uni_from_sm import (
     ALL_SM_TRANSPORTS,
     History,
@@ -465,3 +469,139 @@ class TestAlgorithmOneOverOtherObjects:
         rep = check_srb(sim.trace, 0, range(n))
         rep.assert_ok()
         assert len(rep.deliveries) == n
+
+
+def _write_entry_twice(name, sim, owner, entry):
+    """Store ``entry`` in ``owner``'s object twice, as two publishes, the
+    way a Byzantine owner could: straight into the object."""
+    cls, batch = ALL_SM_TRANSPORTS[name], (entry,)
+    if name == "swmr":
+        writes = [(f"{cls.LOG_PREFIX}{owner}", "write", (batch + batch,))]
+    elif name == "peats":
+        writes = [(cls.LOG_PREFIX, "out", ((owner, seq, batch),)) for seq in (1, 2)]
+    elif name == "sticky":
+        writes = [(f"{cls.LOG_PREFIX}_{owner}_{k}", "write", (batch,)) for k in (0, 1)]
+    else:
+        writes = [(f"{cls.LOG_PREFIX}{owner}", "append", (batch,))] * 2
+    for obj, op, args in writes:
+        sim.memory.get(obj).execute(owner, op, args)
+
+
+def _run_chat_to_rest(name, n, nrounds, seed=0):
+    """Run ``Chat`` until every round has ended and no process has a scan
+    or a publish in flight; returns the processes."""
+    if name == "sticky":
+        # one spare cell per chain: a scan of full chains issues no read
+        cap = nrounds + 1
+        procs = [Chat(StickyChainRoundTransport(capacity=cap), nrounds)
+                 for _ in range(n)]
+        objects = StickyChainRoundTransport.build_objects(n, capacity=cap)
+    else:
+        procs = [Chat(ALL_SM_TRANSPORTS[name](), nrounds) for _ in range(n)]
+        objects = build_objects_for(name, n)
+    sim = Simulation(procs, ReliableAsynchronous(0.0, 3.0), seed=seed)
+    for obj in objects:
+        sim.memory.register(obj)
+
+    def busy():
+        return any(
+            p.rounds.rounds_begun < nrounds or p.rounds.active_labels
+            or p.rounds._scan_running or p.rounds._write is not None
+            for p in procs
+        )
+
+    while busy():
+        sim.run(max_events=1)
+    return procs
+
+
+class _RepublishingLog(SharedMemoryRoundTransport):
+    """A Byzantine owner's log: every L1 and L2 entry it sends is published
+    a second time, by the publish after the one that carried it."""
+
+    def _send(self, label, payload):
+        super()._send(label, payload)
+        if payload[0] in ("L1", "L2"):
+            super()._send(label, payload)
+
+
+class TestDeliveryContract:
+    """A shared-memory transport delivers each published entry once, by
+    position; it keeps no record of what it delivered."""
+
+    @pytest.mark.parametrize("name", TRANSPORT_NAMES)
+    def test_repeated_entry_is_heard_again(self, name):
+        n, entry = 3, (("r", 1), "twice")
+        procs = [Chat(ALL_SM_TRANSPORTS[name](), 1), Process(),
+                 Chat(ALL_SM_TRANSPORTS[name](), 1)]
+        sim = Simulation(procs, ReliableAsynchronous(0.01, 0.5), seed=4)
+        for obj in build_objects_for(name, n):
+            sim.memory.register(obj)
+        _write_entry_twice(name, sim, 1, entry)
+        sim.run(until=200.0)
+        for reader in (0, 2):
+            heard = [(e.field("round"), e.field("payload"))
+                     for e in sim.trace.events("round_recv", pid=reader)
+                     if e.field("src") == 1]
+            assert heard == [entry, entry], (name, reader)
+
+    # the process's own state: rounds it began, entries it published
+    OWN_STATE = {"_labels_used", "active_labels", "_my_history"}
+
+    @pytest.mark.parametrize("name", TRANSPORT_NAMES)
+    def test_state_does_not_grow_with_entries_read(self, name):
+        """Ten times the rounds, the same container sizes: nothing the
+        transport keeps grows with what it reads of other processes."""
+
+        def sizes(nrounds):
+            return [
+                {attr: len(value) for attr, value in vars(p.rounds).items()
+                 if isinstance(value, (set, dict, list, tuple))
+                 and attr not in self.OWN_STATE}
+                for p in _run_chat_to_rest(name, 5, nrounds)
+            ]
+
+        short = sizes(100)
+        assert all("_seen_lengths" in s for s in short)
+        assert sizes(1_000) == short
+
+    def test_algorithm_one_hears_a_republished_proof_and_ignores_it(self):
+        from repro.core.srb import SRBStreamChecker
+        from repro.core.srb_from_uni import (
+            SRBFromUnidirectional,
+            build_sm_srb_system,
+        )
+
+        n, t, byz, messages = 5, 2, 4, ["a", "b", "c", "d"]
+        correct = range(byz)
+
+        def run(republish):
+            def factory(pid, transport, scheme, signer):
+                if pid == byz and republish:
+                    transport = _RepublishingLog()
+                return SRBFromUnidirectional(transport, 0, t, scheme, signer)
+
+            sim, procs, _ = build_sm_srb_system(
+                n, t, seed=3, process_factory=factory)
+            if republish:
+                sim.declare_byzantine(byz)
+            for i, m in enumerate(messages):
+                sim.at(0.5 + 0.3 * i, lambda m=m: procs[0].broadcast(m))
+            sim.run(until=800.0)
+            assert SRBStreamChecker(0, correct).consume(sim.trace).finish().ok
+            delivered = {
+                p: [(e.field("seq"), e.field("value"))
+                    for e in sim.trace.events("bcast_deliver", pid=p)]
+                for p in correct
+            }
+            return sim, delivered
+
+        sim, delivered = run(republish=True)
+        _, baseline = run(republish=False)
+        assert delivered == baseline
+        assert baseline[1] == [(k, m) for k, m in enumerate(messages, 1)]
+        # the repeats were read: each of byz's proofs reached process 1 twice
+        proofs = [(e.field("round"), e.field("payload"))
+                  for e in sim.trace.events("round_recv", pid=1)
+                  if e.field("src") == byz and e.field("payload")[0] in ("L1", "L2")]
+        assert proofs and all(proofs.count(p) == 2 for p in proofs)
