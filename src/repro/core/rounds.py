@@ -398,6 +398,8 @@ class SharedMemoryRoundTransport(RoundTransport):
             handle = self._scan_one(p)
             if handle is not None:
                 self._scan_handles[handle] = p
+        if not self._scan_handles:  # nothing left to read (full sticky chains)
+            self._finish_scan()
 
     def _finish_scan(self) -> None:
         assert self.host is not None

@@ -48,7 +48,6 @@ class _TrustedLogSRBBase(Process):
         self.my_seq: SeqNum = 0
         self.next_seq: SeqNum = 1
         self._pending: dict[SeqNum, tuple[Any, Any]] = {}  # seq -> (m, evidence)
-        self._echoed: set[SeqNum] = set()
 
     # -- subclass hooks -----------------------------------------------------------
 
@@ -89,9 +88,7 @@ class _TrustedLogSRBBase(Process):
         if k < self.next_seq or k in self._pending:
             return
         self._pending[k] = (m, msg[1])
-        if k not in self._echoed:
-            self._echoed.add(k)
-            self.ctx.broadcast((TL_MSG, msg[1]), include_self=False)
+        self.ctx.broadcast((TL_MSG, msg[1]), include_self=False)  # first sight: echo
         self._drain()
 
     def _drain(self) -> None:

@@ -21,7 +21,8 @@ with ``n >= 2t+1``:
 The instances pipeline: each sequence number runs copy → L1 → L2 on its
 own rounds, so instance k+1's copy round runs while k's L1 round is still
 open — nothing in the argument below relates two sequence numbers. Only
-delivery is sequenced: ``(k, m)`` is delivered after ``k-1``.
+delivery is sequenced: ``(k, m)`` is delivered after ``k-1``, and a process
+forgets ``k`` once it delivers it (late messages: :class:`SRBFromUnidirectional`).
 
 Why unidirectionality is exactly what's needed (paper's key argument): two
 correct processes that copied *conflicting* values both send in the same
@@ -201,12 +202,39 @@ def validate_l2(
     return verdict
 
 
+_ARITY = {"VAL": 4, "COPY": 5, "L1": 6, "L2": 5}  # payload length by kind
+# ``_Instance.step``: what this process has done for k, in the only order it can
+_NOTHING, _COPY_OPEN, _COPY_DONE, _L1_OPEN, _L1_DONE, _L2_POSTED = range(6)
+
+
+class _Instance:
+    """One undelivered sequence number: the adopted value and sender
+    signature, whether a conflicting value was seen, the copies and L1
+    proofs heard for it, and ``step``."""
+
+    __slots__ = ("m", "sig_s", "conflict", "copies", "l1s", "step")
+
+    def __init__(self, m: Any, sig_s: Signature) -> None:
+        self.m, self.sig_s = m, sig_s
+        self.conflict, self.step = False, _NOTHING
+        self.copies: dict[ProcessId, Signature] = {}  # copier -> its signature
+        self.l1s: dict[ProcessId, tuple] = {}  # builder -> its L1 proof
+
+
 class SRBFromUnidirectional(RoundProcess):
     """One process of the Algorithm-1 SRB system.
 
     Construct one per process with the *same* ``sender`` and ``t``; call
     :meth:`broadcast` on the sender's instance. Deliveries arrive at
     :meth:`on_deliver` and in the trace as ``bcast_deliver`` events.
+
+    Its state is one :class:`_Instance` per undelivered sequence number it
+    has heard of and the L2 proofs waiting for delivery; delivering ``k``
+    deletes both. **A late message** — a round message of one of the four
+    shapes whose ``k`` is an int below ``next_seq`` — is dropped before its
+    signatures and proofs are validated and before any counter is touched:
+    ``k``'s L2 proof is already posted, so nothing in it can change what
+    this process does. The end of a round of a delivered ``k`` does nothing.
     """
 
     def __init__(
@@ -228,22 +256,13 @@ class SRBFromUnidirectional(RoundProcess):
         self.my_seq: SeqNum = 0
         # receiver side
         self.next_seq: SeqNum = 1
-        self._vals: dict[SeqNum, tuple[Any, Signature]] = {}
-        self._conflict: set[SeqNum] = set()
-        self._copies: dict[SeqNum, dict[ProcessId, Signature]] = {}
-        self._l1s: dict[SeqNum, dict[ProcessId, tuple]] = {}
+        self._instances: dict[SeqNum, _Instance] = {}
         self._l2s: dict[SeqNum, tuple] = {}
-        self._copied: set[SeqNum] = set()
-        self._sent_l1: set[SeqNum] = set()
-        self._sent_l2: set[SeqNum] = set()
-        self._forwarded: set[SeqNum] = set()
-        self._copy_round_done: set[SeqNum] = set()
-        self._l1_round_done: set[SeqNum] = set()
-        # babble hardening: structurally invalid round payloads vs.
-        # well-formed artifacts whose proofs fail validation — both
-        # rejected, counted separately for the chaos harness
+        # babble hardening, counted apart for the chaos harness: malformed
+        # payloads vs. well-formed ones whose proofs fail validation
         self.malformed_rejects = 0
         self.proof_rejects = 0
+        self.conflicts_detected = 0
 
     # -- public API -------------------------------------------------------------
 
@@ -266,88 +285,78 @@ class SRBFromUnidirectional(RoundProcess):
     # -- message ingestion -----------------------------------------------------------
 
     def on_round_message(self, label: Label, src: ProcessId, payload: Any) -> None:
-        if not (isinstance(payload, tuple) and payload and isinstance(payload[0], str)):
+        if not (
+            isinstance(payload, tuple) and payload and isinstance(payload[0], str)
+            and _ARITY.get(payload[0]) == len(payload)
+        ):  # Byzantine babble: no tuple, an unknown kind or a wrong arity
             self.malformed_rejects += 1
             return
-        kind = payload[0]
-        if kind == "VAL" and len(payload) == 4:
-            _, k, m, sig_s = payload
-            if not self._note_val(k, m, sig_s):
+        kind, k = payload[0], payload[1]
+        if isinstance(k, int) and k < self.next_seq:
+            return  # a late message (see the class docstring)
+        if kind == "L2":
+            if validate_l2(self.scheme, self.sender, payload, self.t) is None:
                 self.proof_rejects += 1
-                return
-        elif kind == "COPY" and len(payload) == 5:
-            _, k, m, sig_s, sig_copier = payload
-            if not self._note_val(k, m, sig_s):
-                self.proof_rejects += 1
-                return
-            if (
-                isinstance(sig_copier, Signature)
-                and self.scheme.verify(copy_domain(self.sender, k, m), sig_copier)
+            else:
+                self._l2s.setdefault(k, payload)
+                self._maybe_deliver()
+            return
+        m = payload[2]
+        inst = self._note_val(k, m, payload[3])
+        if inst is None:
+            self.proof_rejects += 1
+            return
+        if kind == "COPY":
+            sig = payload[4]
+            if not (
+                isinstance(sig, Signature)
+                and self.scheme.verify(copy_domain(self.sender, k, m), sig)
             ):
-                adopted = self._vals.get(k)
-                if adopted is not None and adopted[0] == m:
-                    self._copies.setdefault(k, {})[sig_copier.signer] = sig_copier
-            else:
                 self.proof_rejects += 1
-        elif kind == "L1" and len(payload) == 6:
-            _, k, m, sig_s, copies, sig_builder = payload
-            if not self._note_val(k, m, sig_s):
-                self.proof_rejects += 1
+            elif inst.m == m:
+                inst.copies[sig.signer] = sig
+        elif kind == "L1":
+            if inst.m != m:
                 return
-            adopted = self._vals.get(k)
-            if adopted is None or adopted[0] != m:
-                return
+            copies, sig = payload[4:]
             builder = validate_l1_item(
-                self.scheme, self.sender, k, m, (
-                    sig_builder.signer if isinstance(sig_builder, Signature) else -1,
-                    copies,
-                    sig_builder,
-                ), self.t,
+                self.scheme, self.sender, k, m,
+                (sig.signer if isinstance(sig, Signature) else -1, copies, sig),
+                self.t,
             )
-            if builder is not None:
-                self._l1s.setdefault(k, {})[builder] = (builder, copies, sig_builder)
+            if builder is None:
+                self.proof_rejects += 1
             else:
-                self.proof_rejects += 1
-        elif kind == "L2" and len(payload) == 5:
-            checked = validate_l2(self.scheme, self.sender, payload, self.t)
-            if checked is None:
-                self.proof_rejects += 1
-                return
-            self._l2s.setdefault(checked[0], payload)
-            self._maybe_deliver()
-            return
-        else:
-            # unknown kind or wrong arity: Byzantine babble
-            self.malformed_rejects += 1
-            return
+                inst.l1s[builder] = (builder, copies, sig)
         self._advance(k)
 
-    def _note_val(self, k: Any, m: Any, sig_s: Any) -> bool:
-        """Register a sender-signed value; returns True when the signature is valid.
-
-        Also performs the algorithm's conflict detection: a second *distinct*
-        validly-signed value for the same ``k`` poisons that sequence number
-        (this process will never compile an L1 proof for it).
-        """
+    def _note_val(self, k: Any, m: Any, sig_s: Any) -> Optional[_Instance]:
+        """Register a sender-signed value and detect conflicts: a second
+        *distinct* validly-signed value for ``k`` poisons ``k`` (this process
+        never compiles an L1 proof for it). Returns ``k``'s instance, or
+        ``None`` when the signature is invalid."""
         if not isinstance(k, int) or k < 1:
-            return False
+            return None
         if not self.scheme.verify_from(
             self.sender, val_domain(self.sender, k, m), sig_s
         ):
-            return False
-        adopted = self._vals.get(k)
-        if adopted is None:
-            self._vals[k] = (m, sig_s)
-        elif adopted[0] != m:
-            self._conflict.add(k)
-        return True
+            return None
+        inst = self._instances.get(k)
+        if inst is None:
+            inst = self._instances[k] = _Instance(m, sig_s)
+        elif inst.m != m and not inst.conflict:
+            inst.conflict = True
+            self.conflicts_detected += 1
+        return inst
 
     # -- round completion -------------------------------------------------------------
 
     def on_round_complete(self, label: Label) -> None:
         phase, _sender, k = label  # this process's own ("copy" | "l1", sender, k)
-        (self._copy_round_done if phase == "copy" else self._l1_round_done).add(k)
-        self._advance(k)
+        inst = self._instances.get(k)
+        if inst is not None:  # else k is delivered and forgotten
+            inst.step = _COPY_DONE if phase == "copy" else _L1_DONE
+            self._advance(k)
 
     # -- one instance per sequence number ---------------------------------------------
 
@@ -355,56 +364,47 @@ class SRBFromUnidirectional(RoundProcess):
         """Drive instance ``k`` through copy → L1 → L2, independently of the
         others: only an event about ``k`` (its messages, its rounds) can
         move it, so an event advances the one instance it names."""
-        adopted = self._vals.get(k)
-        if adopted is None or k < self.next_seq:
-            return  # nothing to copy yet, or already delivered
-        m, sig_s = adopted
-        if k not in self._copied:
-            self._copied.add(k)
+        inst = self._instances.get(k)
+        if inst is None:
+            return  # nothing to copy yet
+        m, sig_s = inst.m, inst.sig_s
+        if inst.step == _NOTHING:
+            inst.step = _COPY_OPEN
             my_sig = self.signer.sign(copy_domain(self.sender, k, m))
             self.rounds.begin_round(
                 ("COPY", k, m, sig_s, my_sig), ("copy", self.sender, k)
             )
-        elif (
-            k in self._copy_round_done
-            and k not in self._sent_l1
-            and k not in self._conflict
-            and len(self._copies.get(k, ())) >= self.t + 1
-        ):
-            copies = tuple(sorted(self._copies[k].items()))
+        elif (inst.step == _COPY_DONE and not inst.conflict
+              and len(inst.copies) >= self.t + 1):
+            copies = tuple(sorted(inst.copies.items()))
             my_sig = self.signer.sign(l1_domain(self.sender, k, m))
-            self._sent_l1.add(k)
+            inst.step = _L1_OPEN
             self.rounds.begin_round(
                 ("L1", k, m, sig_s, copies, my_sig), ("l1", self.sender, k)
             )
-        elif (
-            k in self._l1_round_done
-            and k not in self._sent_l2
-            and len(self._l1s.get(k, ())) >= self.t + 1
-        ):
-            l1s = self._l1s[k]
+        elif inst.step == _L1_DONE and len(inst.l1s) >= self.t + 1:
+            l1s = inst.l1s
             l2 = ("L2", k, m, sig_s, tuple(l1s[b] for b in sorted(l1s))[: self.t + 1])
-            self._sent_l2.add(k)
+            inst.step = _L2_POSTED
             self._l2s.setdefault(k, l2)
             self.rounds.post(l2)
-            self._forwarded.add(k)
             self._maybe_deliver()
 
     def _maybe_deliver(self) -> None:
-        """The paper's ``maybeDeliver``: drain valid L2 proofs in order."""
+        """The paper's ``maybeDeliver``: drain valid L2 proofs in order,
+        forgetting each delivered sequence number."""
         while True:
             k = self.next_seq
-            proof = self._l2s.get(k)
+            proof = self._l2s.pop(k, None)
             if proof is None:
                 return
             checked = validate_l2(self.scheme, self.sender, proof, self.t)
             if checked is None:  # stored proofs were validated; belt and braces
-                del self._l2s[k]
                 return
             _, m = checked
-            if k not in self._forwarded:
-                self._forwarded.add(k)
-                self.rounds.post(proof)
+            inst = self._instances.pop(k, None)
+            if inst is None or inst.step != _L2_POSTED:
+                self.rounds.post(proof)  # relay
             self.ctx.record("bcast_deliver", sender=self.sender, seq=k, value=m)
             self.on_deliver(self.sender, k, m)
             self.next_seq = k + 1
@@ -416,7 +416,7 @@ class SRBFromUnidirectional(RoundProcess):
         summed key-wise across processes)."""
         return {
             "delivered": self.next_seq - 1,
-            "conflicts_detected": len(self._conflict),
+            "conflicts_detected": self.conflicts_detected,
             "malformed_rejects": self.malformed_rejects,
             "proof_rejects": self.proof_rejects,
         }

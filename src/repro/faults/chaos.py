@@ -232,19 +232,21 @@ class EagerBrokenSRB(SRBFromUnidirectional):
     order. Under reordering (stragglers, retransmissions) arrival order
     differs from sequence order, so the SRB sequencing property breaks —
     which is exactly what the chaos harness must detect and pin to a seed.
+    Its ``next_seq`` stays 1, so no message is late to it and it forgets
+    nothing.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self._eagerly_delivered: set[int] = set()
 
-    def _note_val(self, k, m, sig_s) -> bool:
-        ok = super()._note_val(k, m, sig_s)
-        if ok and k not in self._eagerly_delivered:
+    def _note_val(self, k, m, sig_s):
+        inst = super()._note_val(k, m, sig_s)
+        if inst is not None and k not in self._eagerly_delivered:
             self._eagerly_delivered.add(k)
             self.ctx.record("bcast_deliver", sender=self.sender, seq=k, value=m)
             self.on_deliver(self.sender, k, m)
-        return ok
+        return inst
 
     def _maybe_deliver(self) -> None:
         # the broken variant's ONLY delivery path is the eager one above

@@ -328,6 +328,25 @@ class TestObjectSpecifics:
         with pytest.raises(ConfigurationError, match="capacity"):
             procs[0].rounds.post("overflow")
 
+    def test_full_sticky_chains_do_not_stall_the_scan(self):
+        """Every chain written to capacity: a scan with nothing left to read
+        ends at once, and the transport goes on scanning. Bounded by sim
+        time, since a stalled scan never comes to rest."""
+        n, nrounds = 5, 20
+        procs = [Chat(StickyChainRoundTransport(capacity=nrounds), nrounds)
+                 for _ in range(n)]
+        sim = Simulation(procs, ReliableAsynchronous(0.0, 3.0), seed=0)
+        for obj in StickyChainRoundTransport.build_objects(n, capacity=nrounds):
+            sim.memory.register(obj)
+        sim.run(until=5_000.0)
+        scans = [p.rounds.scans_completed for p in procs]
+        for p in procs:
+            assert p.rounds.rounds_begun == nrounds and not p.rounds.active_labels
+            assert set(p.rounds._seen_lengths.values()) == {nrounds}
+            assert not p.rounds._scan_running
+        sim.run(until=6_000.0)
+        assert all(p.rounds.scans_completed > s for p, s in zip(procs, scans))
+
     def test_sticky_capacity_validation(self):
         with pytest.raises(ConfigurationError):
             StickyChainRoundTransport(capacity=0)
@@ -490,12 +509,10 @@ def _write_entry_twice(name, sim, owner, entry):
 def _run_chat_to_rest(name, n, nrounds, seed=0):
     """Run ``Chat`` until every round has ended and no process has a scan
     or a publish in flight; returns the processes."""
-    if name == "sticky":
-        # one spare cell per chain: a scan of full chains issues no read
-        cap = nrounds + 1
-        procs = [Chat(StickyChainRoundTransport(capacity=cap), nrounds)
+    if name == "sticky":  # chains exactly as long as the run needs
+        procs = [Chat(StickyChainRoundTransport(capacity=nrounds), nrounds)
                  for _ in range(n)]
-        objects = StickyChainRoundTransport.build_objects(n, capacity=cap)
+        objects = StickyChainRoundTransport.build_objects(n, capacity=nrounds)
     else:
         procs = [Chat(ALL_SM_TRANSPORTS[name](), nrounds) for _ in range(n)]
         objects = build_objects_for(name, n)
