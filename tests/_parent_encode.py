@@ -16,6 +16,7 @@ import dataclasses
 import struct
 from typing import Any, Optional
 
+from repro.crypto import serialize
 from repro.crypto.serialize import BoundedCache
 from repro.errors import SignatureError
 
@@ -33,7 +34,9 @@ _TAG_DATACLASS = b"C"
 
 _SCALAR_CACHE_MIN = 64
 
-ENCODING_CACHE = BoundedCache(1 << 15)  # id(value) -> (value, bytes)
+# id(value) -> (value, bytes), sized like the shipped LRU so that a comparison
+# of the ids the two admit stays like for like once either one evicts
+ENCODING_CACHE = BoundedCache(serialize._ENCODING_CACHE.maxsize)
 caching_enabled = True
 
 
