@@ -27,7 +27,7 @@ so the run aborts at that exact event.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ..errors import PropertyViolation
 from ..sim.trace import (
@@ -93,23 +93,22 @@ class DirectionalityReport:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class _RoundView:
-    """What one process did in one of its rounds, in trace-index terms."""
-
-    sent_index: Optional[int]  # None: participated without sending
-    end_index: Optional[int]  # None: round never completed in this trace
-    received_from: dict[ProcessId, int]  # src -> first receive index for this round
-
-
 class DirectionalityStreamChecker(StreamChecker):
     """Incremental round-view collection shared by batch and streaming modes.
 
     Maintains first-occurrence ``round_sent`` / ``round_end`` /
-    ``round_recv`` indexes per ``(pid, round)`` as events arrive —
-    equivalent state to the pre-refactor whole-trace ``_collect`` scan.
-    :meth:`finish` then runs the pair/round audit over the collected views
-    and produces the exact same report as the old batch checker.
+    ``round_recv`` indexes per ``(pid, round)`` as events arrive, and
+    *settles* a round once every correct process has both sent and ended
+    it: no later event can change that round's verdict (only first
+    occurrences count, and a later receive is past the round's end
+    either way). Settling audits the round's pairs, files each finding
+    under its (pair, round ordinal, direction) key, drops the round's
+    indexes and keeps only its label, so late events for it are ignored.
+    What the checker holds is the open rounds; what grows with the run is
+    one label per settled round and the findings themselves. :meth:`finish`
+    audits the rounds still open with the same per-round code and sorts
+    the findings, so its report is the whole-trace scan's, list order
+    included.
 
     With ``fail_fast=True`` the checker also evaluates obligations online,
     at the events where they become *definite*: a ``round_end`` that passes
@@ -130,7 +129,15 @@ class DirectionalityStreamChecker(StreamChecker):
         self.sent: dict[tuple[ProcessId, RoundId], int] = {}
         self.ended: dict[tuple[ProcessId, RoundId], int] = {}
         self.received: dict[tuple[ProcessId, RoundId], dict[ProcessId, int]] = {}
-        self.round_order: dict[RoundId, None] = {}
+        # open round -> [ordinal, first sends/ends still missing, the label
+        # as it first appeared (an equal label may arrive as another type)]
+        self._open: dict[RoundId, list] = {}
+        self._settled: set[RoundId] = set()
+        # settled rounds' findings, as their sort keys plus the label (the
+        # violation is built by finish), and their pair count
+        self._bidi: list[tuple] = []
+        self._uni: list[tuple] = []
+        self._pairs_checked = 0
 
     # -- streaming ---------------------------------------------------------
 
@@ -138,27 +145,37 @@ class DirectionalityStreamChecker(StreamChecker):
     kinds = frozenset({ROUND_SENT, ROUND_END, ROUND_RECV})
 
     def on_event(self, ev: TraceEvent) -> None:
-        if ev.pid not in self._pidset:
+        p, kind = ev.pid, ev.kind
+        if p not in self._pidset:
             return
-        if ev.kind == ROUND_SENT:
-            r = ev.field("round")
-            self.round_order.setdefault(r, None)
-            if (ev.pid, r) not in self.sent:
-                self.sent[(ev.pid, r)] = ev.index
-                if self.fail_fast:
-                    self._check_late_send(ev, ev.pid, r)
-        elif ev.kind == ROUND_END:
-            r = ev.field("round")
-            self.round_order.setdefault(r, None)
-            if (ev.pid, r) not in self.ended:
-                self.ended[(ev.pid, r)] = ev.index
-                if self.fail_fast:
-                    self._check_round_end(ev, ev.pid, r)
-        elif ev.kind == ROUND_RECV:
-            r = ev.field("round")
-            self.round_order.setdefault(r, None)
-            src = ev.field("src")
-            self.received.setdefault((ev.pid, r), {}).setdefault(src, ev.index)
+        if kind == ROUND_SENT:
+            first = self.sent
+        elif kind == ROUND_END:
+            first = self.ended
+        elif kind != ROUND_RECV:
+            return
+        r = ev.field("round")
+        if r in self._settled:
+            return
+        opened = self._open.get(r)
+        if opened is None:
+            opened = self._open[r] = [
+                len(self._open) + len(self._settled), 2 * len(self.correct), r
+            ]
+        if kind == ROUND_RECV:
+            self.received.setdefault((p, r), {}).setdefault(ev.field("src"), ev.index)
+            return
+        if (p, r) in first:
+            return
+        first[(p, r)] = ev.index
+        opened[1] -= 1
+        if self.fail_fast:
+            if kind == ROUND_SENT:
+                self._check_late_send(ev, p, r)
+            else:
+                self._check_round_end(ev, p, r)
+        if not opened[1]:
+            self._settle(opened[2], opened[0])
 
     def _got_in_round(self, p: ProcessId, r: RoundId, src: ProcessId) -> bool:
         got = self.received.get((p, r), {}).get(src)
@@ -225,76 +242,64 @@ class DirectionalityStreamChecker(StreamChecker):
         else:
             super()._flag(ev, violation)
 
-    # -- final audit -------------------------------------------------------
+    # -- audit -------------------------------------------------------------
 
-    def views(self) -> dict[ProcessId, dict[RoundId, _RoundView]]:
-        out: dict[ProcessId, dict[RoundId, _RoundView]] = {
-            p: {} for p in self.correct
-        }
-        keys = set(self.sent) | set(self.ended) | set(self.received)
-        for p, r in keys:
-            out[p][r] = _RoundView(
-                sent_index=self.sent.get((p, r)),
-                end_index=self.ended.get((p, r)),
-                received_from=self.received.get((p, r), {}),
-            )
-        return out
+    def _settle(self, r: RoundId, ordinal: int) -> None:
+        """Audit round ``r``, which every correct process sent and ended,
+        then forget all of it but its label."""
+        self._pairs_checked += self._audit(r, ordinal, self._bidi, self._uni)
+        del self._open[r]
+        self._settled.add(r)
+        for p in self.correct:
+            del self.sent[(p, r)], self.ended[(p, r)]
+            self.received.pop((p, r), None)
+
+    def _audit(self, r: RoundId, ordinal: int, bidi: list, uni: list) -> int:
+        """Every pair's obligations in round ``r``; appends each finding
+        as its (pair, ordinal[, direction]) key and the label, and returns
+        the number of pairs in which both processes sent."""
+        correct, sent, ended = self.correct, self.sent, self.ended
+        pairs = 0
+        for i, p in enumerate(correct):
+            for j in range(i + 1, len(correct)):
+                q = correct[j]
+                # --- bidirectional obligations (one-sided) ---
+                for slot, (s, v) in enumerate(((p, q), (q, p))):
+                    if ((s, r) in sent and (v, r) in ended
+                            and not self._got_in_round(v, r, s)):
+                        bidi.append((i, j, ordinal, slot, r))
+                # --- unidirectional obligation (both sent) ---
+                if (p, r) not in sent or (q, r) not in sent:
+                    continue
+                pairs += 1
+                # the obligation only binds if both rounds actually ended
+                if ((p, r) in ended and (q, r) in ended
+                        and not self._got_in_round(p, r, q)
+                        and not self._got_in_round(q, r, p)):
+                    uni.append((i, j, ordinal, r))
+        return pairs
 
     def finish(self) -> DirectionalityReport:
-        """Audit the collected views; identical to the pre-refactor scan."""
-        correct = self.correct
-        views = self.views()
-        report = DirectionalityReport()
-        # labels may be any hashable; preserve first-appearance order
-        all_rounds = list(
-            dict.fromkeys(
-                r for r in self.round_order
-                if any(r in views[p] for p in correct)
-            )
+        """The settled rounds' findings plus an audit of the open ones, in
+        pair, round and direction order: the whole-trace scan's report."""
+        bidi, uni = list(self._bidi), list(self._uni)
+        pairs = self._pairs_checked
+        for ordinal, _, r in self._open.values():
+            pairs += self._audit(r, ordinal, bidi, uni)
+        report = DirectionalityReport(
+            rounds_checked=len(self._open) + len(self._settled),
+            pairs_checked=pairs,
         )
-        report.rounds_checked = len(all_rounds)
-
-        for i, p in enumerate(correct):
-            for q in correct[i + 1 :]:
-                for r in all_rounds:
-                    vp = views[p].get(r)
-                    vq = views[q].get(r)
-                    # --- bidirectional obligations (one-sided) ---
-                    for sender, receiver, vs, vr in ((p, q, vp, vq), (q, p, vq, vp)):
-                        if vs is None or vs.sent_index is None:
-                            continue
-                        if vr is None or vr.end_index is None:
-                            continue
-                        got = vr.received_from.get(sender)
-                        if got is None or got > vr.end_index:
-                            report.bidirectional_violations.append(
-                                PairViolation(
-                                    sender,
-                                    receiver,
-                                    r,
-                                    f"{receiver} ended round {r} without {sender}'s message",
-                                )
-                            )
-                    # --- unidirectional obligation (both sent) ---
-                    if vp is None or vq is None:
-                        continue
-                    if vp.sent_index is None or vq.sent_index is None:
-                        continue
-                    report.pairs_checked += 1
-                    p_ok = _received_in_round(vp, q)
-                    q_ok = _received_in_round(vq, p)
-                    if not p_ok and not q_ok:
-                        # obligation only binds if both rounds actually ended
-                        if vp.end_index is not None and vq.end_index is not None:
-                            report.unidirectional_violations.append(
-                                PairViolation(
-                                    p,
-                                    q,
-                                    r,
-                                    "neither process received the other's round "
-                                    f"{r} message before its round ended",
-                                )
-                            )
+        c = self.correct
+        # the keys are unique, so sorting never compares two labels
+        for i, j, _, slot, r in sorted(bidi):
+            s, v = (c[j], c[i]) if slot else (c[i], c[j])
+            report.bidirectional_violations.append(PairViolation(
+                s, v, r, f"{v} ended round {r} without {s}'s message"))
+        for i, j, _, r in sorted(uni):
+            report.unidirectional_violations.append(PairViolation(
+                c[i], c[j], r, "neither process received the other's round "
+                f"{r} message before its round ended"))
         return report
 
 
@@ -314,9 +319,3 @@ def check_directionality(
     """
     return DirectionalityStreamChecker(correct).consume(trace).finish()
 
-
-def _received_in_round(view: _RoundView, src: ProcessId) -> bool:
-    got = view.received_from.get(src)
-    if got is None:
-        return False
-    return view.end_index is None or got <= view.end_index

@@ -75,12 +75,22 @@ class DeadlineMonitor:
       before ``now`` and returns them as violations;
     - :meth:`flush` does the same for an end-of-run time and additionally
       reports the still-pending tail as unresolved.
+
+    A discharged obligation stays in the heap until its deadline pops it,
+    and a bound longer than the run never pops it, so the heap is rebuilt
+    without them under ``Scheduler.cancel``'s rule: more than
+    :attr:`COMPACT_MIN_HEAP` entries and more than half of them done.
+    Entries keep their ``(deadline, seq)`` keys, so expiry order is
+    unaffected.
     """
+
+    COMPACT_MIN_HEAP = 128
 
     def __init__(self) -> None:
         self._heap: list[tuple[Time, int, Obligation]] = []
         self._live: dict[Hashable, Obligation] = {}
         self._seq = 0  # FIFO tiebreak for equal deadlines → deterministic order
+        self._done_in_heap = 0
 
     def __len__(self) -> int:
         return len(self._live)
@@ -94,7 +104,7 @@ class DeadlineMonitor:
         if prior is not None:
             if deadline <= prior.deadline:
                 return
-            prior.done = True  # superseded; lazy-deleted from the heap
+            self._discharge(prior)  # superseded; lazy-deleted from the heap
         ob = Obligation(key, deadline, message)
         self._live[key] = ob
         heapq.heappush(self._heap, (deadline, self._seq, ob))
@@ -104,8 +114,18 @@ class DeadlineMonitor:
         ob = self._live.pop(key, None)
         if ob is None:
             return False
-        ob.done = True
+        self._discharge(ob)
         return True
+
+    def _discharge(self, ob: Obligation) -> None:
+        ob.done = True
+        self._done_in_heap += 1
+        heap = self._heap
+        if (len(heap) > self.COMPACT_MIN_HEAP
+                and self._done_in_heap * 2 > len(heap)):
+            heap[:] = [entry for entry in heap if not entry[2].done]
+            heapq.heapify(heap)
+            self._done_in_heap = 0
 
     def advance(self, now: Time) -> list[Obligation]:
         """Expire obligations with ``deadline < now``; they are permanent."""
@@ -114,6 +134,7 @@ class DeadlineMonitor:
         while heap and heap[0][0] < now:
             _, _, ob = heapq.heappop(heap)
             if ob.done:
+                self._done_in_heap -= 1
                 continue
             self._live.pop(ob.key, None)
             expired.append(ob)
@@ -133,6 +154,7 @@ class DeadlineMonitor:
             ob.done = True
         self._live.clear()
         self._heap.clear()
+        self._done_in_heap = 0
         return violated, unresolved
 
 

@@ -18,10 +18,11 @@ Three capabilities beyond a plain list:
   as they are recorded, enabling *online* checkers that maintain incremental
   state and fail at the violating event instead of rescanning the finished
   trace. A record no subscriber wants builds no event object.
-- **Bounded memory + JSONL.** A ``retention`` limit turns the store into a
-  ring buffer (evicted events stay counted in per-kind/per-pid summaries),
-  and :meth:`to_jsonl` / :meth:`from_jsonl` round-trip a trace through a
-  line-oriented text format for offline analysis and deterministic replay.
+- **Bounded memory + JSONL.** A ``retention`` limit turns the columns into
+  a ring that overwrites its oldest row in place (evicted events stay
+  counted in :attr:`~TraceStore.evicted`), and :meth:`to_jsonl` /
+  :meth:`from_jsonl` round-trip a trace through a line-oriented text
+  format for offline analysis and deterministic replay.
 
 Indistinguishability arguments (the separation scenarios) compare the
 *local view* of a process between two executions: the ordered sequence of
@@ -35,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from ..errors import ConfigurationError, PropertyViolation
@@ -107,6 +109,10 @@ class TraceEvent(NamedTuple):
         indistinguishable, so views compare event *content and order* only.
         """
         return (self.kind, tuple(sorted(self.fields.items(), key=lambda kv: kv[0])))
+
+
+# the named tuple's own ``__new__`` is a Python-level wrapper around this
+_new_event = tuple.__new__
 
 
 class TraceObserver:
@@ -300,27 +306,22 @@ class TraceStore:
     """Append-only columnar event log with a kind-routed observer bus.
 
     ``retention`` bounds the number of events kept in memory: ``None``
-    (default) keeps everything; ``N`` keeps the most recent ``N`` events in
-    a ring buffer (:attr:`total_recorded` and :attr:`evicted` still count
-    the evicted prefix). Observers always see every event of their kinds
+    (default) keeps everything; ``N`` keeps the most recent ``N`` events,
+    never more (:attr:`total_recorded` and :attr:`evicted` still count the
+    evicted prefix). Observers always see every event of their kinds
     regardless of retention — streaming checkers are the intended consumer
     for runs too long to hold in full.
 
-    Cost contract: :meth:`record` does five column appends, one routed
-    dispatch and, on a full ring, an O(1) eviction — it pays only for what
-    is observed. Storage is *columnar* (five parallel lists: index, time,
-    kind, pid, fields), and a :class:`TraceEvent` is built only for a record
-    some subscriber's :attr:`~TraceObserver.kinds` cover or for a reader
-    that asks for one. Every query is one walk over the retained rows,
-    filtering on the columns before it builds an event. Eviction is
-    amortized: an evicted row is first only marked dead at the front of the
-    columns (its fields released), and the dead prefix is deleted in one
-    batch once it reaches half the column length.
+    Cost contract: :meth:`record` writes one row — five column appends, or
+    on a full ring five stores over the oldest row — and does one routed
+    dispatch; it pays only for what is observed. Storage is *columnar*
+    (five parallel lists: index, time, kind, pid, fields), so a row adds
+    no container of its own for the cycle collector to track, and a
+    :class:`TraceEvent` is built only for a record some subscriber's
+    :attr:`~TraceObserver.kinds` cover or for a reader that asks for one.
+    Every query is one walk over the retained rows, oldest first from the
+    ring's head, filtering on the columns before it builds an event.
     """
-
-    #: dead column prefixes shorter than this ride for free (and below
-    #: half the column length a compaction would not be amortized-O(1))
-    _EVICT_COMPACT_MIN = 64
 
     def __init__(self, retention: int | None = None) -> None:
         if retention is not None and retention < 1:
@@ -332,8 +333,8 @@ class TraceStore:
         self._c_kind: list[str] = []
         self._c_pid: list[ProcessId] = []
         self._c_fields: list[dict[str, Any]] = []
-        self._offset = 0  # rows _compact has deleted (they count as evicted)
-        self._dead = 0  # evicted rows not yet physically deleted (front)
+        self._head = 0  # row of the oldest event once a bounded ring is full
+        self._skipped = 0  # indexes a gapped JSONL import left unused
         self._observers: list[TraceObserver] = []
         self._routes: dict[str, tuple] = {}  # kind -> _route(observers, kind)
         self._next_index = 0
@@ -342,47 +343,44 @@ class TraceStore:
 
     def _materialize(self, phys: int) -> TraceEvent:
         """Build the TraceEvent for physical row ``phys``."""
-        return TraceEvent(
+        return _new_event(TraceEvent, (
             self._c_index[phys], self._c_time[phys], self._c_kind[phys],
             self._c_pid[phys], self._c_fields[phys],
-        )
+        ))
 
-    def _live_rows(self) -> range:
+    def _live_rows(self) -> Iterable[int]:
         """Physical row numbers of the retained events, in trace order."""
-        return range(self._dead, len(self._c_time))
-
-    def _compact(self, n: int) -> None:
-        """Delete the first ``n`` rows (all evicted)."""
-        for column in (self._c_index, self._c_time, self._c_kind,
-                       self._c_pid, self._c_fields):
-            del column[:n]
-        self._offset += n
-        self._dead = 0
+        head = self._head
+        return chain(range(head, len(self._c_time)), range(head))
 
     # -- recording -------------------------------------------------------
 
     def record(self, time: Time, kind: str, pid: ProcessId, **fields: Any) -> None:
         index = self._next_index
         self._next_index = index + 1
-        self._c_index.append(index)
-        self._c_time.append(time)
-        self._c_kind.append(kind)
-        self._c_pid.append(pid)
-        self._c_fields.append(fields)
+        times = self._c_time
+        if len(times) != self.retention:  # unbounded, or a ring still filling
+            self._c_index.append(index)
+            times.append(time)
+            self._c_kind.append(kind)
+            self._c_pid.append(pid)
+            self._c_fields.append(fields)
+        else:  # a full ring: the new row overwrites the oldest
+            head = self._head
+            self._c_index[head] = index
+            times[head] = time
+            self._c_kind[head] = kind
+            self._c_pid[head] = pid
+            self._c_fields[head] = fields
+            head += 1
+            self._head = head if head != len(times) else 0
         route = self._routes.get(kind)
         if route is None:
             route = self._routes[kind] = _route(self._observers, kind)
         if route:  # a snapshot: (un)subscribing inside on_event is safe
-            ev = TraceEvent(index, time, kind, pid, fields)
+            ev = _new_event(TraceEvent, (index, time, kind, pid, fields))
             for on_event in route:
                 on_event(ev)
-        if self.retention is not None:
-            dead, size = self._dead, len(self._c_time)
-            if size - dead > self.retention:  # evict the oldest live row
-                self._c_fields[dead] = None  # type: ignore[call-overload]
-                self._dead = dead = dead + 1
-                if dead >= self._EVICT_COMPACT_MIN and dead * 2 >= size:
-                    self._compact(dead)
 
     # -- observer bus -----------------------------------------------------
 
@@ -420,7 +418,7 @@ class TraceStore:
 
     def __len__(self) -> int:
         """Number of *retained* events (equals total recorded unless bounded)."""
-        return len(self._c_time) - self._dead
+        return len(self._c_time)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         for phys in self._live_rows():
@@ -433,7 +431,8 @@ class TraceStore:
 
     @property
     def evicted(self) -> int:
-        return self._offset + self._dead
+        """Rows recorded minus rows retained."""
+        return self._next_index - self._skipped - len(self._c_time)
 
     def events(
         self,
@@ -568,6 +567,7 @@ class TraceStore:
                 raise ConfigurationError(
                     f"JSONL trace indexes not increasing at event {ev.index}"
                 )
+            store._skipped += ev.index - store._next_index
             store._next_index = ev.index  # need not be contiguous
             store.record(ev.time, ev.kind, ev.pid, **ev.fields)
         return store

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.consensus.safety import (
@@ -58,6 +60,29 @@ class TestDeadlineMonitor:
         m.expect("b", 20.0, "b")
         m.expect("a", 10.0, "a")
         assert [ob.key for ob in m.pending()] == ["a", "b"]
+
+    def test_sweeping_discharged_obligations_keeps_expiry_order(self):
+        """Far more discharges than live obligations, so the heap is
+        rebuilt many times; what expires, and in what order, is still a
+        plain sort of the live obligations by (deadline, registration)."""
+        rng = random.Random(7)
+        m, model, seq = DeadlineMonitor(), {}, 0
+        for now in range(0, 2_000, 50):
+            for _ in range(60):
+                key, deadline = rng.randrange(300), float(now + rng.randrange(400))
+                m.expect(key, deadline, f"{key}@{deadline}")
+                if key not in model or deadline > model[key][0]:
+                    model[key] = (deadline, seq, f"{key}@{deadline}")
+                    seq += 1
+                gone = rng.randrange(300)
+                assert m.satisfy(gone) == (model.pop(gone, None) is not None)
+            assert len(m._heap) <= max(128, 2 * len(m))
+            due = sorted((v, k) for k, v in model.items() if v[0] < now)
+            for _, key in due:
+                del model[key]
+            assert [ob.message for ob in m.advance(float(now))] == [
+                v[2] for v, _ in due]
+        assert len(m) == len(model)
 
 
 def _custom(trace, time, pid, **fields):

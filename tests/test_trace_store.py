@@ -458,13 +458,14 @@ class LazyStoreMachine(RuleBasedStateMachine):
 
     @rule(kind=sm_kind, pid=sm_pid)
     def record_under_a_raising_observer(self, kind, pid):
-        # today's semantics, pinned: the row is recorded, observers before
-        # the raiser are served, those after it are not, nothing is evicted
+        # pinned: the row is recorded (over the oldest one, on a full ring,
+        # so the store never holds more than retention rows), observers
+        # before the raiser are served, those after it are not
         trip, late = Tripwire(), Log()
         self.store.subscribe(trip)
         self.store.subscribe(late)
         row, fields = self._row(kind, pid)
-        self.model.append(*row, **fields)
+        self.model.record(*row, **fields)
         with pytest.raises(ValueError, match="tripped"):
             self.store.record(*row, **fields)
         assert late.seen == []
@@ -546,14 +547,18 @@ class TestLazyIndexCases:
 
     @pytest.mark.parametrize("retention", [1, 7, 64, 200])
     def test_watermark_overtaken_by_eviction_and_by_compaction(self, retention):
+        # the ring overwrites in place; a full wrap is where a dead prefix
+        # used to be compacted away under the reads
         store, model = self.pair(retention, retention + 3)
         assert_same(store, model)
-        # every indexed row evicted, none of them compacted away yet ...
+        # rows evicted, the ring's head part-way round ...
         self.feed(store, model, min(retention + 1, 40))
         assert_same(store, model)
-        # ... and now with the dead prefix deleted under the indexes
-        self.feed(store, model, 2 * max(retention, TraceStore._EVICT_COMPACT_MIN) + 5)
-        assert store._offset > 0
+        # ... and now every row the reads above saw overwritten
+        before = {ev.index for ev in store}
+        self.feed(store, model, retention + 5)
+        assert before.isdisjoint(ev.index for ev in store)
+        assert store.evicted == model.next_index - retention
         assert_same(store, model)
 
     @pytest.mark.parametrize("retention", RETENTIONS)
@@ -569,6 +574,7 @@ class TestLazyIndexCases:
         back = TraceStore.from_jsonl("\n".join(lines))
         kept = [ev for ev in store if ev.index >= 5 and (ev.index - 5) % 3 == 0]
         assert list(back) == kept and back.total_recorded == kept[-1].index + 1
+        assert back.evicted == 0  # the gaps were never recorded here
         for kind in KINDS:
             assert back.events(kind) == [ev for ev in kept if ev.kind == kind]
         for pid in PIDS:
