@@ -19,9 +19,9 @@ Both checking modes share one incremental core
 (:class:`DirectionalityStreamChecker`): batch :func:`check_directionality`
 replays a finished trace through it; attached as a live
 :class:`~repro.sim.trace.TraceObserver` with ``fail_fast=True`` the same
-core detects violations online — a directionality violation is permanent
-the moment the relevant ``round_end`` passes without the required receipt,
-so the run aborts at that exact event.
+core detects unidirectionality violations online — one is permanent the
+moment the relevant ``round_end`` passes without the required receipt, so
+the run aborts at that exact event.
 """
 
 from __future__ import annotations
@@ -110,14 +110,13 @@ class DirectionalityStreamChecker(StreamChecker):
     the findings, so its report is the whole-trace scan's, list order
     included.
 
-    With ``fail_fast=True`` the checker also evaluates obligations online,
-    at the events where they become *definite*: a ``round_end`` that passes
-    without the required receipt (later receives carry higher trace
-    indexes, so they cannot retroactively satisfy the obligation), or a
-    straggling ``round_sent`` arriving after the peer's round already
-    ended. :meth:`finish` remains authoritative for the full report.
-    Each finding is a :class:`PairViolation`; a bidirectional miss is
-    recorded but never fatal — the property checked is unidirectionality.
+    With ``fail_fast=True`` the checker also raises online, at the
+    ``round_end`` that makes a unidirectional miss definite: both processes
+    sent and have now ended round r, and neither received the other's
+    message in-round (later receives carry higher trace indexes, so they
+    cannot retroactively satisfy the obligation). Bidirectional misses are
+    never fatal — the property checked is unidirectionality — so they are
+    left to :meth:`finish`, which remains authoritative for the full report.
     """
 
     def __init__(
@@ -169,11 +168,8 @@ class DirectionalityStreamChecker(StreamChecker):
             return
         first[(p, r)] = ev.index
         opened[1] -= 1
-        if self.fail_fast:
-            if kind == ROUND_SENT:
-                self._check_late_send(ev, p, r)
-            else:
-                self._check_round_end(ev, p, r)
+        if self.fail_fast and kind == ROUND_END:
+            self._check_round_end(ev, p, r)
         if not opened[1]:
             self._settle(opened[2], opened[0])
 
@@ -185,21 +181,9 @@ class DirectionalityStreamChecker(StreamChecker):
         return end is None or got <= end
 
     def _check_round_end(self, ev: TraceEvent, p: ProcessId, r: RoundId) -> None:
-        # p's round r just ended; any sender already on record whose message
-        # p has not received in-round is now a definite bidirectional miss.
-        for s in self.correct:
-            if s == p or (s, r) not in self.sent:
-                continue
-            if not self._got_in_round(p, r, s):
-                self._flag(
-                    ev,
-                    PairViolation(
-                        s, p, r, f"{p} ended round {r} without {s}'s message"
-                    ),
-                    bidirectional=True,
-                )
-        # unidirectional: pairs where both sent and both have now ended with
-        # neither having heard the other in-round.
+        # p's round r just ended: a pair where both sent and both have now
+        # ended with neither having heard the other in-round is a definite
+        # unidirectional miss.
         if (p, r) not in self.sent:
             return
         for q in self.correct:
@@ -207,40 +191,9 @@ class DirectionalityStreamChecker(StreamChecker):
                 continue
             if not self._got_in_round(p, r, q) and not self._got_in_round(q, r, p):
                 a, b = (p, q) if p < q else (q, p)
-                self._flag(
-                    ev,
-                    PairViolation(
-                        a,
-                        b,
-                        r,
-                        "neither process received the other's round "
-                        f"{r} message before its round ended",
-                    ),
-                    bidirectional=False,
-                )
-
-    def _check_late_send(self, ev: TraceEvent, s: ProcessId, r: RoundId) -> None:
-        # s's first round-r send arrived after some peers already ended round
-        # r — those peers can no longer have received it in-round.
-        for p in self.correct:
-            if p == s or (p, r) not in self.ended:
-                continue
-            if not self._got_in_round(p, r, s):
-                self._flag(
-                    ev,
-                    PairViolation(
-                        s, p, r, f"{p} ended round {r} without {s}'s message"
-                    ),
-                    bidirectional=True,
-                )
-
-    def _flag(
-        self, ev: TraceEvent, violation: PairViolation, bidirectional: bool
-    ) -> None:
-        if bidirectional:
-            self.online_violations.append((ev.index, violation))
-        else:
-            super()._flag(ev, violation)
+                self._flag(ev, PairViolation(
+                    a, b, r, "neither process received the other's round "
+                    f"{r} message before its round ended"))
 
     # -- audit -------------------------------------------------------------
 

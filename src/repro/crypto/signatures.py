@@ -1,37 +1,26 @@
 """Simulated unforgeable transferable signatures.
 
-The model follows the object-capability discipline used throughout this
-library: a :class:`SignatureScheme` owns per-process secret keys and hands
-out a :class:`Signer` capability to each process exactly once. Simulated
-Byzantine processes receive *their own* signer only; since the secret key
-bytes never appear outside this module, no in-simulation adversary can forge
-a signature of another process. Verification needs only the scheme object
-and the claimed signer id, so signatures are *transferable*: any process may
-relay a signature it received and third parties can verify it, which is what
-the L1/L2 proof construction of Algorithm 1 in the paper relies on.
+A :class:`SignatureScheme` hands out one :class:`Signer` capability per
+process, exactly once; a Byzantine process holds its own signer only and
+cannot forge another's signature. Verification needs only the scheme and
+the claimed signer id, so signatures are *transferable*, which the L1/L2
+proofs of the paper's Algorithm 1 rely on.
 
-Implementation detail: signatures are HMAC-SHA256 tags over the canonical
-serialization of the payload, keyed by a per-process key derived from the
-scheme seed. This keeps runs deterministic across platforms.
+Keys and tags live in a :class:`Keyring`, the one root of trust that
+TrInc, A2M and the enclaves of :mod:`repro.hardware` share: HMAC-SHA256
+over a canonical serialization, keyed per process from ``(domain, seed)``,
+so runs are deterministic across platforms.
 
-Hot path: the L1/L2 proof pyramids of Algorithm 1 (and PBFT's all-to-all
-phases) carry the *same* signatures to every process, and every receiver
-rebuilds the signed domain tuple before checking one. So each scheme keeps
-a bounded verdict memo keyed by ``(signer, tag, *parts of the signed
-tuple)`` and probes it *before* encoding anything: a signature is
-HMAC-verified once per scheme, after which a check is a dict probe — no
-serialization, no HMAC. The key stands in for ``(signer's key, encoding,
-tag)``, which is what the verdict is a function of, under the rules of
-:class:`~repro.crypto.serialize.IdentityMemo`: a scalar part is keyed by
-exact type and value (``True``, ``1`` and ``1.0`` encode differently and
-never share an entry), a compound part by pinned identity and only once
-the encoder has proven it deeply immutable (so its encoding cannot change
-under the entry), a hit re-checks ``is``. Whatever is not admissible — a
-value that is not exactly a ``tuple``, a list or ``bytearray`` or bare
-``float`` or subclass instance among the parts — verifies uncached, so
-cached and uncached verify are extensionally identical (hypothesis-tested
-with look-alike mutations, ``tests/test_memo_poisoning.py``). Structurally
-malformed tags (wrong type or length) are cheap-rejected before any
+Hot path: the L1/L2 proof pyramids (and PBFT's all-to-all phases) carry
+the *same* signatures to every process. So each scheme keeps a bounded
+verdict memo keyed by ``(signer, tag, *parts of the signed tuple)`` under
+the rules of :class:`~repro.crypto.serialize.IdentityMemo` (exact-typed
+scalars; compound parts by pinned identity once the encoder has proven
+them deeply immutable), probed *before* encoding anything: a signature is
+HMAC-verified once per scheme, after which a check is a dict probe.
+Whatever the memo cannot admit verifies uncached, so cached and uncached
+verify are extensionally identical (``tests/test_memo_poisoning.py``).
+Malformed tags (wrong type or length) are cheap-rejected before any
 serialization or HMAC. All activity is counted in
 :data:`repro.crypto.serialize.STATS`.
 """
@@ -41,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from ..errors import SignatureError
 from ..types import ProcessId
@@ -70,6 +59,54 @@ class Signature:
 
     def __repr__(self) -> str:
         return f"Signature(signer={self.signer}, tag={self.tag[:4].hex()}…)"
+
+
+class Keyring:
+    """The per-process keys of one root of trust, and all that touches them.
+
+    Keys derive from ``(domain, seed)``: two keyrings of one domain and
+    seed mint identical tags, and keyrings of different domains or seeds
+    reject each other's. Key bytes never leave the keyring; holders ask
+    for a tag over a statement (:meth:`mac`) or whether a tag is genuine
+    (:meth:`check`).
+    """
+
+    __slots__ = ("n", "_keys")
+
+    def __init__(self, domain: str, n: int, seed: int) -> None:
+        self.n = n
+        root = hashlib.sha256(f"repro-{domain}|{seed}".encode()).digest()
+        self._keys: dict[ProcessId, bytes] = {
+            pid: hashlib.sha256(root + pid.to_bytes(8, "big")).digest()
+            for pid in range(n)
+        }
+
+    def __contains__(self, pid: Any) -> bool:
+        try:
+            return pid in self._keys
+        except TypeError:  # an unhashable "pid"
+            return False
+
+    def mac(self, pid: ProcessId, statement: Any) -> bytes:
+        """``pid``'s tag of ``statement``: HMAC-SHA256 over its canonical
+        encoding. Raises :class:`SignatureError` on a statement that does
+        not encode (before counting an HMAC)."""
+        body = canonical_bytes(statement)
+        STATS.hmac_ops += 1
+        return hmac.new(self._keys[pid], body, hashlib.sha256).digest()
+
+    def check(self, pid: ProcessId, statement: Callable[[], Any],
+              tag: Any) -> bool:
+        """Whether ``tag`` is ``pid``'s tag of ``statement()``.
+
+        Never raises: a statement that cannot be built or encoded (it is
+        built here, under the guard, because hashing a wire value can
+        raise) and a tag that is not bytes-like both read as forged.
+        """
+        try:
+            return hmac.compare_digest(self.mac(pid, statement()), tag)
+        except Exception:
+            return False
 
 
 class Signer:
@@ -120,13 +157,7 @@ class SignatureScheme:
     def __init__(self, n: int, seed: int = 0) -> None:
         if n <= 0:
             raise SignatureError(f"scheme needs at least one process, got n={n}")
-        self._n = n
-        self._seed = seed
-        root = hashlib.sha256(f"repro-pki|{seed}".encode()).digest()
-        self._keys: dict[ProcessId, bytes] = {
-            pid: hashlib.sha256(root + pid.to_bytes(8, "big")).digest()
-            for pid in range(n)
-        }
+        self._keyring = Keyring("pki", n, seed)
         self._issued: set[ProcessId] = set()
         # (signer, tag, *parts of the signed tuple) -> bool; one HMAC per
         # unique signature transferred through this scheme's proofs
@@ -137,7 +168,7 @@ class SignatureScheme:
 
     @property
     def n(self) -> int:
-        return self._n
+        return self._keyring.n
 
     def signer(self, pid: ProcessId) -> Signer:
         """Issue the signing capability for ``pid``; valid at most once per pid.
@@ -145,8 +176,8 @@ class SignatureScheme:
         The once-only rule catches simulation wiring bugs where two process
         objects believe they are the same principal.
         """
-        if pid not in self._keys:
-            raise SignatureError(f"no such process id {pid} (n={self._n})")
+        if pid not in self._keyring:
+            raise SignatureError(f"no such process id {pid} (n={self.n})")
         if pid in self._issued:
             raise SignatureError(f"signer for process {pid} already issued")
         self._issued.add(pid)
@@ -154,9 +185,7 @@ class SignatureScheme:
 
     def _sign(self, pid: ProcessId, value: Any) -> Signature:
         STATS.signs += 1
-        STATS.hmac_ops += 1
-        tag = hmac.new(self._keys[pid], canonical_bytes(value), hashlib.sha256)
-        return Signature(signer=pid, tag=tag.digest())
+        return Signature(signer=pid, tag=self._keyring.mac(pid, value))
 
     def verify(self, value: Any, signature: Signature) -> bool:
         """Check that ``signature`` is a valid signature of ``value``.
@@ -179,11 +208,7 @@ class SignatureScheme:
         if not isinstance(tag, (bytes, bytearray)) or len(tag) != TAG_LENGTH:
             STATS.cheap_rejects += 1
             return False
-        try:
-            key = self._keys.get(signature.signer)
-        except TypeError:  # an unhashable "signer"
-            return False
-        if key is None:
+        if signature.signer not in self._keyring:
             return False
         caching = caching_enabled()
         parts = None
@@ -194,13 +219,11 @@ class SignatureScheme:
                 STATS.verify_hits += 1
                 return verdict
         try:
-            payload = canonical_bytes(value)
+            expected = self._keyring.mac(signature.signer, value)
         except SignatureError:
             return False
         if caching:
             STATS.verify_misses += 1
-        STATS.hmac_ops += 1
-        expected = hmac.new(key, payload, hashlib.sha256).digest()
         verdict = hmac.compare_digest(expected, tag)
         if parts is not None:
             self._verdicts.put(parts, verdict)

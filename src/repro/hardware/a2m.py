@@ -13,21 +13,19 @@ challenge. Past entries can never be modified, so two attestations for the
 same ``(log_id, s)`` always carry the same value — the non-equivocation
 guarantee.
 
-The device keys live in :class:`A2MAuthority`; processes hold an
-:class:`A2MDevice` capability. As with TrInc, Byzantine holders can drive
-their device arbitrarily but never forge statements, and anyone can verify
-a relayed statement via the authority.
+As with TrInc, :class:`A2MAuthority` holds the device keys (a
+:class:`~repro.crypto.signatures.Keyring`) and verifies relayed statements;
+processes hold an :class:`A2MDevice` capability, which a Byzantine host can
+drive arbitrarily but cannot make forge.
 """
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..crypto.serialize import STATS as _CRYPTO_STATS
-from ..crypto.serialize import canonical_bytes, content_hash
+from ..crypto.serialize import content_hash
+from ..crypto.signatures import Keyring
 from ..errors import AttestationError, ConfigurationError
 from ..types import ProcessId, SeqNum
 
@@ -65,21 +63,16 @@ class A2MAuthority:
     def __init__(self, n: int, seed: int = 0) -> None:
         if n <= 0:
             raise ConfigurationError(f"need at least one device, got n={n}")
-        self._n = n
-        root = hashlib.sha256(f"repro-a2m|{seed}".encode()).digest()
-        self._keys: dict[ProcessId, bytes] = {
-            pid: hashlib.sha256(root + pid.to_bytes(8, "big")).digest()
-            for pid in range(n)
-        }
+        self._keyring = Keyring("a2m", n, seed)
         self._issued: set[ProcessId] = set()
 
     @property
     def n(self) -> int:
-        return self._n
+        return self._keyring.n
 
     def device(self, pid: ProcessId) -> "A2MDevice":
-        if pid not in self._keys:
-            raise ConfigurationError(f"no device for pid {pid} (n={self._n})")
+        if pid not in self._keyring:
+            raise ConfigurationError(f"no device for pid {pid} (n={self.n})")
         if pid in self._issued:
             raise ConfigurationError(f"device for pid {pid} already issued")
         self._issued.add(pid)
@@ -87,26 +80,27 @@ class A2MAuthority:
 
     def _tag(self, pid: ProcessId, kind: str, log_id: int, index: SeqNum,
              value: Any, nonce: Any) -> bytes:
-        body = canonical_bytes(
-            ("a2m", pid, kind, log_id, index, content_hash(value), content_hash(nonce))
-        )
-        _CRYPTO_STATS.hmac_ops += 1
-        return hmac.new(self._keys[pid], body, hashlib.sha256).digest()
+        return self._keyring.mac(
+            pid, _stated(pid, kind, log_id, index, value, nonce))
 
     def check(self, statement: Any, q: ProcessId) -> bool:
         """True iff ``statement`` was genuinely produced by device ``q``."""
         s = statement
         if not isinstance(s, A2MStatement):
             return False
-        if s.device_id != q or q not in self._keys:
+        if s.device_id != q or q not in self._keyring:
             return False
         if s.kind not in (LOOKUP, END):
             return False
-        try:
-            expected = self._tag(q, s.kind, s.log_id, s.index, s.value, s.nonce)
-        except Exception:
-            return False
-        return hmac.compare_digest(expected, s.tag)
+        return self._keyring.check(q, lambda: _stated(
+            q, s.kind, s.log_id, s.index, s.value, s.nonce), s.tag)
+
+
+def _stated(pid: ProcessId, kind: str, log_id: int, index: SeqNum,
+            value: Any, nonce: Any) -> tuple:
+    """What an :class:`A2MStatement`'s tag binds."""
+    return ("a2m", pid, kind, log_id, index, content_hash(value),
+            content_hash(nonce))
 
 
 class A2MDevice:

@@ -17,13 +17,11 @@ history without detection.
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
-from ..crypto.serialize import STATS as _CRYPTO_STATS
-from ..crypto.serialize import canonical_bytes, content_hash
+from ..crypto.serialize import content_hash
+from ..crypto.signatures import Keyring
 from ..errors import AttestationError, ConfigurationError
 from ..types import ProcessId, SeqNum
 
@@ -81,16 +79,11 @@ class EnclaveAuthority:
     def __init__(self, n: int, seed: int = 0) -> None:
         if n <= 0:
             raise ConfigurationError(f"need at least one device, got n={n}")
-        self._n = n
-        root = hashlib.sha256(f"repro-enclave|{seed}".encode()).digest()
-        self._keys: dict[ProcessId, bytes] = {
-            pid: hashlib.sha256(root + pid.to_bytes(8, "big")).digest()
-            for pid in range(n)
-        }
+        self._keyring = Keyring("enclave", n, seed)
 
     @property
     def n(self) -> int:
-        return self._n
+        return self._keyring.n
 
     def launch(self, pid: ProcessId, program: EnclaveProgram) -> "Enclave":
         """Start ``program`` on ``pid``'s device.
@@ -98,17 +91,14 @@ class EnclaveAuthority:
         Unlike trinkets, a device may launch many enclaves (real SGX does);
         each launch is an independent attested history.
         """
-        if pid not in self._keys:
-            raise ConfigurationError(f"no enclave device for pid {pid} (n={self._n})")
+        if pid not in self._keyring:
+            raise ConfigurationError(f"no enclave device for pid {pid} (n={self.n})")
         return Enclave(self, pid, program)
 
     def _tag(self, pid: ProcessId, measurement: str, seq: SeqNum,
              input_hash: bytes, output: Any) -> bytes:
-        body = canonical_bytes(
-            ("enclave", pid, measurement, seq, input_hash, content_hash(output))
-        )
-        _CRYPTO_STATS.hmac_ops += 1
-        return hmac.new(self._keys[pid], body, hashlib.sha256).digest()
+        return self._keyring.mac(
+            pid, _output(pid, measurement, seq, input_hash, output))
 
     def check(self, out: Any, q: ProcessId,
               measurement: str | None = None) -> bool:
@@ -120,17 +110,20 @@ class EnclaveAuthority:
         o = out
         if not isinstance(o, EnclaveOutput):
             return False
-        if o.device_id != q or q not in self._keys:
+        if o.device_id != q or q not in self._keyring:
             return False
         if measurement is not None and o.measurement != measurement:
             return False
         if not isinstance(o.seq, int) or o.seq < 1:
             return False
-        try:
-            expected = self._tag(q, o.measurement, o.seq, o.input_hash, o.output)
-        except Exception:
-            return False
-        return hmac.compare_digest(expected, o.tag)
+        return self._keyring.check(q, lambda: _output(
+            q, o.measurement, o.seq, o.input_hash, o.output), o.tag)
+
+
+def _output(pid: ProcessId, measurement: str, seq: SeqNum, input_hash: bytes,
+            output: Any) -> tuple:
+    """What an :class:`EnclaveOutput`'s tag binds."""
+    return ("enclave", pid, measurement, seq, input_hash, content_hash(output))
 
 
 class Enclave:

@@ -15,22 +15,20 @@ Following real TrInc, a trinket hosts **multiple independent counters**
 (``counter_id``); the paper's simplified interface is counter 0, which the
 :meth:`Trinket.attest` default provides.
 
-Trust model: the :class:`TrincAuthority` holds all device keys; processes
-get a :class:`Trinket` capability (their device). Byzantine processes hold
-their trinket and may drive it arbitrarily, but cannot extract keys or
-mint attestations for other trinkets — :meth:`TrincAuthority.check` is the
-public verifier anyone can call on a relayed attestation (transferability).
+Trust model: the :class:`TrincAuthority` holds the device keys (a
+:class:`~repro.crypto.signatures.Keyring`); processes get a
+:class:`Trinket` capability. Byzantine hosts may drive their own trinket
+arbitrarily but cannot mint attestations for another;
+:meth:`TrincAuthority.check` is the public verifier of relayed ones.
 """
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..crypto.serialize import STATS as _CRYPTO_STATS
-from ..crypto.serialize import canonical_bytes, content_hash
+from ..crypto.serialize import content_hash
+from ..crypto.signatures import Keyring
 from ..errors import AttestationError, ConfigurationError
 from ..types import ProcessId, SeqNum
 
@@ -81,17 +79,12 @@ class TrincAuthority:
     def __init__(self, n: int, seed: int = 0) -> None:
         if n <= 0:
             raise ConfigurationError(f"need at least one trinket, got n={n}")
-        self._n = n
-        root = hashlib.sha256(f"repro-trinc|{seed}".encode()).digest()
-        self._keys: dict[ProcessId, bytes] = {
-            pid: hashlib.sha256(root + pid.to_bytes(8, "big")).digest()
-            for pid in range(n)
-        }
+        self._keyring = Keyring("trinc", n, seed)
         self._issued: set[ProcessId] = set()
 
     @property
     def n(self) -> int:
-        return self._n
+        return self._keyring.n
 
     def trinket(self, pid: ProcessId) -> "Trinket":
         """Issue the (single) trinket for process ``pid``.
@@ -101,8 +94,8 @@ class TrincAuthority:
         what carries the counter state across reboots (the property the
         paper's classification rests on). A second issue is refused.
         """
-        if pid not in self._keys:
-            raise ConfigurationError(f"no trinket for pid {pid} (n={self._n})")
+        if pid not in self._keyring:
+            raise ConfigurationError(f"no trinket for pid {pid} (n={self.n})")
         if pid in self._issued:
             raise ConfigurationError(f"trinket for pid {pid} already issued")
         self._issued.add(pid)
@@ -120,8 +113,8 @@ class TrincAuthority:
         experiments and negative tests only; correct recovery paths re-wire
         the original :meth:`trinket` instance instead.
         """
-        if pid not in self._keys:
-            raise ConfigurationError(f"no trinket for pid {pid} (n={self._n})")
+        if pid not in self._keyring:
+            raise ConfigurationError(f"no trinket for pid {pid} (n={self.n})")
         if pid not in self._issued:
             raise ConfigurationError(
                 f"trinket for pid {pid} was never issued; nothing to lose"
@@ -130,32 +123,24 @@ class TrincAuthority:
 
     def _tag(self, pid: ProcessId, counter_id: int, prev: SeqNum, seq: SeqNum,
              message: Any) -> bytes:
-        body = canonical_bytes(
-            ("attest", pid, counter_id, prev, seq, content_hash(message))
-        )
-        _CRYPTO_STATS.hmac_ops += 1
-        return hmac.new(self._keys[pid], body, hashlib.sha256).digest()
+        return self._keyring.mac(
+            pid, _attested(pid, counter_id, prev, seq, message))
 
     def _status_tag(self, pid: ProcessId, counter_id: int, value: SeqNum,
                     nonce: Any) -> bytes:
-        body = canonical_bytes(("status", pid, counter_id, value, content_hash(nonce)))
-        _CRYPTO_STATS.hmac_ops += 1
-        return hmac.new(self._keys[pid], body, hashlib.sha256).digest()
+        return self._keyring.mac(pid, _status(pid, counter_id, value, nonce))
 
     def check_status(self, statement: Any, q: ProcessId) -> bool:
         """Verify a :class:`StatusAttestation` claimed to come from ``T_q``."""
         s = statement
         if not isinstance(s, StatusAttestation):
             return False
-        if s.trinket_id != q or q not in self._keys:
+        if s.trinket_id != q or q not in self._keyring:
             return False
         if not isinstance(s.value, int) or s.value < 0:
             return False
-        try:
-            expected = self._status_tag(q, s.counter_id, s.value, s.nonce)
-        except Exception:
-            return False
-        return hmac.compare_digest(expected, s.tag)
+        return self._keyring.check(
+            q, lambda: _status(q, s.counter_id, s.value, s.nonce), s.tag)
 
     def check(self, attestation: Any, q: ProcessId) -> bool:
         """The paper's ``CheckAttestation(a, q)``.
@@ -167,20 +152,28 @@ class TrincAuthority:
         a = attestation
         if not isinstance(a, Attestation):
             return False
-        if a.trinket_id != q:
-            return False
-        if q not in self._keys:
+        if a.trinket_id != q or q not in self._keyring:
             return False
         # counters start at 0 and strictly increase, so 0 <= prev < seq
         if not isinstance(a.prev, int) or not isinstance(a.seq, int):
             return False
         if a.prev < 0 or a.seq <= a.prev:
             return False
-        try:
-            expected = self._tag(q, a.counter_id, a.prev, a.seq, a.message)
-        except Exception:
-            return False
-        return hmac.compare_digest(expected, a.tag)
+        return self._keyring.check(
+            q, lambda: _attested(q, a.counter_id, a.prev, a.seq, a.message),
+            a.tag)
+
+
+def _attested(pid: ProcessId, counter_id: int, prev: SeqNum, seq: SeqNum,
+              message: Any) -> tuple:
+    """What an :class:`Attestation`'s tag binds."""
+    return ("attest", pid, counter_id, prev, seq, content_hash(message))
+
+
+def _status(pid: ProcessId, counter_id: int, value: SeqNum,
+            nonce: Any) -> tuple:
+    """What a :class:`StatusAttestation`'s tag binds."""
+    return ("status", pid, counter_id, value, content_hash(nonce))
 
 
 class Trinket:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.crypto.serialize import crypto_stats
@@ -73,6 +75,10 @@ class TestNativeA2M:
         wrong_kind = A2MStatement(s.device_id, END, s.log_id, s.index, s.value,
                                   s.nonce, s.tag)
         assert not auth.check(wrong_kind, 0)
+        e = d.end(log, nonce="z")
+        for tag in (s.tag.hex(), None):  # a tag that is not bytes at all
+            assert not auth.check(replace(s, tag=tag), 0)
+            assert not auth.check(replace(e, tag=tag), 0)
 
     def test_attest_and_check_count_two_hmacs(self, authority_and_device):
         auth, d = authority_and_device
@@ -164,6 +170,16 @@ class TestTrincBackedA2M:
         assert not checker.check_lookup(p1, 0, l2, 1)
 
     def test_junk_rejected(self, setup):
-        _, _, checker = setup
+        _, host, checker = setup
         assert not checker.check_lookup("junk", 0, 1, 1)
         assert not checker.check_end(("not", "an", "endproof"), 0, 1)
+        log = host.create_log()
+        host.append(log, "a")
+        p, e = host.lookup(log, 1), host.end(log, nonce="z")
+        for tag in (p.entry.tag.hex(), None):  # a tag that is not bytes
+            entry = replace(p.entry, tag=tag)
+            assert not checker.check_lookup(replace(p, entry=entry), 0, log, 1)
+            assert not checker.check_end(replace(e, last=entry), 0, log, "z")
+            status = replace(e.status, tag=tag)
+            assert not checker.check_end(replace(e, status=status), 0, log, "z")
+        assert checker.check_end(e, 0, log, "z")

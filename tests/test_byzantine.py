@@ -134,3 +134,34 @@ class TestHostedStats:
         own = sum(r.consensus_stats()["commits_executed"] for r in replicas)
         assert own == 9
         assert sim.collect_consensus_stats()["commits_executed"] == own
+
+
+class TestForgedTagsOnTheWire:
+    def test_replica_sending_str_tags_is_rejected_not_fatal(self):
+        """A Byzantine MinBFT replica rewrites the tag of every UI it sends
+        to a ``str``: correct replicas count each as malformed, and the run
+        goes on to serve every client (a tag check that raised on the
+        non-bytes tag used to end the run)."""
+        from dataclasses import replace
+
+        from repro.consensus import ReplicationStreamChecker, build_minbft_system
+        from repro.consensus.minbft import USIG_WRAP
+
+        def str_tag(body):
+            message, ui = body
+            att = replace(ui.attestation, tag=ui.attestation.tag.hex())
+            return message, replace(ui, attestation=att)
+
+        checker = ReplicationStreamChecker([0, 1])
+        sim, replicas, clients = build_minbft_system(
+            f=1, n_clients=2, ops_per_client=3, seed=0, observers=[checker],
+            replica_wrapper=lambda pid, r: (
+                ByzantineWrapper(r, mutate_kind(USIG_WRAP, str_tag))
+                if pid == 2 else r
+            ),
+        )
+        sim.declare_byzantine(2)
+        sim.run_to_quiescence()
+        assert [len(c.results) for c in clients] == [3, 3]
+        checker.finish(expected_ops={c.pid: 3 for c in clients}).assert_ok()
+        assert all(replicas[pid].malformed_rejects > 0 for pid in (0, 1))

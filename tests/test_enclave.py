@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import AttestationError, ConfigurationError
@@ -44,6 +46,8 @@ class TestExecution:
         forged = EnclaveOutput(out.device_id, out.measurement, out.seq,
                                out.input_hash, 999, out.tag)
         assert not auth.check(forged, 0)
+        for tag in (out.tag.hex(), None):  # a tag that is not bytes at all
+            assert not auth.check(replace(out, tag=tag), 0)
 
     def test_seq_tamper_rejected(self, auth):
         """Replay protection: the invocation number is signed."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.consensus.enclave_usig import (
@@ -77,8 +79,13 @@ class TestEnclaveUSIG:
         assert not verifier.verify_ui(fake, b"h", 0)
 
     def test_junk(self, parts):
-        _, _, verifier = parts
+        _, usig, verifier = parts
         assert not verifier.verify_ui("junk", "m", 0)
+        ui = usig.create_ui("m")
+        for tag in (ui.attestation.tag.hex(), None):
+            forged = replace(ui, attestation=replace(ui.attestation, tag=tag))
+            assert not verifier.verify_ui(forged, "m", 0)
+        assert verifier.verify_ui(ui, "m", 0)
 
     def test_create_and_check_count_two_hmacs(self, parts):
         _, usig, verifier = parts

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,6 +75,10 @@ class TestCheck:
         a = auth.trinket(1).attest(1, "m")
         bad_prev = Attestation(1, 0, -1, 1, "m", a.tag)
         assert not auth.check(bad_prev, 1)
+        s = auth.trinket(2).status(nonce="n")
+        for tag in (a.tag.hex(), None):  # a tag that is not bytes at all
+            assert not auth.check(replace(a, tag=tag), 1)
+            assert not auth.check_status(replace(s, tag=tag), 2)
 
     def test_cross_authority_rejected(self):
         a1 = TrincAuthority(2, seed=1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,9 +82,14 @@ class TestUSIG:
         assert verifier.verify_ui(ui, "m", 0)  # the genuine UI still verifies
 
     def test_junk_rejected(self, parts):
-        _, _, verifier = parts
+        _, usig, verifier = parts
         assert not verifier.verify_ui("junk", "m", 0)
         assert not verifier.verify_ui(UI(0, 1, "not-an-attestation"), "m", 0)
+        ui = usig.create_ui("m")
+        for tag in (ui.attestation.tag.hex(), None):
+            forged = UI(0, 1, replace(ui.attestation, tag=tag))
+            assert not verifier.verify_ui(forged, "m", 0)
+        assert verifier.verify_ui(ui, "m", 0)
 
     def test_unserializable_message(self, parts):
         _, usig, verifier = parts
